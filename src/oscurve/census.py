@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .classifier import classify_double_point, _matrix_inverse
+from .classifier import classify_double_point
 from .errors import DegenerateInputError
 from .groebner import (
     Ideal,
@@ -28,8 +28,8 @@ from .groebner import (
     scheme_length,
     zero_dim_radical,
 )
-from .polyops import exact_divide, matrix_rank, nullspace
-from .qfields import QQ, QuadExt, QuadraticField, rational_sqrt, squarefree_core
+from .polyops import exact_divide, matrix_inverse, matrix_rank, nullspace
+from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
     expected_double_point_count,
@@ -231,23 +231,11 @@ def _rational_roots(g: Polynomial) -> list[Fraction]:
     return sorted(roots)
 
 
-def _extend_to_field(p: Polynomial, field) -> Polynomial:
-    if p.ring.field == field:
-        return p
-    ring = PolyRing(p.ring.variables, field)
-    return Polynomial(ring, {e: field.coerce(c) for e, c in p.terms.items()})
-
-
 def _evaluate_ext(p: Polynomial, values):
     """Evaluate a rational-coefficient polynomial at possibly quadratic values."""
-    ext = None
-    for v in values:
-        if isinstance(v, QuadExt) and v.b != 0:
-            ext = QuadraticField(v.d)
-            break
-    if ext is not None and p.ring.field != ext:
-        p = _extend_to_field(p, ext)
-        values = [ext.coerce(v) for v in values]
+    field = field_of(values)
+    if field != p.ring.field:
+        p = p.restrict(PolyRing(p.ring.variables, field))
     return p.evaluate(values)
 
 
@@ -277,21 +265,8 @@ def _split_eliminant(g: Polynomial, h_line: Polynomial, field) -> list[_SupportP
         return pieces
     if deg == 2:
         cs = {sum(e): c for e, c in work.terms.items()}
-        c2 = cs.get(2, Fraction(0))
-        c1 = cs.get(1, Fraction(0))
-        c0 = cs.get(0, Fraction(0))
-        disc = c1 * c1 - 4 * c2 * c0
-        root = rational_sqrt(disc)
-        if root is None:
-            core, scale = squarefree_core(disc)
-            ext = QuadraticField(core)
-            sq = QuadExt(0, scale, core)
-            two_c2 = ext.coerce(2 * c2)
-            r1 = (ext.coerce(-c1) + sq) / two_c2
-            r2 = (ext.coerce(-c1) - sq) / two_c2
-        else:
-            r1 = (-c1 + root) / (2 * c2)
-            r2 = (-c1 - root) / (2 * c2)
+        c2, c1, c0 = (cs.get(k, Fraction(0)) for k in (2, 1, 0))
+        (r1, r2), _ = quadratic_roots(c2, c1, c0)
         pieces.append(
             _SupportPiece(
                 factor=work,
@@ -367,29 +342,15 @@ def _piece_ideal(piece: _SupportPiece, matrix, ring: PolyRing) -> Ideal:
     ]
     ideal = saturate(Ideal(ring, hom), Ideal(ring, [ring.var(ring.variables[2])]))
     ideal = saturate(ideal, irrelevant_ideal(ring))
-    inv = _matrix_inverse(matrix, field)
+    inv = matrix_inverse(matrix, field)
     return Ideal(ring, [g.linear_change([list(r) for r in inv]) for g in ideal.gens])
 
 
 def _projective_from_chart(chart_point, matrix):
     xv, yv = chart_point
     vec = (xv, yv, 1)
-    coords = []
-    for i in range(3):
-        total = None
-        for j in range(3):
-            term = _mixed_mul(matrix[i][j], vec[j])
-            total = term if total is None else total + term
-        coords.append(total)
+    coords = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
     return _normalize_projective(coords)
-
-
-def _mixed_mul(a, b):
-    if isinstance(a, QuadExt) and not isinstance(b, QuadExt):
-        b = QuadExt(Fraction(b), 0, a.d)
-    elif isinstance(b, QuadExt) and not isinstance(a, QuadExt):
-        a = QuadExt(Fraction(a), 0, b.d)
-    return a * b
 
 
 def _normalize_projective(coords):
@@ -408,95 +369,50 @@ def _normalize_projective(coords):
 # ---------------------------------------------------------------------------
 
 
-def _binary_quadratic_roots(coords, field):
-    """Roots on P^1 of c0*s^2 + c1*st + c2*t^2 with multiplicities, or None
-    when they fall outside every supported field."""
+def fiber_parameters(param: PlaneParameterization, coords):
+    """Parameters mapping to the singular point below a scheme-plane point:
+    the roots on P^1 of the binary quadratic c0*s^2 + c1*st + c2*t^2 the point
+    represents, with multiplicities, or None when they need a nested radical."""
     c0, c1, c2 = coords
-    one = field.one if hasattr(field, "one") else Fraction(1)
+    one = param.ring.field.one
     if not c0:
         if not c1:
             return [((1, 0), 2)]
         return [((1, 0), 1), ((-c2 / c1, one), 1)]
-    disc = c1 * c1 - 4 * c0 * c2
-    if not disc:
+    if not c1 * c1 - 4 * c0 * c2:
         return [((-c1 / (2 * c0), one), 2)]
-    if isinstance(c0, QuadExt) or isinstance(c1, QuadExt) or isinstance(c2, QuadExt):
-        ext = QuadraticField(next(c for c in coords if isinstance(c, QuadExt)).d)
-        root = ext.sqrt(disc)
-        if root is None:
-            return None
-        r1 = (-c1 + root) / (2 * c0)
-        r2 = (-c1 - root) / (2 * c0)
-        return [((r1, ext.one), 1), ((r2, ext.one), 1)]
-    root = rational_sqrt(disc)
-    if root is None:
-        core, scale = squarefree_core(disc)
-        ext = QuadraticField(core)
-        sq = QuadExt(0, scale, core)
-        c0e, c1e = ext.coerce(c0), ext.coerce(c1)
-        r1 = (-c1e + sq) / (2 * c0e)
-        r2 = (-c1e - sq) / (2 * c0e)
-        return [((r1, ext.one), 1), ((r2, ext.one), 1)]
-    return [(((-c1 + root) / (2 * c0), Fraction(1)), 1), (((-c1 - root) / (2 * c0), Fraction(1)), 1)]
-
-
-def fiber_parameters(param: PlaneParameterization, coords):
-    """Parameters mapping to the singular point below a scheme-plane point:
-    the roots of the binary quadratic the point represents."""
-    return _binary_quadratic_roots(coords, param.ring.field)
+    split = quadratic_roots(c0, c1, c2, field_of(coords))
+    if split is None:
+        return None
+    (r1, r2), field = split
+    return [((r1, field.one), 1), ((r2, field.one), 1)]
 
 
 def _image_of_site(param: PlaneParameterization, coords):
     """Singular image point below a double-point scheme point, without root
     extraction: the combinations c with q | c0*f0 + c1*f1 + c2*f2 are the
-    lines through the image point, so it is their intersection.  This stays
-    inside the field of the scheme point itself."""
+    lines through the image point, so it is their intersection.  They are the
+    first three coordinates of the kernel of [f0 f1 f2 | q-shifts], which
+    stays inside the field of the scheme point itself."""
     n = param.n
-    field = QQ
-    for c in coords:
-        if isinstance(c, QuadExt) and c.b != 0:
-            field = QuadraticField(c.d)
-            break
-    coords = [field.coerce(c) for c in coords]
-    zero, one = field.zero, field.one
-    # row space of multiplication by q inside degree-n binary forms
-    rows = []
-    for shift in range(n - 1):
-        row = [zero] * (n + 1)
-        for j, c in enumerate(coords):
-            row[shift + j] = c
-        rows.append(row)
-    f_vectors = []
+    field = field_of(coords)
+    q = [field.coerce(c) for c in coords]
+    columns = []
     for f in param.forms:
-        vec = [zero] * (n + 1)
+        vec = [field.zero] * (n + 1)
         for e, c in f.terms.items():
             vec[e[1]] = field.coerce(c)
-        f_vectors.append(vec)
-    # echelonize the q-rows, then reduce the form vectors modulo them
-    pivots = []
-    for row in rows:
-        for r, (pc, pr) in enumerate(pivots):
-            if row[pc]:
-                factor = row[pc] / pr[pc]
-                row = [a - factor * b for a, b in zip(row, pr)]
-        lead = next((i for i, v in enumerate(row) if v), None)
-        if lead is not None:
-            pivots.append((lead, row))
-    residues = []
-    for vec in f_vectors:
-        for pc, pr in pivots:
-            if vec[pc]:
-                factor = vec[pc] / pr[pc]
-                vec = [a - factor * b for a, b in zip(vec, pr)]
-        residues.append(vec)
-    kernel = nullspace([list(r) for r in zip(*residues)], 3, one=one)
-    lines = list(kernel)
-    if len(lines) != 2:
+        columns.append(vec)
+    for shift in range(n - 1):
+        vec = [field.zero] * (n + 1)
+        vec[shift : shift + 3] = q
+        columns.append(vec)
+    kernel = nullspace(zip(*columns), len(columns), one=field.one)
+    if len(kernel) != 2:
         return None
-    (a0, a1, a2), (b0, b1, b2) = lines
+    # the q-shifts are independent, so the two lines are too
+    (a0, a1, a2), (b0, b1, b2) = (vec[:3] for vec in kernel)
     cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    if not any(cross):
-        return None
     return _normalize_projective(list(cross))
 
 
@@ -509,8 +425,6 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     n = param.n
     if n < 3:
         raise DegenerateInputError("degree must be at least 3 to carry singular points")
-    from .qfields import RationalField
-
     if not isinstance(param.ring.field, RationalField):
         raise DegenerateInputError(
             "census support extraction splits points over QQ; "
@@ -612,16 +526,10 @@ def classify_curve_singularities(param: PlaneParameterization) -> SingularityCen
 def _classify_image_point(F: Polynomial, site: CensusSite):
     if site.image_point is None:
         return None
-    coords = list(site.image_point)
-    ext = None
-    for c in coords:
-        if isinstance(c, QuadExt) and c.b != 0:
-            ext = QuadraticField(c.d)
-            break
-    if ext is not None and F.ring.field == QQ:
-        F = _extend_to_field(F, ext)
-        coords = [ext.coerce(c) for c in coords]
-    verdict, _ = classify_double_point(F, coords)
+    field = field_of(site.image_point)
+    if field != F.ring.field:
+        F = F.restrict(PolyRing(F.ring.variables, field))
+    verdict, _ = classify_double_point(F, site.image_point)
     if verdict.kind != "double_point":
         return None
     if -(-verdict.s // 2) != site.delta:

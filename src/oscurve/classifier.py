@@ -15,15 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateInputError,
-    ExtensionUnsupportedError,
-    NonReducedCurveError,
-    OscurveError,
-)
+from .errors import DegenerateInputError, NonReducedCurveError, OscurveError
 from .intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
-from .polyops import repeated_factor_part
-from .qfields import QQ, QuadraticField, RationalField, rational_sqrt, squarefree_core, QuadExt
+from .polyops import matrix_inverse, repeated_factor_part
+from .qfields import QQ, quadratic_roots
 from .rings import INF, Polynomial, PolyRing
 
 PROJECTIVE_VARS = ("x0", "x1", "x2")
@@ -63,42 +58,6 @@ class NormalizedCurve:
     transform: tuple
     affine: Polynomial
     a02_fixed: bool
-
-
-def _matrix_inverse(rows, field):
-    n = len(rows)
-    aug = [
-        [field.coerce(v) for v in row] + [field.one if i == j else field.zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise DegenerateInputError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _compose(m1, m2, field):
-    """Matrix product m1 * m2 over the field."""
-    n = len(m1)
-    return tuple(
-        tuple(
-            sum((field.coerce(m1[i][k]) * field.coerce(m2[k][j]) for k in range(n)), field.zero)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def multiplicity_at_origin(f: Polynomial) -> int:
@@ -146,13 +105,12 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
         a11 = affine.terms.get((1, 1))
         a02 = affine.terms.get((0, 2))
         if not a02:
-            if a20:
-                extra = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # swap x <-> y
-            elif a11:
-                extra = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # x -> x + y
+            if a20:  # swap x <-> y
+                transform = tuple((row[1], row[0], row[2]) for row in transform)
+            elif a11:  # x -> x + y
+                transform = tuple((row[0], row[0] + row[1], row[2]) for row in transform)
             else:
                 raise AssertionError("double point with zero quadratic part")
-            transform = _compose(transform, extra, field)
             moved = F.linear_change(transform)
             affine = moved.substitute({v2: ring.one()}).restrict(
                 aff_ring, {v0: "x", v1: "y"}
@@ -206,25 +164,6 @@ class Verdict:
         if self.kind == "multiplicity_ge_3":
             return "point of multiplicity >= 3"
         return f"A{self.s}"
-
-
-def _extend_poly(f: Polynomial, new_field) -> Polynomial:
-    ring = PolyRing(f.ring.variables, new_field)
-    return Polynomial(ring, {e: new_field.coerce(c) for e, c in f.terms.items()})
-
-
-def _sqrt_in_or_above(field, value):
-    """(root, field) with root^2 = value, enlarging QQ to QQ(sqrt(d)) when
-    needed; (None, field) when even that fails (nested radical)."""
-    if isinstance(field, RationalField):
-        root = rational_sqrt(value)
-        if root is not None:
-            return root, field
-        core, scale = squarefree_core(value)
-        ext = QuadraticField(core)
-        return QuadExt(0, scale, core), ext
-    root = field.sqrt(value)
-    return root, field
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +245,19 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
         if delta:
             # two distinct top coefficients: the branches separate here
             s = 2 * r - 1
-            try:
-                root, wfield = _sqrt_in_or_above(base_field, delta)
-            except ExtensionUnsupportedError:
-                root, wfield = None, base_field
+            split = quadratic_roots(C2, C1, C0, base_field)
+            wfield = base_field
             witnesses = None
             wit_mults = None
             separation = None
-            ext_unsupported = root is None
-            if root is not None:
-                two = wfield.coerce(2)
-                lam1 = (wfield.coerce(-C1) + root) / (two * wfield.coerce(C2))
-                lam2 = (wfield.coerce(-C1) - root) / (two * wfield.coerce(C2))
+            ext_unsupported = split is None
+            if split is not None:
+                (lam1, lam2), wfield = split
                 prefix = [wfield.coerce(c) for c in lams]
                 w1 = GraphCurve(prefix + [lam1])
                 w2 = GraphCurve(prefix + [lam2])
                 witnesses = (w1, w2)
-                f_ext = _extend_poly(f, wfield) if wfield != base_field else f
+                f_ext = f if wfield == base_field else f.restrict(PolyRing(f.ring.variables, wfield))
                 wit_mults = tuple(
                     graph_intersection_multiplicity(f_ext, w) for w in witnesses
                 )
@@ -410,7 +345,7 @@ def witnesses_in_original_coordinates(verdict: Verdict, norm: NormalizedCurve) -
     field = norm.affine.ring.field
     wfield = verdict.witness_field or field
     names = norm.original.ring.variables
-    inv = _matrix_inverse(norm.transform, field)
+    inv = matrix_inverse(norm.transform, field)
 
     def push(poly3: Polynomial) -> Polynomial:
         f = poly3.ring.field

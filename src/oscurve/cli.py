@@ -185,13 +185,11 @@ def _cmd_classify(ns) -> int:
     oracle_line = None
     if getattr(ns, "verify", False) and verdict.kind == "double_point" and verdict.witnesses:
         from .intersection import truncated_local_multiplicity
-        from .rings import PolyRing as _PolyRing
 
         wfield = verdict.witness_field
         f = verdict.normalized.affine
         if wfield != f.ring.field:
-            lifted = _PolyRing(("x", "y"), wfield)
-            f = f.map_coefficients(wfield.coerce, lifted)
+            f = f.restrict(PolyRing(f.ring.variables, wfield))
         agree = True
         for w, m in zip(verdict.witnesses, verdict.witness_multiplicities):
             if m == INF:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import DegenerateInputError, RingMismatchError
-from .polyops import exact_divide, squarefree_part
+from .polyops import exact_divide, matrix_inverse, squarefree_part
 from .rings import Polynomial, PolyRing
 
 # ---------------------------------------------------------------------------
@@ -693,20 +693,6 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
     return result
 
 
-def ideal_combine(a: Ideal, b: Ideal | None = None, op: str = "sum", e: int | None = None) -> Ideal:
-    """Named dispatch kept for the command surface: sum, product, power,
-    intersection."""
-    if op == "sum":
-        return ideal_sum(a, b)
-    if op == "product":
-        return ideal_product(a, b)
-    if op == "power":
-        return ideal_power(a, e)
-    if op == "intersection":
-        return ideal_intersection(a, b)
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------
@@ -1030,9 +1016,7 @@ def zero_dim_radical(ideal: Ideal, max_attempts: int = 5) -> Ideal:
         hom = Ideal(moved_ring, hom_gens)
         hom = saturate(hom, Ideal(moved_ring, [moved_ring.var(ring.variables[2])]))
         hom = saturate(hom, irrelevant_ideal(moved_ring))
-        from .classifier import _matrix_inverse
-
-        inverse = _matrix_inverse(matrix, field)
+        inverse = matrix_inverse(matrix, field)
         back = [g.linear_change([list(r) for r in inverse]) for g in hom.gens]
         result = Ideal(ring, back)
         if result.contains_ideal(ideal):

@@ -16,6 +16,7 @@ from itertools import count
 
 from .errors import DegenerateInputError
 from .polyops import matrix_rank
+from .qfields import field_of
 from .rings import INF, Polynomial, PolyRing
 
 
@@ -62,12 +63,7 @@ class GraphCurve:
         return ring.var(y) - self.graph_poly(ring, x)
 
     def coefficient_field(self):
-        from .qfields import QQ, QuadExt, QuadraticField
-
-        for c in self.coefficients:
-            if isinstance(c, QuadExt) and c.b != 0:
-                return QuadraticField(c.d)
-        return QQ
+        return field_of(self.coefficients)
 
     def __str__(self):
         ring = PolyRing(("x",), self.coefficient_field())

@@ -6,12 +6,19 @@ Determinants of polynomial matrices are computed either by Laplace expansion
 memoized on column subsets (shares work between all minors of a matrix and is
 very fast with integer coefficients) or by fraction-free Bareiss elimination
 for larger square matrices; `matrix_det` picks by size.
+
+Row reduction of scalar matrices happens here and nowhere else:
+`_row_echelon` is the one forward-elimination routine.  `matrix_rank` runs it
+alone (fraction-free on integer rows when the entries are rational), while
+`nullspace` and `matrix_inverse` add back-substitution to the reduced echelon
+form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import DegenerateInputError
 from .qfields import QuadExt, RationalField
@@ -41,31 +48,12 @@ def _dict_mul(a, b):
     return out
 
 
-def _dict_add_scaled(target, src, scale):
-    if not scale:
-        return target
-    for e, c in src.items():
-        v = c * scale
-        s = target.get(e)
-        if s is None:
-            target[e] = v
-        else:
-            s = s + v
-            if s:
-                target[e] = s
-            else:
-                del target[e]
-    return target
-
-
 def _integer_entry_dicts(entries):
     """Clear denominators of Fraction-coefficient polynomials to plain ints.
 
     Returns (dicts, scale) where every entry was multiplied by `scale`.
     None when some coefficient is not rational.
     """
-    from math import gcd, lcm
-
     den = 1
     for p in entries:
         for c in p.terms.values():
@@ -238,14 +226,6 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     return Polynomial(ring, quot)
 
 
-def divides(d: Polynomial, p: Polynomial) -> bool:
-    try:
-        exact_divide(p, d)
-        return True
-    except DegenerateInputError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Sylvester resultant
 # ---------------------------------------------------------------------------
@@ -292,8 +272,6 @@ def _rational_normalize(p: Polynomial) -> Polynomial:
     """Integer-primitive form with positive leading (graded-lex) coefficient."""
     if p.is_zero:
         return p
-    from math import gcd, lcm
-
     den = 1
     for c in p.terms.values():
         den = lcm(den, c.denominator)
@@ -455,124 +433,89 @@ def squarefree_part_multivariate(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _field_step(row, top, col):
+    """row minus the multiple of the pivot row `top` that clears column col."""
+    f = row[col] / top[col]
+    return [x - f * y for x, y in zip(row, top)]
+
+
+def _integer_step(row, top, col):
+    """Fraction-free `_field_step` for integer rows: the primitive integer
+    combination of row and top that clears column col."""
+    g = gcd(top[col], row[col])
+    a, b = top[col] // g, row[col] // g
+    out = [a * x - b * y for x, y in zip(row, top)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _row_echelon(rows, ncols, step=_field_step):
+    """Forward elimination in place, searching pivots in the first `ncols`
+    columns; returns the pivot columns.  Afterwards rows[:len(pivots)] are in
+    echelon form and the remaining rows vanish on those columns."""
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                rows[r] = step(rows[r], top, col)
+        pivots.append(col)
+    return pivots
+
+
+def _reduced_echelon(rows, ncols):
+    """`_row_echelon` followed by back-substitution: every pivot scaled to
+    one and cleared from the rows above it."""
+    pivots = _row_echelon(rows, ncols)
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        pv = rows[i][pc]
+        rows[i] = top = [x / pv for x in rows[i]]
+        for r in range(i):
+            if rows[r][pc]:
+                rows[r] = _field_step(rows[r], top, pc)
+    return pivots
+
+
 def matrix_rank(rows) -> int:
     """Rank of a matrix of field scalars (fraction-free over the integers
     when all entries are rational)."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
+    ncols = len(rows[0])
     if all(isinstance(c, (int, Fraction)) for r in rows for c in r):
-        from math import gcd, lcm
-
         int_rows = []
         for r in rows:
-            den = 1
-            for c in r:
-                if isinstance(c, Fraction):
-                    den = lcm(den, c.denominator)
-            rr = [int(c * den) for c in r]
-            g = 0
-            for v in rr:
-                g = gcd(g, v)
+            den = lcm(*(c.denominator for c in r))
+            rr = [c.numerator * (den // c.denominator) for c in r]
+            g = gcd(*rr)
             if g > 1:
                 rr = [v // g for v in rr]
             if any(rr):
                 int_rows.append(rr)
-        return _int_rank(int_rows)
-    return _field_rank(rows)
-
-
-def _int_rank(rows) -> int:
-    from math import gcd
-
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            v = rows[r][col]
-            if v:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                rows[r] = [a * x - b * y for x, y in zip(rows[r], rows[rank])]
-                rg = 0
-                for x in rows[r]:
-                    rg = gcd(rg, x)
-                if rg > 1:
-                    rows[r] = [x // rg for x in rows[r]]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _field_rank(rows) -> int:
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            v = rows[r][col]
-            if v:
-                f = v / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        return len(_row_echelon(int_rows, ncols, _integer_step))
+    return len(_row_echelon(rows, ncols))
 
 
 def nullspace(rows, ncols, one=Fraction(1)):
     """Basis of the right null space of a matrix of field scalars with
-    `ncols` columns (rows may be empty)."""
+    `ncols` columns (rows may be empty): one vector per free column of the
+    reduced echelon form."""
     rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        zero = one - one
-        return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
-    # reduced row echelon form
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
+    pivots = _reduced_echelon(rows, ncols)
     zero = one - one
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
@@ -581,34 +524,13 @@ def nullspace(rows, ncols, one=Fraction(1)):
     return basis
 
 
-def solve_linear(rows, rhs):
-    """One solution of A x = b over the field, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(aug)):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][ncols]:
-            return None
-    zero = rhs[0] - rhs[0] if rhs else Fraction(0)
-    sol = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][ncols]
-    return sol
+def matrix_inverse(rows, field):
+    """Inverse of a square matrix over `field`, by reducing [A | I]."""
+    n = len(rows)
+    aug = [
+        [field.coerce(v) for v in row] + [field.one if i == j else field.zero for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if len(_reduced_echelon(aug, n)) < n:
+        raise DegenerateInputError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in aug)

@@ -7,6 +7,11 @@ squarefree integer tag d.  The rational operations themselves are the stock
 `Fraction` operators; this module adds the quadratic extension, square-root
 extraction, and the field descriptor objects rings are built over.
 
+Leaving QQ is decided here and nowhere else: `quadratic_roots` is the one
+routine that solves a quadratic and moves to QQ(sqrt(disc)) when its
+discriminant is not a rational square, and `field_of` is the one place that
+reads the field off a tuple of values.
+
 Values are immutable and all operations are pure, so they are safe to share
 between threads.
 """
@@ -440,6 +445,36 @@ class QuadraticField:
 
 
 QQ = RationalField()
+
+
+def field_of(values):
+    """The field the values live in: QQ(sqrt(d)) for the first value with an
+    irrational part, QQ when every value is rational."""
+    for v in values:
+        if isinstance(v, QuadExt) and v.b != 0:
+            return QuadraticField(v.d)
+    return QQ
+
+
+def quadratic_roots(c2, c1, c0, field=QQ):
+    """The two roots of c2*l^2 + c1*l + c0 (c2 != 0) and the field they live in.
+
+    Over QQ a discriminant that is not a rational square moves the roots to
+    QQ(sqrt(disc)).  Over QQ(sqrt(d)) the roots stay in the field when the
+    discriminant has a square root there; otherwise they need a nested
+    radical and the result is None.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    if isinstance(field, RationalField):
+        root = make_quadratic(0, 1, disc)
+        if isinstance(root, QuadExt):
+            field = QuadraticField(root.d)
+    else:
+        root = field.sqrt(disc)
+        if root is None:
+            return None
+    two_c2, minus_c1 = field.coerce(2 * c2), field.coerce(-c1)
+    return ((minus_c1 + root) / two_c2, (minus_c1 - root) / two_c2), field
 
 
 def parse_scalar(text: str):

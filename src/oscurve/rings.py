@@ -473,7 +473,9 @@ class Polynomial:
         rows = [[self.ring.coerce_scalar(v) for v in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"matrix must be {n}x{n}")
-        if _scalar_det(rows) == 0:
+        from .polyops import matrix_rank
+
+        if matrix_rank(rows) < n:
             raise DegenerateInputError("linear change of coordinates must be invertible")
         gens = self.ring.gens()
         images = []
@@ -508,32 +510,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"
-
-
-def _scalar_det(rows):
-    """Determinant of a small matrix of field scalars, by Gaussian elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = None
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        det = p if det is None else det * p
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / p
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det * sign if det is not None else 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from oscurve.census import (
     is_curvilinear_at,
     multiple_point_scheme_ideal,
 )
-from oscurve.classifier import _matrix_inverse, classify_double_point, projective_ring
+from oscurve.classifier import classify_double_point, projective_ring
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import (
     Ideal,
@@ -34,6 +34,7 @@ from oscurve.intersection import (
     graph_intersection_multiplicity,
     truncated_local_multiplicity,
 )
+from oscurve.polyops import matrix_inverse, matrix_rank
 from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rational_curves import (
     ambient_ring,
@@ -44,7 +45,7 @@ from oscurve.rational_curves import (
     properness_check,
     rational_normal_curve_ideal,
 )
-from oscurve.rings import INF, PolyRing, _scalar_det
+from oscurve.rings import INF, PolyRing
 
 R3 = projective_ring()
 R2 = PolyRing(("x", "y"))
@@ -295,10 +296,10 @@ def test_criterion_10_projective_invariance():
         for _ in range(20):
             while True:
                 M = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-                if _scalar_det([row[:] for row in M]) != 0:
+                if matrix_rank(M) == 3:
                     break
             moved = F.linear_change(M)
-            inverse = _matrix_inverse(M, QQ)
+            inverse = matrix_inverse(M, QQ)
             point = tuple(inverse[i][2] for i in range(3))
             verdict, _ = classify_double_point(moved, point)
             assert verdict.s == s, (str(F), M)

@@ -234,7 +234,6 @@ def test_conjugate_node_pair_splits_over_quadratic_extension():
         c.conjugate() if isinstance(c, QuadExt) else c for c in a.image_point
     ] == list(b.image_point)
     # every image point lies on the implicit curve
-    from oscurve.census import _extend_to_field
     from oscurve.qfields import QuadraticField
     from oscurve.rational_curves import implicitize
 
@@ -244,6 +243,31 @@ def test_conjugate_node_pair_splits_over_quadratic_extension():
             (QuadraticField(c.d) for c in site.image_point if isinstance(c, QuadExt) and c.b != 0),
             None,
         )
-        lifted = _extend_to_field(F, ext) if ext else F
+        lifted = F.restrict(PolyRing(F.ring.variables, ext)) if ext else F
         coords = [lifted.ring.field.coerce(c) for c in site.image_point]
         assert lifted.evaluate(coords) == 0
+
+
+def test_fiber_parameters_over_quadratic_extensions():
+    from fractions import Fraction
+
+    from oscurve.qfields import QuadExt, QuadraticField
+
+    param = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC)
+    sites = double_point_census(param).sites
+    (rational,) = [s for s in sites if s.coords == (1, 0, Fraction(1, 3))]
+    # q = s^2 + t^2/3 has the simple roots +-1/3*sqrt(-3), outside QQ
+    roots = fiber_parameters(param, rational.coords)
+    assert sorted(str(q0 / q1) for (q0, q1), _ in roots) == ["-1/3*sqrt(-3)", "1/3*sqrt(-3)"]
+    assert [m for _, m in roots] == [1, 1]
+    lifted = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC, field=QuadraticField(-3))
+    for q, _ in roots:
+        image = lifted.evaluate(q)
+        assert [c / image[0] for c in image] == [1, Fraction(-11, 6), Fraction(-4, 3)]
+    assert rational.image_point == (1, Fraction(-11, 6), Fraction(-4, 3))
+    # over the two sites in QQ(sqrt(42)) the roots would need a nested radical
+    conjugate = [s for s in sites if s is not rational]
+    assert len(conjugate) == 2
+    for site in conjugate:
+        assert any(isinstance(c, QuadExt) and c.d == 42 for c in site.coords)
+        assert fiber_parameters(param, site.coords) is None

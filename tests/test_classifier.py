@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from oscurve.classifier import (
-    _matrix_inverse,
     classify_double_point,
     multiplicity_at_origin,
     normalize_at_point,
@@ -14,8 +13,9 @@ from oscurve.classifier import (
 )
 from oscurve.errors import DegenerateInputError, NonReducedCurveError
 from oscurve.intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
+from oscurve.polyops import matrix_inverse, matrix_rank
 from oscurve.qfields import QQ
-from oscurve.rings import INF, PolyRing, _scalar_det
+from oscurve.rings import INF, PolyRing
 
 R3 = projective_ring()
 R2 = PolyRing(("x", "y"))
@@ -203,10 +203,10 @@ def test_verdict_invariant_under_projective_change():
     for _ in range(4):
         while True:
             M = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-            if _scalar_det([row[:] for row in M]) != 0:
+            if matrix_rank(M) == 3:
                 break
         moved = F.linear_change(M)
-        Minv = _matrix_inverse(M, QQ)
+        Minv = matrix_inverse(M, QQ)
         point = tuple(Minv[i][2] for i in range(3))
         verdict, _ = classify_double_point(moved, point)
         assert verdict.label == "A5"

@@ -11,15 +11,16 @@ from oscurve.polyops import (
     certify_squarefree_by_restriction,
     exact_divide,
     matrix_det,
+    matrix_inverse,
     matrix_rank,
     nullspace,
     poly_gcd,
     repeated_factor_part,
-    solve_linear,
     squarefree_part,
     squarefree_part_multivariate,
     sylvester_resultant,
 )
+from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rings import PolyMatrix, PolyRing
 
 R2 = PolyRing(("x", "y"))
@@ -155,10 +156,28 @@ def test_rank_and_nullspace():
     assert len(basis) == 2
     for vec in basis:
         assert sum(a * b for a, b in zip(rows[0], vec)) == 0
-
-
-def test_solve_linear():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    sol = solve_linear(rows, [Fraction(5), Fraction(1)])
-    assert sol == [Fraction(2), Fraction(1)]
-    assert solve_linear([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]], [Fraction(0), Fraction(1)]) is None
+    # over QQ(sqrt(2)): rank-nullity, and every basis vector is in the kernel
+    K = QuadraticField(2)
+    r2 = QuadExt(0, 1, 2)
+    first = [K.one, r2, K.coerce(2), K.zero]
+    second = [r2, K.coerce(2), 2 * r2, K.one]
+    ext_rows = [first, second, [r2 * a + b for a, b in zip(first, second)]]
+    basis = nullspace(ext_rows, 4, one=K.one)
+    rank = matrix_rank(ext_rows)
+    assert rank == 2 and rank + len(basis) == 4
+    for vec in basis:
+        for row in ext_rows:
+            assert sum((a * b for a, b in zip(row, vec)), K.zero) == 0
+    # A * A^-1 = I over QQ and over QQ(sqrt(2))
+    rational = [[2, 1, 0], [1, -1, 3], [0, Fraction(1, 2), 1]]
+    for field, A in (
+        (QQ, [[Fraction(v) for v in row] for row in rational]),
+        (K, [[K.one, r2, K.zero], [K.zero, K.one, r2], [r2, K.zero, K.coerce(3)]]),
+    ):
+        inv = matrix_inverse(A, field)
+        for i in range(3):
+            for j in range(3):
+                entry = sum((A[i][k] * inv[k][j] for k in range(3)), field.zero)
+                assert entry == (1 if i == j else 0)
+    with pytest.raises(DegenerateInputError):
+        matrix_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ)
