@@ -21,14 +21,17 @@ from .errors import DegenerateInputError
 from .groebner import (
     Ideal,
     TermOrder,
-    _avoids_support,
+    chart_lines,
+    chart_matrix,
+    from_chart,
     ideal_sum,
-    irrelevant_ideal,
+    is_empty_scheme,
     saturate,
     scheme_length,
+    to_chart,
     zero_dim_radical,
 )
-from .polyops import exact_divide, matrix_inverse, matrix_rank, nullspace
+from .polyops import exact_divide, matrix_rank, nullspace
 from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
@@ -86,8 +89,7 @@ def cusp_conic(ring: PolyRing) -> Polynomial:
 
 
 def has_multiplicity_at_least(param: PlaneParameterization, k: int) -> bool:
-    ideal = multiple_point_scheme_ideal(param, k)
-    return not saturate(ideal, irrelevant_ideal(ideal.ring)).is_unit()
+    return not is_empty_scheme(multiple_point_scheme_ideal(param, k))
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +157,6 @@ class _SupportPiece:
     size: int
     chart_points: tuple | None  # ((x, y), ...) when the piece is split
     h_line: Polynomial  # shape-position polynomial: yc = h_line(xc)
-
-
-def _chart_candidates(ring):
-    x, y, z = ring.gens()
-    yield z
-    yield y
-    yield x
-    yield x + y + z
-    yield x + 2 * y - z
-    yield 3 * x - y + 2 * z
-    yield x - 5 * y + 7 * z
-
-
-def _chart_matrix(ring, ell, shear):
-    """Columns: a (sheared) kernel basis of ell and a vector with ell = 1, so
-    the pulled-back form is the last coordinate."""
-    field = ring.field
-    coeffs = [field.zero] * 3
-    for e, c in ell.terms.items():
-        coeffs[e.index(1)] = c
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    kernel = []
-    for i in range(3):
-        if i == pivot:
-            continue
-        vec = [field.zero] * 3
-        vec[i] = field.one
-        vec[pivot] = -coeffs[i] / coeffs[pivot]
-        kernel.append(vec)
-    first = [a + field.coerce(shear) * b for a, b in zip(kernel[0], kernel[1])]
-    special = [field.zero] * 3
-    special[pivot] = field.one / coeffs[pivot]
-    return tuple(tuple((first[i], kernel[1][i], special[i])) for i in range(3))
 
 
 def _rational_roots(g: Polynomial) -> list[Fraction]:
@@ -280,38 +249,20 @@ def _split_eliminant(g: Polynomial, h_line: Polynomial, field) -> list[_SupportP
     return pieces
 
 
-def support_sites(radical: Ideal, max_attempts: int = 8):
+def support_sites(radical: Ideal):
     """Decompose the support of a radical finite plane scheme into rational
     points, conjugate quadratic pairs, and unsplit clusters.
 
     Returns a list of (_SupportPiece, chart matrix); chart data maps back to
     the input coordinates through the matrix.
     """
-    ring = radical.ring
-    field = ring.field
     length = scheme_length(radical)
     if length == 0:
         return []
-    attempts = 0
-    for ell in _chart_candidates(ring):
-        if attempts >= max_attempts:
-            break
-        if not _avoids_support(radical, ell):
-            continue
+    for ell in chart_lines(radical):
         for shear in (0, 1, -1, 2, 3, 5):
-            attempts += 1
-            matrix = _chart_matrix(ring, ell, shear)
-            moved = [g.linear_change(matrix) for g in radical.gens]
-            aff = PolyRing(("xc", "yc"), field)
-            affine = Ideal(
-                aff,
-                [
-                    g.substitute({ring.variables[2]: ring.one()}).restrict(
-                        aff, {ring.variables[0]: "xc", ring.variables[1]: "yc"}
-                    )
-                    for g in moved
-                ],
-            )
+            matrix = chart_matrix(ell, shear)
+            affine = to_chart(radical, matrix)
             gb = affine.groebner_basis(TermOrder.lex(("yc", "xc")))
             polys = list(gb.polys)
             if len(polys) != 2:
@@ -319,31 +270,22 @@ def support_sites(radical: Ideal, max_attempts: int = 8):
             g_x, lin_y = polys
             if g_x.degree_in("yc") != 0 or lin_y.degree_in("yc") != 1:
                 continue
-            if lin_y.coefficient_in("yc", 1) != aff.one():
+            if lin_y.coefficient_in("yc", 1) != affine.ring.one():
                 continue
             if g_x.degree() != length:
                 continue
             h_line = -lin_y.coefficient_in("yc", 0)
-            return [(piece, matrix) for piece in _split_eliminant(g_x, h_line, field)]
+            pieces = _split_eliminant(g_x, h_line, radical.ring.field)
+            return [(piece, matrix) for piece in pieces]
     raise DegenerateInputError("could not put the support in shape position")
 
 
 def _piece_ideal(piece: _SupportPiece, matrix, ring: PolyRing) -> Ideal:
     """Homogeneous ideal of one support piece, back in the input coordinates."""
-    field = ring.field
     if piece.size == 1:
-        coords = _projective_from_chart(piece.chart_points[0], matrix)
-        return point_ideal(ring, coords)
-    aff = piece.factor.ring
-    gens = [piece.factor, aff.var("yc") - piece.h_line]
-    hom = [
-        g.homogenize(ring, ring.variables[2], {"xc": ring.variables[0], "yc": ring.variables[1]})
-        for g in gens
-    ]
-    ideal = saturate(Ideal(ring, hom), Ideal(ring, [ring.var(ring.variables[2])]))
-    ideal = saturate(ideal, irrelevant_ideal(ring))
-    inv = matrix_inverse(matrix, field)
-    return Ideal(ring, [g.linear_change([list(r) for r in inv]) for g in ideal.gens])
+        return point_ideal(ring, _projective_from_chart(piece.chart_points[0], matrix))
+    yc = piece.factor.ring.var("yc")
+    return from_chart([piece.factor, yc - piece.h_line], matrix, ring)
 
 
 def _projective_from_chart(chart_point, matrix):
@@ -445,16 +387,13 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     if total != expected:
         raise AssertionError(f"double-point scheme length {total} != C(n-1,2) = {expected}")
     conic = cusp_conic(ring)
-    cusp_cut = saturate(ideal_sum(ideal, Ideal(ring, [conic])), irrelevant_ideal(ring))
-    cusp_len = 0 if cusp_cut.is_unit() else scheme_length(cusp_cut)
+    cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
 
     radical = zero_dim_radical(ideal)
     sites = []
     for piece, matrix in support_sites(radical):
         site_ideal = _piece_ideal(piece, matrix, ring)
-        away = saturate(ideal, site_ideal)
-        rest = 0 if away.is_unit() else scheme_length(away)
-        delta = total - rest
+        delta = total - scheme_length(saturate(ideal, site_ideal))
         if piece.chart_points is not None:
             if delta % piece.size:
                 raise AssertionError("conjugate points with unequal local lengths")
@@ -473,8 +412,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                     )
                 )
         else:
-            inter = saturate(ideal_sum(site_ideal, Ideal(ring, [conic])), irrelevant_ideal(ring))
-            cusps = 0 if inter.is_unit() else scheme_length(inter)
+            cusps = scheme_length(ideal_sum(site_ideal, Ideal(ring, [conic])))
             sites.append(
                 CensusSite(
                     kind="cluster",

@@ -11,6 +11,11 @@ variable of a grevlex basis, after a coordinate change making the form a
 variable), and a general auxiliary-variable route.  The fast route is
 self-checking: the candidate is accepted only once it is contained in every
 single-generator colon, which pins it to the true saturation.
+
+Finite plane schemes have one home for each projective decision here:
+`is_empty_scheme` decides emptiness from lead terms alone, without
+saturating, and `chart_lines`, `chart_matrix`, `to_chart` and `from_chart`
+are the only way into an affine chart missing the support and back.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import DegenerateInputError, RingMismatchError
-from .polyops import exact_divide, matrix_inverse, squarefree_part
+from .polyops import exact_divide, matrix_inverse, poly_gcd, squarefree_part
 from .rings import Polynomial, PolyRing
 
 # ---------------------------------------------------------------------------
@@ -350,9 +355,6 @@ class GroebnerBasis:
     def lead_exponents(self):
         return tuple(lead for _, lead in self._pairs)
 
-    def max_degree(self) -> int:
-        return max((p.degree() for p in self.polys), default=0)
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("normal form of a polynomial from another ring")
@@ -513,13 +515,6 @@ class HilbertData:
     values: tuple
     stable_value: int | None
     stable_from: int | None
-
-    def value_at(self, t: int) -> int:
-        if t < len(self.values):
-            return self.values[t]
-        if self.stable_value is None:
-            raise ValueError("no stable value detected")
-        return self.stable_value
 
 
 def _count_standard_monomials(nvars, degree, leads):
@@ -901,124 +896,116 @@ def degree_slice_members(ideal: Ideal, d: int, strict: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# radicals of zero-dimensional ideals in three variables
+# finite plane schemes: emptiness, affine charts, radicals
 # ---------------------------------------------------------------------------
-
-
-def _radical_chart_candidates(ring):
-    x, y, z = ring.gens()
-    yield z
-    yield y
-    yield x
-    yield x + y + z
-    yield x + 2 * y + 3 * z
-    yield x - y + 2 * z
-    yield 2 * x + 3 * y - 5 * z
-    yield x + 5 * y - 7 * z
 
 
 def irrelevant_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, ring.gens())
 
 
-def _avoids_support(ideal: Ideal, ell: Polynomial) -> bool:
-    cut = ideal_sum(ideal, Ideal(ideal.ring, [ell]))
-    return saturate(cut, irrelevant_ideal(ideal.ring)).is_unit()
+def is_empty_scheme(ideal: Ideal) -> bool:
+    """Whether a homogeneous ideal cuts out the empty projective scheme.
+
+    That holds exactly when a power of every variable lies in the ideal, so
+    every variable has a lead term of the reduced basis that is a pure power
+    of it (the lead term 1 counts for every variable)."""
+    if not ideal.is_homogeneous():
+        raise DegenerateInputError("the emptiness test needs a homogeneous ideal")
+    nvars = ideal.ring.nvars
+    covered = set()
+    for lead in ideal.groebner_basis().lead_exponents:
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) <= 1:
+            covered.update(support or range(nvars))
+    return len(covered) == nvars
+
+
+def chart_lines(ideal: Ideal):
+    """The lines of a fixed list that miss the finite scheme of a homogeneous
+    ideal in three variables, in list order."""
+    ring = ideal.ring
+    x, y, z = ring.gens()
+    for ell in (z, y, x, x + y + z, x + 2 * y - z, 3 * x - y + 2 * z, x - 5 * y + 7 * z):
+        if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
+            yield ell
+
+
+def chart_matrix(ell: Polynomial, shear=0):
+    """Columns: a (sheared) kernel basis of the linear form ell and a vector
+    with ell = 1, so the pulled-back form is the last coordinate."""
+    field = ell.ring.field
+    coeffs = [field.zero] * 3
+    for e, c in ell.terms.items():
+        coeffs[e.index(1)] = c
+    pivot = max(i for i, c in enumerate(coeffs) if c)
+    kernel = []
+    for i in range(3):
+        if i == pivot:
+            continue
+        vec = [field.zero] * 3
+        vec[i] = field.one
+        vec[pivot] = -coeffs[i] / coeffs[pivot]
+        kernel.append(vec)
+    first = [a + field.coerce(shear) * b for a, b in zip(kernel[0], kernel[1])]
+    special = [field.zero] * 3
+    special[pivot] = field.one / coeffs[pivot]
+    return tuple(tuple((first[i], kernel[1][i], special[i])) for i in range(3))
+
+
+def to_chart(ideal: Ideal, matrix) -> Ideal:
+    """The ideal moved by the chart matrix and dehomogenized at the last
+    variable, in K[xc, yc]."""
+    ring = ideal.ring
+    x, y, z = ring.variables
+    aff = PolyRing(("xc", "yc"), ring.field)
+    return Ideal(
+        aff,
+        [
+            g.linear_change(matrix).substitute({z: ring.one()}).restrict(aff, {x: "xc", y: "yc"})
+            for g in ideal.gens
+        ],
+    )
+
+
+def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
+    """Homogeneous ideal in `ring` of the chart scheme cut out by `gens`:
+    homogenize, saturate by the last variable, undo the chart matrix.  An
+    ideal saturated by one variable is saturated by the irrelevant ideal too,
+    so no second saturation is needed."""
+    x, y, z = ring.variables
+    hom = Ideal(ring, [g.homogenize(ring, z, {"xc": x, "yc": y}) for g in gens])
+    sat = saturate(hom, Ideal(ring, [ring.var(z)]))
+    inverse = matrix_inverse(matrix, ring.field)
+    return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 
 
 def _univariate_eliminant(affine: Ideal, keep: str, other: str) -> Polynomial:
     """Generator of (affine ideal) cap K[keep]; zero if the scheme is not finite."""
     sub = eliminate(affine, {other})
-    gens = [g for g in sub.gens if not g.is_zero]
-    if not gens:
-        return sub.ring.zero()
     g = sub.ring.zero()
-    from .polyops import poly_gcd
-
-    for p in gens:
+    for p in sub.gens:
         g = poly_gcd(g, p)
     return g
 
 
-def zero_dim_radical(ideal: Ideal, max_attempts: int = 5) -> Ideal:
+def zero_dim_radical(ideal: Ideal) -> Ideal:
     """Radical of a homogeneous ideal with finite projective support in three
-    variables: dehomogenize to a chart line missing the support, add the
-    squarefree parts of both univariate eliminants, rehomogenize, saturate.
+    variables: in a chart missing the support, add the squarefree parts of
+    both univariate eliminants, then come back from the chart.
     """
     ring = ideal.ring
     if ring.nvars != 3:
         raise DegenerateInputError("zero_dim_radical expects a three-variable ring")
-    if not ideal.is_homogeneous():
-        raise DegenerateInputError("zero_dim_radical expects a homogeneous ideal")
-    hd = hilbert_function(ideal)
-    if hd.stable_value is None:
-        raise DegenerateInputError("the ideal is not zero-dimensional in the projective plane")
-    if hd.stable_value == 0:
+    if scheme_length(ideal) == 0:
         return Ideal(ring, [ring.one()])
-
-    field = ring.field
-    attempts = 0
-    for ell in _radical_chart_candidates(ring):
-        if attempts >= max_attempts:
-            break
-        attempts += 1
-        if not _avoids_support(ideal, ell):
-            continue
-        # build the matrix A with ell(A x) = x2: columns are two kernel
-        # vectors of ell and one vector where ell evaluates to 1
-        coeffs = [field.zero, field.zero, field.zero]
-        for e, c in ell.terms.items():
-            coeffs[e.index(1)] = c
-        pivot = max(i for i, c in enumerate(coeffs) if c)
-        kernel = []
-        for i in range(3):
-            if i == pivot:
-                continue
-            vec = [field.zero] * 3
-            vec[i] = field.one
-            vec[pivot] = -coeffs[i] / coeffs[pivot]
-            kernel.append(vec)
-        special = [field.zero] * 3
-        special[pivot] = field.one / coeffs[pivot]
-        matrix = tuple(
-            tuple((kernel[0][i], kernel[1][i], special[i])) for i in range(3)
-        )
-        moved = [g.linear_change(matrix) for g in ideal.gens]
-        aff_ring = PolyRing(("x", "y"), field)
-        affine = Ideal(
-            aff_ring,
-            [
-                g.substitute({ring.variables[2]: ring.one()}).restrict(
-                    aff_ring,
-                    {ring.variables[0]: "x", ring.variables[1]: "y"},
-                )
-                for g in moved
-            ],
-        )
-        ex = _univariate_eliminant(affine, "x", "y")
-        ey = _univariate_eliminant(affine, "y", "x")
-        if ex.is_zero or ey.is_zero:
-            continue
-        extra = [
-            squarefree_part(ex).restrict(aff_ring),
-            squarefree_part(ey).restrict(aff_ring),
-        ]
-        rad_affine = Ideal(aff_ring, list(affine.gens) + extra)
-        moved_ring = PolyRing(ring.variables, field)
-        hom_gens = [
-            g.homogenize(
-                moved_ring,
-                ring.variables[2],
-                {"x": ring.variables[0], "y": ring.variables[1]},
-            )
-            for g in rad_affine.gens
-        ]
-        hom = Ideal(moved_ring, hom_gens)
-        hom = saturate(hom, Ideal(moved_ring, [moved_ring.var(ring.variables[2])]))
-        hom = saturate(hom, irrelevant_ideal(moved_ring))
-        inverse = matrix_inverse(matrix, field)
-        back = [g.linear_change([list(r) for r in inverse]) for g in hom.gens]
-        result = Ideal(ring, back)
+    for ell in chart_lines(ideal):
+        matrix = chart_matrix(ell)
+        affine = to_chart(ideal, matrix)
+        ex = _univariate_eliminant(affine, "xc", "yc")
+        ey = _univariate_eliminant(affine, "yc", "xc")
+        extra = [squarefree_part(e).restrict(affine.ring) for e in (ex, ey)]
+        result = from_chart(list(affine.gens) + extra, matrix, ring)
         if result.contains_ideal(ideal):
             return result
     raise DegenerateInputError(

@@ -173,6 +173,9 @@ class QuadExt:
     def __setattr__(self, *args):
         raise AttributeError("QuadExt values are immutable")
 
+    def __reduce__(self):
+        return (QuadExt, (self.a, self.b, self.d))
+
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other):

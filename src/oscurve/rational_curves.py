@@ -21,6 +21,7 @@ from .groebner import (
     eliminate,
     ideal_sum,
     irrelevant_ideal,
+    is_empty_scheme,
     saturate,
 )
 from .polyops import (
@@ -158,11 +159,9 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     there)."""
     ring = scheme.ring
     forms = validate_center(ring, center)
-    irr = irrelevant_ideal(ring)
-    meets = saturate(ideal_sum(scheme, Ideal(ring, forms)), irr)
-    if not meets.is_unit():
+    if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
         raise DegenerateInputError("the projection center meets the scheme")
-    sat = saturate(scheme, irr)
+    sat = saturate(scheme, irrelevant_ideal(ring))
     big = PolyRing(ring.variables + tuple(targets), ring.field)
     gens = [g.restrict(big) for g in sat.gens]
     for name, form in zip(targets, forms):

@@ -38,6 +38,9 @@ class PolyRing:
     def __setattr__(self, *args):
         raise AttributeError("PolyRing is immutable")
 
+    def __reduce__(self):
+        return (PolyRing, (self.variables, self.field))
+
     @property
     def nvars(self):
         return len(self.variables)
@@ -137,6 +140,9 @@ class Polynomial:
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return (Polynomial, (self.ring, self.terms))
 
     # -- basic queries ----------------------------------------------------------
 

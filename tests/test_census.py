@@ -10,14 +10,16 @@ from oscurve.census import (
     is_curvilinear_at,
     multiple_point_matrix,
     multiple_point_scheme_ideal,
+    support_sites,
 )
 from oscurve.errors import DegenerateInputError
-from oscurve.groebner import Ideal
+from oscurve.groebner import Ideal, ideal_intersection, ideal_power, zero_dim_radical
 from oscurve.polyops import poly_gcd
 from oscurve.rational_curves import (
     PlaneParameterization,
     ambient_ring,
     parameterization_from_center,
+    point_ideal,
 )
 from oscurve.rings import PolyRing
 
@@ -81,6 +83,14 @@ def test_k_out_of_range():
 
 def test_triple_point_scheme_empty_for_double_point_curves():
     assert not has_multiplicity_at_least(quartic_param(TACNODE_QUARTIC_CENTER), 3)
+
+
+def test_triple_point_scheme_nonempty_for_a_triple_point():
+    # near [s : t] = [1 : 0] the branch is (t^3, t^4): a triple point at [1 : 0 : 0]
+    param = PlaneParameterization.parse("s^4; s*t^3; t^4")
+    assert has_multiplicity_at_least(param, 3)
+    with pytest.raises(DegenerateInputError, match="multiplicity >= 3"):
+        double_point_census(param)
 
 
 # -- censuses ---------------------------------------------------------------------
@@ -271,3 +281,41 @@ def test_fiber_parameters_over_quadratic_extensions():
     for site in conjugate:
         assert any(isinstance(c, QuadExt) and c.d == 42 for c in site.coords)
         assert fiber_parameters(param, site.coords) is None
+
+
+def test_support_in_a_fallback_chart():
+    from oscurve.census import _projective_from_chart
+
+    # the four points meet the lines z, y, x and x + y + z, so the radical
+    # and the census both need a chart line further down the list
+    ring = PolyRing(("x", "y", "z"))
+    points = [(1, 0, 0), (0, 0, 1), (1, -1, 0), (1, 0, 1)]
+    fat = reduced = None
+    for p in points:
+        square = ideal_power(point_ideal(ring, p), 2)
+        fat = square if fat is None else ideal_intersection(fat, square)
+        simple = point_ideal(ring, p)
+        reduced = simple if reduced is None else ideal_intersection(reduced, simple)
+    radical = zero_dim_radical(fat)
+    assert radical == reduced
+    found = set()
+    for piece, matrix in support_sites(radical):
+        assert piece.size == 1
+        found.add(_projective_from_chart(piece.chart_points[0], matrix))
+    assert found == set(points)
+
+
+def test_census_values_survive_pickling():
+    import pickle
+
+    from oscurve.qfields import QuadExt
+
+    census = classify_curve_singularities(
+        PlaneParameterization.parse("s^4 + 10*t^4; 17*s^3*t - s*t^3; 7*s^2*t^2 + t^4")
+    )
+    assert any(
+        isinstance(c, QuadExt) and c.b and c.d == -9912799
+        for site in census.sites
+        for c in site.coords or ()
+    )
+    assert pickle.loads(pickle.dumps(census)) == census

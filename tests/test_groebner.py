@@ -18,6 +18,7 @@ from oscurve.groebner import (
     ideal_product,
     ideal_sum,
     irrelevant_ideal,
+    is_empty_scheme,
     saturate,
     saturate_general,
     scheme_length,
@@ -223,6 +224,22 @@ def test_saturation_fast_path_matches_general_route():
 def test_saturation_by_irrelevant_ideal_of_unit():
     I = ideal(R3, "x^2", "y", "z")
     assert saturate(I, irrelevant_ideal(R3)).is_unit()
+
+
+def test_empty_scheme_matches_saturation_by_irrelevant_ideal():
+    cases = [
+        (("1",), True),
+        (("x^2", "y^2", "z^2"), True),
+        (("x*y", "y*z", "x*z", "x^2 - y^2 + z^2"), True),
+        (("x", "y"), False),
+        ((), False),
+    ]
+    for gens, empty in cases:
+        I = ideal(R3, *gens)
+        assert is_empty_scheme(I) == empty, gens
+        assert saturate(I, irrelevant_ideal(R3)).is_unit() == empty, gens
+    with pytest.raises(DegenerateInputError):
+        is_empty_scheme(ideal(R3, "x - 1"))
 
 
 # -- radicals ---------------------------------------------------------------------
