@@ -36,9 +36,7 @@ from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
     expected_double_point_count,
-    implicitize,
     point_ideal,
-    properness_check,
 )
 from .rings import Polynomial, PolyMatrix, PolyRing
 
@@ -372,8 +370,6 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
             "census support extraction splits points over QQ; "
             "parameterizations over an extension field are not supported here"
         )
-    if param.proper is None:
-        properness_check(param)
     if not param.proper:
         raise DegenerateInputError("the parameterization is not generically one-to-one")
     if n >= 4 and has_multiplicity_at_least(param, 3):
@@ -442,7 +438,7 @@ def classify_curve_singularities(param: PlaneParameterization) -> SingularityCen
     the conic test; deeper points go through the implicit-equation
     classifier, with the delta = ceil(s/2) consistency check."""
     census = double_point_census(param)
-    F = implicitize(param).poly
+    F = param.implicit.poly
     labeled = []
     for site in census.sites:
         label = None

@@ -499,10 +499,6 @@ def buchberger(ideal: Ideal, order: TermOrder = DEFAULT_ORDER) -> GroebnerBasis:
     return GroebnerBasis(ring, order, polys)
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert functions
 # ---------------------------------------------------------------------------

@@ -357,22 +357,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         if r.is_zero:
             g = b
             break
-        r = exact_divide(r, poly_content(r, var))
+        r = poly_normalize(exact_divide(r, poly_content(r, var)))
         a, b = b, r
     return poly_normalize(cont * poly_normalize(g))
-
-
-def squarefree_part(u: Polynomial) -> Polynomial:
-    """u / gcd(u, u'), made primitive; univariate input required."""
-    if u.is_zero:
-        raise DegenerateInputError("squarefree part of the zero polynomial")
-    used = u.used_variables()
-    if len(used) > 1:
-        raise ValueError("squarefree_part expects univariate input")
-    if not used:
-        return u.ring.one()
-    g = poly_gcd(u, u.derivative(used[0]))
-    return poly_normalize(exact_divide(u, g))
 
 
 def repeated_factor_part(f: Polynomial) -> Polynomial:
@@ -385,25 +372,23 @@ def repeated_factor_part(f: Polynomial) -> Polynomial:
     return g
 
 
-def certify_squarefree_by_restriction(f: Polynomial, attempts: int = 6) -> bool:
+def certify_squarefree_by_restriction(f: Polynomial) -> bool:
     """True once some line restriction of f is squarefree of full degree.
 
     A repeated factor g^2 | f survives restriction to any line on which f
     keeps its degree, so a single full-degree squarefree restriction is an
-    exact certificate.  False only means no certificate was found within the
-    attempts (f may still be squarefree); callers then fall back to the
+    exact certificate.  False only means no certificate was found within six
+    lines (f may still be squarefree); callers then fall back to the
     multivariate gcd.
     """
     if f.is_zero:
         return False
     ring = f.ring
-    if ring.nvars == 1:
-        return poly_gcd(f, f.derivative(ring.variables[0])).degree() == 0
     d = f.degree()
     line_ring = PolyRing(("tline",), ring.field)
     tau = line_ring.var("tline")
     seed = 0x517C
-    for _ in range(attempts):
+    for _ in range(6):
         images = []
         for _ in range(ring.nvars):
             seed = (seed * 1103515245 + 12345) % (1 << 31)
@@ -419,13 +404,20 @@ def certify_squarefree_by_restriction(f: Polynomial, attempts: int = 6) -> bool:
     return False
 
 
-def squarefree_part_multivariate(f: Polynomial) -> Polynomial:
+def squarefree_part(f: Polynomial) -> Polynomial:
+    """f divided by `repeated_factor_part(f)`, normalized (`poly_normalize`).
+
+    Input in two or more variables first tries the line-restriction
+    certificate, which skips the multivariate gcd when it succeeds.  Input
+    in one variable takes the one gcd with its derivative directly: the
+    eliminants it is used on are often not squarefree, and would then pay
+    for both.
+    """
     if f.is_zero:
         raise DegenerateInputError("squarefree part of the zero polynomial")
-    g = repeated_factor_part(f)
-    if g.degree() == 0:
+    if len(f.used_variables()) > 1 and certify_squarefree_by_restriction(f):
         return poly_normalize(f)
-    return poly_normalize(exact_divide(f, g))
+    return poly_normalize(exact_divide(f, repeated_factor_part(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Two coefficient domains are used everywhere in the package: plain
 `fractions.Fraction` (arbitrary-precision rationals, always reduced, positive
-denominator) and `QuadExt`, an element a + b*sqrt(d) with rational a, b and a
-squarefree integer tag d.  The rational operations themselves are the stock
-`Fraction` operators; this module adds the quadratic extension, square-root
-extraction, and the field descriptor objects rings are built over.
+denominator) and `QuadExt`, an element a + b*sqrt(d) with rational a, b and an
+integer tag d.  The rational operations themselves are the stock `Fraction`
+operators; this module adds the quadratic extension, square-root extraction,
+and the field descriptor objects rings are built over.
+
+A tag is a non-square integer with no small square factors.  No integer is
+factored, so one field may carry several tags; `_tag_ratio` is the one test
+that two tags name one field (their ratio is a rational square).
 
 Leaving QQ is decided here and nowhere else: `quadratic_roots` is the one
 routine that solves a quadratic and moves to QQ(sqrt(disc)) when its
@@ -19,118 +23,19 @@ between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ExtensionMismatchError, ExtensionUnsupportedError
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
-# integer factorization helpers (for squarefree normalization of d)
+# square roots and discriminant tags
 # ---------------------------------------------------------------------------
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    # n odd composite, not a prime power of a small prime
-    if n % 2 == 0:
-        return 2
-    from math import gcd
-
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    # trial division a bit beyond the hard-coded list
-    p = 41
-    while p * p <= n and p < 100000:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def squarefree_core(q: Fraction) -> tuple[int, Fraction]:
-    """Write sqrt(q) = scale * sqrt(core) with core a squarefree integer.
-
-    Returns (core, scale); q must be nonzero.  The sign of q goes into core.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("squarefree_core of 0")
-    # sqrt(p/r) = sqrt(p*r)/r
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    core = sign
-    square = 1
-    for p, e in factor_int(n).items():
-        if e % 2:
-            core *= p
-        square *= p ** (e // 2)
-    return core, Fraction(square, q.denominator)
 
 
 def int_sqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -147,25 +52,64 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(a, b)
 
 
+# squarefree_core strips p^2 for every p below this bound, no further
+_TRIAL_BOUND = 1000
+
+
+def squarefree_core(q: Fraction) -> tuple[int, Fraction]:
+    """Write sqrt(q) = scale * sqrt(core) with core an integer tag.
+
+    Returns (core, scale); q must be nonzero.  The sign of q goes into core.
+    The square p^2 is divided out for every p below `_TRIAL_BOUND`, and a
+    cofactor that is then a perfect square is folded in as well; the square
+    of a larger prime may stay in the tag, which names the same field.
+    """
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("squarefree_core of 0")
+    # sqrt(p/r) = sqrt(p*r)/r
+    core = q.numerator * q.denominator
+    square = 1
+    for p in range(2, _TRIAL_BOUND):
+        if p * p > abs(core):
+            break
+        while core % (p * p) == 0:
+            core //= p * p
+            square *= p
+    root = int_sqrt_exact(abs(core))
+    if root is not None:
+        core //= root * root
+        square *= root
+    return core, Fraction(square, q.denominator)
+
+
+def _tag_ratio(d: int, e: int) -> Fraction | None:
+    """The one field-identity test for discriminant tags: d and e name one
+    field exactly when e/d is the square of a rational r, and then
+    sqrt(e) = r*sqrt(d).  None when the fields differ (a negative ratio
+    included)."""
+    return rational_sqrt(Fraction(e, d))
+
+
 # ---------------------------------------------------------------------------
 # quadratic extension elements
 # ---------------------------------------------------------------------------
 
 
 class QuadExt:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), d a squarefree integer != 0, 1.
+    """An element a + b*sqrt(d) of Q(sqrt(d)), d a non-square integer tag.
 
-    Elements with different d never combine, except that a purely rational
-    element (b = 0) is retagged freely.  Division rationalizes by the
-    conjugate; the norm a^2 - d*b^2 vanishes only at 0 because d is not a
-    square.
+    Operands whose tags name one field (`_tag_ratio`) combine over the tag of
+    the left operand; a purely rational element (b = 0) is retagged freely.
+    Division rationalizes by the conjugate; the norm a^2 - d*b^2 vanishes
+    only at 0 because d is not a square.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
         if not isinstance(d, int) or d in (0, 1):
-            raise ValueError(f"discriminant tag must be a squarefree integer != 0, 1: {d!r}")
+            raise ValueError(f"discriminant tag must be an integer != 0, 1: {d!r}")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", d)
@@ -178,19 +122,25 @@ class QuadExt:
 
     # -- coercion ----------------------------------------------------------
 
+    def _over(self, d: int) -> "QuadExt":
+        """The same value written over the tag d; refuses when d names
+        another field."""
+        if self.b == 0:
+            return QuadExt(self.a, 0, d)
+        r = _tag_ratio(d, self.d)
+        if r is None:
+            raise ExtensionMismatchError(f"cannot combine sqrt({self.d}) with sqrt({d})")
+        return QuadExt(self.a, self.b * r, d)
+
     def _pair(self, other):
-        """Align operands on one discriminant tag; rational values (b = 0)
-        retag freely, genuinely different extensions refuse to combine."""
+        """Align operands on one discriminant tag: the tag of self, unless
+        self is rational and other is not."""
         if isinstance(other, QuadExt):
             if other.d == self.d:
                 return self, other
-            if other.b == 0:
-                return self, QuadExt(other.a, 0, self.d)
-            if self.b == 0:
-                return QuadExt(self.a, 0, other.d), other
-            raise ExtensionMismatchError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
+            if self.b == 0 and other.b != 0:
+                return self._over(other.d), other
+            return self, other._over(self.d)
         if isinstance(other, (int, Fraction)):
             return self, QuadExt(other, 0, self.d)
         return None, None
@@ -270,10 +220,6 @@ class QuadExt:
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def to_rational(self) -> Fraction:
         if self.b != 0:
             raise ExtensionUnsupportedError(f"{self} is not rational")
@@ -286,17 +232,21 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            if self.a != other.a:
+                return False
+            if other.d == self.d or self.b == 0 or other.b == 0:
+                return self.b == other.b
+            r = _tag_ratio(self.d, other.d)
+            return r is not None and self.b == other.b * r
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self):
+        # b^2*d does not change when the value is retagged
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d))
 
     # -- printing -----------------------------------------------------------
 
@@ -324,7 +274,8 @@ def make_quadratic(a, b, d) -> Fraction | QuadExt:
     """Build a + b*sqrt(d) with d any nonzero rational, normalizing the tag.
 
     Returns a plain Fraction when the result is rational (b = 0 or d a
-    square); otherwise a QuadExt over the squarefree integer core of d.
+    square); otherwise a QuadExt over the integer tag `squarefree_core`
+    gives for d.
     """
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
     if b == 0:
@@ -380,7 +331,12 @@ class RationalField:
 
 
 class QuadraticField:
-    """The field Q(sqrt(d)) for a fixed squarefree integer d."""
+    """The field Q(sqrt(d)), named by the integer tag `squarefree_core`
+    gives for d.
+
+    Two descriptors are equal when their tags name one field (`_tag_ratio`),
+    and `coerce` rewrites any element of the field over this tag.
+    """
 
     def __init__(self, d):
         d = Fraction(d)
@@ -394,11 +350,7 @@ class QuadraticField:
 
     def coerce(self, value) -> QuadExt:
         if isinstance(value, QuadExt):
-            if value.d == self.d or value.b == 0:
-                return QuadExt(value.a, value.b, self.d)
-            raise ExtensionMismatchError(
-                f"element of QQ(sqrt({value.d})) does not live in {self.name}"
-            )
+            return value if value.d == self.d else value._over(self.d)
         if isinstance(value, (int, Fraction, str)):
             return QuadExt(Fraction(value), 0, self.d)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
@@ -438,10 +390,13 @@ class QuadraticField:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, QuadraticField) and other.d == self.d
+        return isinstance(other, QuadraticField) and (
+            other.d == self.d or _tag_ratio(self.d, other.d) is not None
+        )
 
     def __hash__(self):
-        return hash(("QuadraticField", self.d))
+        # equal fields share the sign of their tags, nothing more
+        return hash(("QuadraticField", self.d > 0))
 
     def __repr__(self):
         return self.name

@@ -13,6 +13,7 @@ finite subschemes along.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import DegenerateInputError
@@ -28,8 +29,7 @@ from .polyops import (
     matrix_rank,
     nullspace,
     poly_gcd,
-    poly_normalize,
-    squarefree_part_multivariate,
+    squarefree_part,
 )
 from .qfields import QQ
 from .rings import Polynomial, PolyMatrix, PolyRing
@@ -178,14 +178,13 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
 class PlaneParameterization:
     """A triple of degree-n binary forms (f0, f1, f2) with no common zero.
 
-    `proper` is verified-properness metadata: None until checked, then the
-    outcome of `properness_check` (write-once cache)."""
+    The implicit equation is computed once, on first use of `implicit`, and
+    kept on the instance; it takes no part in equality or hashing."""
 
     f0: Polynomial
     f1: Polynomial
     f2: Polynomial
     n: int
-    proper: bool | None = None
 
     @staticmethod
     def from_forms(f0, f1, f2) -> "PlaneParameterization":
@@ -223,6 +222,16 @@ class PlaneParameterization:
     @property
     def forms(self):
         return (self.f0, self.f1, self.f2)
+
+    @cached_property
+    def implicit(self) -> "ImplicitCurve":
+        """`implicitize(self)` in the default plane variables x, y, z."""
+        return implicitize(self)
+
+    @property
+    def proper(self) -> bool:
+        """Whether the map is generically one-to-one onto its image."""
+        return self.implicit.map_degree == 1
 
     def evaluate(self, q):
         field = self.ring.field
@@ -359,15 +368,7 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
         raw = Polynomial(plane, stripped)
     if raw.degree() == 0:
         raise DegenerateInputError("the image is a point, not a curve")
-    raw = poly_normalize(raw)
-    # a squarefree line restriction certifies the resultant carries no
-    # repeated factor, skipping the expensive multivariate gcd
-    from .polyops import certify_squarefree_by_restriction
-
-    if certify_squarefree_by_restriction(raw):
-        F = raw
-    else:
-        F = squarefree_part_multivariate(raw)
+    F = squarefree_part(raw)
     # the implicit equation must vanish on the parameterization
     pullback = F.substitute(
         {names[0]: param.f0, names[1]: param.f1, names[2]: param.f2},
@@ -383,11 +384,7 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
 
 def properness_check(param: PlaneParameterization):
     """(is_proper, map_degree): proper means generically one-to-one."""
-    imp = implicitize(param)
-    is_proper = imp.map_degree == 1
-    if param.proper is None:
-        object.__setattr__(param, "proper", is_proper)
-    return is_proper, imp.map_degree
+    return param.proper, param.implicit.map_degree
 
 
 # ---------------------------------------------------------------------------

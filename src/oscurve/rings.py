@@ -283,9 +283,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def scale(self, c):
-        return self * c
-
     def map_coefficients(self, fn, new_ring=None):
         ring = new_ring or self.ring
         out = {}
@@ -549,9 +546,6 @@ class PolyMatrix:
 
     def entry(self, i, j) -> Polynomial:
         return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def minors(self, size):
         from .polyops import matrix_minors

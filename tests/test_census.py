@@ -182,6 +182,26 @@ def test_census_delta_matches_classifier_type():
             assert (s + 1) // 2 == site.delta
 
 
+def test_classification_implicitizes_once(monkeypatch):
+    import sys
+
+    from oscurve.rational_curves import implicitize
+
+    calls = []
+
+    def counting(param, *args, **kwargs):
+        calls.append(param)
+        return implicitize(param, *args, **kwargs)
+
+    # rebind the name in every module that imported it, so no call site is missed
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oscurve") and getattr(module, "implicitize", None) is implicitize:
+            monkeypatch.setattr(module, "implicitize", counting)
+    census = classify_curve_singularities(PlaneParameterization.parse(NODAL_CUBIC))
+    assert [site.label for site in census.sites] == ["A1"]
+    assert len(calls) == 1
+
+
 # -- curvilinearity ------------------------------------------------------------------
 
 

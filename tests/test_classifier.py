@@ -268,3 +268,15 @@ def test_nested_radical_degrades_gracefully():
     assert verdict.witnesses is None
     A, B, C = verdict.quadratic_at_stop
     assert (str(A), str(B), str(C)) == ("1", "0", "-3")
+
+
+def test_node_with_a_product_of_two_40_bit_primes():
+    # the tangent discriminant is not factored on the way to the witnesses
+    D = 1099511627689 * 1099511627609
+    verdict, _ = classify(f"x1^2*x2 - {D}*x0^2*x2 + x0^3")
+    assert verdict.label == "A1"
+    assert verdict.witness_field.d == D
+    assert sorted(str(w) for w in verdict.witnesses) == [
+        f"y = -sqrt({D})*x",
+        f"y = sqrt({D})*x",
+    ]

@@ -15,9 +15,9 @@ from oscurve.polyops import (
     matrix_rank,
     nullspace,
     poly_gcd,
+    poly_normalize,
     repeated_factor_part,
     squarefree_part,
-    squarefree_part_multivariate,
     sylvester_resultant,
 )
 from oscurve.qfields import QQ, QuadExt, QuadraticField
@@ -141,7 +141,7 @@ def test_repeated_factor_detection():
 
 def test_squarefree_multivariate():
     f = R2.parse("(x^2 - y)^2*(x + y)")
-    assert squarefree_part_multivariate(f) == R2.parse("(x^2 - y)*(x + y)")
+    assert squarefree_part(f) == R2.parse("(x^2 - y)*(x + y)")
 
 
 def test_certify_squarefree_by_restriction():
@@ -181,3 +181,22 @@ def test_rank_and_nullspace():
                 assert entry == (1 if i == j else 0)
     with pytest.raises(DegenerateInputError):
         matrix_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, QuadraticField(2)], ids=["QQ", "QQ(sqrt2)"])
+def test_univariate_gcd_of_degree_fifteen_with_a_known_factor(field):
+    # a degree-30 pair finishes at once only when every remainder of the
+    # sequence is made primitive
+    rng = random.Random(11)
+    u = PolyRing(("x",), field)
+
+    def random_poly(deg):
+        coeffs = {(k,): field.coerce(rng.randint(-9, 9)) for k in range(deg)}
+        if isinstance(field, QuadraticField):
+            coeffs = {e: c + QuadExt(0, rng.randint(-3, 3), 2) for e, c in coeffs.items()}
+        coeffs[(deg,)] = field.coerce(rng.randint(1, 9))
+        return u.from_terms(coeffs)
+
+    g, h1, h2 = random_poly(15), random_poly(15), random_poly(14)
+    assert poly_gcd(h1, h2) == u.one()
+    assert poly_gcd(g * h1, g * h2) == poly_normalize(g)

@@ -133,3 +133,80 @@ def test_field_descriptors():
     assert K.coerce(3) == QuadExt(3, 0, -1)
     with pytest.raises(ExtensionMismatchError):
         K.coerce(QuadExt(0, 1, 5))
+
+
+# -- tags with a square factor above the trial bound ----------------------------
+
+# a prime above the trial bound of squarefree_core, so P^2 stays in a tag
+P = 1000003
+small_tags = st.integers(min_value=-30, max_value=30).filter(
+    lambda d: d != 0 and rational_sqrt(Fraction(d)) is None
+)
+
+
+def test_large_square_factor_stays_in_the_tag():
+    assert squarefree_core(Fraction(2 * P * P)) == (2 * P * P, 1)
+    assert squarefree_core(Fraction(-P * P)) == (-1, P)
+    assert str(make_quadratic(0, 1, 2 * P * P)) == f"sqrt({2 * P * P})"
+
+
+@given(small_rationals, small_rationals, small_tags)
+@settings(max_examples=60)
+def test_retagged_values_are_equal(a, b, d):
+    core, scale = squarefree_core(Fraction(d))
+    x = make_quadratic(a, b, d * P * P)
+    y = QuadExt(a, b * P * scale, core)
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+
+
+@given(small_rationals, small_rationals, small_rationals, small_rationals, small_tags)
+@settings(max_examples=60)
+def test_arithmetic_across_tags_of_one_field(a1, b1, a2, b2, d):
+    core, scale = squarefree_core(Fraction(d))
+    x = make_quadratic(a1, b1, d * P * P)
+    x_core = QuadExt(a1, b1 * P * scale, core)  # the same value over the small tag
+    y = QuadExt(a2, b2, core)
+    assert x + y == x_core + y and y + x == x_core + y
+    assert x - y == x_core - y and y - x == y - x_core
+    assert x * y == x_core * y and y * x == x_core * y
+    if y:
+        assert x / y == x_core / y
+    if x:
+        assert y / x == y / x_core
+
+
+@given(small_tags)
+@settings(max_examples=30)
+def test_quadratic_fields_with_different_tags_are_equal(d):
+    K_big, K = QuadraticField(d * P * P), QuadraticField(d)
+    # -P^2 times a square is a square times -1, which folds into the scale
+    assert K_big.d == (K.d if K.d == -1 else K.d * P * P)
+    assert K_big == K and K == K_big
+    assert hash(K_big) == hash(K)
+    core, scale = squarefree_core(Fraction(d))
+    x = QuadExt(1, P * scale, core)
+    over_big = K_big.coerce(x)
+    assert over_big.d == K_big.d and over_big == x
+    back = K.coerce(over_big)
+    assert back.d == K.d and back == x
+
+
+def test_sqrt_literal_with_a_large_square_factor_parses():
+    from oscurve.rings import PolyRing
+
+    ring = PolyRing(("x",), QuadraticField(2))
+    assert ring.parse(f"sqrt({2 * P * P})*x") == ring.parse(f"{P}*sqrt(2)*x")
+
+
+def test_different_fields_still_refuse_to_combine():
+    with pytest.raises(ExtensionMismatchError):
+        make_quadratic(0, 1, 2) + make_quadratic(0, 1, 3)
+    with pytest.raises(ExtensionMismatchError):
+        make_quadratic(0, 1, 2) + make_quadratic(0, 1, -2)
+    with pytest.raises(ExtensionMismatchError):
+        make_quadratic(0, 1, 2 * P * P) * make_quadratic(0, 1, 3)
+    assert QuadraticField(2) != QuadraticField(-2)
+    assert make_quadratic(0, 1, 2) != make_quadratic(0, 1, -2)
+    with pytest.raises(ExtensionMismatchError):
+        QuadraticField(2 * P * P).coerce(make_quadratic(0, 1, 3))

@@ -219,6 +219,16 @@ def test_proper_conic():
     assert properness_check(PlaneParameterization.parse("s^2; s*t; t^2")) == (True, 1)
 
 
+def test_properness_check_leaves_equality_and_hash_alone():
+    text = "(s^2 - t^2)*t; s*(s^2 - t^2); t^3"
+    param, unchecked = PlaneParameterization.parse(text), PlaneParameterization.parse(text)
+    before = hash(param)
+    held = {param}
+    assert properness_check(param) == (True, 1)
+    assert hash(param) == before == hash(unchecked)
+    assert param == unchecked and param in held and unchecked in held
+
+
 # -- the cone fiber test ---------------------------------------------------------------
 
 
