@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .classifier import classify_double_point
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
     TermOrder,
@@ -35,6 +35,8 @@ from .polyops import exact_divide, matrix_rank, nullspace
 from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
+    _binary_coefficients,
+    _cross,
     expected_double_point_count,
     point_ideal,
 )
@@ -55,8 +57,7 @@ def multiple_point_matrix(param: PlaneParameterization, k: int) -> PolyMatrix:
     n = param.n
     if not 2 <= k <= n - 1:
         raise DegenerateInputError(f"k = {k} out of range 2..{n - 1}")
-    field = param.ring.field
-    ring = scheme_ring(k, field)
+    ring = scheme_ring(k, param.ring.field)
     gens = ring.gens()
     zero = ring.zero()
     cols = n + 1
@@ -67,10 +68,7 @@ def multiple_point_matrix(param: PlaneParameterization, k: int) -> PolyMatrix:
             row[i + j] = gens[j]
         entries.extend(row)
     for f in param.forms:
-        coeffs = [field.zero] * cols
-        for e, c in f.terms.items():
-            coeffs[e[1]] = c
-        entries.extend(ring.const(c) for c in coeffs)
+        entries.extend(ring.const(c) for c in _binary_coefficients(f, n))
     return PolyMatrix(ring, n - k + 4, cols, entries)
 
 
@@ -337,12 +335,7 @@ def _image_of_site(param: PlaneParameterization, coords):
     n = param.n
     field = field_of(coords)
     q = [field.coerce(c) for c in coords]
-    columns = []
-    for f in param.forms:
-        vec = [field.zero] * (n + 1)
-        for e, c in f.terms.items():
-            vec[e[1]] = field.coerce(c)
-        columns.append(vec)
+    columns = [[field.coerce(c) for c in _binary_coefficients(f, n)] for f in param.forms]
     for shift in range(n - 1):
         vec = [field.zero] * (n + 1)
         vec[shift : shift + 3] = q
@@ -351,9 +344,7 @@ def _image_of_site(param: PlaneParameterization, coords):
     if len(kernel) != 2:
         return None
     # the q-shifts are independent, so the two lines are too
-    (a0, a1, a2), (b0, b1, b2) = (vec[:3] for vec in kernel)
-    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    return _normalize_projective(list(cross))
+    return _normalize_projective(list(_cross(kernel[0][:3], kernel[1][:3])))
 
 
 def double_point_census(param: PlaneParameterization) -> SingularityCensus:
@@ -381,7 +372,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     total = scheme_length(ideal)
     expected = expected_double_point_count(n)
     if total != expected:
-        raise AssertionError(f"double-point scheme length {total} != C(n-1,2) = {expected}")
+        raise InvariantViolation(f"double-point scheme length {total} != C(n-1,2) = {expected}")
     conic = cusp_conic(ring)
     cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
 
@@ -392,7 +383,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         delta = total - scheme_length(saturate(ideal, site_ideal))
         if piece.chart_points is not None:
             if delta % piece.size:
-                raise AssertionError("conjugate points with unequal local lengths")
+                raise InvariantViolation("conjugate points with unequal local lengths")
             for chart_pt in piece.chart_points:
                 coords = _projective_from_chart(chart_pt, matrix)
                 conic_value = _evaluate_ext(conic, list(coords))
@@ -424,7 +415,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         n=n, total_length=total, sites=tuple(sites), cusp_intersection_length=cusp_len
     )
     if census.delta_sum != total:
-        raise AssertionError(f"per-site lengths {census.delta_sum} do not add up to {total}")
+        raise InvariantViolation(f"per-site lengths {census.delta_sum} do not add up to {total}")
     return census
 
 
@@ -467,7 +458,7 @@ def _classify_image_point(F: Polynomial, site: CensusSite):
     if verdict.kind != "double_point":
         return None
     if -(-verdict.s // 2) != site.delta:
-        raise AssertionError(
+        raise InvariantViolation(
             f"classifier type A{verdict.s} disagrees with local length {site.delta}"
         )
     return f"A{verdict.s}"

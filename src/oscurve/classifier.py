@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, NonReducedCurveError, OscurveError
+from .errors import (
+    DegenerateInputError,
+    InvariantViolation,
+    NonReducedCurveError,
+    OscurveError,
+)
 from .intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
 from .polyops import matrix_inverse, repeated_factor_part
 from .qfields import QQ, quadratic_roots
@@ -97,7 +102,7 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
     aff_ring = affine_ring(field)
     affine = moved.substitute({v2: ring.one()}).restrict(aff_ring, {v0: "x", v1: "y"})
     if affine.constant_term():
-        raise AssertionError("recentred curve misses the origin")
+        raise InvariantViolation("recentred curve misses the origin")
 
     a02_fixed = False
     if multiplicity_at_origin(affine) == 2:
@@ -110,7 +115,7 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
             elif a11:  # x -> x + y
                 transform = tuple((row[0], row[0] + row[1], row[2]) for row in transform)
             else:
-                raise AssertionError("double point with zero quadratic part")
+                raise InvariantViolation("double point with zero quadratic part")
             moved = F.linear_change(transform)
             affine = moved.substitute({v2: ring.one()}).restrict(
                 aff_ring, {v0: "x", v1: "y"}
@@ -216,7 +221,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
 
     a02 = f.terms.get((0, 2))
     if not a02:
-        raise AssertionError("normalization failed to arrange a02 != 0")
+        raise InvariantViolation("normalization failed to arrange a02 != 0")
 
     lam_ring = PolyRing(("x", "lam"), base_field)
     x = lam_ring.var("x")
@@ -236,10 +241,10 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
         C1 = step_quad.coefficient_in("lam", 1).constant_term()
         C2 = step_quad.coefficient_in("lam", 2).constant_term()
         if C2 != a02:
-            raise AssertionError("step quadratic lost its leading coefficient a02")
+            raise InvariantViolation("step quadratic lost its leading coefficient a02")
         for j in range(2 * r):
             if not g.coefficient_in("x", j).is_zero:
-                raise AssertionError(f"unexpected x^{j} term at step {r}")
+                raise InvariantViolation(f"unexpected x^{j} term at step {r}")
 
         delta = C1 * C1 - 4 * C2 * C0
         if delta:
@@ -263,9 +268,9 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
                 )
                 separation = branch_separation(w1, w2)
                 if any(v != INF and v < 2 * r + 1 for v in wit_mults):
-                    raise AssertionError("witness multiplicity below the split bound")
+                    raise InvariantViolation("witness multiplicity below the split bound")
                 if separation != r:
-                    raise AssertionError("witnesses separate at the wrong order")
+                    raise InvariantViolation("witnesses separate at the wrong order")
             trace.append(
                 StepRecord(r=r, quad=(C2, C1, C0), delta=delta, branch="a", lam=None, multiplicity=None)
             )
@@ -293,7 +298,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
         lams.append(lam_bar)
         mult = graph_intersection_multiplicity(f, GraphCurve(lams))
         if mult != INF and mult < 2 * r + 1:
-            raise AssertionError("unique continuation with too small a contact order")
+            raise InvariantViolation("unique continuation with too small a contact order")
         if mult == 2 * r + 1:
             witness = GraphCurve(list(lams))
             trace.append(

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .census import classify_curve_singularities
 from .classifier import classify_double_point, projective_ring
-from .errors import OscurveError, ParseError
+from .errors import InvariantViolation, OscurveError, ParseError
 from .groebner import (
     Ideal,
     TermOrder,
@@ -203,7 +203,7 @@ def _cmd_classify(ns) -> int:
             else "ORACLE DISAGREEMENT: witness contact orders are inconsistent"
         )
         if not agree:
-            raise AssertionError(oracle_line)
+            raise InvariantViolation(oracle_line)
     lines = [f"verdict: {verdict.label}"]
     if verdict.tangent is not None:
         lines.append(f"tangent (normalized chart): {verdict.tangent} = 0")
@@ -465,6 +465,9 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

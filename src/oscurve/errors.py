@@ -31,6 +31,12 @@ class NonReducedCurveError(OscurveError):
     """The curve has a repeated component; classification is refused."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal self-check failed: a bug, never a refusal of the input.
+
+    Deliberately not an `OscurveError`, which callers treat as a refusal."""
+
+
 class DegenerateInputError(OscurveError):
     """Input is valid syntax but mathematically unusable (singular matrix,
     zero polynomial where nonzero is required, center meeting the scheme, ...)."""

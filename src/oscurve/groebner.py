@@ -513,27 +513,22 @@ class HilbertData:
     stable_from: int | None
 
 
+def _degree_exponents(nvars, degree):
+    """Exponent vectors of the degree-`degree` monomials in `nvars`
+    variables, in increasing lexicographic order."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for k in range(degree + 1):
+        for rest in _degree_exponents(nvars - 1, degree - k):
+            yield (k,) + rest
+
+
 def _count_standard_monomials(nvars, degree, leads):
     """Number of degree-`degree` monomials divisible by no lead exponent."""
-    total = 0
-    exp = [0] * nvars
-
-    def rec(pos, remaining):
-        nonlocal total
-        if pos == nvars - 1:
-            exp[pos] = remaining
-            if not any(_divisible(tuple(exp), l) for l in leads):
-                total += 1
-            return
-        for k in range(remaining + 1):
-            exp[pos] = k
-            # prune: skip subtrees already divisible by a lead that only
-            # involves the filled positions
-            rec(pos + 1, remaining - k)
-        exp[pos] = 0
-
-    rec(0, degree)
-    return total
+    return sum(
+        1 for e in _degree_exponents(nvars, degree) if not any(_divisible(e, l) for l in leads)
+    )
 
 
 def hilbert_function(ideal: Ideal, upto: int | None = None) -> HilbertData:
@@ -840,28 +835,10 @@ def degree_slice_members(ideal: Ideal, d: int, strict: bool = True):
     ring = ideal.ring
     gb = ideal.groebner_basis()
 
-    def degree_monomials(k):
-        out = []
-        exp = [0] * ring.nvars
-
-        def rec(pos, remaining):
-            if pos == ring.nvars - 1:
-                exp[pos] = remaining
-                out.append(tuple(exp))
-                exp[pos] = 0
-                return
-            for v in range(remaining + 1):
-                exp[pos] = v
-                rec(pos + 1, remaining - v)
-            exp[pos] = 0
-
-        rec(0, k)
-        return out
-
     monos = []
     degrees = [d] if strict else range(d + 1)
     for k in degrees:
-        monos.extend(degree_monomials(k))
+        monos.extend(_degree_exponents(ring.nvars, k))
     nf_exps = set()
     nfs = []
     for m in monos:

@@ -2,10 +2,12 @@
 matrices, Sylvester resultants, gcds, squarefree parts, and exact linear
 algebra over the coefficient fields.
 
-Determinants of polynomial matrices are computed either by Laplace expansion
-memoized on column subsets (shares work between all minors of a matrix and is
-very fast with integer coefficients) or by fraction-free Bareiss elimination
-for larger square matrices; `matrix_det` picks by size.
+Determinants and minors of polynomial matrices are computed by one
+algorithm, Laplace expansion memoized on column subsets: it shares work
+between all minors of a matrix and is very fast with integer coefficients.
+The largest determinants taken are small (the n x n moving-line matrix of a
+degree-n parameterization, the (n+1)-minors of the census matrix), where the
+2^size memo stays cheap.
 
 Row reduction of scalar matrices happens here and nowhere else:
 `_row_echelon` is the one forward-elimination routine.  `matrix_rank` runs it
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InvariantViolation
 from .qfields import QuadExt, RationalField
 from .rings import Polynomial, PolyMatrix, PolyRing, gradedlex_key
 
@@ -152,42 +154,12 @@ def matrix_minors(matrix: PolyMatrix, size: int) -> list[Polynomial]:
     return out
 
 
-def _bareiss_det(matrix: PolyMatrix) -> Polynomial:
-    """Fraction-free Bareiss elimination; divisions are exact at every step."""
-    n = matrix.rows
-    ring = matrix.ring
-    m = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = ring.zero()
-        prev = piv
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
 def matrix_det(matrix: PolyMatrix) -> Polynomial:
+    """Determinant by Laplace expansion memoized on column subsets."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     n = matrix.rows
-    # memoized Laplace wins while 2^n stays small; Bareiss after that
-    if n <= 13:
-        ctx = _LaplaceContext(matrix)
-        return ctx.det(tuple(range(n)), tuple(range(n)))
-    return _bareiss_det(matrix)
+    return _LaplaceContext(matrix).det(range(n), range(n))
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -310,7 +282,7 @@ def _prem(f, g, var):
         r = r * lc_g - g * lc_r * x ** (dr - dg)
         new_dr = r.degree_in(var)
         if new_dr >= dr and not r.is_zero:
-            raise AssertionError("pseudo-division failed to reduce the degree")
+            raise InvariantViolation("pseudo-division failed to reduce the degree")
         dr = new_dr
     return r
 

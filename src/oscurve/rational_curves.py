@@ -1,5 +1,5 @@
 """Rational normal curves, osculating spaces, linear projections to the
-plane, parameterizations, and resultant-based implicitization.
+plane, parameterizations, and implicitization by the moving-line determinant.
 
 The degree-n rational normal curve is carried by the standard parameterization
 (s^n, s^(n-1)t, ..., t^n); its ideal is generated by the 2x2 minors of the
@@ -7,7 +7,9 @@ two-row catalecticant matrix of the ambient coordinates.  Projecting from a
 codimension-3 linear center yields plane curves together with their binary
 parameterizations, and the scheme-level projection (add graph forms, saturate
 by the ambient irrelevant ideal, eliminate the ambient variables) transports
-finite subschemes along.
+finite subschemes along.  The implicit equation of a degree-n
+parameterization is the squarefree part of the determinant of its n x n
+moving-line matrix, whose entries are linear forms in the plane coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
     eliminate,
@@ -79,6 +81,15 @@ def _falling(base: int, k: int) -> int:
     return out
 
 
+def _linear_combination(coeffs, basis) -> Polynomial:
+    """sum c_i * b_i over polynomials b_i of one ring, skipping zero c_i."""
+    out = basis[0].ring.zero()
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out + b * c
+    return out
+
+
 def osculating_space_ideal(n: int, q, r: int, names=None, field=QQ) -> Ideal:
     """Linear forms cutting the r-th osculating space of the degree-n curve
     at the parameter value q; its codimension is n - r."""
@@ -101,17 +112,9 @@ def osculating_space_ideal(n: int, q, r: int, names=None, field=QQ) -> Ideal:
             row.append(field.coerce(coeff) * q0 ** (n - j - a) * q1 ** (j - b))
         rows.append(row)
     if matrix_rank(rows) != r + 1:
-        raise AssertionError("osculating flag degenerated; this cannot happen")
+        raise InvariantViolation("osculating flag degenerated; this cannot happen")
     kernel = nullspace(rows, n + 1, one=field.one)
-    gens = []
-    z = ring.gens()
-    for vec in kernel:
-        form = ring.zero()
-        for c, zi in zip(vec, z):
-            if c:
-                form = form + zi * c
-        gens.append(form)
-    return Ideal(ring, gens)
+    return Ideal(ring, [_linear_combination(vec, ring.gens()) for vec in kernel])
 
 
 def point_ideal(ring: PolyRing, point) -> Ideal:
@@ -121,14 +124,7 @@ def point_ideal(ring: PolyRing, point) -> Ideal:
     if not any(pt):
         raise DegenerateInputError("not a projective point")
     kernel = nullspace([pt], ring.nvars, one=field.one)
-    gens = []
-    for vec in kernel:
-        form = ring.zero()
-        for c, v in zip(vec, ring.gens()):
-            if c:
-                form = form + v * c
-        gens.append(form)
-    return Ideal(ring, gens)
+    return Ideal(ring, [_linear_combination(vec, ring.gens()) for vec in kernel])
 
 
 def validate_center(ring: PolyRing, forms) -> list[Polynomial]:
@@ -271,11 +267,6 @@ def parameterization_from_center(n: int, center, names=None, field=QQ) -> PlaneP
         for e, c in form.terms.items():
             img = img + monos[e.index(1)] * c
         images.append(img)
-    if any(f.is_zero for f in images):
-        raise DegenerateInputError("a center form vanishes on the curve")
-    g = poly_gcd(poly_gcd(images[0], images[1]), images[2])
-    if g.degree() > 0:
-        raise DegenerateInputError("the projection center meets the curve")
     return PlaneParameterization.from_forms(*images)
 
 
@@ -299,75 +290,49 @@ def _binary_coefficients(f: Polynomial, n: int):
     return out
 
 
-def _binary_resultant(ca, cb, plane: PolyRing) -> Polynomial:
-    """Resultant of two degree-n binary forms whose coefficients are linear
-    polynomials of the plane ring: a 2n x 2n banded determinant."""
-    n = len(ca) - 1
-    size = 2 * n
-    zero = plane.zero()
-    entries = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + k] = ca[k]
-        entries.extend(row)
-    for i in range(n):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + k] = cb[k]
-        entries.extend(row)
-    return PolyMatrix(plane, size, size, entries).det()
+def _cross(u, w):
+    """Cross product of two coefficient triples."""
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def _moving_line_matrix(param: PlaneParameterization, plane: PolyRing) -> PolyMatrix:
+    """The n x n moving-line (Bezout) matrix of the parameterization.
+
+    Entry (i, j) is the coefficient of s^(n-1-i) t^i u^(n-1-j) v^j in
+    det[f(s, t); f(u, v); (x, y, z)] / (s*v - t*u), a linear form of the
+    plane ring: with a_j the coefficient triple of s^(n-j) t^j, each pair
+    j < k adds (x, y, z) . (a_j x a_k) along the antidiagonal
+    (j + r, k - 1 - r), r = 0..k-j-1."""
+    n = param.n
+    triples = list(zip(*(_binary_coefficients(f, n) for f in param.forms)))
+    gens = plane.gens()
+    rows = [[plane.zero()] * n for _ in range(n)]
+    for j in range(n + 1):
+        for k in range(j + 1, n + 1):
+            c = _linear_combination(_cross(triples[j], triples[k]), gens)
+            for r in range(k - j):
+                rows[j + r][k - 1 - r] = rows[j + r][k - 1 - r] + c
+    return PolyMatrix(plane, n, n, [e for row in rows for e in row])
 
 
 def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve:
-    """Squarefree implicit equation of the image curve, by the resultant of
-    y*f0 - x*f1 and z*f0 - x*f2 in the parameters.
+    """Squarefree implicit equation of the image curve, from the determinant
+    of the n x n moving-line matrix (`_moving_line_matrix`).
 
-    The resultant equals (up to a constant) x^n * F^d with F the implicit
-    equation and d the degree of the parameterization map; monomial factors
-    are stripped and the squarefree part removes the d-th power.  The result
-    is checked to vanish on the parameterization; `map_degree` is
-    n / deg(F)."""
-    field = param.ring.field
-    plane = PolyRing(tuple(names), field)
+    The determinant equals (up to a constant) F^d with F the implicit
+    equation and d the degree of the parameterization map (Sederberg, Goldman
+    & Du, JSC 23, 1997); the squarefree part removes the d-th power.  A
+    constant determinant is refused: it is zero when the forms share a base
+    point.  The result is checked to vanish on the parameterization;
+    `map_degree` is n / deg(F)."""
+    plane = PolyRing(tuple(names), param.ring.field)
     n = param.n
-    x, y, z = plane.gens()
-    coeffs = [_binary_coefficients(f, n) for f in param.forms]
-    pairings = (
-        (y, 0, x, 1, z, 0, x, 2, 0),  # y f0 - x f1, z f0 - x f2; strip x
-        (x, 1, y, 0, z, 1, y, 2, 1),  # x f1 - y f0, z f1 - y f2; strip y
-        (x, 2, z, 0, y, 2, z, 1, 2),  # x f2 - z f0, y f2 - z f1; strip z
-    )
-    raw = None
-    strip_pos = None
-    for va, ia, vb, ib, vc, ic, vd, idd, pos in pairings:
-        ca = [va * c for c in coeffs[ia]]
-        cbn = [vb * c for c in coeffs[ib]]
-        a_row = [p - q for p, q in zip(ca, cbn)]
-        cc = [vc * c for c in coeffs[ic]]
-        cdn = [vd * c for c in coeffs[idd]]
-        b_row = [p - q for p, q in zip(cc, cdn)]
-        res = _binary_resultant(a_row, b_row, plane)
-        if not res.is_zero:
-            raw = res
-            strip_pos = pos
-            break
-    if raw is None:
+    raw = _moving_line_matrix(param, plane).det()
+    if raw.degree() <= 0:
         raise DegenerateInputError(
-            "all resultant pairings vanished identically; "
-            "the parameterization is not birational onto a plane curve"
+            "the moving-line determinant is constant: "
+            "the forms have a base point or the image is not a curve"
         )
-    # strip powers of the pivot coordinate
-    min_pow = min(e[strip_pos] for e in raw.terms)
-    if min_pow:
-        stripped = {}
-        for e, c in raw.terms.items():
-            ne = list(e)
-            ne[strip_pos] -= min_pow
-            stripped[tuple(ne)] = c
-        raw = Polynomial(plane, stripped)
-    if raw.degree() == 0:
-        raise DegenerateInputError("the image is a point, not a curve")
     F = squarefree_part(raw)
     # the implicit equation must vanish on the parameterization
     pullback = F.substitute(
@@ -375,7 +340,7 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
         target_ring=param.ring,
     )
     if not pullback.is_zero:
-        raise AssertionError("implicitization produced a non-vanishing candidate")
+        raise InvariantViolation("implicitization produced a non-vanishing candidate")
     deg = F.degree()
     certified = n % deg == 0
     map_degree = n // deg if certified else 1
@@ -411,13 +376,7 @@ def cone_fiber_test(n: int, center, source_point, names=None, field=QQ) -> Fiber
     if not any(image):
         raise DegenerateInputError("the source point lies on the center")
     kernel = nullspace([list(image)], 3, one=field.one)
-    cone_forms = []
-    for vec in kernel:
-        form = ring.zero()
-        for c, f in zip(vec, forms):
-            if c:
-                form = form + f * c
-        cone_forms.append(form)
+    cone_forms = [_linear_combination(vec, forms) for vec in kernel]
     curve = rational_normal_curve_ideal(n, ring.variables, field)
     fiber = saturate(ideal_sum(curve, Ideal(ring, cone_forms)), irrelevant_ideal(ring))
     expected = point_ideal(ring, pt)

@@ -555,8 +555,6 @@ class PolyMatrix:
     def det(self) -> Polynomial:
         from .polyops import matrix_det
 
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
         return matrix_det(self)
 
     def __repr__(self):

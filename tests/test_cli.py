@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oscurve.cli import format_ideal, main, read_ideal_text
-from oscurve.errors import ParseError
+from oscurve.errors import InvariantViolation, OscurveError, ParseError
 from oscurve.rings import PolyRing
 
 
@@ -91,6 +91,18 @@ def test_implicitize_command(capsys):
 def test_implicitize_refuses_base_points(capsys):
     code, _, err = run_cli(capsys, "implicitize", "--param", "s^2; s*t; s^2 + 2*s*t")
     assert code == 1
+
+
+def test_invariant_violation_is_an_internal_error_not_a_refusal(capsys, monkeypatch):
+    assert not issubclass(InvariantViolation, OscurveError)
+
+    def broken(param):
+        raise InvariantViolation("implicitization produced a non-vanishing candidate")
+
+    monkeypatch.setattr("oscurve.cli.implicitize", broken)
+    code, _, err = run_cli(capsys, "implicitize", "--param", "s^2; s*t; t^2")
+    assert code == 3
+    assert err.startswith("internal error: implicitization produced")
 
 
 def test_analyze_param_json_schema(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from oscurve.errors import DegenerateInputError
 from oscurve.polyops import (
-    _bareiss_det,
     certify_squarefree_by_restriction,
     exact_divide,
     matrix_det,
@@ -77,13 +76,6 @@ def test_det_agrees_with_cofactor_expansion():
             minor = PolyMatrix(R2, 3, 3, sub).det()
             total = total + M.entry(row, j) * minor * ((-1) ** (row + j))
         assert total == det
-
-
-def test_bareiss_matches_laplace():
-    rng = random.Random(5)
-    for size in (3, 4, 5):
-        M = _random_linear_matrix(R2, size, rng)
-        assert _bareiss_det(M) == matrix_det(M)
 
 
 def test_sylvester_resultant_examples():

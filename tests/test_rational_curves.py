@@ -1,18 +1,22 @@
 """Rational normal curves, osculating spaces, projections, implicitization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import Ideal, ideal_power, ideal_sum, scheme_length
+from oscurve.polyops import exact_divide, squarefree_part, sylvester_resultant
 from oscurve.rational_curves import (
     PlaneParameterization,
+    _moving_line_matrix,
     ambient_ring,
     cone_fiber_test,
     implicitize,
     moment_point,
     osculating_space_ideal,
+    param_ring,
     parameterization_from_center,
     point_ideal,
     project_scheme,
@@ -213,6 +217,87 @@ def test_improper_parameterization_detected():
     proper, degree = properness_check(param)
     assert not proper and degree == 2
     assert str(implicitize(param).poly) == "x*z - y^2"
+
+
+def _seeded_parameterization(n, rng):
+    """parameterization_from_center on a random center with coefficients in
+    [-3, 3] whose first form has an s^n term, so that the Sylvester route
+    keeps degree n in s."""
+    amb = ambient_ring(n)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(3)]
+        if not rows[0][0]:
+            continue
+        forms = [sum((c * z for c, z in zip(row, amb.gens())), amb.zero()) for row in rows]
+        try:
+            return parameterization_from_center(n, forms)
+        except DegenerateInputError:
+            continue
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """{n: seeded parameterization} for each degree n = 2..8."""
+    rng = random.Random(7)
+    return {n: _seeded_parameterization(n, rng) for n in range(2, 9)}
+
+
+def _sylvester_route(param):
+    """The resultant in s of y*f0 - x*f1 and z*f0 - x*f2 at t = 1, which is
+    x^n * F^d up to a constant, and its ring QQ[s, x, y, z]."""
+    ring = PolyRing(("s", "x", "y", "z"))
+    x, y, z = (ring.var(v) for v in "xyz")
+    f0, f1, f2 = (f.substitute({"t": 1}).restrict(ring) for f in param.forms)
+    return sylvester_resultant(y * f0 - x * f1, z * f0 - x * f2, "s"), ring
+
+
+def test_moving_line_determinant_is_a_power_of_the_implicit_equation(seeded):
+    params = list(seeded.values()) + [
+        PlaneParameterization.parse("s^4; s^2*t^2; t^4"),
+        PlaneParameterization.parse("s^3; t^3; s^3 + t^3"),
+    ]
+    degrees = set()
+    for param in params:
+        curve = param.implicit
+        det = _moving_line_matrix(param, curve.poly.ring).det()
+        power = curve.poly**curve.map_degree
+        c = det.sorted_terms()[0][1] / power.sorted_terms()[0][1]
+        assert c and det == power * c, str(param.forms)
+        degrees.add(curve.map_degree)
+    assert degrees == {1, 2, 3}
+
+
+def test_moving_line_route_agrees_with_the_sylvester_route(seeded):
+    # n = 8 is left out: its 16 x 16 Sylvester determinant takes seconds
+    for n, param in seeded.items():
+        if n > 7:
+            continue
+        res, ring = _sylvester_route(param)
+        x = ring.var("x")
+        low = min(e[1] for e in res.terms)
+        old = squarefree_part(exact_divide(res, x**low))
+        assert str(old) == str(param.implicit.poly), n
+
+
+def test_moving_line_route_agrees_with_sympy(seeded):
+    sympy = pytest.importorskip("sympy")
+    s, x, y, z = sympy.symbols("s x y z")
+    for n, param in seeded.items():
+        if n > 7:
+            continue
+        f0, f1, f2 = (sympy.sympify(str(f).replace("^", "**")).subs("t", 1) for f in param.forms)
+        res = sympy.resultant(y * f0 - x * f1, z * f0 - x * f2, s)
+        curve = param.implicit
+        F = sympy.sympify(str(curve.poly).replace("^", "**"))
+        ratio = sympy.cancel(res / (x**n * F**curve.map_degree))
+        assert ratio.is_number and ratio != 0, n
+
+
+def test_implicitize_refuses_a_base_point():
+    ring = param_ring()
+    f0, f1, f2 = (ring.parse(t) for t in ("s^2", "s*t", "s^2 + s*t"))
+    with pytest.raises(DegenerateInputError):
+        implicitize(PlaneParameterization(f0, f1, f2, 2))
 
 
 def test_proper_conic():
