@@ -256,23 +256,22 @@ def support_sites(radical: Ideal):
     if length == 0:
         return []
     for ell in chart_lines(radical):
-        for shear in (0, 1, -1, 2, 3, 5):
-            matrix = chart_matrix(ell, shear)
-            affine = to_chart(radical, matrix)
-            gb = affine.groebner_basis(TermOrder.lex(("yc", "xc")))
-            polys = list(gb.polys)
-            if len(polys) != 2:
-                continue
-            g_x, lin_y = polys
-            if g_x.degree_in("yc") != 0 or lin_y.degree_in("yc") != 1:
-                continue
-            if lin_y.coefficient_in("yc", 1) != affine.ring.one():
-                continue
-            if g_x.degree() != length:
-                continue
-            h_line = -lin_y.coefficient_in("yc", 0)
-            pieces = _split_eliminant(g_x, h_line, radical.ring.field)
-            return [(piece, matrix) for piece in pieces]
+        matrix = chart_matrix(ell)
+        affine = to_chart(radical, matrix)
+        gb = affine.groebner_basis(TermOrder.lex(("yc", "xc")))
+        polys = list(gb.polys)
+        if len(polys) != 2:
+            continue
+        g_x, lin_y = polys
+        if g_x.degree_in("yc") != 0 or lin_y.degree_in("yc") != 1:
+            continue
+        if lin_y.coefficient_in("yc", 1) != affine.ring.one():
+            continue
+        if g_x.degree() != length:
+            continue
+        h_line = -lin_y.coefficient_in("yc", 0)
+        pieces = _split_eliminant(g_x, h_line, radical.ring.field)
+        return [(piece, matrix) for piece in pieces]
     raise DegenerateInputError("could not put the support in shape position")
 
 

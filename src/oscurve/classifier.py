@@ -1,4 +1,4 @@
-"""Double-point classification for reduced plane curves.
+"""Double-point classification for plane curves reduced at the point.
 
 Given a homogeneous trivariate F and a point P on the curve, the classifier
 moves P to [0,0,1], works in the affine chart, and probes the singularity
@@ -177,12 +177,16 @@ class Verdict:
 
 
 def default_step_cap(F: Polynomial) -> int:
+    """ceil(((d - 1)^2 + 1)/2): steps that settle any double point where F is
+    reduced.  An A_s point is settled at step ceil(s/2), and s is its Milnor
+    number: the local intersection number of two general polars, of degree
+    d - 1, so s <= (d - 1)^2 by Bezout (Milnor 1968; Greuel-Lossen-Shustin 2007)."""
     n = max(F.degree(), 1)
-    return n * n + 2
+    return ((n - 1) ** 2 + 2) // 2
 
 
 def classify_double_point(F: Polynomial, point, cap: int | None = None):
-    """Classify `point` on the reduced curve F = 0.
+    """Classify `point` on the curve F = 0, which must be reduced at the point.
 
     Returns (Verdict, trace).  Smooth points and points of multiplicity >= 3
     are reported as such; a double point is classified as A_s with the
@@ -190,19 +194,38 @@ def classify_double_point(F: Polynomial, point, cap: int | None = None):
     extension) when the final discriminant is nonzero, one otherwise.
     Witnesses and tangent are reported both in the normalized chart and as
     curves in the original coordinates.
+
+    A double point that the default cap leaves unsettled lies on a multiple
+    component: NonReducedCurveError names it as gcd(F, dF).  A cap set by the
+    caller that runs out raises ClassificationCapError instead.
     """
-    rep = repeated_factor_part(F)
-    if rep.degree() > 0:
-        raise NonReducedCurveError(
-            f"the curve has the repeated factor profile gcd(F, dF) = {rep}; "
-            "classification needs a reduced curve"
-        )
-    if cap is None:
-        cap = default_step_cap(F)
     norm = normalize_at_point(F, point)
-    verdict, trace = _classify_normalized(norm, cap)
+    try:
+        verdict, trace = _classify_normalized(norm, default_step_cap(F) if cap is None else cap)
+    except ClassificationCapError:
+        if cap is not None:
+            raise
+        rep = repeated_factor_part(F)
+        if rep.degree() == 0 or rep.evaluate([row[2] for row in norm.transform]):
+            raise InvariantViolation(f"step cap passed at a point off gcd(F, dF) = {rep}") from None
+        raise NonReducedCurveError(
+            f"no verdict within the Milnor bound of {default_step_cap(F)} steps: the point "
+            f"lies on a multiple component, gcd(F, dF) = {rep}"
+        ) from None
     verdict = witnesses_in_original_coordinates(verdict, norm)
     return verdict, trace
+
+
+def _substitute_mod_x(f: Polynomial, probe: Polynomial, n: int) -> Polynomial:
+    """f(x, probe) modulo x^n, in the ring of `probe`: Horner's rule in y with
+    every partial sum cut at x^n, so no term of degree n or more is kept."""
+    ring = probe.ring
+    xi = ring.index("x")
+    total = ring.zero()
+    for j in range(f.degree_in("y"), -1, -1):
+        total = total * probe + f.coefficient_in("y", j).restrict(ring)
+        total = Polynomial(ring, {e: c for e, c in total.terms.items() if e[xi] < n})
+    return total
 
 
 def _classify_normalized(norm: NormalizedCurve, cap: int):
@@ -231,11 +254,8 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
     trace: list[StepRecord] = []
 
     for r in range(1, cap + 1):
-        probe = lam * x**r
-        for k, c in enumerate(lams, start=1):
-            if c:
-                probe = probe + x**k * c
-        g = f.substitute({"y": probe, "x": x}, target_ring=lam_ring)
+        probe = GraphCurve(lams).graph_poly(lam_ring) + lam * x**r
+        g = _substitute_mod_x(f, probe, 2 * r + 1)
         step_quad = g.coefficient_in("x", 2 * r)
         C0 = step_quad.coefficient_in("lam", 0).constant_term()
         C1 = step_quad.coefficient_in("lam", 1).constant_term()
@@ -296,7 +316,10 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
 
         lam_bar = -C1 / (2 * C2)
         lams.append(lam_bar)
-        mult = graph_intersection_multiplicity(f, GraphCurve(lams))
+        graph = GraphCurve(lams).graph_poly(ring)
+        mult = _substitute_mod_x(f, graph, 2 * r + 3).order_at_zero()
+        if mult == INF:  # zero through x^(2r+2): take the whole series, of degree <= deg f * r
+            mult = _substitute_mod_x(f, graph, f.degree() * r + 1).order_at_zero()
         if mult != INF and mult < 2 * r + 1:
             raise InvariantViolation("unique continuation with too small a contact order")
         if mult == 2 * r + 1:
@@ -324,10 +347,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
             StepRecord(r=r, quad=(C2, C1, C0), delta=delta, branch="b2", lam=lam_bar, multiplicity=mult)
         )
 
-    raise ClassificationCapError(
-        f"no verdict within {cap} steps; the curve is non-reduced or the cap is too small",
-        trace,
-    )
+    raise ClassificationCapError(f"no verdict within {cap} steps; the cap is too small", trace)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ projection, and `gb`/`hilbert`/`eliminate`/`saturate`/`radical` operate on
 ideals written in a small text format (`ring: QQ[a,b,c]` header, one
 polynomial per line).  `repro` replays the built-in golden reference cases.
 
-Exit codes: 0 success, 1 mathematical refusal (non-reduced curve, improper
+Exit codes: 0 success, 1 mathematical refusal (a curve non-reduced at the
+point, a `classify --cap` below the Milnor bound that runs out, improper
 parameterization, center meeting the scheme, ...), 2 malformed input.
 All output is deterministic; `--json` emits exactly one document.
 """
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a point of a homogeneous plane curve")
     p.add_argument("--curve", required=True, help="homogeneous polynomial in x0, x1, x2")
     p.add_argument("--point", required=True, help="projective point 'a,b,c'")
-    p.add_argument("--cap", type=int, default=None, help="step cap override")
+    p.add_argument("--cap", type=int, default=None, help="step cap (default: Milnor bound; lower may run out)")
     p.add_argument("--trace", action="store_true")
     p.add_argument(
         "--verify",

@@ -28,7 +28,7 @@ class ExtensionUnsupportedError(OscurveError):
 
 
 class NonReducedCurveError(OscurveError):
-    """The curve has a repeated component; classification is refused."""
+    """The point lies on a multiple component of the curve; classification is refused."""
 
 
 class InvariantViolation(AssertionError):

@@ -904,9 +904,9 @@ def chart_lines(ideal: Ideal):
             yield ell
 
 
-def chart_matrix(ell: Polynomial, shear=0):
-    """Columns: a (sheared) kernel basis of the linear form ell and a vector
-    with ell = 1, so the pulled-back form is the last coordinate."""
+def chart_matrix(ell: Polynomial):
+    """Columns: a kernel basis of the linear form ell and a vector with
+    ell = 1, so the pulled-back form is the last coordinate."""
     field = ell.ring.field
     coeffs = [field.zero] * 3
     for e, c in ell.terms.items():
@@ -920,10 +920,9 @@ def chart_matrix(ell: Polynomial, shear=0):
         vec[i] = field.one
         vec[pivot] = -coeffs[i] / coeffs[pivot]
         kernel.append(vec)
-    first = [a + field.coerce(shear) * b for a, b in zip(kernel[0], kernel[1])]
     special = [field.zero] * 3
     special[pivot] = field.one / coeffs[pivot]
-    return tuple(tuple((first[i], kernel[1][i], special[i])) for i in range(3))
+    return tuple(tuple((kernel[0][i], kernel[1][i], special[i])) for i in range(3))
 
 
 def to_chart(ideal: Ideal, matrix) -> Ideal:

@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from oscurve import classifier
 from oscurve.classifier import (
+    ClassificationCapError,
+    _substitute_mod_x,
     classify_double_point,
+    default_step_cap,
     multiplicity_at_origin,
     normalize_at_point,
     projective_ring,
 )
 from oscurve.errors import DegenerateInputError, NonReducedCurveError
 from oscurve.intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
-from oscurve.polyops import matrix_inverse, matrix_rank
+from oscurve.polyops import matrix_inverse, matrix_rank, poly_normalize
 from oscurve.qfields import QQ
 from oscurve.rings import INF, PolyRing
 
@@ -23,6 +27,30 @@ R2 = PolyRing(("x", "y"))
 
 def classify(text, point=(0, 0, 1), cap=None):
     return classify_double_point(R3.parse(text), point, cap=cap)
+
+
+def sign_matrix(rng):
+    """A random invertible matrix with entries +-1."""
+    while True:
+        M = [[Fraction(rng.choice((-1, 1))) for _ in range(3)] for _ in range(3)]
+        if matrix_rank(M) == 3:
+            return M
+
+
+def moved(F, M):
+    """F pulled back by M, and the point M maps to [0,0,1]."""
+    Minv = matrix_inverse(M, QQ)
+    return F.linear_change(M), tuple(Minv[i][2] for i in range(3))
+
+
+def normal_and_moved_forms():
+    """(s, curve, point) for the A1..A12 normal forms at [0,0,1], each also
+    moved by a seeded +-1 matrix."""
+    rng = random.Random(12)
+    for s in range(1, 13):
+        F = R3.parse("x1^2 - x0^2" if s == 1 else f"x1^2*x2^{s - 1} - x0^{s + 1}")
+        yield s, F, (0, 0, 1)
+        yield (s, *moved(F, sign_matrix(rng)))
 
 
 # -- normalization ------------------------------------------------------------
@@ -172,6 +200,96 @@ def test_cap_exceeded_carries_trace():
     with pytest.raises(ClassificationCapError) as err:
         classify("x1^2*x2^4 - x0^6", cap=1)
     assert len(err.value.trace) == 1
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("(x1^2*x2 - x0^3)*(x0 - x2)^2", "A2"),  # the multiple line misses the point
+        ("(x1*x2 - x0^2)*(x0 - x2)^2", "smooth point"),
+        ("x1^2*(x1^2*x2 - x0^3)", "point of multiplicity >= 3"),
+    ],
+)
+def test_non_reduced_curve_classified_unless_double_on_a_multiple_component(text, label):
+    verdict, _ = classify(text)
+    assert verdict.label == label
+
+
+@pytest.mark.parametrize(
+    "text, factor", [("x1^2*x2^3", "x1*x2^2"), ("(x1*x2 - x0^2)^2", "x1*x2 - x0^2")]
+)
+def test_double_point_on_a_multiple_component_names_the_factor(text, factor):
+    M = sign_matrix(random.Random(5))
+    F, point = moved(R3.parse(text), M)
+    with pytest.raises(NonReducedCurveError) as err:
+        classify_double_point(F, point)
+    assert "Milnor bound" in str(err.value)
+    assert f"gcd(F, dF) = {poly_normalize(R3.parse(factor).linear_change(M))}" in str(err.value)
+
+
+def test_explicit_cap_on_a_multiple_component_is_a_cap_error():
+    with pytest.raises(ClassificationCapError) as err:
+        classify("(x1*x2 - x0^2)^2", cap=2)
+    assert len(err.value.trace) == 2
+
+
+def test_reducedness_gcd_runs_only_on_the_refusal_path(monkeypatch):
+    # every verdict also stays within the Milnor bound the default cap rests on
+    calls = []
+    real = classifier.repeated_factor_part
+    monkeypatch.setattr(classifier, "repeated_factor_part", lambda F: calls.append(F) or real(F))
+    for s, F, point in normal_and_moved_forms():
+        verdict, _ = classify_double_point(F, point)
+        assert verdict.label == f"A{s}"
+        assert s <= (F.degree() - 1) ** 2
+        assert verdict.stopped_at_step <= default_step_cap(F)
+    for text in (
+        "x1^2*x2^2 - 2*x0^2*x1*x2 + x0^4 + x0^2*x1^2",
+        "x1^2*x2^3 - x0^5",
+        "x1^2*x2^2 - x1*x0^2*x2",
+    ):
+        F = R3.parse(text)
+        verdict, _ = classify_double_point(F, (0, 0, 1))
+        assert verdict.s <= (F.degree() - 1) ** 2
+        assert verdict.stopped_at_step <= default_step_cap(F)
+    assert calls == []
+    with pytest.raises(NonReducedCurveError):
+        classify("(x1*x2 - x0^2)^2")
+    assert len(calls) == 1
+
+
+def test_substitute_mod_x_is_the_cut_substitution():
+    rng = random.Random(8)
+    for _ in range(5):
+        terms = {
+            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(6)
+        }
+        f = R2.from_terms(terms)
+        probe = GraphCurve([Fraction(rng.randint(-3, 3)) for _ in range(3)]).graph_poly(R2)
+        full = f.substitute({"y": probe})
+        for n in (1, 4, 9, 40):
+            cut = {e: c for e, c in full.terms.items() if e[0] < n}
+            assert _substitute_mod_x(f, probe, n).terms == cut
+
+
+@pytest.mark.parametrize(
+    "text, label, orders",
+    [
+        # y = x^2 is a component: contact order inf from r = 2 on
+        ("(x1*x2 - x0^2)*(x1*x2^4 - x0^2*x2^3 - x0^5)", "A9", [4, INF, INF, INF]),
+        # contact order 9 at r = 2, 3: past the series cut at x^(2r+3)
+        ("(x1*x2^4 - x0^2*x2^3 - x0^5)*(x1*x2^3 - x0^2*x2^2 - x0^4)", "A7", [4, 9, 9]),
+    ],
+)
+def test_trace_contact_orders_match_the_full_substitution(text, label, orders):
+    verdict, trace = classify(text)
+    assert verdict.label == label
+    f = verdict.normalized.affine
+    for k, step in enumerate(trace[:-1], start=1):
+        lams = [t.lam for t in trace[:k]]
+        assert step.multiplicity == graph_intersection_multiplicity(f, GraphCurve(lams))
+    assert [t.multiplicity for t in trace[:-1]] == orders
 
 
 # -- original-coordinate reports ---------------------------------------------

@@ -20,7 +20,7 @@ from oscurve.polyops import (
     sylvester_resultant,
 )
 from oscurve.qfields import QQ, QuadExt, QuadraticField
-from oscurve.rings import PolyMatrix, PolyRing
+from oscurve.rings import PolyMatrix, PolyRing, Polynomial
 
 R2 = PolyRing(("x", "y"))
 R4 = PolyRing(("x", "y", "z", "w"))
@@ -129,6 +129,36 @@ def test_repeated_factor_detection():
     assert repeated_factor_part(F).degree() > 0
     G = PolyRing(("x0", "x1", "x2")).parse("x1^2*x2 - x0^3")
     assert repeated_factor_part(G).degree() == 0
+
+
+def test_repeated_factor_part_agrees_with_sympy():
+    # seeded G*H^2*K and G*H*K against prod p^(e-1) over sympy's squarefree
+    # decomposition, up to a constant
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("x0", "x1", "x2"))
+    rng = random.Random(29)
+
+    def random_poly(degree):
+        terms = {}
+        while not any(sum(e) == degree for e in terms):
+            e = tuple(rng.randint(0, degree) for _ in range(3))
+            if sum(e) <= degree:
+                terms[e] = Fraction(rng.choice((-2, -1, 1, 2)))
+        return Polynomial(ring, terms)
+
+    squarefree_seen = 0
+    for _ in range(6):
+        G, H, K = (random_poly(rng.randint(1, 2)) for _ in range(3))
+        for F in (G * H**2 * K, G * H * K):
+            expected = sympy.Integer(1)
+            for p, e in sympy.sqf_list(sympy.sympify(str(F).replace("^", "**")))[1]:
+                expected *= p ** (e - 1)
+            ours = sympy.sympify(str(repeated_factor_part(F)).replace("^", "**"))
+            assert not sympy.cancel(ours / expected).free_symbols
+            if expected == 1:
+                squarefree_seen += 1
+                assert repeated_factor_part(F).degree() == 0
+    assert squarefree_seen
 
 
 def test_squarefree_multivariate():
