@@ -31,7 +31,7 @@ from .groebner import (
     to_chart,
     zero_dim_radical,
 )
-from .polyops import exact_divide, matrix_rank, nullspace
+from .polyops import exact_divide, matrix_rank, nullspace, rational_roots
 from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
@@ -155,47 +155,6 @@ class _SupportPiece:
     h_line: Polynomial  # shape-position polynomial: yc = h_line(xc)
 
 
-def _rational_roots(g: Polynomial) -> list[Fraction]:
-    """All rational roots of a univariate polynomial over QQ, exactly."""
-    from math import lcm
-
-    coeffs = {}
-    for e, c in g.terms.items():
-        coeffs[sum(e)] = c
-    deg = max(coeffs)
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    ints = {k: int(c * den) for k, c in coeffs.items()}
-    roots = []
-    low = min(k for k, c in ints.items() if c)
-    if low > 0:
-        roots.append(Fraction(0))
-        ints = {k - low: c for k, c in ints.items() if k >= low}
-        deg -= low
-    if deg == 0:
-        return roots
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    a0, an = ints.get(0, 0), ints[deg]
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and sum(c * cand**k for k, c in ints.items()) == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
 def _evaluate_ext(p: Polynomial, values):
     """Evaluate a rational-coefficient polynomial at possibly quadratic values."""
     field = field_of(values)
@@ -215,7 +174,7 @@ def _split_eliminant(g: Polynomial, h_line: Polynomial, field) -> list[_SupportP
         return _evaluate_ext(h_line, [x_value, x_value * 0])
 
     work = g
-    for root in _rational_roots(g):
+    for root in rational_roots(g):
         pieces.append(
             _SupportPiece(
                 factor=ring.var(var) - ring.const(root),

@@ -1,6 +1,6 @@
 """Elementary polynomial machinery: determinants and minors of polynomial
-matrices, Sylvester resultants, gcds, squarefree parts, and exact linear
-algebra over the coefficient fields.
+matrices, Sylvester resultants, gcds, squarefree parts, rational roots, and
+exact linear algebra over the coefficient fields.
 
 Determinants and minors of polynomial matrices are computed by one
 algorithm, Laplace expansion memoized on column subsets: it shares work
@@ -19,8 +19,9 @@ form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from functools import reduce
+from itertools import combinations, count
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInputError, InvariantViolation
 from .qfields import QuadExt, RationalField
@@ -390,6 +391,60 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if len(f.used_variables()) > 1 and certify_squarefree_by_restriction(f):
         return poly_normalize(f)
     return poly_normalize(exact_divide(f, repeated_factor_part(f)))
+
+
+def _integer_coefficients(g: Polynomial) -> list[int]:
+    """The integer-primitive associate of a univariate g over QQ, constant first."""
+    coeffs = {sum(e): int(c) for e, c in poly_normalize(g).terms.items()}
+    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
+
+
+def _value_mod(f: list[int], x: int, m: int) -> int:
+    return reduce(lambda acc, c: (acc * x + c) % m, reversed(f), 0)
+
+
+def rational_roots(g: Polynomial) -> list[Fraction]:
+    """All rational roots of a univariate polynomial over QQ, sorted, by p-adic
+    lifting: no factorization and no divisor search.
+
+    With integer coefficients f_0..f_d and the root 0 split off, take the first
+    odd prime p > d, p not dividing f_d, at which every root of f mod p is
+    simple; Newton-lift each root r to p^k > 2(|f_d| + max|f_i|) and accept
+    c/f_d, c the symmetric residue of f_d*r, when f(c/f_d) = 0 exactly.  This
+    is complete: a rational root u/q has q | f_d, so it reduces to a simple
+    root mod p whose unique lift is u/q, and |f_d*u/q| < |f_d| + max|f_i| <
+    p^k/2 (Cauchy's bound).  A repeated root is repeated mod every p, so the
+    first such prime replaces f by its squarefree part once; then only the
+    finitely many primes dividing f_d or the discriminant are passed over.
+    """
+    if g.is_zero or len(g.used_variables()) > 1 or not isinstance(g.ring.field, RationalField):
+        raise DegenerateInputError("rational roots of a nonzero univariate polynomial over QQ only")
+    f = _integer_coefficients(g)
+    zero = [Fraction(0)] if f[0] == 0 else []
+    f = f[next(i for i, c in enumerate(f) if c):]
+    if len(f) == 1:
+        return zero
+    reduced = False
+    for p in count(len(f)):
+        if p % 2 == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)) or f[-1] % p == 0:
+            continue
+        df = [i * c for i, c in enumerate(f)][1:]
+        residues = [r for r in range(p) if _value_mod(f, r, p) == 0]
+        if all(_value_mod(df, r, p) for r in residues):
+            break
+        if not reduced:  # the squarefree part keeps one factor x when 0 is a root
+            f, reduced = _integer_coefficients(squarefree_part(g))[len(zero):], True
+    roots, d = list(zero), len(f) - 1
+    bound = 2 * (abs(f[-1]) + max(abs(c) for c in f))
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+        c = (f[-1] * r + m // 2) % m - m // 2  # the symmetric residue, m odd
+        if sum(fi * c**i * f[-1] ** (d - i) for i, fi in enumerate(f)) == 0:
+            roots.append(Fraction(c, f[-1]))
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

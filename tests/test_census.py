@@ -278,6 +278,27 @@ def test_conjugate_node_pair_splits_over_quadratic_extension():
         assert lifted.evaluate(coords) == 0
 
 
+@pytest.mark.parametrize("a", [1000, 10**12])
+def test_height_tier_census_without_divisor_search(a):
+    # once its root 0 is split off, the support eliminant's constant term is
+    # about a^7 (10^21 at a = 1000): the roots come from p-adic lifting, where
+    # a divisor search of that term would not finish
+    from oscurve.qfields import QuadraticField, field_of
+
+    param = PlaneParameterization.parse(
+        f"s^4 + {a}*t^4; {a + 7}*s^3*t - s*t^3; {a - 3}*s^2*t^2 + t^4"
+    )
+    census = classify_curve_singularities(param)
+    assert census.labels() == ["A1", "A1", "A1"]
+    assert all(
+        (site.kind, site.delta, site.cusp_count) == ("point", 1, 0) for site in census.sites
+    )
+    fields = [field_of(site.coords) for site in census.sites]
+    assert sum(not isinstance(f, QuadraticField) for f in fields) == 1
+    pair = [f for f in fields if isinstance(f, QuadraticField)]
+    assert len(pair) == 2 and pair[0] == pair[1]
+
+
 def test_fiber_parameters_over_quadratic_extensions():
     from fractions import Fraction
 

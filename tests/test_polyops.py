@@ -1,7 +1,9 @@
-"""Determinants, minors, resultants, gcds, squarefree parts, linear algebra."""
+"""Determinants, minors, resultants, gcds, squarefree parts, rational roots,
+linear algebra."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,6 +17,7 @@ from oscurve.polyops import (
     nullspace,
     poly_gcd,
     poly_normalize,
+    rational_roots,
     repeated_factor_part,
     squarefree_part,
     sylvester_resultant,
@@ -222,3 +225,107 @@ def test_univariate_gcd_of_degree_fifteen_with_a_known_factor(field):
     g, h1, h2 = random_poly(15), random_poly(15), random_poly(14)
     assert poly_gcd(h1, h2) == u.one()
     assert poly_gcd(g * h1, g * h2) == poly_normalize(g)
+
+
+def _divisor_search_roots(g):
+    """Reference: the rational roots of a univariate g over QQ by trying every
+    +-u/q with u | f_0 and q | f_d, the divisor search the census used."""
+    coeffs = {sum(e): c for e, c in g.terms.items()}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    f = [int(coeffs.get(i, 0) * den) for i in range(max(coeffs) + 1)]
+    roots = {Fraction(0)} if f[0] == 0 else set()
+    f = f[next(i for i, c in enumerate(f) if c) :]
+
+    def divisors(n):
+        n, out, d = abs(n), set(), 1
+        while d * d <= n:
+            if n % d == 0:
+                out.update((d, n // d))
+            d += 1
+        return out
+
+    for u in divisors(f[0]):
+        for q in divisors(f[-1]):
+            for cand in (Fraction(u, q), Fraction(-u, q)):
+                if sum(c * cand**i for i, c in enumerate(f)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _planted_root_polynomial(rng, u, degree, height):
+    """A seeded product of factors (q*x - p), some repeated and some at 0,
+    with |p|, q <= height^(1/degree) so that the coefficients stay near
+    `height`, times a cofactor with no rational root and a non-integral
+    constant; returns it with its planted roots."""
+    x = u.var("x")
+    cofactors = ("1", "x^2 + 2", "(x^2 + 2)^2", "3*x^2 + 5", "x^3 - 2", "x^4 + 1")
+    cofactor = u.parse(rng.choice(cofactors))
+    if cofactor.degree() >= degree:
+        cofactor = u.one()
+    f = cofactor * x ** rng.choice((0, 0, 1, 2))
+    roots = {Fraction(0)} if f.degree() > cofactor.degree() else set()
+    bound = max(2, round(height ** (1 / degree)))
+    while f.degree() < degree:
+        r = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        factor = x * r.denominator - u.const(r.numerator)
+        f = f * (factor**2 if rng.random() < 0.2 and f.degree() + 2 <= degree else factor)
+        roots.add(r)
+    return f * Fraction(rng.randint(1, 99), rng.randint(1, 7)), sorted(roots)
+
+
+def test_rational_roots_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    u = PolyRing(("x",))
+    tallest = 0
+    for trial in range(36):
+        height = (10**3, 10**12, 10**30)[trial % 3]
+        degree = 21 if trial < 6 else rng.randint(1, 21)
+        f, planted = _planted_root_polynomial(rng, u, degree, height)
+        tallest = max(tallest, *(abs(c) for c in f.terms.values()))
+        theirs = sympy.Poly(sympy.sympify(str(f).replace("^", "**")), sympy.Symbol("x"))
+        expected = sorted(Fraction(int(r.p), int(r.q)) for r in theirs.ground_roots())
+        assert rational_roots(f) == planted == expected
+    assert tallest > 10**26
+
+
+def test_rational_roots_agree_with_divisor_search():
+    rng = random.Random(23)
+    u = PolyRing(("x",))
+    for _ in range(60):
+        f, planted = _planted_root_polynomial(rng, u, rng.randint(1, 6), 10)
+        assert rational_roots(f) == planted == _divisor_search_roots(f)
+
+
+def test_rational_roots_edge_cases():
+    u = PolyRing(("x",))
+    assert rational_roots(u.parse("7")) == []
+    assert rational_roots(u.parse("x^5")) == [0]
+    assert rational_roots(u.parse("x^2 - 2")) == []
+    assert rational_roots(u.parse("(2*x - 1)^3*(x^2 + 2)^2")) == [Fraction(1, 2)]
+    # 1 and 4 meet mod 3, so the squarefree (x - 1)(x - 4) passes over p = 3
+    assert rational_roots(u.parse("(x - 1)*(x - 4)")) == [1, 4]
+    with pytest.raises(DegenerateInputError):
+        rational_roots(u.zero())
+    with pytest.raises(DegenerateInputError):
+        rational_roots(R2.parse("x - y"))
+
+
+def test_univariate_poly_gcd_agrees_with_sympy():
+    # seeded A*G and B*G with a planted G, against sympy.gcd up to a constant
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    u = PolyRing(("x",))
+
+    def random_poly(deg):
+        coeffs = {(k,): Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for k in range(deg)}
+        coeffs[(deg,)] = Fraction(rng.choice((-3, -1, 1, 2, 7)), rng.randint(1, 5))
+        return u.from_terms(coeffs)
+
+    for _ in range(16):
+        G, A, B = (random_poly(rng.randint(lo, 8)) for lo in (0, 1, 1))
+        ours = poly_gcd(A * G, B * G)
+        assert ours == poly_normalize(ours)
+        exact_divide(ours, G)  # raises unless G divides the gcd
+        theirs = sympy.gcd(*(sympy.sympify(str(p).replace("^", "**")) for p in (A * G, B * G)))
+        assert not sympy.cancel(sympy.sympify(str(ours).replace("^", "**")) / theirs).free_symbols
