@@ -4,8 +4,11 @@ ideals.
 
 The engine is a Buchberger loop with the normal selection strategy, both
 classical pair criteria (coprime leading terms and the Gebauer-Moeller chain
-pruning), monic normalization on insertion, and a final interreduction to the
-unique reduced basis.  Saturation has two routes: a fast certified route for
+pruning), and one interreduction pass to the unique reduced basis.  Over QQ
+it is fraction-free: polynomials are primitive integer term dicts, a
+reduction step is work <- a*work - b*m*g with integers a, b, and the basis is
+made monic once, at the end; over QQ(sqrt d) the same loop keeps basis
+elements monic.  Saturation has two routes: a fast certified route for
 homogeneous ideals saturated by linear forms (divide out the cheapest
 variable of a grevlex basis, after a coordinate change making the form a
 variable), and a general auxiliary-variable route.  The fast route is
@@ -24,9 +27,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd
+from operator import add, ge, sub
 
 from .errors import DegenerateInputError, RingMismatchError
-from .polyops import exact_divide, matrix_inverse, poly_gcd, squarefree_part
+from .polyops import exact_divide, matrix_inverse, poly_gcd, primitive_integers, squarefree_part
 from .rings import Polynomial, PolyRing
 
 # ---------------------------------------------------------------------------
@@ -134,86 +139,126 @@ DEFAULT_ORDER = TermOrder.grevlex()
 # ---------------------------------------------------------------------------
 
 
-def _lead(pdict, keyf):
-    return max(pdict, key=keyf)
+class _HeapEntries(dict):
+    """Memoized max-heap entries (negated key, exponent) of a term order."""
+
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        self.keyf = keyf
+
+    def __missing__(self, e):
+        item = self[e] = tuple(-k for k in self.keyf(e)) + (e,)
+        return item
+
+
+def _lead(pdict, entry):
+    return min(map(entry.__getitem__, pdict))[-1]
+
+
+def _is_rational(pdict):
+    return all(isinstance(c, (int, Fraction)) for c in pdict.values())
+
+
+def _primitive(pdict, lead_exp):
+    """The primitive integer multiple of a term dict over QQ, lead positive."""
+    sign = -1 if pdict[lead_exp] < 0 else 1
+    return {e: sign * v for e, v in zip(pdict, primitive_integers(list(pdict.values())))}
 
 
 def _monic(pdict, lead_exp):
     c = pdict[lead_exp]
     if c == 1:
         return pdict
-    inv = 1 / c if not isinstance(c, Fraction) else Fraction(1) / c
+    inv = Fraction(1) / c
     return {e: v * inv for e, v in pdict.items()}
 
 
+def _integer_split(c, lead_c):
+    """The least (a, b), a > 0, with a*c == b*lead_c: the fraction-free step."""
+    g = gcd(c, lead_c)
+    return lead_c // g, c // g
+
+
+def _field_split(c, lead_c):
+    return 1, c if lead_c == 1 else c / lead_c
+
+
 def _divisible(exp, lead):
-    for a, b in zip(exp, lead):
-        if a < b:
-            return False
-    return True
+    return all(map(ge, exp, lead))
 
 
-def _reduce_full(pdict, basis, keyf):
-    """Fully reduce a term dict against (dict, lead_exp, neg-ordered terms).
+def _reduce_full(pdict, basis, entry, split):
+    """Fully reduce a term dict against basis entries (dict, lead_exp).
 
-    basis entries are (pdict, lead_exp); returns the remainder dict.
+    A step at the top term c*x^e, with the first reducer g whose lead L*x^l
+    divides it, sets work = a*work - b*x^(e-l)*g for (a, b) = split(c, L)
+    and rescales the remainder so far by a.  Over the integers every eighth
+    rescale divides out the content.  Returns (remainder, scale), where the
+    remainder is scale times the normal form; `entry` is a `_HeapEntries`.
     """
-    if not pdict:
-        return {}
     work = dict(pdict)
-    heap = [tuple(-k for k in keyf(e)) + (e,) for e in work]
+    heap = [entry[e] for e in work]
     heapq.heapify(heap)
-    nkeys = len(heap[0]) - 1
     remainder = {}
+    num = den = 1
+    rescales = 0
     while heap:
-        entry = heapq.heappop(heap)
-        exp = entry[nkeys]
-        c = work.get(exp)
-        if not c:
+        exp = heapq.heappop(heap)[-1]
+        c = work.pop(exp, None)
+        if c is None:
             continue
-        reducer = None
         for g, glead in basis:
             if _divisible(exp, glead):
-                reducer = (g, glead)
                 break
-        if reducer is None:
+        else:
             remainder[exp] = c
-            del work[exp]
             continue
-        g, glead = reducer
-        shift = tuple(a - b for a, b in zip(exp, glead))
-        factor = c  # g is monic
-        del work[exp]
+        a, b = split(c, g[glead])
+        if a != 1:
+            work = {e: v * a for e, v in work.items()}
+            remainder = {e: v * a for e, v in remainder.items()}
+            num *= a
+            rescales += 1
+        shift = tuple(map(sub, exp, glead))
         for e2, c2 in g.items():
             if e2 == glead:
                 continue
-            e = tuple(a + b for a, b in zip(shift, e2))
+            e = tuple(map(add, shift, e2))
             s = work.get(e)
             if s is None:
-                work[e] = -factor * c2
-                heapq.heappush(heap, tuple(-k for k in keyf(e)) + (e,))
+                work[e] = -b * c2
+                heapq.heappush(heap, entry[e])
             else:
-                s = s - factor * c2
+                s -= b * c2
                 if s:
                     work[e] = s
                 else:
                     del work[e]
-    return remainder
+        if a != 1 and rescales % 8 == 0:
+            k = gcd(*work.values(), *remainder.values())
+            if k > 1:
+                work = {e: v // k for e, v in work.items()}
+                remainder = {e: v // k for e, v in remainder.items()}
+                den *= k
+    return remainder, Fraction(num, den)
 
 
-def _spoly_dict(g1, lead1, g2, lead2, lcm):
-    s1 = tuple(a - b for a, b in zip(lcm, lead1))
-    s2 = tuple(a - b for a, b in zip(lcm, lead2))
+def _spoly_dict(g1, lead1, g2, lead2, lcm, split):
+    """a*m1*g1 - b*m2*g2 with the leads cancelling, (a, b) = split(L1, L2)."""
+    a, b = split(g1[lead1], g2[lead2])
+    s1 = tuple(map(sub, lcm, lead1))
+    s2 = tuple(map(sub, lcm, lead2))
     out = {}
     for e, c in g1.items():
-        out[tuple(a + b for a, b in zip(e, s1))] = c
+        out[tuple(map(add, e, s1))] = a * c
     for e, c in g2.items():
-        e = tuple(a + b for a, b in zip(e, s2))
+        e = tuple(map(add, e, s2))
         s = out.get(e)
         if s is None:
-            out[e] = -c
+            out[e] = -b * c
         else:
-            s = s - c
+            s -= b * c
             if s:
                 out[e] = s
             else:
@@ -226,7 +271,17 @@ def _exp_lcm(a, b):
 
 
 def _buchberger_dicts(gen_dicts, keyf):
-    """Reduced monic Groebner basis of the given term dicts."""
+    """Reduced Groebner basis of nonzero term dicts: (dict, lead) pairs in
+    increasing lead order.  Over QQ the loop is fraction-free on primitive
+    integer dicts (`GroebnerBasis` makes them monic); other coefficients run
+    it over their field with monic elements."""
+    rational = all(_is_rational(d) for d in gen_dicts)
+    entry = _HeapEntries(keyf)
+    if rational:
+        gen_dicts = [_primitive(d, _lead(d, entry)) for d in gen_dicts]
+        split, normalize = _integer_split, _primitive
+    else:
+        split, normalize = _field_split, _monic
     basis: list[tuple[dict, tuple]] = []  # (dict, lead)
     pair_heap: list = []
     alive: set[tuple[int, int]] = set()
@@ -263,63 +318,39 @@ def _buchberger_dicts(gen_dicts, keyf):
             seen.add(lc)
         for i, lc in kept:
             # coprime criterion
-            if lc == tuple(a + b for a, b in zip(lead_of(i), lt)):
+            if lc == tuple(map(add, lead_of(i), lt)):
                 continue
             alive.add((i, t))
             heapq.heappush(pair_heap, (keyf(lc), next(counter), i, t, lc))
 
-    for d in sorted(gen_dicts, key=lambda d: keyf(_lead(d, keyf)) if d else ()):
-        if not d:
-            continue
-        lead = _lead(d, keyf)
-        red = _reduce_full(d, basis, keyf)
-        if not red:
-            continue
-        lead = _lead(red, keyf)
-        basis.append((_monic(red, lead), lead))
-        add_pairs(len(basis) - 1)
+    def insert(pdict):
+        red = _reduce_full(pdict, basis, entry, split)[0]
+        if red:
+            lead = _lead(red, entry)
+            basis.append((normalize(red, lead), lead))
+            add_pairs(len(basis) - 1)
 
+    for d in sorted(gen_dicts, key=lambda d: keyf(_lead(d, entry))):
+        insert(d)
     while pair_heap:
         _, _, i, j, lcm = heapq.heappop(pair_heap)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
-        gi, li = basis[i]
-        gj, lj = basis[j]
-        s = _spoly_dict(gi, li, gj, lj, lcm)
-        red = _reduce_full(s, basis, keyf)
-        if red:
-            lead = _lead(red, keyf)
-            basis.append((_monic(red, lead), lead))
-            add_pairs(len(basis) - 1)
+        insert(_spoly_dict(*basis[i], *basis[j], lcm, split))
 
     # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(basis)), key=lambda i: keyf(basis[i][1]))
-    kept_idx = []
-    for i in order_idx:
-        li = basis[i][1]
-        if not any(_divisible(li, basis[j][1]) for j in kept_idx):
-            kept_idx.append(i)
-    minimal = [basis[i] for i in kept_idx]
+    minimal = []
+    for g, lead in sorted(basis, key=lambda gl: keyf(gl[1])):
+        if not any(_divisible(lead, m) for _, m in minimal):
+            minimal.append((g, lead))
 
-    # tail-reduce to the reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = [minimal[j] for j in range(len(minimal)) if j != i]
-            red = _reduce_full(minimal[i][0], others, keyf)
-            if not red:
-                minimal.pop(i)
-                changed = True
-                break
-            lead = _lead(red, keyf)
-            red = _monic(red, lead)
-            if red != minimal[i][0]:
-                minimal[i] = (red, lead)
-                changed = True
-    minimal.sort(key=lambda kv: keyf(kv[1]))
-    return minimal
+    # tail-reduce to the reduced basis: the leads of a minimal basis are
+    # fixed, so one pass leaves no tail term divisible by any of them
+    return [
+        (normalize(_reduce_full(g, minimal[:i] + minimal[i + 1 :], entry, split)[0], lead), lead)
+        for i, (g, lead) in enumerate(minimal)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +359,27 @@ def _buchberger_dicts(gen_dicts, keyf):
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its order."""
+    """A reduced, monic Groebner basis together with its order.
 
-    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs")
+    Built from the engine's (dict, lead) pairs, which it keeps for normal
+    forms: over QQ they are primitive integer dicts, and `polys` is their
+    monic form."""
 
-    def __init__(self, ring, order, polys):
+    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational")
+
+    def __init__(self, ring, order, pairs):
+        pairs = tuple(pairs)
+        rational = all(isinstance(c, int) for d, _ in pairs for c in d.values())
+        polys = tuple(
+            Polynomial(ring, {e: Fraction(v, d[lead]) for e, v in d.items()} if rational else d)
+            for d, lead in pairs
+        )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "polys", tuple(polys))
-        keyf = order.key_function(ring)
-        object.__setattr__(self, "_keyf", keyf)
-        object.__setattr__(
-            self, "_pairs", tuple((dict(p.terms), max(p.terms, key=keyf)) for p in polys)
-        )
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "_keyf", order.key_function(ring))
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_rational", rational)
 
     def __setattr__(self, *args):
         raise AttributeError("GroebnerBasis is immutable")
@@ -356,30 +395,40 @@ class GroebnerBasis:
         return tuple(lead for _, lead in self._pairs)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f: exact, also when it is computed on integers."""
         if f.ring != self.ring:
             raise RingMismatchError("normal form of a polynomial from another ring")
-        red = _reduce_full(dict(f.terms), self._pairs, self._keyf)
-        return Polynomial(self.ring, red)
+        entry = _HeapEntries(self._keyf)
+        if not (self._rational and f.terms and _is_rational(f.terms)):
+            red, _ = _reduce_full(f.terms, self._pairs, entry, _field_split)
+            return Polynomial(self.ring, red)
+        first = next(iter(f.terms))
+        work = _primitive(f.terms, first)
+        red, scale = _reduce_full(work, self._pairs, entry, _integer_split)
+        unscale = f.terms[first] / (scale * work[first])
+        return Polynomial(self.ring, {e: v * unscale for e, v in red.items()})
 
     def normal_form_with_cofactors(self, f: Polynomial):
-        """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder."""
+        """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder,
+        by division in field arithmetic, independent of `normal_form`."""
         ring = self.ring
         keyf = self._keyf
         work = dict(f.terms)
+        monic = [(p.terms, lead) for p, lead in zip(self.polys, self.lead_exponents)]
         cofactors = [dict() for _ in self.polys]
         remainder = {}
         while work:
             exp = max(work, key=keyf)
             c = work.pop(exp)
             hit = None
-            for idx, (g, glead) in enumerate(self._pairs):
+            for idx, (g, glead) in enumerate(monic):
                 if _divisible(exp, glead):
                     hit = idx
                     break
             if hit is None:
                 remainder[exp] = c
                 continue
-            g, glead = self._pairs[hit]
+            g, glead = monic[hit]
             shift = tuple(a - b for a, b in zip(exp, glead))
             cofactors[hit][shift] = cofactors[hit].get(shift, 0) + c
             for e2, c2 in g.items():
@@ -492,11 +541,8 @@ class Ideal:
 def buchberger(ideal: Ideal, order: TermOrder = DEFAULT_ORDER) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal for the given order."""
     ring = ideal.ring
-    keyf = order.key_function(ring)
-    dicts = [dict(g.terms) for g in ideal.gens]
-    reduced = _buchberger_dicts(dicts, keyf)
-    polys = [Polynomial(ring, d) for d, _ in reduced]
-    return GroebnerBasis(ring, order, polys)
+    pairs = _buchberger_dicts([g.terms for g in ideal.gens], order.key_function(ring))
+    return GroebnerBasis(ring, order, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +584,7 @@ def hilbert_function(ideal: Ideal, upto: int | None = None) -> HilbertData:
         raise DegenerateInputError("Hilbert function needs a homogeneous ideal")
     ring = ideal.ring
     gb = ideal.groebner_basis(DEFAULT_ORDER)
-    leads = list(gb.lead_exponents)
-    # minimal lead set
-    leads = [
-        l for i, l in enumerate(leads) if not any(j != i and _divisible(l, m) for j, m in enumerate(leads))
-    ]
+    leads = gb.lead_exponents  # minimal: the basis is reduced
     maxdeg = max((sum(l) for l in leads), default=0)
     values = []
     stable_value = None

@@ -241,22 +241,23 @@ def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def primitive_integers(values: list) -> list[int]:
+    """The primitive integer multiple of a list of rationals, signs kept:
+    denominators cleared, then the content divided out."""
+    den = lcm(*(c.denominator for c in values))
+    nums = [c.numerator * (den // c.denominator) for c in values]
+    g = gcd(*nums)
+    return [v // g for v in nums] if g > 1 else nums
+
+
 def _rational_normalize(p: Polynomial) -> Polynomial:
     """Integer-primitive form with positive leading (graded-lex) coefficient."""
     if p.is_zero:
         return p
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    nums = [int(c * den) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    lead = p.sorted_terms()[0][1]
-    scale = Fraction(den, g)
-    if lead < 0:
-        scale = -scale
-    return p * scale
+    nums = primitive_integers(list(p.terms.values()))
+    if p.terms[max(p.terms, key=gradedlex_key)] < 0:
+        nums = [-v for v in nums]
+    return Polynomial(p.ring, {e: Fraction(v) for e, v in zip(p.terms, nums)})
 
 
 def poly_normalize(p: Polynomial) -> Polynomial:
@@ -511,15 +512,7 @@ def matrix_rank(rows) -> int:
         return 0
     ncols = len(rows[0])
     if all(isinstance(c, (int, Fraction)) for r in rows for c in r):
-        int_rows = []
-        for r in rows:
-            den = lcm(*(c.denominator for c in r))
-            rr = [c.numerator * (den // c.denominator) for c in r]
-            g = gcd(*rr)
-            if g > 1:
-                rr = [v // g for v in rr]
-            if any(rr):
-                int_rows.append(rr)
+        int_rows = [rr for rr in map(primitive_integers, rows) if any(rr)]
         return len(_row_echelon(int_rows, ncols, _integer_step))
     return len(_row_echelon(rows, ncols))
 

@@ -2,6 +2,7 @@
 saturation, radicals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,8 +25,9 @@ from oscurve.groebner import (
     scheme_length,
     zero_dim_radical,
 )
+from oscurve.qfields import QuadExt, QuadraticField
 from oscurve.rational_curves import rational_normal_curve_ideal
-from oscurve.rings import PolyRing
+from oscurve.rings import Polynomial, PolyRing
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -121,6 +123,107 @@ def test_spairs_reduce_to_zero():
             mj = R3.monomial(tuple(a - b for a, b in zip(lcm, lj)))
             s = polys[i] * mi - polys[j] * mj
             assert gb.normal_form(s).is_zero
+
+
+def _random_poly(rng, ring, nterms, degree, coefficient):
+    """nterms distinct monomials of degree <= degree in three variables."""
+    terms = {}
+    while len(terms) < nterms:
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        exp = (a, b, rng.randint(0, degree - a - b))
+        terms[exp] = coefficient()
+    return ring.from_terms(terms)
+
+
+def _sympy_monic_basis(sympy, gens, order, domain):
+    """sympy's reduced basis of the ideal, each element divided by its
+    leading coefficient in `order`, as Polys sorted by their text."""
+    symbols = sympy.symbols("x y z")
+    exprs = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
+    basis = sympy.groebner(exprs, *symbols, order=order, domain=domain)
+    return sorted((p.exquo_ground(p.LC(order=order)) for p in basis.polys), key=str)
+
+
+def _as_sympy_polys(sympy, polys, domain):
+    symbols = sympy.symbols("x y z")
+    exprs = [sympy.sympify(str(p).replace("^", "**")) for p in polys]
+    return sorted((sympy.Poly(e, *symbols, domain=domain) for e in exprs), key=str)
+
+
+def test_reduced_bases_agree_with_sympy_over_qq():
+    # seeded ideals with numerators up to 10^12 and denominators up to 999;
+    # their bases reach coefficients of a few thousand bits
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+
+    def coefficient():
+        return Fraction(rng.randint(-(10**12), 10**12) or 1, rng.randint(1, 999))
+
+    widest = 0
+    for trial in range(16):
+        order = ("grevlex", "lex")[trial % 2]
+        degree = 3 if order == "grevlex" else 2
+        gens = [_random_poly(rng, R3, rng.randint(2, 4), degree, coefficient) for _ in range(3)]
+        gb = Ideal(R3, gens).groebner_basis(getattr(TermOrder, order)())
+        assert _as_sympy_polys(sympy, gb.polys, "QQ") == _sympy_monic_basis(
+            sympy, gens, order, "QQ"
+        )
+        widest = max(widest, *(abs(c.numerator).bit_length() for p in gb for c in p.terms.values()))
+    assert widest > 2000
+
+
+def test_reduced_bases_agree_with_sympy_over_a_quadratic_field():
+    sympy = pytest.importorskip("sympy")
+    domain = sympy.QQ.algebraic_field(sympy.sqrt(2))
+    ring = PolyRing(("x", "y", "z"), QuadraticField(2))
+    rng = random.Random(5)
+
+    def rational():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 99))
+
+    def coefficient():
+        return QuadExt(rational(), rational() if rng.random() < 0.6 else 0, 2)
+
+    for order in ("grevlex", "lex"):
+        gens = [_random_poly(rng, ring, 3, 2, coefficient) for _ in range(3)]
+        gb = Ideal(ring, gens).groebner_basis(getattr(TermOrder, order)())
+        assert any(isinstance(c, QuadExt) and c.b for p in gb for c in p.terms.values())
+        assert _as_sympy_polys(sympy, gb.polys, domain) == _sympy_monic_basis(
+            sympy, gens, order, domain
+        )
+
+
+def test_normal_forms_are_exact_with_large_denominators():
+    # normal_form works on primitive integer polynomials; the cofactor
+    # division stays in field arithmetic and is the reference
+    rng = random.Random(41)
+
+    def coefficient():
+        return Fraction(rng.randint(-(10**9), 10**9) or 1, rng.randint(1, 10**15))
+
+    I = ideal(R3, "3/7*x^2 - 5*y*z + 1/2", "2*x*y - 9/4*z^2 + x", "y^2 - 11/3*x*z + z")
+    for order in (TermOrder.grevlex(), TermOrder.lex()):
+        gb = I.groebner_basis(order)
+        for _ in range(6):
+            f = _random_poly(rng, R3, rng.randint(1, 8), 4, coefficient)
+            remainder, cofactors = gb.normal_form_with_cofactors(f)
+            assert gb.normal_form(f) == remainder
+            rebuilt = remainder
+            for q, g in zip(cofactors, gb.polys):
+                rebuilt = rebuilt + q * g
+            assert (f - rebuilt).is_zero
+            member = R3.zero()
+            for g in I.gens:
+                member = member + g * _random_poly(rng, R3, 3, 2, coefficient)
+            assert gb.contains(member) and I.contains(member)
+            assert gb.normal_form(member + remainder) == remainder
+        # rational generators in a quadratic ring give an integer basis, on
+        # which a quadratic f is divided in field arithmetic
+        quad = PolyRing(("x", "y", "z"), QuadraticField(2))
+        qgb = Ideal(quad, [Polynomial(quad, g.terms) for g in I.gens]).groebner_basis(order)
+        f = _random_poly(rng, quad, 6, 4, lambda: QuadExt(coefficient(), coefficient(), 2))
+        assert qgb.normal_form(f) == qgb.normal_form_with_cofactors(f)[0]
 
 
 # -- Hilbert functions ----------------------------------------------------------
