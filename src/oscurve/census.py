@@ -4,11 +4,13 @@ For a degree-n parameterization, the multiple-point machinery assembles the
 banded matrix whose rows are shifts of the chart coordinates x0..xk over the
 three coefficient rows of the forms; the scheme cut out by its maximal-minor
 drops lives in P^k and its support encodes the k-fold points of the image.
-For k = 2 the scheme is finite of length C(n-1, 2); localizing its length at
-each support point recovers the delta invariant of the corresponding singular
-point, and support points on the conic y^2 - 4xz are exactly the one-branch
-(cuspidal) singularities.  Classification labels come from the implicit-side
-double point classifier, run at each singular image point.
+For k = 2 the scheme is finite of length C(n-1, 2), and its local length at
+each support point is the delta invariant of the singular point there.  One
+chart algebra gives them all: by Stickelberger's theorem they are the root
+multiplicities of the characteristic polynomial of a chart coordinate that
+separates the points (`groebner.chart_radical`).  Support points on the conic
+y^2 - 4xz are exactly the one-branch (cuspidal) singularities.  Labels come
+from the implicit-side double point classifier, run at each image point.
 """
 
 from __future__ import annotations
@@ -23,22 +25,19 @@ from .groebner import (
     TermOrder,
     chart_lines,
     chart_matrix,
-    from_chart,
+    chart_radical,
     ideal_sum,
     is_empty_scheme,
-    saturate,
     scheme_length,
     to_chart,
-    zero_dim_radical,
 )
-from .polyops import exact_divide, matrix_rank, nullspace, rational_roots
+from .polyops import exact_divide, matrix_rank, nullspace, poly_gcd, rational_roots
 from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
     _binary_coefficients,
     _cross,
     expected_double_point_count,
-    point_ideal,
 )
 from .rings import Polynomial, PolyMatrix, PolyRing
 
@@ -153,6 +152,7 @@ class _SupportPiece:
     size: int
     chart_points: tuple | None  # ((x, y), ...) when the piece is split
     h_line: Polynomial  # shape-position polynomial: yc = h_line(xc)
+    delta: int  # local length of the scheme, summed over the piece's points
 
 
 def _evaluate_ext(p: Polynomial, values):
@@ -163,9 +163,19 @@ def _evaluate_ext(p: Polynomial, values):
     return p.evaluate(values)
 
 
-def _split_eliminant(g: Polynomial, h_line: Polynomial, field) -> list[_SupportPiece]:
+def _roots_among(chi: Polynomial, factor: Polynomial) -> int:
+    """How many roots of chi, counted with multiplicity, are roots of the
+    squarefree factor: strip g = gcd(chi, factor) off chi, then recurse on g."""
+    g = poly_gcd(chi, factor)
+    if g.degree() == 0:
+        return 0
+    return g.degree() + _roots_among(exact_divide(chi, g), g)
+
+
+def _split_eliminant(g: Polynomial, h_line: Polynomial, chi: Polynomial) -> list[_SupportPiece]:
     """Rational roots split off as simple points, a final quadratic splits
-    over one extension, anything bigger stays an unsplit cluster."""
+    over one extension, anything bigger stays an unsplit cluster.  Each
+    piece's local length is its share of the roots of chi."""
     pieces = []
     var = g.used_variables()[0]
     ring = g.ring
@@ -173,73 +183,48 @@ def _split_eliminant(g: Polynomial, h_line: Polynomial, field) -> list[_SupportP
     def y_of(x_value):
         return _evaluate_ext(h_line, [x_value, x_value * 0])
 
+    def piece(factor, points):
+        return _SupportPiece(factor, factor.degree(), points, h_line, _roots_among(chi, factor))
+
     work = g
     for root in rational_roots(g):
-        pieces.append(
-            _SupportPiece(
-                factor=ring.var(var) - ring.const(root),
-                size=1,
-                chart_points=((root, y_of(root)),),
-                h_line=h_line,
-            )
-        )
-        work = exact_divide(work, ring.var(var) - ring.const(root))
+        linear = ring.var(var) - ring.const(root)
+        pieces.append(piece(linear, ((root, y_of(root)),)))
+        work = exact_divide(work, linear)
     deg = work.degree()
-    if deg == 0:
-        return pieces
     if deg == 2:
         cs = {sum(e): c for e, c in work.terms.items()}
         c2, c1, c0 = (cs.get(k, Fraction(0)) for k in (2, 1, 0))
         (r1, r2), _ = quadratic_roots(c2, c1, c0)
-        pieces.append(
-            _SupportPiece(
-                factor=work,
-                size=2,
-                chart_points=((r1, y_of(r1)), (r2, y_of(r2))),
-                h_line=h_line,
-            )
-        )
-        return pieces
-    pieces.append(_SupportPiece(factor=work, size=deg, chart_points=None, h_line=h_line))
+        pieces.append(piece(work, ((r1, y_of(r1)), (r2, y_of(r2)))))
+    elif deg > 0:
+        pieces.append(piece(work, None))
     return pieces
 
 
-def support_sites(radical: Ideal):
-    """Decompose the support of a radical finite plane scheme into rational
-    points, conjugate quadratic pairs, and unsplit clusters.
+def support_sites(ideal: Ideal):
+    """Decompose the support of a finite plane scheme into rational points,
+    conjugate quadratic pairs and unsplit clusters, each with its local
+    length.
 
-    Returns a list of (_SupportPiece, chart matrix); chart data maps back to
-    the input coordinates through the matrix.
+    In the first chart line whose chart radical (`chart_radical`) has the
+    lex shape basis [g(xc), yc - h(xc)], xc separates the points, so the
+    local lengths are the root multiplicities of chi_x, by Stickelberger's
+    theorem.  Returns a list of (_SupportPiece, chart matrix); chart data
+    maps back to the input coordinates through the matrix.
     """
-    length = scheme_length(radical)
-    if length == 0:
-        return []
-    for ell in chart_lines(radical):
+    for ell in chart_lines(ideal):
         matrix = chart_matrix(ell)
-        affine = to_chart(radical, matrix)
-        gb = affine.groebner_basis(TermOrder.lex(("yc", "xc")))
-        polys = list(gb.polys)
-        if len(polys) != 2:
+        radical, chi = chart_radical(ideal, matrix)
+        if chi.degree() == 0:
+            return []
+        polys = radical.groebner_basis(TermOrder.lex(("yc", "xc"))).polys
+        yc = radical.ring.var("yc")
+        if len(polys) != 2 or (polys[1] - yc).degree_in("yc") > 0:
             continue
         g_x, lin_y = polys
-        if g_x.degree_in("yc") != 0 or lin_y.degree_in("yc") != 1:
-            continue
-        if lin_y.coefficient_in("yc", 1) != affine.ring.one():
-            continue
-        if g_x.degree() != length:
-            continue
-        h_line = -lin_y.coefficient_in("yc", 0)
-        pieces = _split_eliminant(g_x, h_line, radical.ring.field)
-        return [(piece, matrix) for piece in pieces]
+        return [(piece, matrix) for piece in _split_eliminant(g_x, yc - lin_y, chi)]
     raise DegenerateInputError("could not put the support in shape position")
-
-
-def _piece_ideal(piece: _SupportPiece, matrix, ring: PolyRing) -> Ideal:
-    """Homogeneous ideal of one support piece, back in the input coordinates."""
-    if piece.size == 1:
-        return point_ideal(ring, _projective_from_chart(piece.chart_points[0], matrix))
-    yc = piece.factor.ring.var("yc")
-    return from_chart([piece.factor, yc - piece.h_line], matrix, ring)
 
 
 def _projective_from_chart(chart_point, matrix):
@@ -263,25 +248,6 @@ def _normalize_projective(coords):
 # ---------------------------------------------------------------------------
 # the census itself
 # ---------------------------------------------------------------------------
-
-
-def fiber_parameters(param: PlaneParameterization, coords):
-    """Parameters mapping to the singular point below a scheme-plane point:
-    the roots on P^1 of the binary quadratic c0*s^2 + c1*st + c2*t^2 the point
-    represents, with multiplicities, or None when they need a nested radical."""
-    c0, c1, c2 = coords
-    one = param.ring.field.one
-    if not c0:
-        if not c1:
-            return [((1, 0), 2)]
-        return [((1, 0), 1), ((-c2 / c1, one), 1)]
-    if not c1 * c1 - 4 * c0 * c2:
-        return [((-c1 / (2 * c0), one), 2)]
-    split = quadratic_roots(c0, c1, c2, field_of(coords))
-    if split is None:
-        return None
-    (r1, r2), field = split
-    return [((r1, field.one), 1), ((r2, field.one), 1)]
 
 
 def _image_of_site(param: PlaneParameterization, coords):
@@ -334,13 +300,10 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     conic = cusp_conic(ring)
     cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
 
-    radical = zero_dim_radical(ideal)
     sites = []
-    for piece, matrix in support_sites(radical):
-        site_ideal = _piece_ideal(piece, matrix, ring)
-        delta = total - scheme_length(saturate(ideal, site_ideal))
+    for piece, matrix in support_sites(ideal):
         if piece.chart_points is not None:
-            if delta % piece.size:
+            if piece.delta % piece.size:
                 raise InvariantViolation("conjugate points with unequal local lengths")
             for chart_pt in piece.chart_points:
                 coords = _projective_from_chart(chart_pt, matrix)
@@ -351,21 +314,23 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                         coords=coords,
                         eliminant=None,
                         size=1,
-                        delta=delta // piece.size,
+                        delta=piece.delta // piece.size,
                         cusp_count=0 if conic_value else 1,
                         image_point=_image_of_site(param, coords),
                     )
                 )
         else:
-            cusps = scheme_length(ideal_sum(site_ideal, Ideal(ring, [conic])))
+            # cusps: common roots of the factor and the conic on yc = h(xc)
+            chart_conic = to_chart(Ideal(ring, [conic]), matrix).gens[0]
+            cusps = poly_gcd(piece.factor, chart_conic.substitute({"yc": piece.h_line}))
             sites.append(
                 CensusSite(
                     kind="cluster",
                     coords=None,
                     eliminant=piece.factor,
                     size=piece.size,
-                    delta=delta,
-                    cusp_count=cusps,
+                    delta=piece.delta,
+                    cusp_count=cusps.degree(),
                     image_point=None,
                 )
             )

@@ -18,7 +18,10 @@ single-generator colon, which pins it to the true saturation.
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
 saturating, and `chart_lines`, `chart_matrix`, `to_chart` and `from_chart`
-are the only way into an affine chart missing the support and back.
+are the only way into an affine chart missing the support and back.  In the
+chart, `chart_radical` reads the scheme off one quotient algebra: the
+characteristic polynomials of its coordinates carry the local lengths
+(Stickelberger), and their squarefree parts give the radical.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from math import gcd
 from operator import add, ge, sub
 
 from .errors import DegenerateInputError, RingMismatchError
-from .polyops import exact_divide, matrix_inverse, poly_gcd, primitive_integers, squarefree_part
+from .polyops import (
+    characteristic_polynomial,
+    exact_divide,
+    matrix_inverse,
+    primitive_integers,
+    squarefree_part,
+)
 from .rings import Polynomial, PolyRing
 
 # ---------------------------------------------------------------------------
@@ -570,11 +579,11 @@ def _degree_exponents(nvars, degree):
             yield (k,) + rest
 
 
-def _count_standard_monomials(nvars, degree, leads):
-    """Number of degree-`degree` monomials divisible by no lead exponent."""
-    return sum(
-        1 for e in _degree_exponents(nvars, degree) if not any(_divisible(e, l) for l in leads)
-    )
+def _standard_monomials(nvars, degree, leads):
+    """The degree-`degree` monomials divisible by no lead exponent."""
+    return [
+        e for e in _degree_exponents(nvars, degree) if not any(_divisible(e, l) for l in leads)
+    ]
 
 
 def hilbert_function(ideal: Ideal, upto: int | None = None) -> HilbertData:
@@ -592,7 +601,7 @@ def hilbert_function(ideal: Ideal, upto: int | None = None) -> HilbertData:
     t = 0
     horizon = max(maxdeg + 4, (upto or 0) + 1, 4)
     while True:
-        values.append(_count_standard_monomials(ring.nvars, t, leads))
+        values.append(len(_standard_monomials(ring.nvars, t, leads)))
         if t >= maxdeg + 2:
             a, b, c = values[t - 2], values[t - 1], values[t]
             if a == b == c:
@@ -608,7 +617,7 @@ def hilbert_function(ideal: Ideal, upto: int | None = None) -> HilbertData:
     if upto is not None:
         while len(values) <= upto:
             if stable_value is None:
-                values.append(_count_standard_monomials(ring.nvars, len(values), leads))
+                values.append(len(_standard_monomials(ring.nvars, len(values), leads)))
             else:
                 values.append(stable_value)
         values = values[: upto + 1]
@@ -994,34 +1003,51 @@ def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
     return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 
 
-def _univariate_eliminant(affine: Ideal, keep: str, other: str) -> Polynomial:
-    """Generator of (affine ideal) cap K[keep]; zero if the scheme is not finite."""
-    sub = eliminate(affine, {other})
-    g = sub.ring.zero()
-    for p in sub.gens:
-        g = poly_gcd(g, p)
-    return g
+def chart_radical(ideal: Ideal, matrix):
+    """(radical, chi_x) of the chart scheme I = `to_chart(ideal, matrix)`.
+
+    The standard monomials of the grevlex basis of I are a basis of A =
+    K[xc, yc]/I, and normal forms give the matrices of multiplication by xc
+    and yc on it.  By Stickelberger's theorem their characteristic
+    polynomials are prod (T - xc(p))^len_p and prod (T - yc(p))^len_p over
+    the points p (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 par.
+    4).  I plus their squarefree parts is the radical (Seidenberg's lemma),
+    returned with its reduced grevlex basis as generators; chi_x is in xc.
+    """
+    gb = to_chart(ideal, matrix).groebner_basis()
+    ring, leads = gb.ring, gb.lead_exponents
+    # a finite scheme has leads xc^a, yc^b, then no standard monomial of degree >= a + b - 1
+    top = sum(map(max, zip(*leads)))
+    if _standard_monomials(2, top, leads):
+        raise DegenerateInputError("the chart scheme is not finite")
+    basis = [e for degree in range(top) for e in _standard_monomials(2, degree, leads)]
+    index = {e: i for i, e in enumerate(basis)}
+    chis = []
+    for step in ((1, 0), (0, 1)):
+        rows = [[ring.field.zero] * len(basis) for _ in basis]
+        for j, e in enumerate(basis):
+            moved = ring.monomial(tuple(map(add, e, step)))
+            for f, c in gb.normal_form(moved).terms.items():
+                rows[index[f]][j] = c
+        coeffs = characteristic_polynomial(rows)
+        chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
+    radical = Ideal(ring, list(gb.polys) + [squarefree_part(chi) for chi in chis])
+    reduced = radical.groebner_basis()
+    return Ideal(ring, reduced.polys).attach_basis(reduced), chis[0]
 
 
 def zero_dim_radical(ideal: Ideal) -> Ideal:
     """Radical of a homogeneous ideal with finite projective support in three
-    variables: in a chart missing the support, add the squarefree parts of
-    both univariate eliminants, then come back from the chart.
+    variables: the chart radical (`chart_radical`) in the first chart line
+    missing the support, brought back by `from_chart`.
     """
     ring = ideal.ring
     if ring.nvars != 3:
         raise DegenerateInputError("zero_dim_radical expects a three-variable ring")
-    if scheme_length(ideal) == 0:
-        return Ideal(ring, [ring.one()])
-    for ell in chart_lines(ideal):
-        matrix = chart_matrix(ell)
-        affine = to_chart(ideal, matrix)
-        ex = _univariate_eliminant(affine, "xc", "yc")
-        ey = _univariate_eliminant(affine, "yc", "xc")
-        extra = [squarefree_part(e).restrict(affine.ring) for e in (ex, ey)]
-        result = from_chart(list(affine.gens) + extra, matrix, ring)
-        if result.contains_ideal(ideal):
-            return result
-    raise DegenerateInputError(
-        "could not find a chart line avoiding the support; is the ideal zero-dimensional?"
-    )
+    ell = next(chart_lines(ideal), None)
+    if ell is None:
+        raise DegenerateInputError(
+            "could not find a chart line avoiding the support; is the ideal zero-dimensional?"
+        )
+    matrix = chart_matrix(ell)
+    return from_chart(chart_radical(ideal, matrix)[0].gens, matrix, ring)

@@ -13,7 +13,7 @@ Row reduction of scalar matrices happens here and nowhere else:
 `_row_echelon` is the one forward-elimination routine.  `matrix_rank` runs it
 alone (fraction-free on integer rows when the entries are rational), while
 `nullspace` and `matrix_inverse` add back-substitution to the reduced echelon
-form.
+form.  `characteristic_polynomial` eliminates by similarity instead.
 """
 
 from __future__ import annotations
@@ -488,6 +488,40 @@ def _row_echelon(rows, ncols, step=_field_step):
                 rows[r] = step(rows[r], top, col)
         pivots.append(col)
     return pivots
+
+
+def characteristic_polynomial(rows) -> list:
+    """Coefficients of det(T*I - A), constant first, for a square matrix A of
+    field scalars.  A similarity brings A to upper Hessenberg form H; then the
+    leading principal minors p_m of T*I - H satisfy p_m = T*p_(m-1) -
+    sum_(r<m) h[r][m-1] * h[r+1][r] * ... * h[m-1][m-2] * p_r."""
+    h = [list(r) for r in rows]
+    n = len(h)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[k + 1], h[piv] = h[piv], h[k + 1]
+        for row in h:
+            row[k + 1], row[piv] = row[piv], row[k + 1]
+        for i in range(k + 2, n):
+            f = h[i][k] / h[k + 1][k]
+            if f:  # subtract f * row k+1 from row i, then add f * column i to column k+1
+                h[i] = [x - f * y for x, y in zip(h[i], h[k + 1])]
+                for row in h:
+                    row[k + 1] += f * row[i]
+    minors = [[1]]
+    for m in range(1, n + 1):
+        p = [0] + minors[-1]
+        sub = 1  # h[r+1][r] * ... * h[m-1][m-2]
+        for r in range(m - 1, -1, -1):
+            f = sub * h[r][m - 1]
+            if f:
+                for j, c in enumerate(minors[r]):
+                    p[j] -= f * c
+            sub *= h[r][r - 1] if r else 0
+        minors.append(p)
+    return minors[n]
 
 
 def _reduced_echelon(rows, ncols):

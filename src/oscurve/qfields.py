@@ -434,25 +434,3 @@ def quadratic_roots(c2, c1, c0, field=QQ):
     two_c2, minus_c1 = field.coerce(2 * c2), field.coerce(-c1)
     return ((minus_c1 + root) / two_c2, (minus_c1 - root) / two_c2), field
 
-
-def parse_scalar(text: str):
-    """Parse 'p/q', 'p', or 'a + b*sqrt(d)' textual scalar forms."""
-    text = text.strip()
-    if "sqrt" not in text:
-        return Fraction(text)
-    # very small ad-hoc reader for the documented a + b*sqrt(d) form
-    import re
-
-    m = re.fullmatch(
-        r"(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*)?"
-        r"(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?"
-        r"sqrt\(\s*(?P<d>-?\d+(?:/\d+)?)\s*\)",
-        text,
-    )
-    if m is None:
-        raise ValueError(f"unreadable scalar: {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-    if m.group("sign") == "-":
-        b = -b
-    return make_quadratic(a, b, Fraction(m.group("d")))

@@ -334,12 +334,9 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
             "the forms have a base point or the image is not a curve"
         )
     F = squarefree_part(raw)
-    # the implicit equation must vanish on the parameterization
-    pullback = F.substitute(
-        {names[0]: param.f0, names[1]: param.f1, names[2]: param.f2},
-        target_ring=param.ring,
-    )
-    if not pullback.is_zero:
+    # F(f0, f1, f2) is a binary form of degree n*deg(F), so it is zero once it
+    # vanishes at the n*deg(F) + 1 points (1 : i) of P^1
+    if any(F.evaluate(param.evaluate((1, i))) for i in range(n * F.degree() + 1)):
         raise InvariantViolation("implicitization produced a non-vanishing candidate")
     deg = F.degree()
     certified = n % deg == 0

@@ -4,8 +4,8 @@ import pytest
 
 from oscurve.census import (
     classify_curve_singularities,
+    cusp_conic,
     double_point_census,
-    fiber_parameters,
     has_multiplicity_at_least,
     is_curvilinear_at,
     multiple_point_matrix,
@@ -13,8 +13,17 @@ from oscurve.census import (
     support_sites,
 )
 from oscurve.errors import DegenerateInputError
-from oscurve.groebner import Ideal, ideal_intersection, ideal_power, zero_dim_radical
-from oscurve.polyops import poly_gcd
+from oscurve.groebner import (
+    Ideal,
+    from_chart,
+    ideal_intersection,
+    ideal_power,
+    ideal_sum,
+    saturate,
+    scheme_length,
+    zero_dim_radical,
+)
+from oscurve.polyops import poly_gcd, poly_normalize
 from oscurve.rational_curves import (
     PlaneParameterization,
     ambient_ring,
@@ -44,6 +53,23 @@ def sextic_param():
 def quartic_param(center_texts):
     amb = ambient_ring(4, "abcde")
     return parameterization_from_center(4, [amb.parse(t) for t in center_texts], "abcde")
+
+
+def site_quadratic(param, site):
+    """The binary quadratic c0*s^2 + c1*s*t + c2*t^2 of a scheme point, checked
+    to be the fiber form of the site's image point up to a scalar."""
+    s, t = param.ring.gens()
+    c0, c1, c2 = (param.ring.field.coerce(c) for c in site.coords)
+    quadratic = poly_normalize(s * s * c0 + s * t * c1 + t * t * c2)
+    assert poly_normalize(param.fiber_form(site.image_point)) == quadratic
+    return quadratic
+
+
+def site_ideal(piece, matrix, ring):
+    """Homogeneous ideal of one support piece: the points yc = h(xc) over
+    the roots of the piece's factor, back from the chart."""
+    yc = piece.factor.ring.var("yc")
+    return from_chart([piece.factor, yc - piece.h_line], matrix, ring)
 
 
 # -- the banded matrix -----------------------------------------------------------
@@ -103,10 +129,9 @@ def test_nodal_cubic_census():
     assert site.kind == "point" and site.delta == 1
     assert site.cusp_count == 0 and site.label == "A1"
     assert census.cusp_intersection_length == 0
-    # the node extracts the two parameter values s = +-t
-    roots = fiber_parameters(PlaneParameterization.parse(NODAL_CUBIC), site.coords)
-    values = sorted(str(q0 / q1) for (q0, q1), _ in roots)
-    assert values == ["-1", "1"]
+    # the node's quadratic vanishes at the two parameter values s = +-t
+    param = PlaneParameterization.parse(NODAL_CUBIC)
+    assert site_quadratic(param, site) == param.ring.parse("s^2 - t^2")
 
 
 def test_cuspidal_cubic_census():
@@ -115,8 +140,8 @@ def test_cuspidal_cubic_census():
     (site,) = census.sites
     assert site.delta == 1 and site.cusp_count == 1 and site.label == "A2"
     assert census.cusp_intersection_length == 1
-    roots = fiber_parameters(param, site.coords)
-    assert len(roots) == 1 and roots[0][1] == 2  # one double parameter value
+    # one double parameter value, s = 0
+    assert site_quadratic(param, site) == param.ring.parse("s^2")
 
 
 def test_fiber_form_discriminants_match_branch_counts():
@@ -226,6 +251,17 @@ def test_curvilinear_rejects_unsupported_point():
 
 # -- mixed censuses and conjugate support, frozen from seeded searches ----------------
 
+# a cluster of six conjugate double points, three of them cusps: the center
+# meets the tangent lines of the rational normal quintic at the roots of
+# u^3 - 2, at the points nu(u) + nu'(u)
+MIXED_CLUSTER_QUINTIC = (
+    "-13*s^5 + 3*s^4*t - 12*s^3*t^2 + 62*s^2*t^3; "
+    "-9*s^5 - 17*s^4*t + 6*s^3*t^2 + 124*s*t^4; "
+    "3*s^5 - 15*s^4*t - 2*s^3*t^2 + 124*t^5"
+)
+# the dual of the nodal cubic (u^2, u, u^3 - 2), whose flexes sit at the
+# roots of u^3 - 2: three conjugate cusps
+TRICUSPIDAL_QUARTIC = "2*s^3*t + 2*t^4; -s^4 - 4*s*t^3; -s^2*t^2"
 MIXED_QUARTIC = "-s^4 + 2*s^2*t^2; -s^4 - 3*s^3*t - 2*s*t^3 - t^4; -2*s^4 + s^3*t - 2*s*t^3 - t^4"
 CONJUGATE_NODES_QUARTIC = (
     "-3*s^4 - 3*s^3*t - s^2*t^2 - s*t^3 + 2*t^4; "
@@ -302,26 +338,29 @@ def test_height_tier_census_without_divisor_search(a):
 def test_fiber_parameters_over_quadratic_extensions():
     from fractions import Fraction
 
-    from oscurve.qfields import QuadExt, QuadraticField
+    from oscurve.qfields import QuadExt, QuadraticField, quadratic_roots
 
     param = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC)
     sites = double_point_census(param).sites
     (rational,) = [s for s in sites if s.coords == (1, 0, Fraction(1, 3))]
     # q = s^2 + t^2/3 has the simple roots +-1/3*sqrt(-3), outside QQ
-    roots = fiber_parameters(param, rational.coords)
-    assert sorted(str(q0 / q1) for (q0, q1), _ in roots) == ["-1/3*sqrt(-3)", "1/3*sqrt(-3)"]
-    assert [m for _, m in roots] == [1, 1]
-    lifted = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC, field=QuadraticField(-3))
-    for q, _ in roots:
-        image = lifted.evaluate(q)
+    assert site_quadratic(param, rational) == param.ring.parse("3*s^2 + t^2")
+    roots, field = quadratic_roots(*rational.coords)
+    assert sorted(str(r) for r in roots) == ["-1/3*sqrt(-3)", "1/3*sqrt(-3)"]
+    lifted = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC, field=field)
+    for r in roots:
+        image = lifted.evaluate((r, 1))
         assert [c / image[0] for c in image] == [1, Fraction(-11, 6), Fraction(-4, 3)]
     assert rational.image_point == (1, Fraction(-11, 6), Fraction(-4, 3))
-    # over the two sites in QQ(sqrt(42)) the roots would need a nested radical
+    # the two sites in QQ(sqrt(42)) are fibers of the curve over that field,
+    # and their roots would need a nested radical
     conjugate = [s for s in sites if s is not rational]
     assert len(conjugate) == 2
+    lifted = PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC, field=QuadraticField(42))
     for site in conjugate:
         assert any(isinstance(c, QuadExt) and c.d == 42 for c in site.coords)
-        assert fiber_parameters(param, site.coords) is None
+        site_quadratic(lifted, site)
+        assert quadratic_roots(*site.coords, QuadraticField(42)) is None
 
 
 def test_support_in_a_fallback_chart():
@@ -339,11 +378,99 @@ def test_support_in_a_fallback_chart():
         reduced = simple if reduced is None else ideal_intersection(reduced, simple)
     radical = zero_dim_radical(fat)
     assert radical == reduced
+    total = scheme_length(fat)
     found = set()
-    for piece, matrix in support_sites(radical):
+    for piece, matrix in support_sites(fat):
         assert piece.size == 1
-        found.add(_projective_from_chart(piece.chart_points[0], matrix))
+        point = _projective_from_chart(piece.chart_points[0], matrix)
+        found.add(point)
+        # a double point of the plane has length 3, as the saturation route
+        # (the length that saturating by the point removes) confirms
+        assert piece.delta == 3
+        assert piece.delta == total - scheme_length(saturate(fat, point_ideal(ring, point)))
     assert found == set(points)
+
+
+@pytest.mark.parametrize("name", ["tacnode", "sextic", "mixed-cluster"])
+def test_local_lengths_match_saturation(name):
+    param = {
+        "tacnode": lambda: quartic_param(TACNODE_QUARTIC_CENTER),
+        "sextic": sextic_param,
+        "mixed-cluster": lambda: PlaneParameterization.parse(MIXED_CLUSTER_QUINTIC),
+    }[name]()
+    ideal = multiple_point_scheme_ideal(param, 2)
+    total = scheme_length(ideal)
+    pieces = support_sites(ideal)
+    for piece, matrix in pieces:
+        removed = scheme_length(saturate(ideal, site_ideal(piece, matrix, ideal.ring)))
+        assert piece.delta == total - removed
+    assert sum(piece.delta for piece, _ in pieces) == total
+    if name == "tacnode":  # the A3 point
+        assert sorted(piece.delta for piece, _ in pieces) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "text, size, cusps",
+    [(MIXED_CLUSTER_QUINTIC, 6, 3), (TRICUSPIDAL_QUARTIC, 3, 3)],
+    ids=["mixed-quintic", "tricuspidal-quartic"],
+)
+def test_cluster_cusp_count_matches_conic_length(text, size, cusps):
+    param = PlaneParameterization.parse(text)
+    census = classify_curve_singularities(param)
+    (cluster,) = census.sites
+    assert (cluster.kind, cluster.size, cluster.cusp_count) == ("cluster", size, cusps)
+    assert cluster.label == ("A2" if cusps == size else None)
+    ideal = multiple_point_scheme_ideal(param, 2)
+    ring = ideal.ring
+    ((piece, matrix),) = support_sites(ideal)
+    on_conic = ideal_sum(site_ideal(piece, matrix, ring), Ideal(ring, [cusp_conic(ring)]))
+    assert scheme_length(on_conic) == cusps
+
+
+def test_roadmap_octic_census():
+    import random
+
+    from oscurve.errors import OscurveError
+
+    # the first center of coefficients in [-3, 3] drawn from random.Random(7)
+    # that gives a proper parameterization of degree 8
+    rng = random.Random(7)
+    amb = ambient_ring(8)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(3)]
+        center = [sum((c * z for c, z in zip(row, amb.gens())), amb.zero()) for row in rows]
+        try:
+            param = parameterization_from_center(8, center)
+            break
+        except OscurveError:
+            continue
+    census = classify_curve_singularities(param)
+    assert census.total_length == 21
+    assert census.labels() == ["A1"] * 19 + ["A4"]
+    assert sorted(site.delta_total for site in census.sites) == [2, 19]
+
+
+def test_census_runs_no_saturation_or_elimination(monkeypatch):
+    import sys
+
+    from oscurve import groebner
+
+    calls = []
+    for name in ("saturate", "eliminate", "from_chart", "zero_dim_radical"):
+        original = getattr(groebner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        # rebind the name in every module that imported it
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("oscurve") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for param in (sextic_param(), PlaneParameterization.parse(MIXED_CLUSTER_QUINTIC)):
+        census = double_point_census(param)
+        assert census.delta_sum == census.total_length
+    assert calls == []
 
 
 def test_census_values_survive_pickling():

@@ -246,11 +246,11 @@ def test_hilbert_order_independent():
     grev = hilbert_function(I, upto=8).values
     lex_leads = I.groebner_basis(TermOrder.lex())
     # recount standard monomials for the lex staircase
-    from oscurve.groebner import _count_standard_monomials
+    from oscurve.groebner import _standard_monomials
 
     keyf = TermOrder.lex().key_function(R3)
     leads = [max(p.terms, key=keyf) for p in lex_leads.polys]
-    lex_values = tuple(_count_standard_monomials(3, t, leads) for t in range(9))
+    lex_values = tuple(len(_standard_monomials(3, t, leads)) for t in range(9))
     assert lex_values == grev
 
 
@@ -375,7 +375,6 @@ def test_radical_rejects_positive_dimension():
 
 
 def test_radical_squarefree_eliminants():
-    from oscurve.groebner import _univariate_eliminant
     from oscurve.polyops import poly_gcd
 
     I = ideal(R3, "x^2", "x*y", "y^3")
@@ -385,8 +384,23 @@ def test_radical_squarefree_eliminants():
         aff, [g.substitute({"z": R3.one()}).restrict(aff) for g in rad.gens]
     )
     for keep, other in (("x", "y"), ("y", "x")):
-        e = _univariate_eliminant(affine, keep, other)
-        assert poly_gcd(e, e.derivative(keep)).degree() == 0
+        (e,) = eliminate(affine, {other}).gens
+        assert e.degree() == 1 and poly_gcd(e, e.derivative(keep)).degree() == 0
+
+
+def test_chart_radical_reads_local_lengths_off_chi():
+    from oscurve.groebner import chart_matrix, chart_radical
+
+    # a fat point of length 3 at [0:0:1] and a simple point at [1:0:1]
+    I = ideal_intersection(ideal(R3, "x^2", "x*y", "y^2"), ideal(R3, "x - z", "y"))
+    assert scheme_length(I) == 4
+    radical, chi = chart_radical(I, chart_matrix(R3.var("z")))
+    A = radical.ring
+    assert chi == A.parse("xc^3*(xc - 1)")
+    assert radical.gens == radical.groebner_basis().polys
+    assert radical == Ideal(A, [A.parse("xc^2 - xc"), A.parse("yc")])
+    with pytest.raises(DegenerateInputError):
+        chart_radical(ideal(R3, "x*y"), chart_matrix(R3.var("z")))
 
 
 # -- degree slices ----------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from oscurve.errors import DegenerateInputError
 from oscurve.polyops import (
     certify_squarefree_by_restriction,
+    characteristic_polynomial,
     exact_divide,
     matrix_det,
     matrix_inverse,
@@ -329,3 +330,43 @@ def test_univariate_poly_gcd_agrees_with_sympy():
         exact_divide(ours, G)  # raises unless G divides the gcd
         theirs = sympy.gcd(*(sympy.sympify(str(p).replace("^", "**")) for p in (A * G, B * G)))
         assert not sympy.cancel(sympy.sympify(str(ours).replace("^", "**")) / theirs).free_symbols
+
+
+def test_characteristic_polynomial_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+
+    def move(a):
+        # a similar matrix: P * a * P^-1 for a unit upper triangular P
+        n = len(a)
+        p = [
+            [Fraction(1 if i == j else rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        p_inv = matrix_inverse(p, QQ)
+        pa = [[sum(p[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        return [[sum(pa[i][k] * p_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    matrices = [[]]
+    for n in range(1, 9):
+        matrices.append([[rational() for _ in range(n)] for _ in range(n)])
+        # zero subdiagonal: block upper triangular, the blocks' polynomials multiply
+        block = [[rational() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i // 2 * 2):
+                block[i][j] = Fraction(0)
+        matrices.append(block)
+        # nilpotent: strictly upper triangular, then moved by a similarity
+        strict = [[rational() if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+        matrices.extend([strict, move(strict)])
+    for a in matrices:
+        n = len(a)
+        entries = [sympy.Rational(c.numerator, c.denominator) for r in a for c in r]
+        coeffs = sympy.Matrix(n, n, entries).charpoly().all_coeffs()[::-1]
+        assert characteristic_polynomial(a) == [Fraction(str(c)) for c in coeffs]
+        if n and all(a[i][j] == 0 for i in range(n) for j in range(i + 1)):
+            assert characteristic_polynomial(a) == [0] * n + [1]
+    assert characteristic_polynomial([]) == [1]

@@ -11,10 +11,10 @@ from oscurve.qfields import (
     QuadExt,
     QuadraticField,
     make_quadratic,
-    parse_scalar,
     rational_sqrt,
     squarefree_core,
 )
+from oscurve.rings import PolyRing
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -122,9 +122,13 @@ def test_textual_forms():
     assert str(Fraction(5, 6)) == "5/6"
     assert str(QuadExt(1, -2, 5)) == "1 - 2*sqrt(5)"
     assert str(QuadExt(0, 1, -1)) == "sqrt(-1)"
-    assert parse_scalar("3/4") == Fraction(3, 4)
-    assert parse_scalar("1 - 2*sqrt(5)") == QuadExt(1, -2, 5)
-    assert parse_scalar("sqrt(-1)") == QuadExt(0, 1, -1)
+
+    def parse(text, d):
+        return PolyRing(("x",), QuadraticField(d)).parse(text).constant_term()
+
+    assert parse("3/4", 5) == Fraction(3, 4)
+    assert parse("1 - 2*sqrt(5)", 5) == QuadExt(1, -2, 5)
+    assert parse("sqrt(-1)", -1) == QuadExt(0, 1, -1)
 
 
 def test_field_descriptors():

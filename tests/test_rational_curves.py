@@ -293,6 +293,20 @@ def test_moving_line_route_agrees_with_sympy(seeded):
         assert ratio.is_number and ratio != 0, n
 
 
+def test_implicitize_refuses_a_non_vanishing_candidate(monkeypatch):
+    from oscurve import rational_curves
+    from oscurve.errors import InvariantViolation
+
+    # a wrong squarefree part: the implicit cubic plus x^3, which does not
+    # vanish on the curve
+    true_part = rational_curves.squarefree_part
+    monkeypatch.setattr(
+        rational_curves, "squarefree_part", lambda p: true_part(p) + p.ring.parse("x^3")
+    )
+    with pytest.raises(InvariantViolation, match="non-vanishing"):
+        implicitize(PlaneParameterization.parse("(s^2 - t^2)*t; s*(s^2 - t^2); t^3"))
+
+
 def test_implicitize_refuses_a_base_point():
     ring = param_ring()
     f0, f1, f2 = (ring.parse(t) for t in ("s^2", "s*t", "s^2 + s*t"))
