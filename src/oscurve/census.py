@@ -8,26 +8,32 @@ For k = 2 the scheme is finite of length C(n-1, 2), and its local length at
 each support point is the delta invariant of the singular point there.  One
 chart algebra gives them all: by Stickelberger's theorem they are the root
 multiplicities of the characteristic polynomial of a chart coordinate that
-separates the points (`groebner.chart_radical`).  Support points on the conic
-y^2 - 4xz are exactly the one-branch (cuspidal) singularities.  Labels come
-from the implicit-side double point classifier, run at each image point.
+separates the points (`groebner.chart_radical`), and the shape position that
+places the points comes from one linear solve in that algebra, not from a
+lex Groebner basis.  The census needs double points only; it checks that on
+the implicit equation F, whose second partials have no common zero exactly
+when the image has no point of multiplicity >= 3.  Support points on the
+conic y^2 - 4xz are exactly the one-branch (cuspidal) singularities.  Labels
+come from the implicit-side double point classifier, run at each image
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, tee
 
 from .classifier import classify_double_point
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
-    TermOrder,
     chart_lines,
     chart_matrix,
     chart_radical,
     ideal_sum,
     is_empty_scheme,
+    linear_relations,
     scheme_length,
     to_chart,
 )
@@ -83,8 +89,13 @@ def cusp_conic(ring: PolyRing) -> Polynomial:
     return y * y - 4 * x * z
 
 
-def has_multiplicity_at_least(param: PlaneParameterization, k: int) -> bool:
-    return not is_empty_scheme(multiple_point_scheme_ideal(param, k))
+def has_triple_point(F: Polynomial) -> bool:
+    """Whether the plane curve F = 0 has a point of multiplicity >= 3: the
+    six second partials of F have a common zero.  In characteristic 0,
+    Euler's formula makes F and its first partials vanish there too."""
+    names = F.ring.variables
+    second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
+    return not is_empty_scheme(Ideal(F.ring, second))
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +218,33 @@ def support_sites(ideal: Ideal):
     conjugate quadratic pairs and unsplit clusters, each with its local
     length.
 
-    In the first chart line whose chart radical (`chart_radical`) has the
-    lex shape basis [g(xc), yc - h(xc)], xc separates the points, so the
-    local lengths are the root multiplicities of chi_x, by Stickelberger's
-    theorem.  Returns a list of (_SupportPiece, chart matrix); chart data
-    maps back to the input coordinates through the matrix.
+    In a chart, g = the monic squarefree part of chi_x has one root per value
+    of xc on the support, and 1, xc, ..., xc^(deg g - 1) are independent
+    modulo the radical.  So xc separates the points exactly when yc = h(xc)
+    modulo the radical for some h of degree < deg g: the shape position
+    [g(xc), yc - h(xc)], found by one linear solve on normal forms.  Then
+    the local lengths are the root multiplicities of chi_x, by Stickelberger's
+    theorem.  In every `chart_matrix`, xc = x / ell, which cannot separate
+    two points on the line x = 0; so once the chart lines run out, they are
+    tried again with their two kernel coordinates swapped.  Returns a list
+    of (_SupportPiece, chart matrix); chart data maps back to the input
+    coordinates through the matrix.
     """
-    for ell in chart_lines(ideal):
-        matrix = chart_matrix(ell)
-        radical, chi = chart_radical(ideal, matrix)
-        if chi.degree() == 0:
+    lines, again = tee(chart_lines(ideal))
+    swapped = (tuple((b, a, c) for a, b, c in chart_matrix(ell)) for ell in again)
+    for matrix in chain(map(chart_matrix, lines), swapped):
+        radical, chi, g = chart_radical(ideal, matrix)
+        if g.degree() == 0:
             return []
-        polys = radical.groebner_basis(TermOrder.lex(("yc", "xc"))).polys
-        yc = radical.ring.var("yc")
-        if len(polys) != 2 or (polys[1] - yc).degree_in("yc") > 0:
-            continue
-        g_x, lin_y = polys
-        return [(piece, matrix) for piece in _split_eliminant(g_x, yc - lin_y, chi)]
+        xc, yc = radical.ring.gens()
+        relations = linear_relations(
+            radical.groebner_basis(), [xc**i for i in range(g.degree())] + [yc]
+        )
+        if relations:
+            # the powers of xc are independent, so yc's column is the free one
+            (vec,) = relations
+            h_line = radical.ring.from_terms({(i, 0): -c for i, c in enumerate(vec[:-1])})
+            return [(piece, matrix) for piece in _split_eliminant(g, h_line, chi)]
     raise DegenerateInputError("could not put the support in shape position")
 
 
@@ -276,7 +297,8 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     from localized lengths and cusp flags from the conic test.
 
     Preconditions checked here: the parameterization is proper and the image
-    has double points only (the k = 3 scheme is empty)."""
+    has double points only (the second partials of its implicit equation F
+    have no common zero, `has_triple_point`)."""
     n = param.n
     if n < 3:
         raise DegenerateInputError("degree must be at least 3 to carry singular points")
@@ -287,7 +309,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         )
     if not param.proper:
         raise DegenerateInputError("the parameterization is not generically one-to-one")
-    if n >= 4 and has_multiplicity_at_least(param, 3):
+    if has_triple_point(param.implicit.poly):
         raise DegenerateInputError(
             "the image curve has a point of multiplicity >= 3; the census handles double points only"
         )

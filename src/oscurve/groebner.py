@@ -1,6 +1,5 @@
 """Exact ideal arithmetic: Groebner bases, normal forms, Hilbert functions,
-elimination, saturation, colon ideals, and radicals of zero-dimensional
-ideals.
+elimination, saturation, and radicals of zero-dimensional ideals.
 
 The engine is a Buchberger loop with the normal selection strategy, both
 classical pair criteria (coprime leading terms and the Gebauer-Moeller chain
@@ -36,8 +35,8 @@ from operator import add, ge, sub
 from .errors import DegenerateInputError, RingMismatchError
 from .polyops import (
     characteristic_polynomial,
-    exact_divide,
     matrix_inverse,
+    nullspace,
     primitive_integers,
     squarefree_part,
 )
@@ -660,7 +659,7 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# sums, products, powers, intersections, colons
+# sums, powers, intersections
 # ---------------------------------------------------------------------------
 
 
@@ -668,12 +667,6 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise RingMismatchError("ideal sum needs a common ring")
     return Ideal(a.ring, list(a.gens) + list(b.gens))
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise RingMismatchError("ideal product needs a common ring")
-    return Ideal(a.ring, [f * g for f in a.gens for g in b.gens])
 
 
 def ideal_power(a: Ideal, e: int) -> Ideal:
@@ -714,20 +707,6 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     gens += [g.restrict(big) * one_minus_t for g in b.gens]
     small = eliminate(Ideal(big, gens), {t})
     return Ideal(ring, [g.restrict(ring) for g in small.gens])
-
-
-def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
-    """The colon ideal a : b."""
-    if a.ring != b.ring:
-        raise RingMismatchError("colon needs a common ring")
-    result = None
-    for h in b.gens:
-        inter = ideal_intersection(a, Ideal(a.ring, [h]))
-        part = Ideal(a.ring, [exact_divide(g, h) for g in inter.gens])
-        result = part if result is None else ideal_intersection(result, part)
-    if result is None:
-        raise DegenerateInputError("colon by the zero ideal")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -875,48 +854,25 @@ def saturate(ideal: Ideal, by) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
+def linear_relations(gb: GroebnerBasis, polys) -> list[list]:
+    """Basis of the coefficient vectors (a_1, ..., a_m) with sum_i a_i p_i in
+    the ideal of `gb`: the null space of the normal forms of the p_i, one
+    equation per monomial that they use."""
+    nfs = [gb.normal_form(p) for p in polys]
+    field = gb.ring.field
+    monomials = sorted({e for nf in nfs for e in nf.terms})
+    rows = [[nf.terms.get(e, field.zero) for nf in nfs] for e in monomials]
+    return nullspace(rows, len(nfs), one=field.one)
+
+
 def degree_slice_members(ideal: Ideal, d: int, strict: bool = True):
-    """Basis of the space of ideal members of degree == d (strict) or <= d.
-
-    Linear algebra on normal forms: a combination of monomials lies in the
-    ideal exactly when its normal form vanishes.
-    """
-    from .polyops import nullspace
-
+    """Basis of the space of ideal members of degree == d (strict) or <= d:
+    the linear relations among the monomials modulo the ideal."""
     ring = ideal.ring
-    gb = ideal.groebner_basis()
-
-    monos = []
     degrees = [d] if strict else range(d + 1)
-    for k in degrees:
-        monos.extend(_degree_exponents(ring.nvars, k))
-    nf_exps = set()
-    nfs = []
-    for m in monos:
-        nf = gb.normal_form(ring.monomial(m))
-        nfs.append(nf)
-        nf_exps.update(nf.terms)
-    cols = sorted(nf_exps)
-    col_index = {e: i for i, e in enumerate(cols)}
-    field = ring.field
-    rows = []
-    for nf in nfs:
-        row = [field.zero] * len(cols)
-        for e, c in nf.terms.items():
-            row[col_index[e]] = c
-        rows.append(row)
-    # combinations over the monomials: transpose to solve sum_i a_i nf_i = 0
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(cols))]
-    kernel = nullspace(transposed, len(monos), one=field.one)
-    members = []
-    for vec in kernel:
-        p = ring.zero()
-        for coeff, m in zip(vec, monos):
-            if coeff:
-                p = p + ring.monomial(m, coeff)
-        if not p.is_zero:
-            members.append(p)
-    return members
+    exps = [e for k in degrees for e in _degree_exponents(ring.nvars, k)]
+    relations = linear_relations(ideal.groebner_basis(), [ring.monomial(e) for e in exps])
+    return [ring.from_terms(zip(exps, vec)) for vec in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +960,8 @@ def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
 
 
 def chart_radical(ideal: Ideal, matrix):
-    """(radical, chi_x) of the chart scheme I = `to_chart(ideal, matrix)`.
+    """(radical, chi_x, g) of the chart scheme I = `to_chart(ideal, matrix)`,
+    with g the monic squarefree part of chi_x.
 
     The standard monomials of the grevlex basis of I are a basis of A =
     K[xc, yc]/I, and normal forms give the matrices of multiplication by xc
@@ -1031,9 +988,10 @@ def chart_radical(ideal: Ideal, matrix):
                 rows[index[f]][j] = c
         coeffs = characteristic_polynomial(rows)
         chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
-    radical = Ideal(ring, list(gb.polys) + [squarefree_part(chi) for chi in chis])
-    reduced = radical.groebner_basis()
-    return Ideal(ring, reduced.polys).attach_basis(reduced), chis[0]
+    parts = [squarefree_part(chi) for chi in chis]
+    reduced = Ideal(ring, list(gb.polys) + parts).groebner_basis()
+    g = parts[0] * (ring.field.one / parts[0].terms[(parts[0].degree(), 0)])
+    return Ideal(ring, reduced.polys).attach_basis(reduced), chis[0], g
 
 
 def zero_dim_radical(ideal: Ideal) -> Ideal:

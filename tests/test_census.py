@@ -6,19 +6,22 @@ from oscurve.census import (
     classify_curve_singularities,
     cusp_conic,
     double_point_census,
-    has_multiplicity_at_least,
+    has_triple_point,
     is_curvilinear_at,
     multiple_point_matrix,
     multiple_point_scheme_ideal,
     support_sites,
 )
-from oscurve.errors import DegenerateInputError
+from oscurve.errors import DegenerateInputError, OscurveError
 from oscurve.groebner import (
     Ideal,
+    TermOrder,
+    chart_radical,
     from_chart,
     ideal_intersection,
     ideal_power,
     ideal_sum,
+    is_empty_scheme,
     saturate,
     scheme_length,
     zero_dim_radical,
@@ -65,6 +68,29 @@ def site_quadratic(param, site):
     return quadratic
 
 
+def generator_param(n):
+    """The ROADMAP generator: the first center of coefficients in [-3, 3]
+    drawn from random.Random(7) that gives a proper parameterization of
+    degree n."""
+    import random
+
+    rng = random.Random(7)
+    amb = ambient_ring(n)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(3)]
+        center = [sum((c * z for c, z in zip(row, amb.gens())), amb.zero()) for row in rows]
+        try:
+            return parameterization_from_center(n, center)
+        except OscurveError:
+            continue
+
+
+def has_multiplicity_at_least(param, k):
+    """The k-fold point oracle: the scheme of the k-th banded matrix is
+    nonempty exactly when the image has a point of multiplicity >= k."""
+    return not is_empty_scheme(multiple_point_scheme_ideal(param, k))
+
+
 def site_ideal(piece, matrix, ring):
     """Homogeneous ideal of one support piece: the points yc = h(xc) over
     the roots of the piece's factor, back from the chart."""
@@ -108,15 +134,29 @@ def test_k_out_of_range():
 
 
 def test_triple_point_scheme_empty_for_double_point_curves():
-    assert not has_multiplicity_at_least(quartic_param(TACNODE_QUARTIC_CENTER), 3)
+    # the census's gate on the second partials of F against the k = 3 oracle
+    for name, build in CENSUS_INPUTS.items():
+        param = build()
+        assert not has_triple_point(param.implicit.poly), name
+        # a proper cubic is irreducible, so it has no triple point; k = 3 needs n >= 4
+        assert param.n == 3 or not has_multiplicity_at_least(param, 3), name
 
 
 def test_triple_point_scheme_nonempty_for_a_triple_point():
-    # near [s : t] = [1 : 0] the branch is (t^3, t^4): a triple point at [1 : 0 : 0]
-    param = PlaneParameterization.parse("s^4; s*t^3; t^4")
-    assert has_multiplicity_at_least(param, 3)
-    with pytest.raises(DegenerateInputError, match="multiplicity >= 3"):
-        double_point_census(param)
+    # near [s : t] = [1 : 0] the branch of the quartic is (t^3, t^4): a triple
+    # point at [1 : 0 : 0].  The sextic's f0 and f1 share the factors s, t and
+    # s - t, so [1 : 0], [0 : 1] and [1 : 1] all go to [0 : 0 : 1].
+    for text in (
+        "s^4; s*t^3; t^4",
+        "s*t*(s - t)*(s^3 + 2*t^3); s*t*(s - t)*(s^3 - s*t^2 + 3*t^3); "
+        "s^6 + 2*s^5*t - s^3*t^3 + 3*s*t^5 + t^6",
+    ):
+        param = PlaneParameterization.parse(text)
+        assert param.proper
+        assert has_multiplicity_at_least(param, 3)
+        assert has_triple_point(param.implicit.poly)
+        with pytest.raises(DegenerateInputError, match="multiplicity >= 3"):
+            double_point_census(param)
 
 
 # -- censuses ---------------------------------------------------------------------
@@ -391,6 +431,26 @@ def test_support_in_a_fallback_chart():
     assert found == set(points)
 
 
+def test_support_when_xc_does_not_separate():
+    from oscurve.census import _projective_from_chart
+    from oscurve.groebner import chart_matrix
+
+    # two of the points lie on x = 0, and xc = x / ell in every chart, so
+    # only a chart with its kernel coordinates swapped separates them
+    ring = PolyRing(("x", "y", "z"))
+    points = [(0, 0, 1), (0, 1, 1), (1, 2, 1)]
+    reduced = None
+    for p in points:
+        simple = point_ideal(ring, p)
+        reduced = simple if reduced is None else ideal_intersection(reduced, simple)
+    pieces = support_sites(reduced)
+    z_chart = chart_matrix(ring.var("z"))
+    assert {matrix for _, matrix in pieces} == {tuple((b, a, c) for a, b, c in z_chart)}
+    assert [piece.delta for piece, _ in pieces] == [1, 1, 1]
+    found = {_projective_from_chart(piece.chart_points[0], matrix) for piece, matrix in pieces}
+    assert found == set(points)
+
+
 @pytest.mark.parametrize("name", ["tacnode", "sextic", "mixed-cluster"])
 def test_local_lengths_match_saturation(name):
     param = {
@@ -428,26 +488,16 @@ def test_cluster_cusp_count_matches_conic_length(text, size, cusps):
 
 
 def test_roadmap_octic_census():
-    import random
-
-    from oscurve.errors import OscurveError
-
-    # the first center of coefficients in [-3, 3] drawn from random.Random(7)
-    # that gives a proper parameterization of degree 8
-    rng = random.Random(7)
-    amb = ambient_ring(8)
-    while True:
-        rows = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(3)]
-        center = [sum((c * z for c, z in zip(row, amb.gens())), amb.zero()) for row in rows]
-        try:
-            param = parameterization_from_center(8, center)
-            break
-        except OscurveError:
-            continue
-    census = classify_curve_singularities(param)
+    census = classify_curve_singularities(generator_param(8))
     assert census.total_length == 21
     assert census.labels() == ["A1"] * 19 + ["A4"]
     assert sorted(site.delta_total for site in census.sites) == [2, 19]
+
+
+def test_roadmap_nonic_census():
+    census = classify_curve_singularities(generator_param(9))
+    assert census.total_length == 28 == census.delta_sum
+    assert census.labels() == ["A1"] * 28
 
 
 def test_census_runs_no_saturation_or_elimination(monkeypatch):
@@ -487,3 +537,66 @@ def test_census_values_survive_pickling():
         for c in site.coords or ()
     )
     assert pickle.loads(pickle.dumps(census)) == census
+
+
+# -- the census's own paths against their Groebner oracles ---------------------------
+
+CENSUS_INPUTS = {
+    "nodal-cubic": lambda: PlaneParameterization.parse(NODAL_CUBIC),
+    "cuspidal-cubic": lambda: PlaneParameterization.parse(CUSPIDAL_CUBIC),
+    "sextic": sextic_param,
+    "oscnode-quartic": lambda: quartic_param(OSCNODE_QUARTIC_CENTER),
+    "tacnode-quartic": lambda: quartic_param(TACNODE_QUARTIC_CENTER),
+    "mixed-cluster-quintic": lambda: PlaneParameterization.parse(MIXED_CLUSTER_QUINTIC),
+    "tricuspidal-quartic": lambda: PlaneParameterization.parse(TRICUSPIDAL_QUARTIC),
+    "mixed-quartic": lambda: PlaneParameterization.parse(MIXED_QUARTIC),
+    "conjugate-nodes-quartic": lambda: PlaneParameterization.parse(CONJUGATE_NODES_QUARTIC),
+    "height-1000": lambda: PlaneParameterization.parse(
+        "s^4 + 1000*t^4; 1007*s^3*t - s*t^3; 997*s^2*t^2 + t^4"
+    ),
+    "height-10^12": lambda: PlaneParameterization.parse(
+        f"s^4 + {10**12}*t^4; {10**12 + 7}*s^3*t - s*t^3; {10**12 - 3}*s^2*t^2 + t^4"
+    ),
+    "pickled-quartic": lambda: PlaneParameterization.parse(
+        "s^4 + 10*t^4; 17*s^3*t - s*t^3; 7*s^2*t^2 + t^4"
+    ),
+    **{f"generator-{n}": (lambda n=n: generator_param(n)) for n in (6, 7, 8, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(CENSUS_INPUTS) - {"generator-9"}))
+def test_shape_position_matches_the_lex_basis(name):
+    # at n = 9 the lex basis alone takes about two minutes
+    ideal = multiple_point_scheme_ideal(CENSUS_INPUTS[name](), 2)
+    pieces = support_sites(ideal)
+    (matrix,) = {matrix for _, matrix in pieces}
+    (h_line,) = {piece.h_line for piece, _ in pieces}
+    radical, _, g = chart_radical(ideal, matrix)
+    product = radical.ring.one()
+    for piece, _ in pieces:
+        product = product * piece.factor
+    assert product == g
+    yc = radical.ring.var("yc")
+    assert list(radical.groebner_basis(TermOrder.lex(("yc", "xc"))).polys) == [g, yc - h_line]
+
+
+def test_census_makes_no_lex_basis_and_no_k3_scheme(monkeypatch):
+    from oscurve import census, groebner
+
+    orders, ks = [], []
+    buchberger, matrix = groebner.buchberger, census.multiple_point_matrix
+
+    def counting_buchberger(ideal, order=groebner.DEFAULT_ORDER):
+        orders.append(order.kind)
+        return buchberger(ideal, order)
+
+    def counting_matrix(param, k):
+        ks.append(k)
+        return matrix(param, k)
+
+    monkeypatch.setattr(groebner, "buchberger", counting_buchberger)
+    monkeypatch.setattr(census, "multiple_point_matrix", counting_matrix)
+    for name in ("sextic", "mixed-cluster-quintic", "tacnode-quartic"):
+        classify_curve_singularities(CENSUS_INPUTS[name]())
+    assert orders and "lex" not in orders
+    assert ks == [2, 2, 2]
