@@ -97,10 +97,8 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
         cols[j][i] = field.one
     transform = tuple(tuple((cols[0][i], cols[1][i], p[i])) for i in range(3))
 
-    v0, v1, v2 = ring.variables
-    moved = F.linear_change(transform)
     aff_ring = affine_ring(field)
-    affine = moved.substitute({v2: ring.one()}).restrict(aff_ring, {v0: "x", v1: "y"})
+    affine = F.chart(transform, aff_ring)
     if affine.constant_term():
         raise InvariantViolation("recentred curve misses the origin")
 
@@ -116,10 +114,7 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
                 transform = tuple((row[0], row[0] + row[1], row[2]) for row in transform)
             else:
                 raise InvariantViolation("double point with zero quadratic part")
-            moved = F.linear_change(transform)
-            affine = moved.substitute({v2: ring.one()}).restrict(
-                aff_ring, {v0: "x", v1: "y"}
-            )
+            affine = F.chart(transform, aff_ring)
             a02_fixed = True
         else:
             a02_fixed = True

@@ -9,7 +9,9 @@ polynomial per line).  `repro` replays the built-in golden reference cases.
 
 Exit codes: 0 success, 1 mathematical refusal (a curve non-reduced at the
 point, a `classify --cap` below the Milnor bound that runs out, improper
-parameterization, center meeting the scheme, ...), 2 malformed input.
+parameterization, center meeting the scheme, ...), 2 malformed input (a
+`ParseError`, raised where user text is read) or an unreadable file,
+3 internal error (a failed self-check or any other exception: a bug).
 All output is deterministic; `--json` emits exactly one document.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .census import classify_curve_singularities
@@ -53,10 +56,23 @@ def parse_ring_header(line: str) -> PolyRing:
     body = line[5:].strip()
     if not body.startswith("QQ[") or not body.endswith("]"):
         raise ParseError(f"unsupported ring declaration {body!r}; expected QQ[v1,v2,...]")
-    names = [v.strip() for v in body[3:-1].split(",") if v.strip()]
+    names = _split_names(body[3:-1])
     if not names:
         raise ParseError("ring declaration lists no variables")
-    return PolyRing(tuple(names))
+    return _input_error(PolyRing, names)
+
+
+def _split_names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _input_error(build, *args):
+    """build(*args) on names read from the user: the ValueError that a bad,
+    repeated, missing or unknown variable name raises is an input error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def read_ideal_text(text: str) -> Ideal:
@@ -175,12 +191,22 @@ def _emit(doc, as_json: bool, human_lines):
 # ---------------------------------------------------------------------------
 
 
+def _parse_point(text: str) -> list[Fraction]:
+    point = []
+    for v in text.split(","):
+        try:
+            point.append(Fraction(v.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad point coordinate {v.strip()!r}") from None
+    if len(point) != 3:
+        raise ParseError("the point needs three comma-separated coordinates")
+    return point
+
+
 def _cmd_classify(ns) -> int:
     ring = projective_ring()
     F = ring.parse(ns.curve)
-    point = [Fraction(v.strip()) for v in ns.point.split(",")]
-    if len(point) != 3:
-        raise ParseError("the point needs three comma-separated coordinates")
+    point = _parse_point(ns.point)
     verdict, trace = classify_double_point(F, point, cap=ns.cap)
     doc = verdict_json(verdict, trace)
     oracle_line = None
@@ -274,13 +300,17 @@ def _cmd_analyze_param(ns) -> int:
 
 
 def _cmd_project(ns) -> int:
-    names = tuple(ns.names.split(",")) if ns.names else None
-    amb = ambient_ring(ns.n, names)
+    names = _split_names(ns.names) if ns.names else None
+    amb = _input_error(ambient_ring, ns.n, names)
+    targets = _split_names(ns.targets)
+    if len(targets) != 3:
+        raise ParseError("--targets needs three comma-separated names")
+    _input_error(PolyRing, amb.variables + targets)  # targets apart from the ambient names
     center = [amb.parse(p) for p in ns.center.split(";") if p.strip()]
     scheme = _load_ideal(ns.scheme)
     if scheme.ring != amb:
-        scheme = Ideal(amb, [g.restrict(amb) for g in scheme.gens])
-    image = project_scheme(scheme, center, targets=tuple(ns.targets.split(",")))
+        scheme = Ideal(amb, [_input_error(g.restrict, amb) for g in scheme.gens])
+    image = project_scheme(scheme, center, targets=targets)
     doc = {"image_ideal": [str(g) for g in image.groebner_basis().polys]}
     _emit(doc, ns.json, [format_ideal(Ideal(image.ring, image.groebner_basis().polys))])
     return 0
@@ -319,7 +349,10 @@ def _cmd_hilbert(ns) -> int:
 
 def _cmd_eliminate(ns) -> int:
     ideal = _load_ideal(ns.ideal)
-    drop = [v.strip() for v in ns.drop.split(",") if v.strip()]
+    drop = _split_names(ns.drop)
+    unknown = [v for v in drop if v not in ideal.ring.variables]
+    if unknown:
+        raise ParseError(f"{unknown[0]!r} is not a variable of {ideal.ring}")
     small = eliminate(ideal, drop)
     doc = {"ideal": [str(g) for g in small.gens], "variables": list(small.ring.variables)}
     _emit(doc, ns.json, [format_ideal(small)])
@@ -350,6 +383,8 @@ def _cmd_repro(ns) -> int:
         for case in repro_manifest():
             print(f"{case.name}: {case.description}")
         return 0
+    if ns.case not in (None, "all") and ns.case not in {c.name for c in repro_manifest()}:
+        raise ParseError(f"unknown reference case {ns.case!r}; see 'oscurve repro --list'")
     if ns.case is None or ns.case == "all":
         results = run_all_repro_cases()
         doc = [{"case": n, "passed": ok, "mismatches": bad} for n, ok, bad in results]
@@ -469,15 +504,17 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OscurveError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # the last boundary: any other exception is a bug, reported with its traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

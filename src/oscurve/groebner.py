@@ -935,16 +935,8 @@ def chart_matrix(ell: Polynomial):
 def to_chart(ideal: Ideal, matrix) -> Ideal:
     """The ideal moved by the chart matrix and dehomogenized at the last
     variable, in K[xc, yc]."""
-    ring = ideal.ring
-    x, y, z = ring.variables
-    aff = PolyRing(("xc", "yc"), ring.field)
-    return Ideal(
-        aff,
-        [
-            g.linear_change(matrix).substitute({z: ring.one()}).restrict(aff, {x: "xc", y: "yc"})
-            for g in ideal.gens
-        ],
-    )
+    aff = PolyRing(("xc", "yc"), ideal.ring.field)
+    return Ideal(aff, [g.chart(matrix, aff) for g in ideal.gens])
 
 
 def from_chart(gens, matrix, ring: PolyRing) -> Ideal:

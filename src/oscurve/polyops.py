@@ -1,6 +1,6 @@
 """Elementary polynomial machinery: determinants and minors of polynomial
-matrices, Sylvester resultants, gcds, squarefree parts, rational roots, and
-exact linear algebra over the coefficient fields.
+matrices, gcds, squarefree parts, rational roots, and exact linear algebra
+over the coefficient fields.
 
 Determinants and minors of polynomial matrices are computed by one
 algorithm, Laplace expansion memoized on column subsets: it shares work
@@ -25,50 +25,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInputError, InvariantViolation
 from .qfields import QuadExt, RationalField
-from .rings import Polynomial, PolyMatrix, PolyRing, gradedlex_key
-
-# ---------------------------------------------------------------------------
-# raw term-dict arithmetic (coefficients may be int, Fraction, or QuadExt)
-# ---------------------------------------------------------------------------
-
-
-def _dict_mul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(sum, zip(e1, e2)))
-            s = out.get(e)
-            if s is None:
-                out[e] = c1 * c2
-            else:
-                s = s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-    return out
-
-
-def _integer_entry_dicts(entries):
-    """Clear denominators of Fraction-coefficient polynomials to plain ints.
-
-    Returns (dicts, scale) where every entry was multiplied by `scale`.
-    None when some coefficient is not rational.
-    """
-    den = 1
-    for p in entries:
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-            elif not isinstance(c, int):
-                return None, None
-    dicts = []
-    for p in entries:
-        dicts.append({e: int(c * den) for e, c in p.terms.items()})
-    return dicts, den
-
+from .rings import Polynomial, PolyMatrix, PolyRing, dict_mul, gradedlex_key, integer_dicts
 
 # ---------------------------------------------------------------------------
 # determinants and minors
@@ -95,7 +52,7 @@ def _laplace_det(entry_dicts, rows, cols, memo):
         if entry:
             sub = _laplace_det(entry_dicts, sub_rows, cols[:j] + cols[j + 1 :], memo)
             if sub:
-                piece = _dict_mul(entry, sub)
+                piece = dict_mul(entry, sub)
                 for e, c in piece.items():
                     v = c if sign == 1 else -c
                     s = total.get(e)
@@ -117,16 +74,14 @@ class _LaplaceContext:
 
     def __init__(self, matrix: PolyMatrix):
         self.ring = matrix.ring
-        entries = matrix.entries
-        int_dicts, self.scale = _integer_entry_dicts(entries)
+        terms = [p.terms for p in matrix.entries]
+        if isinstance(self.ring.field, RationalField):
+            grid, self.scale = integer_dicts(terms)
+        else:
+            grid, self.scale = terms, None
         self.memo = {}
         self.rows = matrix.rows
         self.cols = matrix.cols
-        if int_dicts is not None:
-            grid = int_dicts
-        else:
-            self.scale = None
-            grid = [dict(p.terms) for p in entries]
         self.by_row = [
             {j: grid[i * self.cols + j] for j in range(self.cols) if grid[i * self.cols + j]}
             for i in range(self.rows)
@@ -134,10 +89,8 @@ class _LaplaceContext:
 
     def det(self, rows, cols):
         d = _laplace_det(self.by_row, tuple(rows), tuple(cols), self.memo)
-        if self.scale is not None and self.scale != 1:
-            k = len(rows)
-            f = Fraction(1, self.scale**k)
-            d = {e: c * f for e, c in d.items()}
+        if self.scale is not None:
+            d = {e: Fraction(c, self.scale ** len(rows)) for e, c in d.items()}
         return self.ring.from_terms(d)
 
 
@@ -197,43 +150,6 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
                 else:
                     del rem[e]
     return Polynomial(ring, quot)
-
-
-# ---------------------------------------------------------------------------
-# Sylvester resultant
-# ---------------------------------------------------------------------------
-
-
-def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    """Determinant of the Sylvester matrix of a and b with respect to `var`.
-
-    Both inputs must have positive degree in `var`; the result does not
-    involve `var` and vanishes exactly when a and b share a factor of
-    positive degree in it.
-    """
-    ring = a.ring
-    if b.ring != ring:
-        raise DegenerateInputError("resultant operands must share a ring")
-    m = a.degree_in(var)
-    n = b.degree_in(var)
-    if m <= 0 or n <= 0:
-        raise DegenerateInputError("resultant needs positive degree in the chosen variable")
-    ca = a.as_univariate_in(var)
-    cb = b.as_univariate_in(var)
-    zero = ring.zero()
-    size = m + n
-    entries = []
-    for i in range(n):  # rows of a-coefficients
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + k] = ca.get(m - k, zero)
-        entries.extend(row)
-    for i in range(m):  # rows of b-coefficients
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + k] = cb.get(n - k, zero)
-        entries.extend(row)
-    return PolyMatrix(ring, size, size, entries).det()
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,7 @@ class PlaneParameterization:
         return self.implicit.map_degree == 1
 
     def evaluate(self, q):
-        field = self.ring.field
-        vals = [field.coerce(v) for v in q]
-        return tuple(f.evaluate(vals) for f in self.forms)
+        return tuple(f.evaluate(q) for f in self.forms)
 
     def fiber_form(self, point) -> Polynomial:
         """Binary form whose roots are the parameters mapping to `point`:

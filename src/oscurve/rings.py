@@ -10,9 +10,11 @@ through `parse_poly`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DegenerateInputError, ParseError, RingMismatchError
-from .qfields import QQ, QuadExt, QuadraticField
+from .qfields import QQ, QuadExt, QuadraticField, RationalField
 
 INF = float("inf")
 
@@ -251,37 +253,14 @@ class Polynomial:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(sum, zip(e1, e2)))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, dict_mul(self.terms, o.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _powers(self, (e,), mul, self.ring.one())[e]
 
     def map_coefficients(self, fn, new_ring=None):
         ring = new_ring or self.ring
@@ -303,7 +282,6 @@ class Polynomial:
         the common ring of the assigned polynomials, or this ring.
         """
         ring = target_ring
-        assigned = {}
         for name, val in assignments.items():
             self.ring.index(name)  # validate
             if isinstance(val, Polynomial):
@@ -311,60 +289,42 @@ class Polynomial:
                     ring = val.ring
                 elif val.ring != ring:
                     raise RingMismatchError("assignment values live in different rings")
-            assigned[name] = val
         if ring is None:
             ring = self.ring
-        for name, val in assigned.items():
-            if not isinstance(val, Polynomial):
-                assigned[name] = ring.const(val)
         images = []
         for v in self.ring.variables:
-            if v in assigned:
-                images.append(assigned[v])
-            else:
-                images.append(ring.var(v))  # raises if missing from target
+            val = assignments[v] if v in assignments else ring.var(v)  # raises if missing
+            images.append(val if isinstance(val, Polynomial) else ring.const(val))
         return self._apply_images(images, ring)
 
     def _apply_images(self, images, ring) -> Polynomial:
-        # cache powers of each image to share work across terms
-        pow_cache = [{0: ring.one()} for _ in images]
-
-        def img_pow(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                half = img_pow(i, k // 2)
-                sq = half * half
-                cache[k] = sq if k % 2 == 0 else sq * images[i]
-            return cache[k]
-
-        total = ring.zero()
-        for e, c in self.terms.items():
-            term = ring.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * img_pow(i, k)
-            total = total + term
-        return total
+        """This polynomial with variable i replaced by images[i], in `ring`."""
+        if isinstance(self.ring.field, RationalField) and isinstance(ring.field, RationalField):
+            return _apply_images_qq(self.terms, images, ring)
+        return self._generic_apply(images, ring.one(), ring.const)
 
     def evaluate(self, values):
         """Evaluate at a full point; values align with ring.variables."""
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of values")
         vals = [self.ring.coerce_scalar(v) for v in values]
-        pow_cache = [{0: self.ring.field.one} for _ in vals]
+        if isinstance(self.ring.field, RationalField):
+            return _evaluate_qq(self.terms, vals)
+        return self._generic_apply(vals, self.ring.field.one, self.ring.field.coerce)
 
-        def val_pow(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = cache.setdefault(k - 1, val_pow(i, k - 1)) * vals[i]
-            return cache[k]
-
-        total = self.ring.field.zero
+    def _generic_apply(self, images, one, lift):
+        """This polynomial at scalar or polynomial `images`, with `lift`
+        taking a coefficient to the images' domain: the loop over any field,
+        the only one over QQ(sqrt(d)), and the reference for the QQ kernels."""
+        powers = [
+            _powers(img, {e[i] for e in self.terms}, mul, one) for i, img in enumerate(images)
+        ]
+        total = lift(0)
         for e, c in self.terms.items():
-            t = c
+            t = lift(c)
             for i, k in enumerate(e):
                 if k:
-                    t = t * val_pow(i, k)
+                    t = t * powers[i][k]
             total = total + t
         return total
 
@@ -473,6 +433,18 @@ class Polynomial:
         `matrix` is a square list-of-rows of scalars, of size nvars.
         """
         n = self.ring.nvars
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        return self._at_rows(matrix, self.ring, units)
+
+    def chart(self, matrix, aff) -> Polynomial:
+        """f(M (u, v, 1)) in `aff` = K[u, v] for a form f in three variables:
+        `linear_change(matrix)` dehomogenized at the last variable, in one pass."""
+        return self._at_rows(matrix, aff, [(1, 0), (0, 1), (0, 0)])
+
+    def _at_rows(self, matrix, ring, monomials):
+        """f at the images sum_j M[i][j] * monomials[j] in `ring`; M must be
+        square of size nvars and invertible."""
+        n = self.ring.nvars
         rows = [[self.ring.coerce_scalar(v) for v in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"matrix must be {n}x{n}")
@@ -480,15 +452,7 @@ class Polynomial:
 
         if matrix_rank(rows) < n:
             raise DegenerateInputError("linear change of coordinates must be invertible")
-        gens = self.ring.gens()
-        images = []
-        for i in range(n):
-            img = self.ring.zero()
-            for j in range(n):
-                if rows[i][j]:
-                    img = img + gens[j] * rows[i][j]
-            images.append(img)
-        return self._apply_images(images, self.ring)
+        return self._apply_images([ring.from_terms(zip(monomials, row)) for row in rows], ring)
 
     # -- comparison / printing --------------------------------------------------
 
@@ -513,6 +477,101 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"
+
+
+# ---------------------------------------------------------------------------
+# term-dict kernels
+# ---------------------------------------------------------------------------
+
+
+def dict_mul(a, b):
+    """Product of two term dicts {exponent: coefficient}; the coefficients
+    may be int, Fraction or QuadExt."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(sum, zip(e1, e2)))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def _powers(base, exponents, times, one):
+    """{k: base^k} for every k in `exponents`, built bottom-up with no
+    recursion: base^k is base^(k-1) * base when that is known (every k of a
+    dense range), else the square of base^(k//2), times base for odd k."""
+    need = set()
+    for k in exponents:
+        while k > 1 and k not in need:
+            need.add(k)
+            k >>= 1
+    table = {0: one, 1: base}
+    for k in sorted(need):
+        below = table.get(k - 1)
+        if below is not None:
+            table[k] = times(below, base)
+        else:
+            half = table[k >> 1]
+            table[k] = times(times(half, half), base) if k & 1 else times(half, half)
+    return table
+
+
+def integer_dicts(dicts):
+    """(integer dicts, D): term dicts over QQ written as integer numerators
+    over D, the least common denominator of all their coefficients."""
+    den = lcm(*(c.denominator for d in dicts for c in d.values()))
+    return [{e: c.numerator * (den // c.denominator) for e, c in d.items()} for d in dicts], den
+
+
+def _scaled_terms(terms, nums, D, times, one):
+    """(C * D^deg, scaled, powers) for f over QQ with terms n_e x^e / C at
+    the point or images a / D, given the numerators `nums` of a:
+    scaled[e] = n_e * D^(deg - |e|) and powers[i][k] = a_i^k, so that f(a / D)
+    is sum_e scaled[e] * a^e over C * D^deg."""
+    (coeffs,), C = integer_dicts([terms])
+    deg = max(map(sum, terms), default=0)
+    powers = [_powers(a, {e[i] for e in terms}, times, one) for i, a in enumerate(nums)]
+    return C * D**deg, {e: n * D ** (deg - sum(e)) for e, n in coeffs.items()}, powers
+
+
+def _evaluate_qq(terms, values):
+    """`Polynomial.evaluate` over QQ on integer numerators."""
+    (nums,), D = integer_dicts([dict(enumerate(values))])
+    den, scaled, powers = _scaled_terms(terms, nums.values(), D, mul, 1)
+    total = 0
+    for e, t in scaled.items():
+        for i, k in enumerate(e):
+            if k:
+                t *= powers[i][k]
+        total += t
+    return Fraction(total, den)
+
+
+def _apply_images_qq(terms, images, ring):
+    """`Polynomial._apply_images` over QQ on integer numerators, each image
+    an integer term dict over the images' common denominator.  Only the
+    final coefficients become `Fraction`s."""
+    nums, D = integer_dicts([img.terms for img in images])
+    one = {(0,) * ring.nvars: 1}
+    den, scaled, powers = _scaled_terms(terms, nums, D, dict_mul, one)
+    total = {}
+    for e, scale in scaled.items():
+        prod = one
+        for i, k in enumerate(e):
+            if k:
+                prod = powers[i][k] if prod is one else dict_mul(prod, powers[i][k])
+        for m, v in prod.items():
+            total[m] = total.get(m, 0) + scale * v
+    return Polynomial(ring, {m: Fraction(v, den) for m, v in total.items() if v})
 
 
 # ---------------------------------------------------------------------------

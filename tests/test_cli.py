@@ -64,6 +64,24 @@ def test_classify_rejects_garbage(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("point", ["1/0,0,1", "a,0,1", "0,0", "1,2,3,4"])
+def test_classify_rejects_bad_point_as_input_error(capsys, point):
+    code, _, err = run_cli(capsys, "classify", "--curve", "x1^2*x2 - x0^3", "--point", point)
+    assert code == 2
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad"), KeyError("x"), ZeroDivisionError("0")])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("oscurve.cli.classify_double_point", broken)
+    code, _, err = run_cli(capsys, "classify", "--curve", "x1^2*x2 - x0^3", "--point", "0,0,1")
+    assert code == 3
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+
+
 def test_classify_refuses_non_reduced(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--curve", "(x1*x2 - x0^2)^2", "--point", "0,0,1"
@@ -184,6 +202,22 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["ring: QQ[x,1y]\nx", "ring: QQ[x,x]\nx", "ring: QQ[x,y]\nx + z"]
+)
+def test_bad_ring_header_is_input_error(capsys, ideal_file, text):
+    code, _, err = run_cli(capsys, "gb", "--ideal", ideal_file(text))
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
+def test_eliminate_unknown_variable_is_input_error(capsys, ideal_file):
+    path = ideal_file("ring: QQ[x,y,z]\ny - x^2")
+    code, _, err = run_cli(capsys, "eliminate", "--ideal", path, "--drop", "x,q")
+    assert code == 2
+    assert "'q' is not a variable" in err
+
+
 # -- projection --------------------------------------------------------------------------
 
 
@@ -206,6 +240,35 @@ def test_project_command(capsys, ideal_file):
     )
     assert code == 0
     assert json.loads(out)["image_ideal"] == ["v - 1/9*w", "u - 2/9*w"]
+
+
+@pytest.mark.parametrize(
+    "names, targets, scheme",
+    [
+        ("a,b", "u,v,w", "ring: QQ[a,b,c]\na - b"),  # too few ambient names
+        ("a,b,1c", "u,v,w", "ring: QQ[a,b,c]\na - b"),  # bad name
+        ("a,b,c", "a,v,w", "ring: QQ[a,b,c]\na - b"),  # target repeats an ambient name
+        ("a,b,c", "u,v", "ring: QQ[a,b,c]\na - b"),  # two targets
+        ("a,b,c", "u,v,w", "ring: QQ[a,p]\na - p"),  # scheme outside the ambient space
+    ],
+)
+def test_project_bad_names_are_input_errors(capsys, ideal_file, names, targets, scheme):
+    code, _, err = run_cli(
+        capsys,
+        "project",
+        "--n",
+        "2",
+        "--center",
+        "a; b; c",
+        "--scheme",
+        ideal_file(scheme),
+        "--names",
+        names,
+        "--targets",
+        targets,
+    )
+    assert code == 2
+    assert err.startswith("input error: ")
 
 
 # -- repro --------------------------------------------------------------------------------
@@ -232,3 +295,9 @@ def test_repro_case_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["mismatches"] == []
+
+
+def test_repro_unknown_case_is_input_error(capsys):
+    code, _, err = run_cli(capsys, "repro", "no-such-case")
+    assert code == 2
+    assert "unknown reference case" in err

@@ -21,10 +21,11 @@ from oscurve.polyops import (
     rational_roots,
     repeated_factor_part,
     squarefree_part,
-    sylvester_resultant,
 )
 from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rings import PolyMatrix, PolyRing, Polynomial
+
+from helpers import sylvester_resultant
 
 R2 = PolyRing(("x", "y"))
 R4 = PolyRing(("x", "y", "z", "w"))

@@ -7,7 +7,7 @@ import pytest
 
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import Ideal, ideal_power, ideal_sum, scheme_length
-from oscurve.polyops import exact_divide, squarefree_part, sylvester_resultant
+from oscurve.polyops import exact_divide, squarefree_part
 from oscurve.rational_curves import (
     PlaneParameterization,
     _moving_line_matrix,
@@ -24,6 +24,8 @@ from oscurve.rational_curves import (
     rational_normal_curve_ideal,
 )
 from oscurve.rings import PolyRing
+
+from helpers import sylvester_resultant
 
 SEXTIC_NAMES = tuple("abcdefg")
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscurve.errors import DegenerateInputError, ParseError, RingMismatchError
-from oscurve.qfields import QuadraticField
-from oscurve.rings import INF, PolyRing
+from oscurve.qfields import QQ, QuadExt, QuadraticField
+from oscurve.rings import INF, PolyRing, Polynomial
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x0", "x1", "x2"))
@@ -173,6 +173,127 @@ def test_linear_change_round_trip(f):
     M = [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]]
     Minv = [[Fraction(3), Fraction(-2)], [Fraction(-1), Fraction(1)]]
     assert f.linear_change(M).linear_change(Minv) == f
+
+
+# -- the QQ kernels against the generic loop ----------------------------------
+#
+# Over QQ, `_apply_images` and `evaluate` run on integer numerators; the
+# generic loop `_generic_apply` is the QQ(sqrt(d)) path and the reference here.
+
+S3 = PolyRing(("s", "t", "u"))
+kernel_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def polys_in(ring, max_exp=3, max_size=5):
+    return st.builds(
+        ring.from_terms,
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, max_exp)] * ring.nvars), kernel_fractions),
+            max_size=max_size,
+        ),
+    )
+
+
+def images_in(ring):
+    """Image polynomials, zero and constant images included."""
+    return st.one_of(polys_in(ring), st.just(ring.zero()), st.builds(ring.const, kernel_fractions))
+
+
+matrices3 = st.lists(st.lists(kernel_fractions, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+def linear_images(ring, rows):
+    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
+    return [ring.from_terms(zip(units, row)) for row in rows]
+
+
+@given(polys_in(R2, max_exp=4, max_size=6), st.dictionaries(st.sampled_from("xy"), images_in(R2)))
+@settings(max_examples=60)
+def test_qq_substitute_equals_the_generic_loop(f, assignments):
+    images = [assignments.get(v, R2.var(v)) for v in R2.variables]
+    assert f.substitute(assignments) == f._generic_apply(images, R2.one(), R2.const)
+
+
+@given(polys_in(R2, max_exp=4, max_size=6), st.lists(images_in(S3), min_size=2, max_size=2))
+@settings(max_examples=60)
+def test_qq_images_in_another_ring_equal_the_generic_loop(f, images):
+    # the shape of `certify_squarefree_by_restriction`: no variable maps to itself
+    assert f._apply_images(images, S3) == f._generic_apply(images, S3.one(), S3.const)
+
+
+@given(polys_in(R3), matrices3)
+@settings(max_examples=40)
+def test_qq_linear_change_equals_the_generic_loop(F, rows):
+    try:
+        moved = F.linear_change(rows)
+    except DegenerateInputError:
+        return
+    assert moved == F._generic_apply(linear_images(R3, rows), R3.one(), R3.const)
+
+
+@given(polys_in(R3), matrices3)
+@settings(max_examples=40)
+def test_chart_is_the_dehomogenized_linear_change(F, rows):
+    aff = PolyRing(("xc", "yc"))
+    try:
+        moved = F.linear_change(rows)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            F.chart(rows, aff)
+        return
+    expected = moved.substitute({"x2": 1}).restrict(aff, {"x0": "xc", "x1": "yc"})
+    assert F.chart(rows, aff) == expected
+
+
+@given(polys_in(R3, max_exp=4, max_size=8), st.lists(kernel_fractions, min_size=3, max_size=3))
+@settings(max_examples=60)
+def test_qq_evaluate_equals_the_generic_loop(F, point):
+    value = F.evaluate(point)
+    assert type(value) is Fraction
+    assert value == F._generic_apply(point, QQ.one, QQ.coerce)
+
+
+def test_qq_kernels_on_zero_and_constants():
+    assert R2.zero().substitute({"x": poly("y")}) == R2.zero()
+    assert R2.const(Fraction(3, 7)).substitute({"x": poly("y")}) == R2.const(Fraction(3, 7))
+    assert R2.zero().evaluate([1, 2]) == 0 and R2.const(5).evaluate([0, 0]) == 5
+    f = poly("x^2*y - 1/3*y + 2")
+    assert f.substitute({}) == f
+    assert f.substitute({"x": 0, "y": Fraction(1, 2)}) == R2.const(Fraction(11, 6))
+
+
+def test_qq_substitute_makes_no_polynomial_product(monkeypatch):
+    f = R3.parse("x0^3*x1 - 2/3*x1^2*x2^2 + 5*x2^4")
+    images = {"x0": R3.parse("x1 - 1/2*x2"), "x2": R3.parse("3*x0^2")}
+    RK = PolyRing(R3.variables, QuadraticField(2))
+    fK = f.restrict(RK)
+    calls = []
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    f.substitute(images)
+    f.linear_change([[1, 2, 0], [0, 1, Fraction(1, 3)], [1, 0, 1]])
+    assert calls == []
+    fK.substitute({"x0": RK.var("x1")})
+    assert calls  # the QQ(sqrt(d)) path is the generic loop
+
+
+def test_evaluate_at_a_high_power_needs_no_recursion():
+    u = PolyRing(("x",))
+    f = u.parse("x^1500")
+    assert f.evaluate([Fraction(2, 3)]) == Fraction(2**1500, 3**1500)
+    assert f._generic_apply([Fraction(2, 3)], QQ.one, QQ.coerce) == Fraction(2**1500, 3**1500)
+    K = QuadraticField(2)
+    g = PolyRing(("x",), K).parse("x^1500")
+    root = QuadExt(1, 1, 2)  # 1 + sqrt(2), a unit of norm -1
+    value = g.evaluate([root])
+    assert value * root.conjugate() ** 1500 == K.one
+    assert value == root**1500
 
 
 # -- orders of vanishing ------------------------------------------------------
