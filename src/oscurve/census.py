@@ -34,6 +34,7 @@ from .groebner import (
     ideal_sum,
     is_empty_scheme,
     linear_relations,
+    point_chart_matrix,
     scheme_length,
     to_chart,
 )
@@ -418,21 +419,15 @@ def is_curvilinear_at(scheme: Ideal, point) -> bool:
     """Zariski tangent dimension <= 1 at the point: the scheme sits inside a
     smooth curve germ exactly when the generators' linear parts at the point
     span a space of codimension <= 1 in the plane."""
-    ring = scheme.ring
-    field = ring.field
+    field = scheme.ring.field
     pt = [field.coerce(v) for v in point]
-    k = next((i for i, v in enumerate(pt) if v), None)
-    if k is None:
+    if not any(pt):
         raise DegenerateInputError("not a projective point")
-    pt = [v / pt[k] for v in pt]
-    others = [i for i in range(3) if i != k]
+    matrix = point_chart_matrix(pt, field)
     aff = PolyRing(("u1", "u2"), field)
-    assignments = {ring.variables[k]: aff.one()}
-    for name, i in zip(("u1", "u2"), others):
-        assignments[ring.variables[i]] = aff.var(name) + aff.const(pt[i])
     rows = []
     for g in scheme.gens:
-        local = g.substitute(assignments, target_ring=aff)
+        local = g.chart(matrix, aff)
         if local.constant_term():
             raise DegenerateInputError("the scheme is not supported at the point")
         lin = local.homogeneous_component(1)

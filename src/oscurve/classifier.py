@@ -21,6 +21,7 @@ from .errors import (
     NonReducedCurveError,
     OscurveError,
 )
+from .groebner import point_chart_matrix
 from .intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
 from .polyops import matrix_inverse, repeated_factor_part
 from .qfields import QQ, quadratic_roots
@@ -90,12 +91,7 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
     if F.evaluate(p):
         raise DegenerateInputError("the point does not lie on the curve")
 
-    k = next(i for i, v in enumerate(p) if v)
-    cols = [[field.zero] * 3 for _ in range(2)]
-    others = [i for i in range(3) if i != k]
-    for j, i in enumerate(others):
-        cols[j][i] = field.one
-    transform = tuple(tuple((cols[0][i], cols[1][i], p[i])) for i in range(3))
+    transform = point_chart_matrix(p, field)
 
     aff_ring = affine_ring(field)
     affine = F.chart(transform, aff_ring)

@@ -207,6 +207,8 @@ def _cmd_classify(ns) -> int:
     ring = projective_ring()
     F = ring.parse(ns.curve)
     point = _parse_point(ns.point)
+    if ns.cap is not None and ns.cap < 1:
+        raise ParseError(f"--cap must be a positive step count, not {ns.cap}")
     verdict, trace = classify_double_point(F, point, cap=ns.cap)
     doc = verdict_json(verdict, trace)
     oracle_line = None
@@ -333,6 +335,8 @@ def _cmd_gb(ns) -> int:
 
 
 def _cmd_hilbert(ns) -> int:
+    if ns.upto is not None and ns.upto < 0:
+        raise ParseError(f"--upto must be a nonnegative degree, not {ns.upto}")
     ideal = _load_ideal(ns.ideal)
     hd = hilbert_function(ideal, upto=ns.upto)
     doc = {

@@ -7,12 +7,13 @@ pruning), and one interreduction pass to the unique reduced basis.  Over QQ
 it is fraction-free: polynomials are primitive integer term dicts, a
 reduction step is work <- a*work - b*m*g with integers a, b, and the basis is
 made monic once, at the end; over QQ(sqrt d) the same loop keeps basis
-elements monic.  Saturation has two routes: a fast certified route for
-homogeneous ideals saturated by linear forms (divide out the cheapest
-variable of a grevlex basis, after a coordinate change making the form a
-variable), and a general auxiliary-variable route.  The fast route is
-self-checking: the candidate is accepted only once it is contained in every
-single-generator colon, which pins it to the true saturation.
+elements monic.  Saturation has two routes: the colon of a homogeneous
+ideal by one linear form (move the form to the last variable by
+`chart_matrix`, divide it out of a grevlex basis where it is cheapest, move
+back), and the general auxiliary-variable route.  Saturating a homogeneous
+I by the irrelevant ideal m is one colon whenever a line l has I + (l)
+m-primary, which holds for every finite scheme off a fixed list of lines;
+that equality is exact, not a candidate to check.
 
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
@@ -745,42 +746,19 @@ def _colon_variable_power(ideal: Ideal, var: str) -> Ideal:
         current = Ideal(ring, divided)
 
 
-def _linear_form_to_variable(ell: Polynomial):
-    """A ring substitution phi with phi(ell) = v for some variable v, plus its
-    inverse; ell must be linear homogeneous."""
-    ring = ell.ring
-    coeffs = {}
-    for e, c in ell.terms.items():
-        if sum(e) != 1:
-            raise DegenerateInputError("saturation shortcut needs a linear form")
-        coeffs[e.index(1)] = c
-    pos = max(coeffs)
-    v = ring.variables[pos]
-    c = coeffs[pos]
-    rest = ring.zero()
-    for i, ci in coeffs.items():
-        if i != pos:
-            rest = rest + ring.var(ring.variables[i]) * ci
-    inv_c = ring.field.one / c
-    forward = {v: (ring.var(v) - rest) * inv_c}  # phi(ell) = v
-    backward = {v: ring.var(v) * c + rest}
-    return v, forward, backward
-
-
 def _colon_linear_power(ideal: Ideal, ell: Polynomial) -> Ideal:
-    """I : ell^infinity for homogeneous I and a linear form ell."""
-    if ell.degree() == 1 and len(ell.terms) == 1:
-        exp, c = next(iter(ell.terms.items()))
-        var = ideal.ring.variables[exp.index(1)]
-        return _colon_variable_power(ideal, var)
-    v, forward, backward = _linear_form_to_variable(ell)
-    moved = Ideal(ideal.ring, [g.substitute(forward) for g in ideal.gens])
-    colon = _colon_variable_power(moved, v)
-    return Ideal(ideal.ring, [g.substitute(backward) for g in colon.gens])
+    """I : ell^infinity for homogeneous I and a linear form ell: move ell to
+    the last variable by `chart_matrix`, take that colon, and move back."""
+    ring = ideal.ring
+    matrix = chart_matrix(ell)
+    moved = Ideal(ring, [g.linear_change(matrix) for g in ideal.gens])
+    colon = _colon_variable_power(moved, ring.variables[-1])
+    inverse = matrix_inverse(matrix, ring.field)
+    return Ideal(ring, [g.linear_change(inverse) for g in colon.gens])
 
 
 def _saturation_candidates(k: int):
-    """Deterministic coefficient vectors for the certified linear combination."""
+    """Deterministic coefficient vectors of the lines `saturate` tries in turn."""
     yield tuple(1 for _ in range(k))
     yield tuple(i + 1 for i in range(k))
     yield tuple((i + 1) ** 2 for i in range(k))
@@ -814,8 +792,13 @@ def saturate_general(ideal: Ideal, by: Ideal) -> Ideal:
 def saturate(ideal: Ideal, by) -> Ideal:
     """I : J^infinity.
 
-    Homogeneous ideals saturated by linear forms take the certified fast
-    route; everything else goes through the auxiliary-variable construction.
+    For homogeneous I, a single linear form J is one colon.  When J is
+    linear with V(J) empty, it is the irrelevant ideal m, and the lines
+    l_1, l_2, ... of `_saturation_candidates` are taken in turn up to the
+    shortest prefix K with I + K m-primary; then Sat(I, m) = Sat(I, K), as
+    K lies in m and m^N lies in I + K.  K is one line for a finite scheme,
+    so one colon, and two lines for a curve.  Every other J, and an I that
+    no prefix serves, takes the auxiliary-variable route `saturate_general`.
     """
     if isinstance(by, Polynomial):
         by = Ideal(ideal.ring, [by])
@@ -825,28 +808,21 @@ def saturate(ideal: Ideal, by) -> Ideal:
         raise DegenerateInputError("saturation by the zero ideal")
     if not ideal.gens:
         return ideal
+    ring = ideal.ring
     linear = all(g.degree() == 1 and g.is_homogeneous() for g in by.gens)
-    if not (linear and ideal.is_homogeneous()):
-        return saturate_general(ideal, by)
-
-    parts = [_colon_linear_power(ideal, h) for h in by.gens]
-    if len(parts) == 1:
-        return parts[0]
-    for coeffs in _saturation_candidates(len(by.gens)):
-        ell = ideal.ring.zero()
-        for c, h in zip(coeffs, by.gens):
-            ell = ell + h * c
-        if ell.is_zero:
-            continue
-        candidate = _colon_linear_power(ideal, ell)
-        # candidate >= Sat(I, J) always; candidate <= every single colon
-        # pins it to their intersection, which is Sat(I, J)
-        if all(part.contains_ideal(candidate) for part in parts):
-            return candidate
-    result = parts[0]
-    for part in parts[1:]:
-        result = ideal_intersection(result, part)
-    return result
+    if linear and ideal.is_homogeneous():
+        if len(by.gens) == 1:
+            return _colon_linear_power(ideal, by.gens[0])
+        if is_empty_scheme(by):
+            lines = []
+            for coeffs in _saturation_candidates(ring.nvars):
+                lines.append(sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero()))
+                K = Ideal(ring, lines)
+                if is_empty_scheme(ideal_sum(ideal, K)):
+                    if len(lines) == 1:
+                        return _colon_linear_power(ideal, lines[0])
+                    return saturate_general(ideal, K)
+    return saturate_general(ideal, by)
 
 
 # ---------------------------------------------------------------------------
@@ -914,22 +890,29 @@ def chart_lines(ideal: Ideal):
 def chart_matrix(ell: Polynomial):
     """Columns: a kernel basis of the linear form ell and a vector with
     ell = 1, so the pulled-back form is the last coordinate."""
-    field = ell.ring.field
-    coeffs = [field.zero] * 3
+    field, n = ell.ring.field, ell.ring.nvars
+    coeffs = [field.zero] * n
     for e, c in ell.terms.items():
         coeffs[e.index(1)] = c
     pivot = max(i for i, c in enumerate(coeffs) if c)
-    kernel = []
-    for i in range(3):
-        if i == pivot:
-            continue
-        vec = [field.zero] * 3
-        vec[i] = field.one
-        vec[pivot] = -coeffs[i] / coeffs[pivot]
-        kernel.append(vec)
-    special = [field.zero] * 3
+    columns = []
+    for i in range(n):
+        if i != pivot:
+            vec = [field.zero] * n
+            vec[i] = field.one
+            vec[pivot] = -coeffs[i] / coeffs[pivot]
+            columns.append(vec)
+    special = [field.zero] * n
     special[pivot] = field.one / coeffs[pivot]
-    return tuple(tuple((kernel[0][i], kernel[1][i], special[i])) for i in range(3))
+    return tuple(zip(*columns, special))
+
+
+def point_chart_matrix(point, field):
+    """Columns: the unit vectors off the first nonzero coordinate of the
+    point, then the point, so the chart origin (0, 0, 1) goes to the point."""
+    k = next(i for i, v in enumerate(point) if v)
+    columns = [[field.one if i == j else field.zero for i in range(3)] for j in range(3) if j != k]
+    return tuple(zip(*columns, point))
 
 
 def to_chart(ideal: Ideal, matrix) -> Ideal:

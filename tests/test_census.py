@@ -274,12 +274,14 @@ def test_curvilinear_length_three_scheme():
     ring = PolyRing(("u", "v", "w"))
     scheme = Ideal(ring, [ring.parse(t) for t in ("w^2", "v*w", "v^2 - u*w")])
     assert is_curvilinear_at(scheme, (1, 0, 0))
+    assert is_curvilinear_at(scheme, (-3, 0, 0))
 
 
 def test_non_curvilinear_length_five_scheme():
     ring = PolyRing(("u", "v", "w"))
     scheme = Ideal(ring, [ring.parse(t) for t in ("w^2", "v^2*w", "v^3 - u*v*w")])
     assert not is_curvilinear_at(scheme, (1, 0, 0))
+    assert not is_curvilinear_at(scheme, (2, 0, 0))
 
 
 def test_curvilinear_rejects_unsupported_point():

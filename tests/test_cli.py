@@ -82,6 +82,15 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
     assert err.startswith(f"internal error: {type(exc).__name__}: ")
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_classify_rejects_nonpositive_cap_as_input_error(capsys, cap):
+    code, _, err = run_cli(
+        capsys, "classify", "--curve", "x1^2*x2 - x0^3", "--point", "0,0,1", "--cap", cap
+    )
+    assert code == 2
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_classify_refuses_non_reduced(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--curve", "(x1*x2 - x0^2)^2", "--point", "0,0,1"
@@ -168,6 +177,13 @@ def test_hilbert_command(capsys, ideal_file):
     doc = json.loads(out)
     assert doc["values"] == [1, 3, 3, 3, 3]
     assert doc["stable_value"] == 3
+
+
+def test_hilbert_rejects_negative_upto_as_input_error(capsys, ideal_file):
+    path = ideal_file("ring: QQ[x,y,z]\nx^2\nx*y\ny^2")
+    code, out, err = run_cli(capsys, "hilbert", "--ideal", path, "--upto", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_eliminate_command(capsys, ideal_file):

@@ -308,11 +308,64 @@ def test_saturation_no_supported_component():
 def test_saturation_fast_path_matches_general_route():
     rng = random.Random(17)
     pool = ["x^2*y", "x*y*z", "y^3 - x^2*z", "z^2*x", "x^3", "y^2*z - z^3", "x*y^2"]
+    cases = []
     for _ in range(6):
-        gens = rng.sample(pool, rng.randint(1, 3))
-        I = ideal(R3, *gens)
+        I = ideal(R3, *rng.sample(pool, rng.randint(1, 3)))
         by = ideal(R3, *rng.sample(["x", "y", "z", "x + y", "y - z"], rng.randint(1, 3)))
-        assert saturate(I, by) == saturate_general(I, by), (gens, [str(g) for g in by.gens])
+        cases.append((I, by))
+    m3 = irrelevant_ideal(R3)
+    fat_point = ideal(R3, "x^2", "x*y", "y^2")
+    conic_with_point = ideal_intersection(ideal(R3, "x*z - y^2"), ideal(R3, "x^2", "y"))
+    R5 = PolyRing(tuple(f"x{i}" for i in range(5)))
+    cases += [
+        # a point on the first candidate line x + y + z
+        (ideal(R3, "x + y", "z"), m3),
+        (ideal_intersection(fat_point, ideal_power(m3, 4)), m3),
+        (conic_with_point, m3),
+        (conic_with_point, ideal(R3, "x")),
+        # a curve: two lines, the auxiliary-variable route
+        (rational_normal_curve_ideal(4, R5.variables), irrelevant_ideal(R5)),
+        # a point ideal J
+        (ideal(R3, "x^2*y", "x*z^2", "y^3 - x^2*z"), ideal(R3, "x", "y")),
+    ]
+    for I, by in cases:
+        assert saturate(I, by) == saturate_general(I, by), (I, by)
+
+
+def test_sextic_construction_saturates_by_one_colon_each(monkeypatch):
+    from oscurve import groebner, rational_curves
+    from oscurve.repro import run_repro_case
+
+    events = []
+
+    def counting(name):
+        original = getattr(groebner, name)
+
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(rational_curves, "saturate", counting("saturate"))
+    for name in ("saturate", "_colon_variable_power", "saturate_general"):
+        monkeypatch.setattr(groebner, name, counting(name))
+    assert run_repro_case("example-6.1-part1")[0]
+    assert events and events == ["saturate", "_colon_variable_power"] * (len(events) // 2)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_chart_matrix_pulls_a_linear_form_back_to_the_last_coordinate(n):
+    from oscurve.groebner import chart_matrix
+    from oscurve.polyops import matrix_rank
+
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    # the last coefficient is zero, so the pivot is not the last variable
+    coeffs = [0 if i % 3 == 2 else (-2) ** i for i in range(n - 1)] + [0]
+    ell = sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero())
+    matrix = chart_matrix(ell)
+    assert matrix_rank([list(row) for row in matrix]) == n
+    assert ell.linear_change(matrix) == ring.gens()[-1]
 
 
 def test_saturation_by_irrelevant_ideal_of_unit():
