@@ -1,14 +1,23 @@
 """Double-point classification for plane curves reduced at the point.
 
 Given a homogeneous trivariate F and a point P on the curve, the classifier
-moves P to [0,0,1], works in the affine chart, and probes the singularity
-with graph curves y = l1*x + ... + lr*x^r of growing degree.  At step r the
-coefficient of x^(2r) in f(x, l1*x + ... + lr*x^r) is a quadratic in the top
-coefficient; its discriminant decides between a split into two branches
-(type A_{2r-1}, two osculating witnesses) and a forced unique continuation
-(either type A_{2r} or one more step).  All tests are exact, so there is no
-tolerance anywhere; square roots that leave the base field are taken in a
-quadratic extension and reported alongside the quadratic itself.
+moves P to [0,0,1] and works in the affine chart, on f(x, y) with a nonzero
+y^2 coefficient a02.  It keeps one transformed equation: once steps 1..r-1
+have chosen l1, ..., l_(r-1),
+
+    h_r(x, y) = f(x, y + l1*x + ... + l_(r-1)*x^(r-1))
+
+has no term x^i*y^j with i + r*j < 2r, and the step quadratic in the next
+coefficient l is a02*l^2 + h_r[x^r*y]*l + h_r[x^(2r)].  A nonzero
+discriminant splits the point into two branches (type A_{2r-1}, two
+osculating witnesses, whose contact orders are computed on f itself and so
+cross-check the chain of substitutions); a zero one forces
+l_r = -h_r[x^r*y]/(2*a02), and h_(r+1) = h_r(x, y + l_r*x^r), whose lowest
+pure power of x is the exact contact order of the graph
+y = l1*x + ... + l_r*x^r (type A_{2r} when it is 2r + 1, one more step
+otherwise).  All tests are exact, so there is no tolerance anywhere; square
+roots that leave the base field are taken in a quadratic extension and
+reported alongside the quadratic itself.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ class NormalizedCurve:
     original: Polynomial
     transform: tuple
     affine: Polynomial
-    a02_fixed: bool
 
 
 def multiplicity_at_origin(f: Polynomial) -> int:
@@ -98,23 +106,15 @@ def normalize_at_point(F: Polynomial, point) -> NormalizedCurve:
     if affine.constant_term():
         raise InvariantViolation("recentred curve misses the origin")
 
-    a02_fixed = False
-    if multiplicity_at_origin(affine) == 2:
-        a20 = affine.terms.get((2, 0))
-        a11 = affine.terms.get((1, 1))
-        a02 = affine.terms.get((0, 2))
-        if not a02:
-            if a20:  # swap x <-> y
-                transform = tuple((row[1], row[0], row[2]) for row in transform)
-            elif a11:  # x -> x + y
-                transform = tuple((row[0], row[0] + row[1], row[2]) for row in transform)
-            else:
-                raise InvariantViolation("double point with zero quadratic part")
-            affine = F.chart(transform, aff_ring)
-            a02_fixed = True
+    if multiplicity_at_origin(affine) == 2 and not affine.terms.get((0, 2)):
+        if affine.terms.get((2, 0)):  # swap x <-> y
+            transform = tuple((row[1], row[0], row[2]) for row in transform)
+        elif affine.terms.get((1, 1)):  # x -> x + y
+            transform = tuple((row[0], row[0] + row[1], row[2]) for row in transform)
         else:
-            a02_fixed = True
-    return NormalizedCurve(original=F, transform=transform, affine=affine, a02_fixed=a02_fixed)
+            raise InvariantViolation("double point with zero quadratic part")
+        affine = F.chart(transform, aff_ring)
+    return NormalizedCurve(original=F, transform=transform, affine=affine)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +207,6 @@ def classify_double_point(F: Polynomial, point, cap: int | None = None):
     return verdict, trace
 
 
-def _substitute_mod_x(f: Polynomial, probe: Polynomial, n: int) -> Polynomial:
-    """f(x, probe) modulo x^n, in the ring of `probe`: Horner's rule in y with
-    every partial sum cut at x^n, so no term of degree n or more is kept."""
-    ring = probe.ring
-    xi = ring.index("x")
-    total = ring.zero()
-    for j in range(f.degree_in("y"), -1, -1):
-        total = total * probe + f.coefficient_in("y", j).restrict(ring)
-        total = Polynomial(ring, {e: c for e, c in total.terms.items() if e[xi] < n})
-    return total
-
-
 def _classify_normalized(norm: NormalizedCurve, cap: int):
     f = norm.affine
     ring = f.ring
@@ -237,25 +225,20 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
     if not a02:
         raise InvariantViolation("normalization failed to arrange a02 != 0")
 
-    lam_ring = PolyRing(("x", "lam"), base_field)
-    x = lam_ring.var("x")
-    lam = lam_ring.var("lam")
-
+    x, y = ring.gens()
+    h = f  # f(x, y + l1*x + ... + l_(r-1)*x^(r-1)): the curve after the steps so far
     lams: list = []
     trace: list[StepRecord] = []
 
     for r in range(1, cap + 1):
-        probe = GraphCurve(lams).graph_poly(lam_ring) + lam * x**r
-        g = _substitute_mod_x(f, probe, 2 * r + 1)
-        step_quad = g.coefficient_in("x", 2 * r)
-        C0 = step_quad.coefficient_in("lam", 0).constant_term()
-        C1 = step_quad.coefficient_in("lam", 1).constant_term()
-        C2 = step_quad.coefficient_in("lam", 2).constant_term()
+        # y = lam*x^r meets x^i*y^j of h in x^(i + r*j) lam^j: the step
+        # quadratic is the part with i + r*j = 2r, and nothing may lie below it
+        C2, C1, C0 = (h.terms.get(e, base_field.zero) for e in ((0, 2), (r, 1), (2 * r, 0)))
         if C2 != a02:
             raise InvariantViolation("step quadratic lost its leading coefficient a02")
-        for j in range(2 * r):
-            if not g.coefficient_in("x", j).is_zero:
-                raise InvariantViolation(f"unexpected x^{j} term at step {r}")
+        low = min((i + r * j for i, j in h.terms), default=2 * r)
+        if low < 2 * r:
+            raise InvariantViolation(f"unexpected x^{low} term at step {r}")
 
         delta = C1 * C1 - 4 * C2 * C0
         if delta:
@@ -288,7 +271,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
             if r == 1:
                 tangent = None  # two distinct tangent lines live in `witnesses`
             else:
-                tangent = ring.var("y") - ring.var("x") * lams[0]
+                tangent = y - x * lams[0]
             verdict = Verdict(
                 kind="double_point",
                 multiplicity=2,
@@ -307,10 +290,9 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
 
         lam_bar = -C1 / (2 * C2)
         lams.append(lam_bar)
-        graph = GraphCurve(lams).graph_poly(ring)
-        mult = _substitute_mod_x(f, graph, 2 * r + 3).order_at_zero()
-        if mult == INF:  # zero through x^(2r+2): take the whole series, of degree <= deg f * r
-            mult = _substitute_mod_x(f, graph, f.degree() * r + 1).order_at_zero()
+        h = h.substitute({"y": y + x**r * lam_bar})
+        # h(x, 0) = f(x, l1*x + ... + lr*x^r): its order is the contact order
+        mult = min((i for i, j in h.terms if not j), default=INF)
         if mult != INF and mult < 2 * r + 1:
             raise InvariantViolation("unique continuation with too small a contact order")
         if mult == 2 * r + 1:
@@ -320,7 +302,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
                     r=r, quad=(C2, C1, C0), delta=delta, branch="b1", lam=lam_bar, multiplicity=mult
                 )
             )
-            tangent = ring.var("y") - ring.var("x") * lams[0]
+            tangent = y - x * lams[0]
             verdict = Verdict(
                 kind="double_point",
                 multiplicity=2,

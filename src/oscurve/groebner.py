@@ -512,13 +512,6 @@ class Ideal:
             gb = self.groebner_basis()
         return gb.contains(f)
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        if self._gb_cache:
-            gb = next(iter(self._gb_cache.values()))
-        else:
-            gb = self.groebner_basis()
-        return all(gb.contains(g) for g in other.gens)
-
     def is_unit(self) -> bool:
         return self.groebner_basis().is_unit()
 

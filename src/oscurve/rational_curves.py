@@ -342,11 +342,6 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
     return ImplicitCurve(poly=F, map_degree=map_degree, minimal_certified=certified)
 
 
-def properness_check(param: PlaneParameterization):
-    """(is_proper, map_degree): proper means generically one-to-one."""
-    return param.proper, param.implicit.map_degree
-
-
 # ---------------------------------------------------------------------------
 # the cone-section fiber test
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from oscurve.rational_curves import (
     parameterization_from_center,
     point_ideal,
     project_scheme,
-    properness_check,
     rational_normal_curve_ideal,
 )
 from oscurve.rings import INF, PolyRing
@@ -194,8 +193,7 @@ def test_criterion_06_length_law_on_random_projections():
                 forms.append(form)
             try:
                 param = parameterization_from_center(n, forms)
-                proper, _ = properness_check(param)
-                if not proper:
+                if not param.proper:
                     continue
             except DegenerateInputError:
                 continue

@@ -8,7 +8,6 @@ import pytest
 from oscurve import classifier
 from oscurve.classifier import (
     ClassificationCapError,
-    _substitute_mod_x,
     classify_double_point,
     default_step_cap,
     multiplicity_at_origin,
@@ -59,7 +58,7 @@ def normal_and_moved_forms():
 def test_normalize_already_centered():
     norm = normalize_at_point(R3.parse("x1^2*x2 - x0^3"), (0, 0, 1))
     assert norm.affine == R2.parse("y^2 - x^3")
-    assert norm.a02_fixed
+    assert norm.affine.terms[(0, 2)]
 
 
 def test_normalize_moves_point_to_origin():
@@ -258,30 +257,57 @@ def test_reducedness_gcd_runs_only_on_the_refusal_path(monkeypatch):
     assert len(calls) == 1
 
 
-def test_substitute_mod_x_is_the_cut_substitution():
-    rng = random.Random(8)
-    for _ in range(5):
-        terms = {
-            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            for _ in range(6)
-        }
-        f = R2.from_terms(terms)
-        probe = GraphCurve([Fraction(rng.randint(-3, 3)) for _ in range(3)]).graph_poly(R2)
-        full = f.substitute({"y": probe})
-        for n in (1, 4, 9, 40):
-            cut = {e: c for e, c in full.terms.items() if e[0] < n}
-            assert _substitute_mod_x(f, probe, n).terms == cut
-
-
-@pytest.mark.parametrize(
-    "text, label, orders",
-    [
-        # y = x^2 is a component: contact order inf from r = 2 on
-        ("(x1*x2 - x0^2)*(x1*x2^4 - x0^2*x2^3 - x0^5)", "A9", [4, INF, INF, INF]),
-        # contact order 9 at r = 2, 3: past the series cut at x^(2r+3)
-        ("(x1*x2^4 - x0^2*x2^3 - x0^5)*(x1*x2^3 - x0^2*x2^2 - x0^4)", "A7", [4, 9, 9]),
-    ],
+CONTACT_ORDER_CURVES = (
+    # y = x^2 is a component: contact order inf from r = 2 on
+    ("(x1*x2 - x0^2)*(x1*x2^4 - x0^2*x2^3 - x0^5)", "A9", [4, INF, INF, INF]),
+    # contact order 9 at r = 2, 3: well above the 2r + 1 that would end the steps
+    ("(x1*x2^4 - x0^2*x2^3 - x0^5)*(x1*x2^3 - x0^2*x2^2 - x0^4)", "A7", [4, 9, 9]),
 )
+
+
+def test_step_quadratic_is_the_x_2r_coefficient_of_the_probe_substitution():
+    # the step quadratic read off h_r is the textbook one: put
+    # y = l1*x + ... + l_(r-1)*x^(r-1) + lam*x^r into f over K[x, lam]
+    cases = [(F, point) for _, F, point in list(normal_and_moved_forms())[1::2]]
+    for text in (
+        "x1^2*x2^2 - 2*x0^2*x1*x2 + x0^4 + x0^2*x1^2",  # oscnode quartic
+        "x1^2*x2^3 - x0^5",  # ramphoid quintic
+        "x1^2*x2^2 - x1*x0^2*x2",  # tacnode with an infinite-contact branch
+        "x1^2*x2^2 - 2*x0^4",  # tacnode with sqrt(2) witnesses
+        *(text for text, _, _ in CONTACT_ORDER_CURVES),
+    ):
+        cases.append((R3.parse(text), (0, 0, 1)))
+    for F, point in cases:
+        verdict, trace = classify_double_point(F, point)
+        f = verdict.normalized.affine
+        ring = PolyRing(("x", "lam"), f.ring.field)
+        x, lam = ring.gens()
+        assert trace
+        for step in trace:
+            r = step.r
+            prefix = GraphCurve([t.lam for t in trace[: r - 1]]).graph_poly(ring)
+            g = f.substitute({"x": x, "y": prefix + lam * x**r})
+            assert min(e[0] for e in g.terms) >= 2 * r
+            quad = g.coefficient_in("x", 2 * r)
+            coeffs = tuple(quad.coefficient_in("lam", k).constant_term() for k in (2, 1, 0))
+            assert coeffs == step.quad
+
+
+def test_dense_degree_ten_refusal_runs_every_step():
+    # a smooth branch counted twice: every step is a forced continuation,
+    # until the Milnor bound of 41 steps runs out
+    M = sign_matrix(random.Random(1))
+    F, point = moved(R3.parse("(x1*x2^4 - x0^5)^2"), M)
+    assert default_step_cap(F) == 41
+    with pytest.raises(NonReducedCurveError) as err:
+        classify_double_point(F, point)
+    # the refusal replaces the cap error, which still carries the full trace
+    assert [s.branch for s in err.value.__context__.trace] == ["b2"] * 41
+    factor = poly_normalize(R3.parse("x1*x2^4 - x0^5").linear_change(M))
+    assert f"gcd(F, dF) = {factor}" in str(err.value)
+
+
+@pytest.mark.parametrize("text, label, orders", CONTACT_ORDER_CURVES)
 def test_trace_contact_orders_match_the_full_substitution(text, label, orders):
     verdict, trace = classify(text)
     assert verdict.label == label

@@ -58,6 +58,38 @@ def test_classify_json_round_trips(capsys):
     assert doc["trace"][0]["i"] == 4
 
 
+OSCNODE = "x1^2*x2^2 - 2*x0^2*x1*x2 + x0^4 + x0^2*x1^2"
+ORACLE_LINE = "independent local-multiplicity oracle agrees with every witness contact order"
+
+
+def test_classify_verify_oscnode_checks_conjugate_witnesses(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--curve", OSCNODE, "--point", "0,0,1", "--verify")
+    assert code == 0
+    assert "verdict: A5" in out
+    assert "witness y = sqrt(-1)*x^3 + x^2   contact order 7" in out
+    assert "witness y = -sqrt(-1)*x^3 + x^2   contact order 7" in out
+    assert out.splitlines()[-1] == ORACLE_LINE
+    code, out, _ = run_cli(
+        capsys, "classify", "--curve", OSCNODE, "--point", "0,0,1", "--verify", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle_agrees"] is True
+    assert [w["field"] for w in doc["witnesses"]] == [{"quadext": -1}] * 2
+
+
+def test_classify_verify_ramphoid_checks_its_one_witness(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--curve", "x1^2*x2^3 - x0^5", "--point", "0,0,1", "--verify"
+    )
+    assert code == 0
+    assert "verdict: A4" in out
+    assert [line for line in out.splitlines() if line.startswith("witness ")] == [
+        "witness y = 0   contact order 5"
+    ]
+    assert out.splitlines()[-1] == ORACLE_LINE
+
+
 def test_classify_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, "classify", "--curve", "x1^2*x2 - q^3", "--point", "0,0,1")
     assert code == 2

@@ -20,7 +20,6 @@ from oscurve.rational_curves import (
     parameterization_from_center,
     point_ideal,
     project_scheme,
-    properness_check,
     rational_normal_curve_ideal,
 )
 from oscurve.rings import PolyRing
@@ -216,8 +215,7 @@ def test_implicitize_sextic_vanishes_and_has_double_point():
 
 def test_improper_parameterization_detected():
     param = PlaneParameterization.parse("s^4; s^2*t^2; t^4")
-    proper, degree = properness_check(param)
-    assert not proper and degree == 2
+    assert not param.proper and param.implicit.map_degree == 2
     assert str(implicitize(param).poly) == "x*z - y^2"
 
 
@@ -317,7 +315,8 @@ def test_implicitize_refuses_a_base_point():
 
 
 def test_proper_conic():
-    assert properness_check(PlaneParameterization.parse("s^2; s*t; t^2")) == (True, 1)
+    param = PlaneParameterization.parse("s^2; s*t; t^2")
+    assert (param.proper, param.implicit.map_degree) == (True, 1)
 
 
 def test_properness_check_leaves_equality_and_hash_alone():
@@ -325,7 +324,7 @@ def test_properness_check_leaves_equality_and_hash_alone():
     param, unchecked = PlaneParameterization.parse(text), PlaneParameterization.parse(text)
     before = hash(param)
     held = {param}
-    assert properness_check(param) == (True, 1)
+    assert (param.proper, param.implicit.map_degree) == (True, 1)
     assert hash(param) == before == hash(unchecked)
     assert param == unchecked and param in held and unchecked in held
 
