@@ -23,6 +23,7 @@ reported alongside the quadratic itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateInputError,
@@ -138,6 +139,14 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Verdict:
+    """What the classifier decides, in the normalized chart of `normalized`.
+
+    `tangent_original` and `witnesses_original` are the tangent and witness
+    curves in the input coordinates: each is derived on first read, by
+    homogenizing the chart curves and moving them back through the inverse
+    of the recentering transform, and kept after that.
+    """
+
     kind: str  # "smooth", "multiplicity_ge_3", "double_point"
     multiplicity: int
     s: int | None = None
@@ -148,10 +157,7 @@ class Verdict:
     witness_multiplicities: tuple | None = None
     separation: object | None = None
     quadratic_at_stop: tuple | None = None
-    extension_unsupported: bool = False
     normalized: NormalizedCurve | None = None
-    tangent_original: Polynomial | None = None
-    witnesses_original: tuple | None = None
 
     @property
     def label(self) -> str:
@@ -160,6 +166,36 @@ class Verdict:
         if self.kind == "multiplicity_ge_3":
             return "point of multiplicity >= 3"
         return f"A{self.s}"
+
+    @property
+    def extension_unsupported(self) -> bool:
+        """The type is decided but the witnesses leave the quadratic extension."""
+        return self.kind == "double_point" and self.witnesses is None
+
+    @cached_property
+    def tangent_original(self) -> Polynomial | None:
+        if self.tangent is None:
+            return None
+        return self._to_original([self.tangent])[0]
+
+    @cached_property
+    def witnesses_original(self) -> tuple | None:
+        if not self.witnesses:
+            return None
+        ring = affine_ring(self.witness_field)
+        return self._to_original([w.implicit_poly(ring) for w in self.witnesses])
+
+    def _to_original(self, chart_curves) -> tuple:
+        norm = self.normalized
+        names = norm.original.ring.variables
+        inverse = matrix_inverse(norm.transform, norm.affine.ring.field)
+        moved = []
+        for curve in chart_curves:
+            ring = PolyRing(names, curve.ring.field)
+            matrix = [[ring.field.coerce(v) for v in row] for row in inverse]
+            curve3 = curve.homogenize(ring, names[2], {"x": names[0], "y": names[1]})
+            moved.append(curve3.linear_change(matrix))
+        return tuple(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +219,8 @@ def classify_double_point(F: Polynomial, point, cap: int | None = None):
     are reported as such; a double point is classified as A_s with the
     osculating graph-curve witnesses: two of them (possibly over a quadratic
     extension) when the final discriminant is nonzero, one otherwise.
-    Witnesses and tangent are reported both in the normalized chart and as
-    curves in the original coordinates.
+    Witnesses and tangent are reported in the normalized chart; the verdict
+    derives them as curves in the original coordinates on first read.
 
     A double point that the default cap leaves unsettled lies on a multiple
     component: NonReducedCurveError names it as gcd(F, dF).  A cap set by the
@@ -192,7 +228,7 @@ def classify_double_point(F: Polynomial, point, cap: int | None = None):
     """
     norm = normalize_at_point(F, point)
     try:
-        verdict, trace = _classify_normalized(norm, default_step_cap(F) if cap is None else cap)
+        return _classify_normalized(norm, default_step_cap(F) if cap is None else cap)
     except ClassificationCapError:
         if cap is not None:
             raise
@@ -203,8 +239,6 @@ def classify_double_point(F: Polynomial, point, cap: int | None = None):
             f"no verdict within the Milnor bound of {default_step_cap(F)} steps: the point "
             f"lies on a multiple component, gcd(F, dF) = {rep}"
         ) from None
-    verdict = witnesses_in_original_coordinates(verdict, norm)
-    return verdict, trace
 
 
 def _classify_normalized(norm: NormalizedCurve, cap: int):
@@ -243,13 +277,11 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
         delta = C1 * C1 - 4 * C2 * C0
         if delta:
             # two distinct top coefficients: the branches separate here
-            s = 2 * r - 1
             split = quadratic_roots(C2, C1, C0, base_field)
             wfield = base_field
             witnesses = None
             wit_mults = None
             separation = None
-            ext_unsupported = split is None
             if split is not None:
                 (lam1, lam2), wfield = split
                 prefix = [wfield.coerce(c) for c in lams]
@@ -268,25 +300,7 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
             trace.append(
                 StepRecord(r=r, quad=(C2, C1, C0), delta=delta, branch="a", lam=None, multiplicity=None)
             )
-            if r == 1:
-                tangent = None  # two distinct tangent lines live in `witnesses`
-            else:
-                tangent = y - x * lams[0]
-            verdict = Verdict(
-                kind="double_point",
-                multiplicity=2,
-                s=s,
-                stopped_at_step=r,
-                tangent=tangent,
-                witnesses=witnesses,
-                witness_field=wfield,
-                witness_multiplicities=wit_mults,
-                separation=separation,
-                quadratic_at_stop=(C2, C1, C0),
-                extension_unsupported=ext_unsupported,
-                normalized=norm,
-            )
-            return verdict, trace
+            return _double_point(norm, trace, lams, 2 * r - 1, wfield, witnesses, wit_mults, separation)
 
         lam_bar = -C1 / (2 * C2)
         lams.append(lam_bar)
@@ -295,77 +309,33 @@ def _classify_normalized(norm: NormalizedCurve, cap: int):
         mult = min((i for i, j in h.terms if not j), default=INF)
         if mult != INF and mult < 2 * r + 1:
             raise InvariantViolation("unique continuation with too small a contact order")
-        if mult == 2 * r + 1:
-            witness = GraphCurve(list(lams))
-            trace.append(
-                StepRecord(
-                    r=r, quad=(C2, C1, C0), delta=delta, branch="b1", lam=lam_bar, multiplicity=mult
-                )
-            )
-            tangent = y - x * lams[0]
-            verdict = Verdict(
-                kind="double_point",
-                multiplicity=2,
-                s=2 * r,
-                stopped_at_step=r,
-                tangent=tangent,
-                witnesses=(witness,),
-                witness_field=base_field,
-                witness_multiplicities=(mult,),
-                quadratic_at_stop=(C2, C1, C0),
-                normalized=norm,
-            )
-            return verdict, trace
+        branch = "b1" if mult == 2 * r + 1 else "b2"
         trace.append(
-            StepRecord(r=r, quad=(C2, C1, C0), delta=delta, branch="b2", lam=lam_bar, multiplicity=mult)
+            StepRecord(r=r, quad=(C2, C1, C0), delta=delta, branch=branch, lam=lam_bar, multiplicity=mult)
         )
+        if branch == "b1":
+            return _double_point(norm, trace, lams, 2 * r, base_field, (GraphCurve(lams),), (mult,))
 
     raise ClassificationCapError(f"no verdict within {cap} steps; the cap is too small", trace)
 
 
-# ---------------------------------------------------------------------------
-# mapping reports back to the original coordinates
-# ---------------------------------------------------------------------------
-
-
-def _graph_to_projective(graph: GraphCurve, names, field) -> Polynomial:
-    """Implicit homogeneous form of y = p(x) in the chart {last name != 0}."""
-    ring2 = affine_ring(field)
-    implicit = graph.implicit_poly(ring2)
-    ring3 = PolyRing(names, field)
-    return implicit.homogenize(ring3, names[2], {"x": names[0], "y": names[1]})
-
-
-def witnesses_in_original_coordinates(verdict: Verdict, norm: NormalizedCurve) -> Verdict:
-    """Attach tangent and witness curves expressed in the input coordinates:
-    the normalized-chart graphs are homogenized and pushed through the
-    inverse of the recentering transform."""
-    field = norm.affine.ring.field
-    wfield = verdict.witness_field or field
-    names = norm.original.ring.variables
-    inv = matrix_inverse(norm.transform, field)
-
-    def push(poly3: Polynomial) -> Polynomial:
-        f = poly3.ring.field
-        matrix = [[f.coerce(v) for v in row] for row in inv]
-        return poly3.linear_change(matrix)
-
-    tangent_original = None
-    if verdict.tangent is not None:
-        ring3 = PolyRing(names, field)
-        tangent3 = verdict.tangent.homogenize(ring3, names[2], {"x": names[0], "y": names[1]})
-        tangent_original = push(tangent3)
-
-    witnesses_original = None
-    if verdict.witnesses:
-        witnesses_original = tuple(
-            push(_graph_to_projective(w, names, wfield)) for w in verdict.witnesses
-        )
-
-    return Verdict(
-        **{
-            **{k: getattr(verdict, k) for k in verdict.__dataclass_fields__},
-            "tangent_original": tangent_original,
-            "witnesses_original": witnesses_original,
-        }
+def _double_point(norm, trace, lams, s, wfield, witnesses, wit_mults, separation=None):
+    """The A_s verdict at the last step of `trace`; the tangent y = l1*x is
+    known once a coefficient has been fixed (at a split in step 1 the two
+    tangent lines are the witnesses)."""
+    x, y = norm.affine.ring.gens()
+    stop = trace[-1]
+    verdict = Verdict(
+        kind="double_point",
+        multiplicity=2,
+        s=s,
+        stopped_at_step=stop.r,
+        tangent=y - x * lams[0] if lams else None,
+        witnesses=witnesses,
+        witness_field=wfield,
+        witness_multiplicities=wit_mults,
+        separation=separation,
+        quadratic_at_stop=stop.quad,
+        normalized=norm,
     )
+    return verdict, trace

@@ -34,7 +34,7 @@ from .groebner import (
     saturate,
     zero_dim_radical,
 )
-from .qfields import QQ, QuadExt
+from .qfields import QQ
 from .rational_curves import (
     PlaneParameterization,
     ambient_ring,
@@ -107,8 +107,6 @@ def _scalar_json(v):
         return v
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, QuadExt):
-        return str(v)
     return str(v)
 
 

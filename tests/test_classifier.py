@@ -1,12 +1,15 @@
 """The double-point classifier: normalization, verdicts, witnesses, traces."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oscurve import classifier
 from oscurve.classifier import (
+    AFFINE_VARS,
     ClassificationCapError,
     classify_double_point,
     default_step_cap,
@@ -14,11 +17,12 @@ from oscurve.classifier import (
     normalize_at_point,
     projective_ring,
 )
-from oscurve.errors import DegenerateInputError, NonReducedCurveError
+from oscurve.cli import main
+from oscurve.errors import DegenerateInputError, InvariantViolation, NonReducedCurveError
 from oscurve.intersection import GraphCurve, branch_separation, graph_intersection_multiplicity
 from oscurve.polyops import matrix_inverse, matrix_rank, poly_normalize
 from oscurve.qfields import QQ
-from oscurve.rings import INF, PolyRing
+from oscurve.rings import INF, PolyRing, Polynomial
 
 R3 = projective_ring()
 R2 = PolyRing(("x", "y"))
@@ -318,6 +322,44 @@ def test_trace_contact_orders_match_the_full_substitution(text, label, orders):
     assert [t.multiplicity for t in trace[:-1]] == orders
 
 
+# -- step invariants ----------------------------------------------------------
+
+TAMPERED_STEPS = (
+    # (curve at [0,0,1], term added to h_(r+1), the check it trips)
+    ("x1^2*x2^2 - x0^4", "x*y", r"unexpected x\^3 term at step 2"),
+    ("x1^2*x2^2 - x0^4", "y^2", "step quadratic lost its leading coefficient a02"),
+    ("x1^2*x2 - x0^3", "x^2", "unique continuation with too small a contact order"),
+)
+
+
+def tamper_step_substitution(monkeypatch, extra):
+    """Add `extra` to every substitution result in the chart ring x, y: the
+    step y -> y + l_r*x^r then hands the classifier a wrong h_(r+1)."""
+    substitute = Polynomial.substitute
+
+    def tampered(self, assignments, target_ring=None):
+        h = substitute(self, assignments, target_ring)
+        return h + h.ring.parse(extra) if h.ring.variables == AFFINE_VARS else h
+
+    monkeypatch.setattr(Polynomial, "substitute", tampered)
+
+
+@pytest.mark.parametrize(
+    "text, extra, message", TAMPERED_STEPS, ids=("low-term", "leading-coefficient", "contact-order")
+)
+def test_a_tampered_step_trips_its_invariant(monkeypatch, text, extra, message):
+    tamper_step_substitution(monkeypatch, extra)
+    with pytest.raises(InvariantViolation, match=message):
+        classify(text)
+
+
+def test_a_tampered_step_exits_as_an_internal_error(monkeypatch, capsys):
+    text, extra, message = TAMPERED_STEPS[0]
+    tamper_step_substitution(monkeypatch, extra)
+    assert main(["classify", "--curve", text, "--point", "0,0,1"]) == 3
+    assert re.search(message, capsys.readouterr().err)
+
+
 # -- original-coordinate reports ---------------------------------------------
 
 
@@ -359,6 +401,30 @@ def test_verdict_invariant_under_projective_change():
         for w in verdict.witnesses_original:
             lifted = [w.ring.field.coerce(v) for v in point]
             assert w.evaluate(lifted) == 0
+
+
+def test_original_coordinate_curves_are_derived_once_on_first_read(monkeypatch):
+    F, point = moved(
+        R3.parse("x1^2*x2^2 - 2*x0^2*x1*x2 + x0^4 + x0^2*x1^2"), sign_matrix(random.Random(3))
+    )
+    calls = Counter()
+    inverse, linear_change = classifier.matrix_inverse, Polynomial.linear_change
+    monkeypatch.setattr(
+        classifier, "matrix_inverse", lambda *a: calls.update(["inverse"]) or inverse(*a)
+    )
+    monkeypatch.setattr(
+        Polynomial, "linear_change", lambda p, m: calls.update(["move"]) or linear_change(p, m)
+    )
+    verdict, _ = classify_double_point(F, point)
+    assert verdict.label == "A5"
+    assert not calls
+    witnesses = verdict.witnesses_original
+    assert calls == {"inverse": 1, "move": 2}
+    tangent = verdict.tangent_original
+    assert calls == {"inverse": 2, "move": 3}
+    assert verdict.witnesses_original is witnesses
+    assert verdict.tangent_original is tangent
+    assert calls == {"inverse": 2, "move": 3}
 
 
 def test_classify_through_the_shear_normalization():

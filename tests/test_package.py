@@ -1,8 +1,10 @@
 """The package surface: every module imports cleanly, every export exists,
-and no private helper is left without a caller in the package."""
+no private helper is left without a caller in the package, and README's
+library example prints what its comments say."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -61,3 +63,15 @@ def test_every_private_helper_is_used_in_the_package():
                     )
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if references[name] <= 0)
     assert not unused, f"private helpers nothing in the package uses: {unused}"
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(prints)
+    for line, out in zip(prints, printed):
+        if "#" in line:
+            assert out == line.split("#", 1)[1].strip()
