@@ -10,9 +10,13 @@ chart algebra gives them all: by Stickelberger's theorem they are the root
 multiplicities of the characteristic polynomial of a chart coordinate that
 separates the points (`groebner.chart_radical`), and the shape position that
 places the points comes from one linear solve in that algebra, not from a
-lex Groebner basis.  The census needs double points only; it checks that on
-the implicit equation F, whose second partials have no common zero exactly
-when the image has no point of multiplicity >= 3.  Support points on the
+lex Groebner basis.  The census needs double points only, and checks that
+on the parameter line (`has_triple_point`): the image has a point of
+multiplicity >= 3 exactly when the second partials H_ij of the implicit
+equation F, composed with the parameterization, share a root.  Their values
+at (1:0) are exact; for the rest, a constant gcd modulo one prime proves
+there is none, and only a nonconstant one pays for the exact gcd over QQ.
+There is no Groebner basis in the gate.  Support points on the
 conic y^2 - 4xz are exactly the one-branch (cuspidal) singularities.  Labels
 come from the implicit-side double point classifier, run at each image
 point.
@@ -32,13 +36,22 @@ from .groebner import (
     chart_matrix,
     chart_radical,
     ideal_sum,
-    is_empty_scheme,
     linear_relations,
     point_chart_matrix,
     scheme_length,
     to_chart,
 )
-from .polyops import exact_divide, matrix_rank, nullspace, poly_gcd, rational_roots
+from .polyops import (
+    PRIME,
+    exact_divide,
+    gcd_mod_prime,
+    matrix_rank,
+    mul_mod_prime,
+    nullspace,
+    poly_gcd,
+    rational_roots,
+    residues_mod_prime,
+)
 from .qfields import QQ, QuadExt, RationalField, field_of, quadratic_roots
 from .rational_curves import (
     PlaneParameterization,
@@ -90,13 +103,71 @@ def cusp_conic(ring: PolyRing) -> Polynomial:
     return y * y - 4 * x * z
 
 
-def has_triple_point(F: Polynomial) -> bool:
-    """Whether the plane curve F = 0 has a point of multiplicity >= 3: the
-    six second partials of F have a common zero.  In characteristic 0,
-    Euler's formula makes F and its first partials vanish there too."""
+def _compose_mod_prime(forms, images):
+    """The binary forms H(images), one per ternary form H of `forms`, as
+    coefficient lists mod PRIME with the highest s-power first; `images` are
+    three such lists of one degree.  None when PRIME divides a denominator
+    of some H."""
+    top = max(h.degree() for h in forms)
+    powers = []
+    for image in images:
+        row = [[1]]
+        for _ in range(top):
+            row.append(mul_mod_prime(row[-1], image))
+        powers.append(row)
+    products, out = {}, []
+    for h in forms:
+        coeffs = residues_mod_prime(h.terms.values())
+        if coeffs is None:
+            return None
+        acc = [0] * ((len(images[0]) - 1) * h.degree() + 1)
+        for e, c in zip(h.terms, coeffs):
+            prod = products.get(e)
+            if prod is None:
+                a, b, d = (powers[k][e[k]] for k in range(3))
+                prod = products[e] = mul_mod_prime(mul_mod_prime(a, b), d)
+            for i, v in enumerate(prod):
+                acc[i] += c * v
+        out.append([v % PRIME for v in acc])
+    return out
+
+
+def has_triple_point(param: PlaneParameterization) -> bool:
+    """Whether the image of the parameterization (over QQ) has a point of
+    multiplicity >= 3, decided on the parameter line.
+
+    Such a point is a common zero of the six second partials H_ij of the
+    implicit equation F (Euler's formula in characteristic 0 makes F and its
+    first partials vanish there too), and every image point is phi(s:t), so
+    it exists exactly when the binary forms H_ij(phi) share a root.  At (1:0)
+    their values H_ij(phi(1:0)) are checked exactly.  The other roots are
+    those of the compositions with phi(s, 1); modulo PRIME, anchored on an
+    H_ij(phi) whose leading coefficient H_ij(phi(1:0)) survives there, their
+    gcd has at least the degree of the gcd over QQ (as in
+    `coprime_mod_prime`), so a constant gcd mod PRIME proves there is no such
+    point.  Anything else is decided by the exact gcd of the H_ij(phi)."""
+    F = param.implicit.poly
     names = F.ring.variables
     second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
-    return not is_empty_scheme(Ideal(F.ring, second))
+    second = [h for h in second if not h.is_zero]
+    coefficients = [_binary_coefficients(f, param.n) for f in param.forms]
+    if not any(h.evaluate([c[0] for c in coefficients]) for h in second):
+        return True
+    images = [residues_mod_prime(c) for c in coefficients]
+    composed = None if None in images else _compose_mod_prime(second, images)
+    anchor = next((c for c in composed or () if c[0]), None)
+    if anchor is not None:
+        g = anchor
+        for c in composed:
+            g = gcd_mod_prime(g, c)
+            if len(g) == 1:
+                return False
+    g = param.ring.zero()
+    for h in second:
+        g = poly_gcd(g, h.substitute(dict(zip(names, param.forms))))
+        if g.degree() == 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +381,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         )
     if not param.proper:
         raise DegenerateInputError("the parameterization is not generically one-to-one")
-    if has_triple_point(param.implicit.poly):
+    if has_triple_point(param):
         raise DegenerateInputError(
             "the image curve has a point of multiplicity >= 3; the census handles double points only"
         )

@@ -14,6 +14,17 @@ Row reduction of scalar matrices happens here and nowhere else:
 alone (fraction-free on integer rows when the entries are rational), while
 `nullspace` and `matrix_inverse` add back-substitution to the reduced echelon
 form.  `characteristic_polynomial` eliminates by similarity instead.
+
+One prime-field kernel works modulo PRIME = 2^61 - 1 on coefficient lists:
+reduction of rationals, products and Euclid's gcd.  It only ever proves a
+negative, as a one-sided certificate with an exact fallback:
+`coprime_mod_prime` shows that two univariate polynomials over QQ are coprime
+when their gcd mod PRIME is constant and Gauss's lemma applies (no
+denominator divisible by PRIME, the leading coefficient kept); any other
+outcome leaves the question to the exact pseudo-remainder sequence.
+`poly_gcd` tries it first on univariate input, and takes the gcd of two
+binary forms as t^k times the homogenized gcd of the forms at t = 1, so that
+they reach the univariate path too.
 """
 
 from __future__ import annotations
@@ -153,6 +164,81 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# the prime field GF(PRIME)
+# ---------------------------------------------------------------------------
+
+PRIME = 2**61 - 1
+
+
+def residues_mod_prime(values) -> list[int] | None:
+    """Rationals reduced modulo PRIME; None when PRIME divides a denominator."""
+    out = []
+    for c in values:
+        d = c.denominator % PRIME
+        if not d:
+            return None
+        out.append(c.numerator % PRIME if d == 1 else c.numerator * pow(d, -1, PRIME) % PRIME)
+    return out
+
+
+def mul_mod_prime(a: list[int], b: list[int]) -> list[int]:
+    """Product of two coefficient lists over GF(PRIME)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [v % PRIME for v in out]
+
+
+def _monic_mod_prime(f: list[int]) -> list[int]:
+    """f without its leading zeros, scaled to leading coefficient 1."""
+    f = f[next((i for i, c in enumerate(f) if c), len(f)) :]
+    if not f or f[0] == 1:
+        return f
+    inv = pow(f[0], -1, PRIME)
+    return [c * inv % PRIME for c in f]
+
+
+def gcd_mod_prime(f: list[int], g: list[int]) -> list[int]:
+    """Monic gcd over GF(PRIME) of two coefficient lists, highest degree
+    first, by Euclid's algorithm; [] when both are zero."""
+    f, g = _monic_mod_prime(f), _monic_mod_prime(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r, dg = list(f), len(g) - 1
+        for i in range(len(r) - dg):
+            c = r[i]
+            if c:
+                r[i + 1 : i + dg + 1] = [(x - c * y) % PRIME for x, y in zip(r[i + 1 : i + dg + 1], g[1:])]
+        f, g = g, _monic_mod_prime(r[len(r) - dg :])
+    return f
+
+
+def coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
+    """True only when the univariate p and q over QQ are coprime, shown by a
+    constant gcd modulo PRIME; False leaves the question open.
+
+    With no denominator divisible by PRIME, p and the gcd h over QQ (taken
+    integer-primitive) have coefficients in the localization Z_(PRIME), so
+    h mod PRIME divides both reductions (Gauss's lemma).  When the operand of
+    larger degree keeps its leading coefficient, h keeps its own, hence
+    deg gcd_PRIME >= deg h."""
+    if not isinstance(p.ring.field, RationalField):
+        return False
+    if p.degree() < q.degree():
+        p, q = q, p
+    lists = []
+    for f in (p, q):
+        coeffs = {sum(e): c for e, c in f.terms.items()}
+        lists.append(residues_mod_prime(coeffs.get(k, 0) for k in range(f.degree(), -1, -1)))
+    if None in lists or not lists[0][0]:
+        return False
+    return len(gcd_mod_prime(*lists)) == 1
+
+
+# ---------------------------------------------------------------------------
 # contents, gcds, squarefree parts
 # ---------------------------------------------------------------------------
 
@@ -216,9 +302,22 @@ def poly_content(p: Polynomial, var: str) -> Polynomial:
     return g
 
 
+def _binary_form_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """gcd of two nonzero binary forms: t^min(ord_t) times the homogenized
+    gcd of the forms at t = 1, t the second variable."""
+    ring = p.ring
+    g = poly_gcd(*(Polynomial(ring, {(e[0], 0): c for e, c in f.terms.items()}) for f in (p, q)))
+    d, low = g.degree(), min(e[1] for f in (p, q) for e in f.terms)
+    return Polynomial(ring, {(e[0], d - e[0] + low): c for e, c in g.terms.items()})
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd via primitive pseudo-remainder sequences; exact over QQ and over
-    quadratic extensions.  The result is normalized (`poly_normalize`)."""
+    quadratic extensions.  The result is normalized (`poly_normalize`).
+
+    Two binary forms go through their univariate gcd at t = 1, and a
+    univariate pair over QQ returns 1 at once when `coprime_mod_prime`
+    certifies it."""
     if p.ring != q.ring:
         raise DegenerateInputError("gcd operands must share a ring")
     if p.is_zero:
@@ -227,6 +326,10 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return poly_normalize(p)
     used = sorted(set(p.used_variables()) | set(q.used_variables()))
     if not used:
+        return p.ring.one()
+    if len(used) == 2 == p.ring.nvars and p.is_homogeneous() and q.is_homogeneous():
+        return _binary_form_gcd(p, q)
+    if len(used) == 1 and coprime_mod_prime(p, q):
         return p.ring.one()
     var = min(used, key=lambda v: max(p.degree_in(v), q.degree_in(v)))
     if p.degree_in(var) < q.degree_in(var):

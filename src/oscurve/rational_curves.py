@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
@@ -33,8 +33,8 @@ from .polyops import (
     poly_gcd,
     squarefree_part,
 )
-from .qfields import QQ
-from .rings import Polynomial, PolyMatrix, PolyRing
+from .qfields import QQ, RationalField
+from .rings import Polynomial, PolyMatrix, PolyRing, integer_dicts
 
 PARAM_VARS = ("s", "t")
 PLANE_VARS = ("x", "y", "z")
@@ -313,6 +313,22 @@ def _moving_line_matrix(param: PlaneParameterization, plane: PolyRing) -> PolyMa
     return PolyMatrix(plane, n, n, [e for row in rows for e in row])
 
 
+def _vanishes_on(F: Polynomial, param: PlaneParameterization) -> bool:
+    """Whether F(f0, f1, f2) = 0.  It is a binary form of degree n*deg(F), so
+    it is zero once it vanishes at the n*deg(F) + 1 points (1 : i) of P^1.
+    Over QQ, F and the forms are first scaled to integers, which leaves the
+    zeros of the homogeneous F(f0, f1, f2) where they are."""
+    dicts = [F.terms] + [f.terms for f in param.forms]
+    if isinstance(F.ring.field, RationalField):
+        dicts, _ = integer_dicts(dicts)
+    coeffs, *forms = dicts
+    for i in range(param.n * F.degree() + 1):
+        point = [sum(c * i ** e[1] for e, c in f.items()) for f in forms]
+        if sum(c * prod(v**k for v, k in zip(point, e)) for e, c in coeffs.items()):
+            return False
+    return True
+
+
 def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve:
     """Squarefree implicit equation of the image curve, from the determinant
     of the n x n moving-line matrix (`_moving_line_matrix`).
@@ -332,9 +348,7 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
             "the forms have a base point or the image is not a curve"
         )
     F = squarefree_part(raw)
-    # F(f0, f1, f2) is a binary form of degree n*deg(F), so it is zero once it
-    # vanishes at the n*deg(F) + 1 points (1 : i) of P^1
-    if any(F.evaluate(param.evaluate((1, i))) for i in range(n * F.degree() + 1)):
+    if not _vanishes_on(F, param):
         raise InvariantViolation("implicitization produced a non-vanishing candidate")
     deg = F.degree()
     certified = n % deg == 0

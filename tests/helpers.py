@@ -1,6 +1,7 @@
 """Reference algorithms shared by the tests; the package does not use them."""
 
 from oscurve.errors import DegenerateInputError
+from oscurve.groebner import Ideal, is_empty_scheme
 from oscurve.rings import Polynomial, PolyMatrix
 
 
@@ -34,3 +35,13 @@ def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
             row[i + k] = cb.get(n - k, zero)
         entries.extend(row)
     return PolyMatrix(ring, size, size, entries).det()
+
+
+def has_triple_point_grevlex(F: Polynomial) -> bool:
+    """Whether the plane curve F = 0 has a point of multiplicity >= 3, from
+    a grevlex basis: the six second partials of F have a common zero.  In
+    characteristic 0, Euler's formula makes F and its first partials vanish
+    there too."""
+    names = F.ring.variables
+    second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
+    return not is_empty_scheme(Ideal(F.ring, second))

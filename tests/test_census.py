@@ -35,6 +35,8 @@ from oscurve.rational_curves import (
 )
 from oscurve.rings import PolyRing
 
+from helpers import has_triple_point_grevlex
+
 SEXTIC_NAMES = tuple("abcdefg")
 NODAL_CUBIC = "(s^2 - t^2)*t; s*(s^2 - t^2); t^3"
 CUSPIDAL_CUBIC = "s^2*t; s^3; t^3"
@@ -134,29 +136,107 @@ def test_k_out_of_range():
 
 
 def test_triple_point_scheme_empty_for_double_point_curves():
-    # the census's gate on the second partials of F against the k = 3 oracle
+    # the census's gate against the grevlex gate and the k = 3 oracle
     for name, build in CENSUS_INPUTS.items():
         param = build()
-        assert not has_triple_point(param.implicit.poly), name
+        assert not has_triple_point(param), name
+        assert not has_triple_point_grevlex(param.implicit.poly), name
         # a proper cubic is irreducible, so it has no triple point; k = 3 needs n >= 4
         assert param.n == 3 or not has_multiplicity_at_least(param, 3), name
 
 
-def test_triple_point_scheme_nonempty_for_a_triple_point():
+# phi(1 : 0) = [1 : 0 : 0] is on the curve, so F has no x^4 term and H_xx
+# vanishes there although H_xx != 0; the triple point is phi(0 : 1)
+ANCHOR_NOT_FIRST = "s^4 + s^3*t; s^3*t; t^4"
+TRIPLE_POINT_CURVES = (
     # near [s : t] = [1 : 0] the branch of the quartic is (t^3, t^4): a triple
-    # point at [1 : 0 : 0].  The sextic's f0 and f1 share the factors s, t and
-    # s - t, so [1 : 0], [0 : 1] and [1 : 1] all go to [0 : 0 : 1].
-    for text in (
-        "s^4; s*t^3; t^4",
-        "s*t*(s - t)*(s^3 + 2*t^3); s*t*(s - t)*(s^3 - s*t^2 + 3*t^3); "
-        "s^6 + 2*s^5*t - s^3*t^3 + 3*s*t^5 + t^6",
-    ):
+    # point at [1 : 0 : 0]
+    "s^4; s*t^3; t^4",
+    # the same at [s : t] = [0 : 1], an affine parameter: the exact gcd decides
+    "t^4; s^3*t; s^4",
+    # f0 and f1 share the factors s, t and s - t, so [1 : 0], [0 : 1] and
+    # [1 : 1] all go to [0 : 0 : 1]
+    "s*t*(s - t)*(s^3 + 2*t^3); s*t*(s - t)*(s^3 - s*t^2 + 3*t^3); "
+    "s^6 + 2*s^5*t - s^3*t^3 + 3*s*t^5 + t^6",
+    ANCHOR_NOT_FIRST,
+)
+
+
+def test_triple_point_scheme_nonempty_for_a_triple_point():
+    for text in TRIPLE_POINT_CURVES:
         param = PlaneParameterization.parse(text)
         assert param.proper
         assert has_multiplicity_at_least(param, 3)
-        assert has_triple_point(param.implicit.poly)
+        assert has_triple_point_grevlex(param.implicit.poly)
+        assert has_triple_point(param)
         with pytest.raises(DegenerateInputError, match="multiplicity >= 3"):
             double_point_census(param)
+
+
+def _second_partials_at_infinity(param):
+    F = param.implicit.poly
+    x, y, z = F.ring.variables
+    point = [f.terms.get((param.n, 0), 0) for f in param.forms]
+    pairs = ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))
+    return [F.derivative(v).derivative(w) for v, w in pairs], point
+
+
+def test_triple_point_gate_anchors_past_a_vanishing_first_partial():
+    param = PlaneParameterization.parse(ANCHOR_NOT_FIRST)
+    second, point = _second_partials_at_infinity(param)
+    assert not second[0].is_zero and second[0].evaluate(point) == 0
+    assert any(h.evaluate(point) for h in second)
+    assert has_triple_point(param)
+    assert has_triple_point_grevlex(param.implicit.poly)
+
+
+def _count_exact_gcds(monkeypatch):
+    from oscurve import census
+
+    calls = []
+    original = census.poly_gcd
+
+    def counting(p, q):
+        calls.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(census, "poly_gcd", counting)
+    return calls
+
+
+def test_triple_point_gate_decides_double_point_curves_modulo_the_prime(monkeypatch):
+    params = {name: CENSUS_INPUTS[name]() for name in CENSUS_INPUTS}
+    for param in params.values():
+        param.implicit
+    calls = _count_exact_gcds(monkeypatch)
+    for name, param in params.items():
+        assert not has_triple_point(param), name
+    assert calls == []
+    # a triple point at an affine parameter is confirmed by the exact gcd
+    param = PlaneParameterization.parse("t^4; s^3*t; s^4")
+    second, point = _second_partials_at_infinity(param)
+    assert any(h.evaluate(point) for h in second)
+    assert has_triple_point(param) and calls
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_triple_point_gate_stays_exact_with_an_unlucky_prime(monkeypatch, prime):
+    # a tiny prime divides leading coefficients and makes coprime forms meet,
+    # so the gate must fall back to the exact gcd and still agree
+    from oscurve import census, polyops
+
+    names = ["nodal-cubic", "cuspidal-cubic", "sextic", "tacnode-quartic", "mixed-quartic"]
+    params = [CENSUS_INPUTS[name]() for name in names]
+    # a triple point at [s : t] = [1 : 5]: its factor 5*s - t loses the
+    # leading coefficient mod 5, so no H_ij(phi) may serve as the anchor
+    texts = TRIPLE_POINT_CURVES + ("s^4; (5*s - t)^3*s; (5*s - t)^4",)
+    params += [PlaneParameterization.parse(text) for text in texts]
+    expected = [has_triple_point_grevlex(param.implicit.poly) for param in params]
+    monkeypatch.setattr(polyops, "PRIME", prime)
+    monkeypatch.setattr(census, "PRIME", prime)
+    calls = _count_exact_gcds(monkeypatch)
+    assert [has_triple_point(param) for param in params] == expected
+    assert calls
 
 
 # -- censuses ---------------------------------------------------------------------

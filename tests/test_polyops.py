@@ -6,11 +6,15 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oscurve import polyops
 from oscurve.errors import DegenerateInputError
 from oscurve.polyops import (
+    PRIME,
     certify_squarefree_by_restriction,
     characteristic_polynomial,
+    coprime_mod_prime,
     exact_divide,
     matrix_det,
     matrix_inverse,
@@ -371,3 +375,85 @@ def test_characteristic_polynomial_against_sympy():
         if n and all(a[i][j] == 0 for i in range(n) for j in range(i + 1)):
             assert characteristic_polynomial(a) == [0] * n + [1]
     assert characteristic_polynomial([]) == [1]
+
+
+# -- the prime-field certificate behind poly_gcd -------------------------------------
+
+U1 = PolyRing(("x",))
+ST = PolyRing(("s", "t"))
+
+
+@pytest.mark.parametrize(
+    "ring, p, q, expected",
+    [
+        # coprime over QQ, but both reduce to x mod PRIME
+        (U1, "x", f"x - {PRIME}", "1"),
+        # the shared factor's leading coefficient vanishes mod PRIME, where the
+        # reductions x + 2 and x + 3 are coprime
+        (U1, f"({PRIME}*x + 1)*(x + 2)", f"({PRIME}*x + 1)*(x + 3)", f"{PRIME}*x + 1"),
+        # PRIME in a denominator: nothing to reduce
+        (U1, f"(x + 1/{PRIME})*(x + 2)", f"(x + 1/{PRIME})*(x + 3)", f"{PRIME}*x + 1"),
+        (U1, f"2*x^2 + 1/{PRIME}", "x^3 + x", "1"),
+        # binary forms sharing t^k, a factor at (1 : 0), next to an affine one
+        (ST, "t^2*s*(s + t)", "t^3*(s - t)", "t^2"),
+        (ST, "t*(s - t)*s", "(s - t)*t^2*(s + 2*t)", "s*t - t^2"),
+        (ST, "s*t", "s*t + t^2", "t"),
+        (ST, "s^2", "t^3", "1"),
+        (ST, f"t*(s - {PRIME}*t)", "t*s", "t"),
+        (ST, f"({PRIME}*s + t)*(s + 2*t)", f"({PRIME}*s + t)*(s + 3*t)*t", f"{PRIME}*s + t"),
+    ],
+)
+def test_poly_gcd_shortcuts_return_the_exact_gcd(ring, p, q, expected):
+    p, q = ring.parse(p), ring.parse(q)
+    assert poly_gcd(p, q) == poly_gcd(q, p) == ring.parse(expected)
+
+
+def test_coprime_mod_prime_is_one_sided():
+    x = U1.var("x")
+    assert coprime_mod_prime(x**2 + 1, x + 3)
+    # each of these is coprime over QQ, but the certificate does not apply
+    assert not coprime_mod_prime(x, x - PRIME)
+    assert not coprime_mod_prime(x**2 * PRIME + 1, x + 3)
+    assert not coprime_mod_prime(x**2 + Fraction(1, PRIME), x + 3)
+    assert not coprime_mod_prime(*(p.restrict(PolyRing(("x",), QuadraticField(2))) for p in (x, x + 1)))
+
+
+def _sympy_gcd_agrees(p, q, sympy):
+    ours = poly_gcd(p, q)
+    assert ours == poly_normalize(ours)
+    theirs = sympy.gcd(*(sympy.sympify(str(f).replace("^", "**")) for f in (p, q)))
+    assert not sympy.cancel(sympy.sympify(str(ours).replace("^", "**")) / theirs).free_symbols
+
+
+small_coefficients = st.lists(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 1, 2, 3))), min_size=1, max_size=4
+)
+
+
+@pytest.mark.parametrize("prime", [PRIME, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(a=small_coefficients, b=small_coefficients, g=small_coefficients, binary=st.booleans())
+def test_poly_gcd_agrees_with_sympy_on_small_inputs(prime, a, b, g, binary):
+    # A*G and B*G for univariate polynomials or binary forms; the small primes
+    # make every shortcut meet denominators and leading coefficients they
+    # divide, and pairs coprime over QQ but not modulo them
+    sympy = pytest.importorskip("sympy")
+    if binary:
+        ring = ST
+
+        def build(cs):
+            return ring.from_terms({(len(cs) - 1 - i, i): c for i, c in enumerate(cs)})
+
+    else:
+        ring = U1
+
+        def build(cs):
+            return ring.from_terms({(i,): c for i, c in enumerate(cs)})
+
+    G = build(g)
+    p, q = build(a) * G, build(b) * G
+    if p.is_zero and q.is_zero:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyops, "PRIME", prime)
+        _sympy_gcd_agrees(p, q, sympy)

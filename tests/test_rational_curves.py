@@ -1,6 +1,7 @@
 """Rational normal curves, osculating spaces, projections, implicitization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from oscurve.groebner import Ideal, ideal_power, ideal_sum, scheme_length
 from oscurve.polyops import exact_divide, squarefree_part
 from oscurve.rational_curves import (
     PlaneParameterization,
+    _cross,
     _moving_line_matrix,
+    _vanishes_on,
     ambient_ring,
     cone_fiber_test,
     implicitize,
@@ -22,11 +25,13 @@ from oscurve.rational_curves import (
     project_scheme,
     rational_normal_curve_ideal,
 )
+from oscurve.qfields import QQ, QuadraticField
 from oscurve.rings import PolyRing
 
 from helpers import sylvester_resultant
 
 SEXTIC_NAMES = tuple("abcdefg")
+QQ2 = QuadraticField(2)
 
 
 def sextic_center(ring):
@@ -180,6 +185,20 @@ def test_parameterization_validation():
         PlaneParameterization.parse("s^2; s*t; s^2 + 2*s*t")  # gcd s
 
 
+@pytest.mark.parametrize(
+    "text, factor",
+    [
+        # an affine base point, [s : t] = [1 : 1]
+        ("s*(s - t); t*(s - t); (s + t)*(s - t)", "s - t"),
+        # a base point at [s : t] = [1 : 0]
+        ("s*t; t^2; s*t + 2*t^2", "t"),
+    ],
+)
+def test_from_forms_names_the_shared_factor(text, factor):
+    with pytest.raises(DegenerateInputError, match=f"share the factor {re.escape(factor)}: "):
+        PlaneParameterization.parse(text)
+
+
 # -- implicitization -----------------------------------------------------------------
 
 
@@ -305,6 +324,26 @@ def test_implicitize_refuses_a_non_vanishing_candidate(monkeypatch):
     )
     with pytest.raises(InvariantViolation, match="non-vanishing"):
         implicitize(PlaneParameterization.parse("(s^2 - t^2)*t; s*(s^2 - t^2); t^3"))
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("s^3 + 1/2*t^3; s^2*t; s*t^2 - 1/3*t^3", QQ), ("s^3 + sqrt(2)*t^3; s^2*t; s*t^2", QQ2)],
+    ids=["QQ", "QQ(sqrt2)"],
+)
+def test_vanishing_check_on_the_parameter_line(text, field):
+    param = PlaneParameterization.parse(text, field=field)
+    F = param.implicit.poly
+    assert _vanishes_on(F, param) and _vanishes_on(F * Fraction(1, 7), param)
+    # a wrong cubic that vanishes at phi(1 : i) for i = 0, 1, 2 but not on the
+    # whole curve: F plus the lines joining each of those points to (1, 2, 5)
+    lines = F.ring.one()
+    for i in range(3):
+        coeffs = _cross(param.evaluate((1, i)), (1, 2, 5))
+        lines = lines * sum((g * c for g, c in zip(F.ring.gens(), coeffs)), F.ring.zero())
+    wrong = F + lines
+    assert all(wrong.evaluate(param.evaluate((1, i))) == 0 for i in range(3))
+    assert not _vanishes_on(wrong, param)
 
 
 def test_implicitize_refuses_a_base_point():
