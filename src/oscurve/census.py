@@ -364,6 +364,13 @@ def _image_of_site(param: PlaneParameterization, coords):
     return _normalize_projective(list(_cross(kernel[0][:3], kernel[1][:3])))
 
 
+def _conjugate(point):
+    """The Galois conjugate of a projective point, or None."""
+    if point is None:
+        return None
+    return tuple(c.conjugate() if isinstance(c, QuadExt) else c for c in point)
+
+
 def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     """Locate all singular points of the image curve, with delta invariants
     from localized lengths and cusp flags from the conic test.
@@ -399,9 +406,12 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         if piece.chart_points is not None:
             if piece.delta % piece.size:
                 raise InvariantViolation("conjugate points with unequal local lengths")
+            images = []
             for chart_pt in piece.chart_points:
                 coords = _projective_from_chart(chart_pt, matrix)
                 conic_value = _evaluate_ext(conic, list(coords))
+                # the second point of a conjugate pair maps to the conjugate image
+                images.append(_conjugate(images[0]) if images else _image_of_site(param, coords))
                 sites.append(
                     CensusSite(
                         kind="point",
@@ -410,7 +420,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                         size=1,
                         delta=piece.delta // piece.size,
                         cusp_count=0 if conic_value else 1,
-                        image_point=_image_of_site(param, coords),
+                        image_point=images[-1],
                     )
                 )
         else:

@@ -2,20 +2,31 @@
 
 Two independent routes are provided.  The fast path substitutes a graph curve
 y = c1*x + ... + ct*x^t into the defining polynomial and reads off the order
-of vanishing.  The oracle path computes dim K[x,y]/((f,g) + (x,y)^N) by exact
-linear algebra on truncated coefficient vectors until the dimension
+of vanishing.  The oracle path computes d_N = dim K[x,y]/((f,g) + (x,y)^N) by
+exact linear algebra on truncated coefficient vectors until the dimension
 stabilizes; stabilization d_N = d_{N+1} forces the Artinian local quotient to
 be exhausted, so the stabilized value is the intersection multiplicity.  The
 oracle never touches substitution or term orders, which keeps the two routes
 honest against each other.
+
+All levels share one fraction-free elimination over the integer rows of f
+and g (`polyops.integer_rows`; over QQ(sqrt d) each column is a pair of
+rational columns).  With the monomial columns in (degree, j) order, d_N is
+#monomials of degree < N minus the rank of the rows m*f, m*g on those
+columns, and forward elimination counts the rank of every column prefix at
+once: it is the number of pivots in the prefix.  The rows that join at level
+N + 1 vanish on every column of degree < N, so they change no pivot found
+for level N, and the elimination carries on from there: each level clears
+only its own columns among the rows that are not pivots yet.  Rows are cut
+at a column horizon that grows when the levels reach it; the pivots on a
+column prefix do not depend on the columns beyond it, so every d_N, and the
+stabilized value, is the one a separate matrix for each level would give.
 """
 
 from __future__ import annotations
 
-from itertools import count
-
 from .errors import DegenerateInputError
-from .polyops import matrix_rank
+from .polyops import _integer_step, _row_echelon, integer_rows
 from .qfields import field_of
 from .rings import INF, Polynomial, PolyRing
 
@@ -128,13 +139,60 @@ class TruncatedMultiplicity:
         return f"TruncatedMultiplicity({self.value}{flag})"
 
 
-def _monomials_below(n: int):
-    """Exponent pairs (i, j) with i + j < n, ordered by degree then j."""
-    out = []
-    for d in range(n):
-        for j in range(d + 1):
-            out.append((d - j, j))
-    return out
+# The carried elimination truncates its rows at this many degrees, and
+# restarts with the horizon this much larger when a level reaches it.
+_HORIZON_START = 8
+_HORIZON_STEP = 4
+
+
+def _dimensions_below(bases, width: int, horizon: int):
+    """d_N = dim K[x,y]/((f, g) + m^N) for N = 1..horizon, by one forward
+    elimination over the monomial columns of degree < horizon in (degree, j)
+    order.  `bases` are the integer rows of f and g from `integer_rows`, each
+    as (order, [((i, j), entries of x^i*y^j)]).  The rows m*base entering at
+    level N vanish below degree N - 1, so level N only clears the columns of
+    degree N - 1 among the rows that are not pivots yet; a used pivot row is
+    dropped."""
+
+    def column(i, j):  # the first of the `width` columns of x^i*y^j
+        return width * ((i + j) * (i + j + 1) // 2 + j)
+
+    ncols = column(horizon, 0)
+    rows, rank = [], 0
+    for deg in range(horizon):
+        for low, terms in bases:
+            for mj in range(deg - low + 1):
+                mi = deg - low - mj
+                row = [0] * ncols
+                for (i, j), entries in terms:
+                    if i + j + deg - low < horizon:
+                        c = column(i + mi, j + mj)
+                        row[c : c + width] = entries
+                rows.append(row)
+        pivots = _row_echelon(rows, range(column(deg, 0), column(deg + 1, 0)), _integer_step)
+        rank += len(pivots)
+        rows = [r for r in rows[len(pivots) :] if any(r)]
+        yield (deg + 1) * (deg + 2) // 2 - rank // width
+
+
+def _quotient_dimensions(f: Polynomial, g: Polynomial):
+    """d_1, d_2, ... without end: `_dimensions_below` up to a horizon that
+    grows by `_HORIZON_STEP` whenever the levels reach it.  A restart only
+    repeats the levels already given."""
+    exps = sorted(set(f.terms) | set(g.terms))
+    patterns, width = integer_rows([[p.terms.get(e, 0) for e in exps] for p in (f, g)])
+    bases = []
+    for row in patterns:
+        terms = [(e, row[width * t : width * t + width]) for t, e in enumerate(exps)]
+        terms = [(e, entries) for e, entries in terms if any(entries)]
+        bases.append((min(sum(e) for e, _ in terms), terms))
+    given, horizon = 0, _HORIZON_START
+    while True:
+        for level, dim in enumerate(_dimensions_below(bases, width, horizon), 1):
+            if level > given:
+                given = level
+                yield dim
+        horizon += _HORIZON_STEP
 
 
 def truncated_local_multiplicity(f: Polynomial, g: Polynomial, cap: int | None = None):
@@ -153,34 +211,10 @@ def truncated_local_multiplicity(f: Polynomial, g: Polynomial, cap: int | None =
         raise DegenerateInputError("zero polynomial has no local multiplicity")
     if cap is None:
         cap = default_multiplicity_cap(f, g)
-
-    ord_f = int(f.lowest_degree())
-    ord_g = int(g.lowest_degree())
-
-    def dim_quotient(n: int) -> int:
-        monos = _monomials_below(n)
-        index = {m: k for k, m in enumerate(monos)}
-        rows = []
-        for base, base_ord in ((f, ord_f), (g, ord_g)):
-            for mult_deg in range(n - base_ord):
-                for mj in range(mult_deg + 1):
-                    mi = mult_deg - mj
-                    row = [0] * len(monos)
-                    nonzero = False
-                    for (ei, ej), c in base.terms.items():
-                        col = index.get((ei + mi, ej + mj))
-                        if col is not None:
-                            row[col] = c
-                            nonzero = True
-                    if nonzero:
-                        rows.append(row)
-        return len(monos) - matrix_rank(rows)
-
-    prev = dim_quotient(2)
-    for n in count(3):
-        cur = dim_quotient(n)
-        if cur == prev:
-            return TruncatedMultiplicity(prev, False)
+    for n, cur in enumerate(_quotient_dimensions(f, g), 1):
+        if n > 2:
+            if cur == prev:
+                return TruncatedMultiplicity(prev, False)
+            if n > cap:
+                return TruncatedMultiplicity(INF, True)
         prev = cur
-        if n > cap:
-            return TruncatedMultiplicity(INF, True)

@@ -10,10 +10,16 @@ degree-n parameterization, the (n+1)-minors of the census matrix), where the
 2^size memo stays cheap.
 
 Row reduction of scalar matrices happens here and nowhere else:
-`_row_echelon` is the one forward-elimination routine.  `matrix_rank` runs it
-alone (fraction-free on integer rows when the entries are rational), while
-`nullspace` and `matrix_inverse` add back-substitution to the reduced echelon
-form.  `characteristic_polynomial` eliminates by similarity instead.
+`_row_echelon` is the one forward-elimination routine, over a range of
+columns, with the sparsest candidate row as each column's pivot.
+`matrix_rank` runs it alone and fraction-free on `integer_rows`: over QQ(sqrt
+d) each row r becomes the two rational rows (Re r, Im r) and
+(Re sqrt(d)*r, Im sqrt(d)*r), which span the K-span as a QQ-space, so the
+rank over K is half the rational rank, on every prefix of columns too.  The
+local-multiplicity oracle carries the same elimination across its levels.
+`nullspace` and `matrix_inverse` add back-substitution over the field to the
+reduced echelon form.  `characteristic_polynomial` eliminates by similarity
+instead.
 
 One prime-field kernel works modulo PRIME = 2^61 - 1 on coefficient lists:
 reduction of rationals, products and Euclid's gcd.  It only ever proves a
@@ -479,27 +485,31 @@ def _field_step(row, top, col):
 
 
 def _integer_step(row, top, col):
-    """Fraction-free `_field_step` for integer rows: the primitive integer
-    combination of row and top that clears column col."""
+    """Fraction-free `_field_step` for integer rows that vanish before
+    column col, as in forward elimination: the primitive integer combination
+    of row and top that clears column col."""
     g = gcd(top[col], row[col])
     a, b = top[col] // g, row[col] // g
-    out = [a * x - b * y for x, y in zip(row, top)]
+    out = [a * x - b * y for x, y in zip(row[col:], top[col:])]
     g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    return [0] * col + ([x // g for x in out] if g > 1 else out)
 
 
-def _row_echelon(rows, ncols, step=_field_step):
-    """Forward elimination in place, searching pivots in the first `ncols`
-    columns; returns the pivot columns.  Afterwards rows[:len(pivots)] are in
-    echelon form and the remaining rows vanish on those columns."""
+def _row_echelon(rows, cols, step=_field_step):
+    """Forward elimination in place over the columns `cols`, in order;
+    returns the pivot columns.  Each column's pivot is the candidate row with
+    the fewest nonzero entries, so sparse rows serve as pivots unreduced and
+    dense rows do not fill them in.  Afterwards rows[:len(pivots)] are in
+    echelon form on `cols` and the remaining rows vanish on those columns."""
     pivots = []
-    for col in range(ncols):
+    for col in cols:
         rank = len(pivots)
         if rank == len(rows):
             break
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
+        candidates = [r for r in range(rank, len(rows)) if rows[r][col]]
+        if not candidates:
             continue
+        piv = min(candidates, key=lambda r: len(rows[r]) - rows[r].count(0))
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
         for r in range(rank + 1, len(rows)):
@@ -546,7 +556,7 @@ def characteristic_polynomial(rows) -> list:
 def _reduced_echelon(rows, ncols):
     """`_row_echelon` followed by back-substitution: every pivot scaled to
     one and cleared from the rows above it."""
-    pivots = _row_echelon(rows, ncols)
+    pivots = _row_echelon(rows, range(ncols))
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
         pv = rows[i][pc]
@@ -557,17 +567,47 @@ def _reduced_echelon(rows, ncols):
     return pivots
 
 
+def _parts_over(c, d):
+    """(a, b) with c = a + b*sqrt(d)."""
+    if not isinstance(c, QuadExt):
+        return c, 0
+    return c.a, c.b if c.d == d else c._over(d).b
+
+
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of field scalars as primitive integer rows, and a width: the
+    rank of the integer rows on the first width*k columns is width times the
+    rank of the input on its first k columns, for every k.  Zero rows are
+    dropped.
+
+    Over QQ the width is 1 and each row is cleared of denominators.  Over
+    QQ(sqrt d) the width is 2: a row r becomes the rational rows
+    (Re r, Im r) and (Re sqrt(d)*r, Im sqrt(d)*r), the two parts of each
+    column side by side.  Their QQ-span is the K-span of the rows taken as a
+    QQ-space, and projection onto any set of columns commutes with
+    multiplication by sqrt(d).  Entries are written over the tag of the
+    first irrational one; an entry of another field raises
+    `ExtensionMismatchError`."""
+    d = next((c.d for r in rows for c in r if isinstance(c, QuadExt) and c.b), None)
+    if d is None:
+        rational = [[c.a if isinstance(c, QuadExt) else c for c in r] for r in rows]
+    else:
+        rational = []
+        for r in rows:
+            parts = [_parts_over(c, d) for c in r]
+            rational.append([v for a, b in parts for v in (a, b)])
+            rational.append([v for a, b in parts for v in (d * b, a)])
+    return [p for p in map(primitive_integers, rational) if any(p)], 1 if d is None else 2
+
+
 def matrix_rank(rows) -> int:
-    """Rank of a matrix of field scalars (fraction-free over the integers
-    when all entries are rational)."""
+    """Rank of a matrix of field scalars, by fraction-free elimination of
+    its `integer_rows`."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    ncols = len(rows[0])
-    if all(isinstance(c, (int, Fraction)) for r in rows for c in r):
-        int_rows = [rr for rr in map(primitive_integers, rows) if any(rr)]
-        return len(_row_echelon(int_rows, ncols, _integer_step))
-    return len(_row_echelon(rows, ncols))
+    int_rows, width = integer_rows(rows)
+    return len(_row_echelon(int_rows, range(width * len(rows[0])), _integer_step)) // width
 
 
 def nullspace(rows, ncols, one=Fraction(1)):

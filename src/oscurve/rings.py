@@ -10,6 +10,7 @@ through `parse_poly`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -128,6 +129,15 @@ def _check_same_ring(p, q):
 
 def gradedlex_key(exp):
     return (sum(exp),) + exp
+
+
+@lru_cache(maxsize=64)
+def _is_invertible(rows: tuple) -> bool:
+    """Whether a square matrix of field scalars has full rank; one rank
+    computation per distinct matrix, however many polynomials it moves."""
+    from .polyops import matrix_rank
+
+    return matrix_rank(rows) == len(rows)
 
 
 class Polynomial:
@@ -445,12 +455,10 @@ class Polynomial:
         """f at the images sum_j M[i][j] * monomials[j] in `ring`; M must be
         square of size nvars and invertible."""
         n = self.ring.nvars
-        rows = [[self.ring.coerce_scalar(v) for v in row] for row in matrix]
+        rows = tuple(tuple(self.ring.coerce_scalar(v) for v in row) for row in matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"matrix must be {n}x{n}")
-        from .polyops import matrix_rank
-
-        if matrix_rank(rows) < n:
+        if not _is_invertible(rows):
             raise DegenerateInputError("linear change of coordinates must be invertible")
         return self._apply_images([ring.from_terms(zip(monomials, row)) for row in rows], ring)
 

@@ -1,8 +1,12 @@
 """Reference algorithms shared by the tests; the package does not use them."""
 
+from itertools import count
+
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import Ideal, is_empty_scheme
-from oscurve.rings import Polynomial, PolyMatrix
+from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
+from oscurve.polyops import _row_echelon
+from oscurve.rings import INF, Polynomial, PolyMatrix
 
 
 def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
@@ -45,3 +49,38 @@ def has_triple_point_grevlex(F: Polynomial) -> bool:
     names = F.ring.variables
     second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
     return not is_empty_scheme(Ideal(F.ring, second))
+
+
+def quotient_dimension_at_level(f: Polynomial, g: Polynomial, n: int) -> int:
+    """d_n = dim K[x,y]/((f, g) + m^n) from a fresh matrix of the rows m*f
+    and m*g on the monomials of degree < n, ranked by elimination over the
+    field itself (`_row_echelon` with `_field_step`)."""
+    monos = [(d - j, j) for d in range(n) for j in range(d + 1)]
+    index = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for base in (f, g):
+        for mult_deg in range(n - int(base.lowest_degree())):
+            for mj in range(mult_deg + 1):
+                row = [0] * len(monos)
+                for (ei, ej), c in base.terms.items():
+                    col = index.get((ei + mult_deg - mj, ej + mj))
+                    if col is not None:
+                        row[col] = c
+                rows.append(row)
+    return len(monos) - len(_row_echelon(rows, range(len(monos))))
+
+
+def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=None):
+    """`truncated_local_multiplicity` one level at a time: d_N for
+    N = 2, 3, ... by `quotient_dimension_at_level`, until d_N = d_(N+1) or N
+    passes the cap."""
+    if cap is None:
+        cap = default_multiplicity_cap(f, g)
+    prev = quotient_dimension_at_level(f, g, 2)
+    for n in count(3):
+        cur = quotient_dimension_at_level(f, g, n)
+        if cur == prev:
+            return TruncatedMultiplicity(prev, False)
+        prev = cur
+        if n > cap:
+            return TruncatedMultiplicity(INF, True)

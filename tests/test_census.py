@@ -3,6 +3,7 @@
 import pytest
 
 from oscurve.census import (
+    _image_of_site,
     classify_curve_singularities,
     cusp_conic,
     double_point_census,
@@ -27,6 +28,7 @@ from oscurve.groebner import (
     zero_dim_radical,
 )
 from oscurve.polyops import poly_gcd, poly_normalize
+from oscurve.qfields import QQ, field_of
 from oscurve.rational_curves import (
     PlaneParameterization,
     ambient_ring,
@@ -682,3 +684,29 @@ def test_census_makes_no_lex_basis_and_no_k3_scheme(monkeypatch):
         classify_curve_singularities(CENSUS_INPUTS[name]())
     assert orders and "lex" not in orders
     assert ks == [2, 2, 2]
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_INPUTS))
+def test_conjugate_image_points_equal_the_direct_solve(name):
+    param = CENSUS_INPUTS[name]()
+    census = double_point_census(param)
+    for site in census.sites:
+        if site.kind == "point":
+            assert site.image_point == _image_of_site(param, site.coords), site
+
+
+def test_conjugate_image_points_are_taken_without_a_second_solve(monkeypatch):
+    from oscurve import census as census_module
+
+    calls = []
+    solve = census_module._image_of_site
+
+    def counting(param, coords):
+        calls.append(coords)
+        return solve(param, coords)
+
+    monkeypatch.setattr(census_module, "_image_of_site", counting)
+    census = double_point_census(CENSUS_INPUTS["conjugate-nodes-quartic"]())
+    points = [site for site in census.sites if site.kind == "point"]
+    conjugates = [site for site in points if field_of(site.coords) != QQ]
+    assert conjugates and len(calls) == len(points) - len(conjugates) // 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscurve import polyops
-from oscurve.errors import DegenerateInputError
+from oscurve.errors import DegenerateInputError, ExtensionMismatchError
 from oscurve.polyops import (
     PRIME,
     certify_squarefree_by_restriction,
@@ -212,6 +212,42 @@ def test_rank_and_nullspace():
                 assert entry == (1 if i == j else 0)
     with pytest.raises(DegenerateInputError):
         matrix_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ)
+
+
+def _field_rank(rows, ncols):
+    """Rank by elimination over the field itself, `_field_step` on field scalars."""
+    return len(polyops._row_echelon([list(r) for r in rows], range(ncols)))
+
+
+@pytest.mark.parametrize("tags", [(2, 8), (-1,), (3, 12, 27), (2 * 1009**2, 2)])
+def test_quadratic_rank_through_integer_pairs_matches_field_elimination(tags):
+    rng = random.Random(sum(tags))
+    for _ in range(25):
+        nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 4)
+
+        def entry():
+            return QuadExt(rng.randint(-3, 3), rng.randint(-2, 2) * rng.randint(0, 1), rng.choice(tags))
+
+        # a product of an nrows x inner and an inner x ncols matrix has rank <= inner
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        zero = QuadExt(0, 0, tags[0])
+        rows = [
+            [sum((a * right[k][j] for k, a in enumerate(row)), zero) for j in range(ncols)]
+            for row in left
+        ]
+        for width in range(1, ncols + 1):
+            prefix = [r[:width] for r in rows]
+            assert matrix_rank(prefix) == _field_rank(prefix, width), (prefix, width)
+
+
+def test_rank_refuses_rows_that_mix_two_fields():
+    r2, r3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    for rows in ([[r2, r3]], [[r2, 1], [r3, 1]], [[1, 0], [QuadExt(1, 1, 8), r3]]):
+        with pytest.raises(ExtensionMismatchError):
+            matrix_rank(rows)
+    # tags naming one field combine: sqrt(8) = 2*sqrt(2)
+    assert matrix_rank([[QuadExt(0, 1, 8), 2], [2, QuadExt(0, 1, 2)]]) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, QuadraticField(2)], ids=["QQ", "QQ(sqrt2)"])

@@ -167,6 +167,35 @@ def test_linear_change_rejects_singular_matrix():
         R3.parse("x0").linear_change([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
 
 
+def test_linear_change_rejects_a_singular_matrix_each_time():
+    # the invertibility of a matrix is remembered; a singular one still refuses
+    singular = [[1, 0, 0], [2, 0, 0], [0, 0, 1]]
+    for f in (R3.parse("x0"), R3.parse("x1 + x2")):
+        with pytest.raises(DegenerateInputError):
+            f.linear_change(singular)
+
+
+def test_moving_many_polynomials_checks_each_matrix_once(monkeypatch):
+    from oscurve import polyops, rings
+    from oscurve.repro import run_repro_case
+
+    ranked = []
+    rank = polyops.matrix_rank
+
+    def counting(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(polyops, "matrix_rank", counting)
+    rings._is_invertible.cache_clear()
+    passed, _, _, bad = run_repro_case("example-6.1-part1")
+    assert passed, bad
+    moves = rings._is_invertible.cache_info()
+    # the parent ranked a matrix for each of 232 moved polynomials
+    assert len(ranked) == moves.misses == len(set(ranked))
+    assert moves.hits > 10 * moves.misses
+
+
 @given(small_polys)
 @settings(max_examples=25)
 def test_linear_change_round_trip(f):
