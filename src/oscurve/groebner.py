@@ -3,17 +3,34 @@ elimination, saturation, and radicals of zero-dimensional ideals.
 
 The engine is a Buchberger loop with the normal selection strategy, both
 classical pair criteria (coprime leading terms and the Gebauer-Moeller chain
-pruning), and one interreduction pass to the unique reduced basis.  Over QQ
+pruning), and one interreduction pass to the unique reduced basis
+(`_interreduce`, which also finishes every basis read off another).  Over QQ
 it is fraction-free: polynomials are primitive integer term dicts, a
 reduction step is work <- a*work - b*m*g with integers a, b, and the basis is
 made monic once, at the end; over QQ(sqrt d) the same loop keeps basis
-elements monic.  Saturation has two routes: the colon of a homogeneous
-ideal by one linear form (move the form to the last variable by
-`chart_matrix`, divide it out of a grevlex basis where it is cheapest, move
-back), and the general auxiliary-variable route.  Saturating a homogeneous
-I by the irrelevant ideal m is one colon whenever a line l has I + (l)
-m-primary, which holds for every finite scheme off a fixed list of lines;
-that equality is exact, not a candidate to check.
+elements monic.
+
+A finite scheme takes one Buchberger run from scratch, for the grevlex basis
+of its ideal I; the other bases are read off it or start from it.  Grevlex
+with z last puts into the lead of each form the least power of z in it
+(Bayer and Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
+Prop. 15.12), which gives two reads: in(I + (z)) = in(I) + (z), so whether
+the line z misses the support is read off I's leads (`chart_lines`); and I's
+basis with z set to 1, interreduced, is the basis of the z chart
+(`_chart_with_basis`).  A sum I + J made by `ideal_sum` starts Buchberger
+from I's cached basis for the order and forms only the pairs with J's
+generators, as the pairs within I's basis reduce to zero; that serves the
+cusp conic, the other chart lines and the chart radical.
+
+Saturation has two routes: the colon of a homogeneous ideal by one linear
+form (move the form to the last variable by `chart_matrix`, divide it out of
+a grevlex basis where it is cheapest, move back), and the general
+auxiliary-variable route.  The colon is one pass: by the same theorem, the
+elements of the basis divided by their full powers of the last variable are
+a basis of I : z^infinity.  Saturating a homogeneous I by the irrelevant
+ideal m is one colon whenever a line l has I + (l) m-primary, which holds
+for every finite scheme off a fixed list of lines; that equality is exact,
+not a candidate to check.
 
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
@@ -29,7 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd
 from operator import add, ge, sub
 
@@ -279,19 +296,24 @@ def _exp_lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def _buchberger_dicts(gen_dicts, keyf):
+def _buchberger_dicts(gen_dicts, keyf, seed=()):
     """Reduced Groebner basis of nonzero term dicts: (dict, lead) pairs in
     increasing lead order.  Over QQ the loop is fraction-free on primitive
     integer dicts (`GroebnerBasis` makes them monic); other coefficients run
-    it over their field with monic elements."""
-    rational = all(_is_rational(d) for d in gen_dicts)
+    it over their field with monic elements.
+
+    `seed` is the reduced basis of an ideal I for the same order, in the
+    representation that the seed and the dicts take together; the result is
+    then the basis of I plus the dicts.  The seed's own pairs reduce to zero,
+    so only pairs with a new element are formed."""
+    rational = all(_is_rational(d) for d in chain(gen_dicts, (g for g, _ in seed)))
     entry = _HeapEntries(keyf)
     if rational:
         gen_dicts = [_primitive(d, _lead(d, entry)) for d in gen_dicts]
         split, normalize = _integer_split, _primitive
     else:
         split, normalize = _field_split, _monic
-    basis: list[tuple[dict, tuple]] = []  # (dict, lead)
+    basis: list[tuple[dict, tuple]] = list(seed)  # (dict, lead)
     pair_heap: list = []
     alive: set[tuple[int, int]] = set()
     counter = count()
@@ -347,15 +369,21 @@ def _buchberger_dicts(gen_dicts, keyf):
             continue
         alive.discard((i, j))
         insert(_spoly_dict(*basis[i], *basis[j], lcm, split))
+    return _interreduce(basis, entry, rational)
 
-    # minimalize: drop elements whose lead is divisible by another lead
+
+def _interreduce(pairs, entry, rational):
+    """The reduced basis, in increasing lead order, of the ideal that the
+    (dict, lead) pairs are a Groebner basis of, in the engine's
+    representation (`rational`: primitive integer dicts).  Minimalize (drop
+    each element whose lead another lead divides), then tail-reduce: the
+    leads of a minimal basis are fixed, so one pass leaves no tail term
+    divisible by any of them."""
+    split, normalize = (_integer_split, _primitive) if rational else (_field_split, _monic)
     minimal = []
-    for g, lead in sorted(basis, key=lambda gl: keyf(gl[1])):
+    for g, lead in sorted(pairs, key=lambda gl: entry.keyf(gl[1])):
         if not any(_divisible(lead, m) for _, m in minimal):
             minimal.append((g, lead))
-
-    # tail-reduce to the reduced basis: the leads of a minimal basis are
-    # fixed, so one pass leaves no tail term divisible by any of them
     return [
         (normalize(_reduce_full(g, minimal[:i] + minimal[i + 1 :], entry, split)[0], lead), lead)
         for i, (g, lead) in enumerate(minimal)
@@ -471,9 +499,12 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """A finitely presented ideal with write-once cached Groebner bases."""
+    """A finitely presented ideal with write-once cached Groebner bases.
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    A sum I + J made by `ideal_sum` keeps I: its basis for an order starts
+    from I's, when that is cached by then."""
+
+    __slots__ = ("ring", "gens", "_gb_cache", "_seed")
 
     def __init__(self, ring, gens):
         fixed = []
@@ -487,6 +518,7 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(fixed))
         object.__setattr__(self, "_gb_cache", {})
+        object.__setattr__(self, "_seed", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Ideal is immutable")
@@ -541,10 +573,20 @@ class Ideal:
 
 
 def buchberger(ideal: Ideal, order: TermOrder = DEFAULT_ORDER) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the ideal for the given order."""
-    ring = ideal.ring
-    pairs = _buchberger_dicts([g.terms for g in ideal.gens], order.key_function(ring))
-    return GroebnerBasis(ring, order, pairs)
+    """The unique reduced Groebner basis of the ideal for the given order.
+
+    A sum I + J whose summand I has its basis for the order cached starts
+    from that basis and adds J's generators, unless the engine would take
+    the seed and J's generators in another representation than the seed's
+    own (integer dicts over QQ, monic ones over QQ(sqrt d))."""
+    gens, seed = [g.terms for g in ideal.gens], ()
+    known = ideal._seed._gb_cache.get(order) if ideal._seed is not None else None
+    if known is not None:
+        new = gens[len(ideal._seed.gens) :]
+        if known._rational == all(map(_is_rational, chain(new, (g for g, _ in known._pairs)))):
+            gens, seed = new, known._pairs
+    pairs = _buchberger_dicts(gens, order.key_function(ideal.ring), seed)
+    return GroebnerBasis(ideal.ring, order, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +700,13 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
+    """a + b, generated by a's generators and then b's; its Groebner bases
+    start from a's (`buchberger`)."""
     if a.ring != b.ring:
         raise RingMismatchError("ideal sum needs a common ring")
-    return Ideal(a.ring, list(a.gens) + list(b.gens))
+    total = Ideal(a.ring, list(a.gens) + list(b.gens))
+    object.__setattr__(total, "_seed", a)
+    return total
 
 
 def ideal_power(a: Ideal, e: int) -> Ideal:
@@ -708,35 +754,24 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _divide_out_variable(p: Polynomial, pos: int) -> Polynomial:
-    m = min(e[pos] for e in p.terms)
-    if m == 0:
-        return p
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[pos] -= m
-        out[tuple(ne)] = c
-    return Polynomial(p.ring, out)
-
-
 def _colon_variable_power(ideal: Ideal, var: str) -> Ideal:
-    """I : var^infinity for homogeneous I: grevlex with `var` cheapest, then
-    divide each basis element by its full var power (iterated to a fixpoint).
-    """
+    """I : var^infinity for homogeneous I, in one pass: in grevlex with `var`
+    cheapest, the elements of I's basis divided by their full powers of var
+    are a basis of the colon (Bayer and Stillman; Eisenbud, Commutative
+    Algebra, Prop. 15.12), made reduced by one interreduction."""
     ring = ideal.ring
     pos = ring.index(var)
-    priority = [v for v in ring.variables if v != var] + [var]
-    order = TermOrder.grevlex(priority)
-    current = ideal
-    while True:
-        gb = current.groebner_basis(order)
-        divided = [_divide_out_variable(p, pos) for p in gb.polys]
-        if all(d == p for d, p in zip(divided, gb.polys)):
-            result = Ideal(ring, gb.polys)
-            result.attach_basis(gb)
-            return result
-        current = Ideal(ring, divided)
+    order = TermOrder.grevlex([v for v in ring.variables if v != var] + [var])
+    gb = ideal.groebner_basis(order)
+    divided = []
+    for g, lead in gb._pairs:
+        k = min(e[pos] for e in g)
+        drop = tuple(k if i == pos else 0 for i in range(ring.nvars))
+        quotient = {tuple(map(sub, e, drop)): c for e, c in g.items()}
+        divided.append((quotient, tuple(map(sub, lead, drop))))
+    pairs = _interreduce(divided, _HeapEntries(gb._keyf), gb._rational)
+    colon = GroebnerBasis(ring, order, pairs)
+    return Ideal(ring, colon.polys).attach_basis(colon)
 
 
 def _colon_linear_power(ideal: Ideal, ell: Polynomial) -> Ideal:
@@ -859,6 +894,12 @@ def is_empty_scheme(ideal: Ideal) -> bool:
     That holds exactly when a power of every variable lies in the ideal, so
     every variable has a lead term of the reduced basis that is a pure power
     of it (the lead term 1 counts for every variable)."""
+    return len(_pure_power_variables(ideal)) == ideal.ring.nvars
+
+
+def _pure_power_variables(ideal: Ideal) -> set:
+    """Positions of the variables with a pure power among the leads of the
+    homogeneous ideal's reduced grevlex basis; a lead 1 counts for all."""
     if not ideal.is_homogeneous():
         raise DegenerateInputError("the emptiness test needs a homogeneous ideal")
     nvars = ideal.ring.nvars
@@ -867,15 +908,22 @@ def is_empty_scheme(ideal: Ideal) -> bool:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) <= 1:
             covered.update(support or range(nvars))
-    return len(covered) == nvars
+    return covered
 
 
 def chart_lines(ideal: Ideal):
     """The lines of a fixed list that miss the finite scheme of a homogeneous
-    ideal in three variables, in list order."""
+    ideal in three variables, in list order.
+
+    The first line, z, is read off I's own basis: in grevlex with z last,
+    in(I + (z)) = in(I) + (z) (Bayer and Stillman), so z misses the support
+    exactly when x and y have pure-power leads.  The other lines take the
+    basis of I + (ell), which starts from I's."""
     ring = ideal.ring
     x, y, z = ring.gens()
-    for ell in (z, y, x, x + y + z, x + 2 * y - z, 3 * x - y + 2 * z, x - 5 * y + 7 * z):
+    if {0, 1} <= _pure_power_variables(ideal):
+        yield z
+    for ell in (y, x, x + y + z, x + 2 * y - z, 3 * x - y + 2 * z, x - 5 * y + 7 * z):
         if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
             yield ell
 
@@ -915,6 +963,24 @@ def to_chart(ideal: Ideal, matrix) -> Ideal:
     return Ideal(aff, [g.chart(matrix, aff) for g in ideal.gens])
 
 
+def _chart_with_basis(ideal: Ideal, matrix) -> Ideal:
+    """`to_chart(ideal, matrix)`, with its grevlex basis.  In the z chart
+    (the identity matrix) of a homogeneous ideal, the chart takes each form
+    with z set to 1, and its basis is I's own with z set to 1, interreduced:
+    grevlex with z last puts into each lead the least power of z in its
+    form, so setting z = 1 keeps the leads, and the dehomogenized basis is a
+    Groebner basis of the chart ideal."""
+    identity = all(v == int(i == j) for i, row in enumerate(matrix) for j, v in enumerate(row))
+    if not (identity and ideal.is_homogeneous()):
+        return to_chart(ideal, matrix)
+    aff = PolyRing(("xc", "yc"), ideal.ring.field)
+    chart = Ideal(aff, [Polynomial(aff, {e[:2]: c for e, c in g.terms.items()}) for g in ideal.gens])
+    gb = ideal.groebner_basis()
+    dehomogenized = [({e[:2]: c for e, c in g.items()}, lead[:2]) for g, lead in gb._pairs]
+    pairs = _interreduce(dehomogenized, _HeapEntries(DEFAULT_ORDER.key_function(aff)), gb._rational)
+    return chart.attach_basis(GroebnerBasis(aff, DEFAULT_ORDER, pairs))
+
+
 def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
     """Homogeneous ideal in `ring` of the chart scheme cut out by `gens`:
     homogenize, saturate by the last variable, undo the chart matrix.  An
@@ -938,8 +1004,11 @@ def chart_radical(ideal: Ideal, matrix):
     the points p (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 par.
     4).  I plus their squarefree parts is the radical (Seidenberg's lemma),
     returned with its reduced grevlex basis as generators; chi_x is in xc.
+    The chart basis (`_chart_with_basis`) and the radical's basis, which
+    starts from it, take no Buchberger run from scratch in the z chart.
     """
-    gb = to_chart(ideal, matrix).groebner_basis()
+    chart = _chart_with_basis(ideal, matrix)
+    gb = chart.groebner_basis()
     ring, leads = gb.ring, gb.lead_exponents
     # a finite scheme has leads xc^a, yc^b, then no standard monomial of degree >= a + b - 1
     top = sum(map(max, zip(*leads)))
@@ -957,7 +1026,7 @@ def chart_radical(ideal: Ideal, matrix):
         coeffs = characteristic_polynomial(rows)
         chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
     parts = [squarefree_part(chi) for chi in chis]
-    reduced = Ideal(ring, list(gb.polys) + parts).groebner_basis()
+    reduced = ideal_sum(chart, Ideal(ring, parts)).groebner_basis()
     g = parts[0] * (ring.field.one / parts[0].terms[(parts[0].degree(), 0)])
     return Ideal(ring, reduced.polys).attach_basis(reduced), chis[0], g
 

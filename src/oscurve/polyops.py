@@ -19,11 +19,17 @@ rank over K is half the rational rank, on every prefix of columns too.  The
 local-multiplicity oracle carries the same elimination across its levels.
 `nullspace` and `matrix_inverse` add back-substitution over the field to the
 reduced echelon form.  `characteristic_polynomial` eliminates by similarity
-instead.
+instead, to upper Hessenberg form: over QQ(sqrt d) in the field, over QQ on
+the integer matrix N = D*A modulo primes, combined by the Chinese remainder
+theorem.  The primes below 2^61, from PRIME = 2^61 - 1 down, form one
+deterministic list that grows as far as it is read (`_moduli`; Miller-Rabin
+with witnesses that prove primality below 3.3 * 10^24).  How many are taken
+comes from a proven bound, |c_k| <= C(m, k)*B^k for the coefficient of
+T^(m-k), B the largest absolute row sum of N, and needs no check afterwards.
 
-One prime-field kernel works modulo PRIME = 2^61 - 1 on coefficient lists:
-reduction of rationals, products and Euclid's gcd.  It only ever proves a
-negative, as a one-sided certificate with an exact fallback:
+One prime-field kernel works modulo PRIME on coefficient lists: reduction
+of rationals, products and Euclid's gcd.  It only ever proves a negative,
+as a one-sided certificate with an exact fallback:
 `coprime_mod_prime` shows that two univariate polynomials over QQ are coprime
 when their gcd mod PRIME is constant and Gauss's lemma applies (no
 denominator divisible by PRIME, the leading coefficient kept); any other
@@ -38,7 +44,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from .errors import DegenerateInputError, InvariantViolation
 from .qfields import QuadExt, RationalField
@@ -174,6 +181,40 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 PRIME = 2**61 - 1
+# PRIME, then the primes below it in decreasing order: built by `_moduli` as
+# far as it is read
+_PRIMES = [PRIME]
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as witnesses, which is a
+    proof for every n below 3.3 * 10^24."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _moduli():
+    """The primes of `_PRIMES` in order, extending the list below its last
+    prime when the reader gets past its end."""
+    for i in count():
+        if i == len(_PRIMES):
+            _PRIMES.append(next(q for q in range(_PRIMES[-1] - 1, 1, -1) if _is_prime(q)))
+        yield _PRIMES[i]
 
 
 def residues_mod_prime(values) -> list[int] | None:
@@ -521,8 +562,38 @@ def _row_echelon(rows, cols, step=_field_step):
 
 def characteristic_polynomial(rows) -> list:
     """Coefficients of det(T*I - A), constant first, for a square matrix A of
-    field scalars.  A similarity brings A to upper Hessenberg form H; then the
-    leading principal minors p_m of T*I - H satisfy p_m = T*p_(m-1) -
+    field scalars.
+
+    Over QQ, with D the least common denominator, N = D*A is an integer
+    matrix; every eigenvalue of N is at most its largest absolute row sum B,
+    so the coefficient of T^(m-k) in chi_N is at most C(m, k)*B^k.  chi_N is
+    taken modulo the primes of `_moduli` until their product exceeds twice
+    that bound, and the symmetric residues of their Chinese remainder
+    combination are its coefficients; chi_A(T) = D^(-m)*chi_N(D*T).  Over
+    QQ(sqrt d) the Hessenberg route runs in the field."""
+    if any(isinstance(c, QuadExt) for r in rows for c in r):
+        return _field_characteristic_polynomial(rows)
+    m = len(rows)
+    den = lcm(*(c.denominator for r in rows for c in r))
+    scaled = [[c.numerator * (den // c.denominator) for c in r] for r in rows]
+    b = max((sum(map(abs, r)) for r in scaled), default=0)
+    bound = max(comb(m, k) * b**k for k in range(m + 1))
+    chi, modulus = [0] * (m + 1), 1
+    moduli = _moduli()
+    while modulus <= 2 * bound:
+        p = next(moduli)
+        step = modulus * pow(modulus, -1, p)  # 1 mod p, 0 mod the primes so far
+        chi = [v + (r - v) * step for v, r in zip(chi, _hessenberg_mod_prime(scaled, p))]
+        modulus *= p
+        chi = [v % modulus for v in chi]
+    chi = [v - modulus if 2 * v > modulus else v for v in chi]
+    return [Fraction(c, den ** (m - k)) for k, c in enumerate(chi)]
+
+
+def _field_characteristic_polynomial(rows) -> list:
+    """det(T*I - A) by the Hessenberg route over the field of the entries.  A
+    similarity brings A to upper Hessenberg form H; then the leading
+    principal minors p_m of T*I - H satisfy p_m = T*p_(m-1) -
     sum_(r<m) h[r][m-1] * h[r+1][r] * ... * h[m-1][m-2] * p_r."""
     h = [list(r) for r in rows]
     n = len(h)
@@ -550,6 +621,42 @@ def characteristic_polynomial(rows) -> list:
                     p[j] -= f * c
             sub *= h[r][r - 1] if r else 0
         minors.append(p)
+    return minors[n]
+
+
+def _hessenberg_mod_prime(rows, p: int) -> list[int]:
+    """det(T*I - A) mod p for an integer matrix A, constant first: the
+    Hessenberg route of `_field_characteristic_polynomial` over GF(p).  The
+    row operations of one column all subtract multiples of the same pivot
+    row, so they commute, and the matching column operations go in one
+    pass after them."""
+    h = [[v % p for v in r] for r in rows]
+    n = len(h)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[k + 1], h[piv] = h[piv], h[k + 1]
+        for row in h:
+            row[k + 1], row[piv] = row[piv], row[k + 1]
+        top, inv = h[k + 1], pow(h[k + 1][k], -1, p)
+        factors = [h[i][k] * inv % p for i in range(k + 2, n)]
+        for i, f in enumerate(factors, k + 2):
+            if f:
+                h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], top[k:])]
+        if any(factors):
+            for row in h:
+                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) % p
+    minors = [[1]]
+    for m in range(1, n + 1):
+        q = [0] + minors[-1]
+        sub = 1
+        for r in range(m - 1, -1, -1):
+            f = sub * h[r][m - 1] % p
+            if f:
+                q[: r + 1] = [v - f * c for v, c in zip(q, minors[r])]
+            sub = sub * h[r][r - 1] % p if r else 0
+        minors.append([v % p for v in q])
     return minors[n]
 
 

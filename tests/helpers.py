@@ -3,7 +3,7 @@
 from itertools import count
 
 from oscurve.errors import DegenerateInputError
-from oscurve.groebner import Ideal, is_empty_scheme
+from oscurve.groebner import Ideal, TermOrder, is_empty_scheme
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
 from oscurve.polyops import _row_echelon
 from oscurve.rings import INF, Polynomial, PolyMatrix
@@ -84,3 +84,23 @@ def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=Non
         prev = cur
         if n > cap:
             return TruncatedMultiplicity(INF, True)
+
+
+def colon_variable_power_by_fixpoint(ideal: Ideal, var: str) -> Ideal:
+    """I : var^infinity for homogeneous I, without Bayer and Stillman: take
+    the grevlex basis with `var` cheapest, divide each element by its full
+    power of var, and start again from the quotients until none changes."""
+    ring = ideal.ring
+    pos = ring.index(var)
+    order = TermOrder.grevlex([v for v in ring.variables if v != var] + [var])
+    current = ideal
+    while True:
+        gb = current.groebner_basis(order)
+        divided = []
+        for p in gb.polys:
+            k = min(e[pos] for e in p.terms)
+            terms = {e[:pos] + (e[pos] - k,) + e[pos + 1 :]: c for e, c in p.terms.items()}
+            divided.append(ring.from_terms(terms))
+        if divided == list(gb.polys):
+            return Ideal(ring, gb.polys).attach_basis(gb)
+        current = Ideal(ring, divided)

@@ -487,19 +487,30 @@ def test_fiber_parameters_over_quadratic_extensions():
         assert quadratic_roots(*site.coords, QuadraticField(42)) is None
 
 
-def test_support_in_a_fallback_chart():
-    from oscurve.census import _projective_from_chart
+FALLBACK_POINTS = [(1, 0, 0), (0, 0, 1), (1, -1, 0), (1, 0, 1)]
 
-    # the four points meet the lines z, y, x and x + y + z, so the radical
-    # and the census both need a chart line further down the list
+
+def fallback_chart_schemes():
+    """(fat, reduced): the squares of the ideals of FALLBACK_POINTS, and the
+    ideals themselves, intersected.  The four points meet the lines z, y, x
+    and x + y + z, so the radical and the census both need a chart line
+    further down the list."""
     ring = PolyRing(("x", "y", "z"))
-    points = [(1, 0, 0), (0, 0, 1), (1, -1, 0), (1, 0, 1)]
     fat = reduced = None
-    for p in points:
+    for p in FALLBACK_POINTS:
         square = ideal_power(point_ideal(ring, p), 2)
         fat = square if fat is None else ideal_intersection(fat, square)
         simple = point_ideal(ring, p)
         reduced = simple if reduced is None else ideal_intersection(reduced, simple)
+    return fat, reduced
+
+
+def test_support_in_a_fallback_chart():
+    from oscurve.census import _projective_from_chart
+
+    ring = PolyRing(("x", "y", "z"))
+    points = FALLBACK_POINTS
+    fat, reduced = fallback_chart_schemes()
     radical = zero_dim_radical(fat)
     assert radical == reduced
     total = scheme_length(fat)
@@ -710,3 +721,109 @@ def test_conjugate_image_points_are_taken_without_a_second_solve(monkeypatch):
     points = [site for site in census.sites if site.kind == "point"]
     conjugates = [site for site in points if field_of(site.coords) != QQ]
     assert conjugates and len(calls) == len(points) - len(conjugates) // 2
+
+
+# -- one basis per scheme: the z chart read off the scheme's own basis -----------------
+
+READ_SCHEMES = {
+    **{
+        name: (lambda build=build: multiple_point_scheme_ideal(build(), 2))
+        for name, build in CENSUS_INPUTS.items()
+    },
+    # z-torsion: (x^2, x*y, y^2) at [0:0:1] plus z times more
+    "z-torsion": lambda: Ideal(
+        PolyRing(("x", "y", "z")),
+        [PolyRing(("x", "y", "z")).parse(t) for t in ("x^2*z", "x*y*z", "y^2*z", "x^3", "y^3")],
+    ),
+    "fallback-chart": lambda: fallback_chart_schemes()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_SCHEMES))
+def test_z_chart_reads_match_fresh_bases(name):
+    from oscurve.groebner import _chart_with_basis, chart_lines, chart_matrix, to_chart
+
+    ideal = READ_SCHEMES[name]()
+    z = ideal.ring.var("z")
+    # z is the first chart line exactly when I + (z) is empty, by a basis of its own
+    fresh = Ideal(ideal.ring, [*ideal.gens, z])
+    assert (next(chart_lines(ideal), None) == z) == is_empty_scheme(fresh)
+    identity = chart_matrix(z)
+    read, fresh = _chart_with_basis(ideal, identity), to_chart(ideal, identity)
+    assert read.gens == fresh.gens
+    assert read.groebner_basis().polys == fresh.groebner_basis().polys
+
+
+def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
+    # every other basis is read off the scheme's (the z chart) or starts from
+    # one (sums); only a chart of another line is computed anew
+    from oscurve import census as census_module
+    from oscurve import groebner
+
+    scratch, charts, current = [], [], []
+    buchberger, engine = groebner.buchberger, groebner._buchberger_dicts
+    radical = census_module.chart_radical
+
+    def tracking_buchberger(ideal, order=groebner.DEFAULT_ORDER):
+        current.append(ideal)
+        try:
+            return buchberger(ideal, order)
+        finally:
+            current.pop()
+
+    def counting_engine(gen_dicts, keyf, seed=()):
+        if not seed:
+            scratch.append(current[-1])
+        return engine(gen_dicts, keyf, seed)
+
+    def recording_radical(ideal, matrix):
+        charts.append(matrix)
+        return radical(ideal, matrix)
+
+    monkeypatch.setattr(groebner, "buchberger", tracking_buchberger)
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
+    monkeypatch.setattr(census_module, "chart_radical", recording_radical)
+    identity = groebner.chart_matrix(PolyRing(("x", "y", "z")).var("z"))
+    z_only = 0
+    for name in sorted(set(CENSUS_INPUTS) - {"generator-9"}):
+        del scratch[:], charts[:]
+        param = CENSUS_INPUTS[name]()
+        double_point_census(param)
+        assert scratch[0].gens == multiple_point_scheme_ideal(param, 2).gens, name
+        others = [m for m in charts if m != identity]
+        assert len(scratch) == 1 + len(others), name
+        assert all(ideal.ring.variables == ("xc", "yc") for ideal in scratch[1:])
+        z_only += not others
+    assert z_only >= 6
+
+
+def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monkeypatch):
+    # every chart matrix of the benchmark's census inputs for seeds 1-5,
+    # against the Hessenberg route over QQ
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from oscurve import groebner
+    from oscurve.polyops import _field_characteristic_polynomial
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
+    if not path.exists():
+        pytest.skip("no benchmark checkout next to the tests")
+    spec = importlib.util.spec_from_file_location("bench_cases", path)
+    cases = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, cases)  # its dataclasses look themselves up there
+    spec.loader.exec_module(cases)
+    seen, texts = [], {text for seed in range(1, 6) for _, text in cases.census_inputs(seed)}
+    charpoly = groebner.characteristic_polynomial
+
+    def recording(rows):
+        seen.append((rows, charpoly(rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(groebner, "characteristic_polynomial", recording)
+    for text in sorted(texts):
+        double_point_census(PlaneParameterization.parse(text))
+    assert len(texts) > 30 and max(len(rows) for rows, _ in seen) == 15
+    for rows, chi in seen:
+        assert chi == _field_characteristic_polynomial(rows)

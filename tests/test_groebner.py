@@ -457,3 +457,107 @@ def test_degree_slice_members():
     J = ideal(R2, "x + y")
     slice1 = degree_slice_members(J, 1, strict=True)
     assert len(slice1) == 1
+
+
+# -- one basis per scheme: the single-pass colon and seeded sums --------------------
+
+
+def _random_form(rng, ring, degree, nterms, coefficient):
+    terms = {}
+    while len(terms) < nterms:
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        terms[(a, b, degree - a - b)] = coefficient()
+    return ring.from_terms(terms)
+
+
+def test_colon_in_one_pass_matches_the_fixpoint_loop():
+    from oscurve.groebner import _colon_variable_power
+
+    from helpers import colon_variable_power_by_fixpoint
+
+    rng = random.Random(17)
+    sqrt2 = PolyRing(("x", "y", "z"), QuadraticField(2))
+    torsion = 0
+    for trial in range(24):
+        ring = sqrt2 if trial % 4 == 3 else R3
+
+        def coefficient():
+            c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+            return QuadExt(c, rng.randint(-1, 1), 2) if ring is sqrt2 else c
+
+        # forms times powers of one variable, so the colon has torsion to remove
+        var = rng.choice(ring.variables)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            power = ring.var(rng.choice(ring.variables)) ** rng.randint(0, 2)
+            form = _random_form(rng, ring, rng.randint(1, 3), rng.randint(1, 3), coefficient)
+            gens.append(form * power)
+        I = Ideal(ring, gens)
+        ours = _colon_variable_power(I, var)
+        oracle = colon_variable_power_by_fixpoint(I, var)
+        assert ours.gens == oracle.gens, (trial, I)
+        torsion += not all(map(I.contains, ours.gens))
+    assert torsion > 12
+
+
+def _record_seeds(monkeypatch):
+    from oscurve import groebner
+
+    seeds = []
+    engine = groebner._buchberger_dicts
+
+    def recording(gen_dicts, keyf, seed=()):
+        seeds.append(bool(seed))
+        return engine(gen_dicts, keyf, seed)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", recording)
+    return seeds
+
+
+@pytest.mark.parametrize(
+    "order", [TermOrder.grevlex(), TermOrder.lex(), TermOrder.elimination(["x"])], ids=repr
+)
+@pytest.mark.parametrize("kind", ["QQ", "sqrt2-seed", "sqrt2-new"])
+def test_seeded_sums_equal_fresh_bases(monkeypatch, order, kind):
+    # a cached basis of I seeds the basis of I + J; over QQ(sqrt 2) either the
+    # seed or the new generators carry sqrt 2 while the others are rational
+    rng = random.Random(f"{order!r} {kind}")
+    ring = R3 if kind == "QQ" else PolyRing(("x", "y", "z"), QuadraticField(2))
+
+    def coefficient(irrational):
+        c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        return QuadExt(c, rng.randint(-2, 2), 2) if irrational else c
+
+    seeds = _record_seeds(monkeypatch)
+    irrational_seed = kind == "sqrt2-seed"
+    for trial in range(8):
+        degree = 3 if order.kind == "grevlex" else 2
+        old = [
+            _random_poly(rng, ring, rng.randint(2, 3), degree, lambda: coefficient(irrational_seed))
+            for _ in range(2)
+        ]
+        new = [_random_poly(rng, ring, 2, degree, lambda: coefficient(kind == "sqrt2-new"))]
+        I = Ideal(ring, old)
+        I.groebner_basis(order)
+        del seeds[:]
+        seeded = ideal_sum(I, Ideal(ring, new)).groebner_basis(order)
+        assert seeds == [True]
+        assert seeded.polys == Ideal(ring, old + new).groebner_basis(order).polys
+
+
+def test_seeded_sum_in_another_representation_runs_from_scratch(monkeypatch):
+    # rational coefficients left as Fractions in a QQ(sqrt 2) ring make an
+    # integer-dict seed; a new generator with sqrt 2 needs monic dicts
+    ring = PolyRing(("x", "y", "z"), QuadraticField(2))
+    old = [
+        Polynomial(ring, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(3)}),
+        Polynomial(ring, {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-1)}),
+    ]
+    new = [ring.from_terms({(0, 2, 0): QuadExt(0, 1, 2), (1, 0, 1): 1})]
+    I = Ideal(ring, old)
+    I.groebner_basis()
+    seeds = _record_seeds(monkeypatch)
+    fresh = Ideal(ring, old + new).groebner_basis()
+    assert ideal_sum(I, Ideal(ring, new)).groebner_basis().polys == fresh.polys
+    assert seeds == [False, False]

@@ -12,6 +12,7 @@ from oscurve import polyops
 from oscurve.errors import DegenerateInputError, ExtensionMismatchError
 from oscurve.polyops import (
     PRIME,
+    _field_characteristic_polynomial,
     certify_squarefree_by_restriction,
     characteristic_polynomial,
     coprime_mod_prime,
@@ -391,9 +392,15 @@ def test_characteristic_polynomial_against_sympy():
         pa = [[sum(p[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         return [[sum(pa[i][k] * p_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
-    matrices = [[]]
+    def wide():
+        # numerators up to 10^20 over three denominators near 10^20: the
+        # scaled integer matrix and its bound run to thousands of bits
+        return Fraction(rng.randint(-(10**20), 10**20), rng.choice(WIDE_DENOMINATORS))
+
+    matrices = [[], [[wide()]], [[Fraction(0)]], [[Fraction(0)] * 5 for _ in range(5)]]
     for n in range(1, 9):
         matrices.append([[rational() for _ in range(n)] for _ in range(n)])
+        matrices.append([[wide() for _ in range(n)] for _ in range(n)])
         # zero subdiagonal: block upper triangular, the blocks' polynomials multiply
         block = [[rational() for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -408,9 +415,71 @@ def test_characteristic_polynomial_against_sympy():
         entries = [sympy.Rational(c.numerator, c.denominator) for r in a for c in r]
         coeffs = sympy.Matrix(n, n, entries).charpoly().all_coeffs()[::-1]
         assert characteristic_polynomial(a) == [Fraction(str(c)) for c in coeffs]
+        assert characteristic_polynomial(a) == _field_characteristic_polynomial(a)
         if n and all(a[i][j] == 0 for i in range(n) for j in range(i + 1)):
             assert characteristic_polynomial(a) == [0] * n + [1]
     assert characteristic_polynomial([]) == [1]
+
+
+def _count_primes(monkeypatch):
+    """The primes that `characteristic_polynomial` reduces modulo, in order."""
+    used = []
+    kernel = polyops._hessenberg_mod_prime
+
+    def counting(rows, p):
+        used.append(p)
+        return kernel(rows, p)
+
+    monkeypatch.setattr(polyops, "_hessenberg_mod_prime", counting)
+    return used
+
+
+WIDE_DENOMINATORS = (10**20 + 39, 3**41, 2**66)
+
+
+def _random_rational_matrix(rng, n, height):
+    return [
+        [Fraction(rng.randint(-height, height), rng.choice(WIDE_DENOMINATORS)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_characteristic_polynomial_takes_the_primes_its_bound_asks_for(monkeypatch):
+    from math import comb, prod
+
+    used = _count_primes(monkeypatch)
+    rng = random.Random(12)
+    for n, height in [(0, 1), (1, 0), (3, 10), (6, 10**6), (12, 10**15), (20, 3), (24, 0)]:
+        a = _random_rational_matrix(rng, n, height)
+        del used[:]
+        chi = characteristic_polynomial(a)
+        if n <= 12:  # the field route takes seconds at n = 20
+            assert chi == _field_characteristic_polynomial(a)
+        den = lcm(*(c.denominator for r in a for c in r))
+        b = max((sum(abs(c * den) for c in r) for r in a), default=0)
+        bound = max(comb(n, k) * b**k for k in range(n + 1))
+        primes = polyops._PRIMES
+        k = next((k for k in range(1, len(primes) + 1) if prod(primes[:k]) > 2 * bound), None)
+        assert k is not None and used == polyops._PRIMES[:k]
+    assert len(polyops._PRIMES) > 10 and polyops._PRIMES[0] == PRIME
+
+
+def test_characteristic_polynomial_combines_many_small_primes(monkeypatch):
+    # the list restarted at 2^13 - 1 grows downward through the small primes
+    monkeypatch.setattr(polyops, "_PRIMES", [2**13 - 1])
+    used = _count_primes(monkeypatch)
+    rng = random.Random(13)
+    for n in (2, 5, 9):
+        a = _random_rational_matrix(rng, n, 10**20)
+        assert characteristic_polynomial(a) == _field_characteristic_polynomial(a)
+    assert len(used) > 200 and max(used) < 2**13
+    below = range(2**13 - 1, min(used) - 1, -1)
+    assert polyops._PRIMES == [q for q in below if polyops._is_prime(q)]
+    trial = [q for q in range(2000) if q > 1 and all(q % d for d in range(2, q))]
+    assert [q for q in range(2000) if polyops._is_prime(q)] == trial
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    composites = (2047, 1373653, 25326001, 3215031751, 561, 41041, PRIME * 3)
+    assert not any(map(polyops._is_prime, composites))
 
 
 # -- the prime-field certificate behind poly_gcd -------------------------------------
