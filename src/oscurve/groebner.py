@@ -445,48 +445,6 @@ class GroebnerBasis:
         unscale = f.terms[first] / (scale * work[first])
         return Polynomial(self.ring, {e: v * unscale for e, v in red.items()})
 
-    def normal_form_with_cofactors(self, f: Polynomial):
-        """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder,
-        by division in field arithmetic, independent of `normal_form`."""
-        ring = self.ring
-        keyf = self._keyf
-        work = dict(f.terms)
-        monic = [(p.terms, lead) for p, lead in zip(self.polys, self.lead_exponents)]
-        cofactors = [dict() for _ in self.polys]
-        remainder = {}
-        while work:
-            exp = max(work, key=keyf)
-            c = work.pop(exp)
-            hit = None
-            for idx, (g, glead) in enumerate(monic):
-                if _divisible(exp, glead):
-                    hit = idx
-                    break
-            if hit is None:
-                remainder[exp] = c
-                continue
-            g, glead = monic[hit]
-            shift = tuple(a - b for a, b in zip(exp, glead))
-            cofactors[hit][shift] = cofactors[hit].get(shift, 0) + c
-            for e2, c2 in g.items():
-                if e2 == glead:
-                    continue
-                e = tuple(a + b for a, b in zip(shift, e2))
-                s = work.get(e)
-                v = c * c2
-                if s is None:
-                    work[e] = -v
-                else:
-                    s = s - v
-                    if s:
-                        work[e] = s
-                    else:
-                        del work[e]
-        return (
-            Polynomial(ring, remainder),
-            [ring.from_terms(cf) for cf in cofactors],
-        )
-
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
 

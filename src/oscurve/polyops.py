@@ -2,12 +2,18 @@
 matrices, gcds, squarefree parts, rational roots, and exact linear algebra
 over the coefficient fields.
 
-Determinants and minors of polynomial matrices are computed by one
-algorithm, Laplace expansion memoized on column subsets: it shares work
-between all minors of a matrix and is very fast with integer coefficients.
-The largest determinants taken are small (the n x n moving-line matrix of a
-degree-n parameterization, the (n+1)-minors of the census matrix), where the
-2^size memo stays cheap.
+Determinants and minors of polynomial matrices are integer determinants
+(`_PackedMatrix`).  Each row is scaled to integers and each entry packed into
+one integer by Kronecker substitution, x^e -> 2^(k*pos(e)), pos(e) a
+mixed-radix index with radix D_v + 1 for each variable v of positive D_v, the
+sum over the rows of their largest degree in v.  When every row is
+homogeneous the last used variable gets no digit: a minor is homogeneous of
+the sum of its rows' degrees.  Over QQ(sqrt d) an entry A + sqrt(d)*B packs
+as A + w*B, w one more variable, and w^2 = d is applied after decoding.  A
+coefficient of a minor is at most the product of its rows' l1 norms, which k
+keeps below 2^(k-1), so the balanced base-2^k digits of the integer
+determinant, taken by fraction-free (Bareiss) elimination, are exactly the
+coefficients: no check afterwards.  `matrix_minors` packs once.
 
 Row reduction of scalar matrices happens here and nowhere else:
 `_row_echelon` is the one forward-elimination routine, over a range of
@@ -19,13 +25,15 @@ rank over K is half the rational rank, on every prefix of columns too.  The
 local-multiplicity oracle carries the same elimination across its levels.
 `nullspace` and `matrix_inverse` add back-substitution over the field to the
 reduced echelon form.  `characteristic_polynomial` eliminates by similarity
-instead, to upper Hessenberg form: over QQ(sqrt d) in the field, over QQ on
-the integer matrix N = D*A modulo primes, combined by the Chinese remainder
-theorem.  The primes below 2^61, from PRIME = 2^61 - 1 down, form one
-deterministic list that grows as far as it is read (`_moduli`; Miller-Rabin
-with witnesses that prove primality below 3.3 * 10^24).  How many are taken
-comes from a proven bound, |c_k| <= C(m, k)*B^k for the coefficient of
-T^(m-k), B the largest absolute row sum of N, and needs no check afterwards.
+instead, to upper Hessenberg form, over QQ on the integer matrix N = D*A
+modulo primes, combined by the Chinese remainder theorem; over QQ(sqrt d) it
+is the polynomial determinant of T*I - A.  The primes below 2^61, from
+PRIME = 2^61 - 1 down, form one deterministic list: the first 32 ship as
+offsets from 2^61, and `_moduli` extends it as far as it is read
+(Miller-Rabin with witnesses that prove primality below 3.3 * 10^24).  How
+many are taken comes from a proven bound, |c_k| <= C(m, k)*B^k for the
+coefficient of T^(m-k), B the largest absolute row sum of N, and needs no
+check afterwards.
 
 One prime-field kernel works modulo PRIME on coefficient lists: reduction
 of rationals, products and Euclid's gcd.  It only ever proves a negative,
@@ -43,79 +51,107 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count
-from math import comb, gcd, isqrt, lcm
+from itertools import chain, combinations, count
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DegenerateInputError, InvariantViolation
-from .qfields import QuadExt, RationalField
-from .rings import Polynomial, PolyMatrix, PolyRing, dict_mul, gradedlex_key, integer_dicts
+from .qfields import QuadExt, QuadraticField, RationalField
+from .rings import Polynomial, PolyMatrix, PolyRing, gradedlex_key, integer_dicts
 
 # ---------------------------------------------------------------------------
 # determinants and minors
 # ---------------------------------------------------------------------------
 
 
-def _laplace_det(entry_dicts, rows, cols, memo):
-    """Determinant of the submatrix on (rows, cols), expanding along the last
-    row; memo is keyed by (rows, cols) and shared across sibling minors."""
-    key = (rows, cols)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if len(rows) == 1:
-        result = entry_dicts[rows[0]].get(cols[0]) or {}
-        memo[key] = result
-        return result
-    r = rows[-1]
-    sub_rows = rows[:-1]
-    total = {}
-    sign = 1  # entry (len(rows)-1, len(cols)-1) carries a plus sign
-    for j in range(len(cols) - 1, -1, -1):
-        entry = entry_dicts[r].get(cols[j])
-        if entry:
-            sub = _laplace_det(entry_dicts, sub_rows, cols[:j] + cols[j + 1 :], memo)
-            if sub:
-                piece = dict_mul(entry, sub)
-                for e, c in piece.items():
-                    v = c if sign == 1 else -c
-                    s = total.get(e)
-                    if s is None:
-                        total[e] = v
-                    else:
-                        s = s + v
-                        if s:
-                            total[e] = s
-                        else:
-                            del total[e]
-        sign = -sign
-    memo[key] = total
-    return total
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, a lower row swapped in for a zero pivot.  Each division is
+    exact: the entries after step k are (k+1)-minors of the input."""
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            return 0
+        if i:
+            rows[0], rows[i], sign = rows[i], rows[0], -sign
+        top, p = rows[0], rows[0][0]
+        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in rows[1:]]
+        prev = p
+    return sign * rows[0][0]
 
 
-class _LaplaceContext:
-    """Shared state for minors of one matrix: per-row {col: term-dict}."""
+def _balanced_digits(value: int, k: int):
+    """(position, digit) for the nonzero digits of value in base 2^k with
+    digits in (-2^(k-1), 2^(k-1)), skipping runs of zero digits."""
+    pos = 0
+    while value:
+        skip = ((value & -value).bit_length() - 1) // k
+        value, pos = value >> skip * k, pos + skip
+        digit = value & ((1 << k) - 1)
+        if digit >> (k - 1):
+            digit -= 1 << k
+        yield pos, digit
+        value, pos = (value - digit) >> k, pos + 1
+
+
+class _PackedMatrix:
+    """A matrix over QQ[x] or QQ(sqrt d)[x] as one integer matrix, by the
+    Kronecker substitution of the module docstring; `det` gives its minors."""
 
     def __init__(self, matrix: PolyMatrix):
-        self.ring = matrix.ring
-        terms = [p.terms for p in matrix.entries]
-        if isinstance(self.ring.field, RationalField):
-            grid, self.scale = integer_dicts(terms)
-        else:
-            grid, self.scale = terms, None
-        self.memo = {}
-        self.rows = matrix.rows
-        self.cols = matrix.cols
-        self.by_row = [
-            {j: grid[i * self.cols + j] for j in range(self.cols) if grid[i * self.cols + j]}
-            for i in range(self.rows)
-        ]
+        ring, cols, nv = matrix.ring, matrix.cols, matrix.ring.nvars
+        self.ring, self.d = ring, getattr(ring.field, "d", None)
+        d, width = self.d, nv + (self.d is not None)
+        rows, self.scales, tops, degrees = [], [], [], []
+        for i in range(matrix.rows):
+            terms = [f.terms for f in matrix.entries[i * cols : (i + 1) * cols]]
+            if d is not None:  # a + b*sqrt(d) as a + b*w, w one more variable after x
+                terms = [
+                    {e + (j,): v for e, c in t.items() for j, v in enumerate(_parts_over(c, d)) if v}
+                    for t in terms
+                ]
+            ints, scale = integer_dicts(terms)
+            exps = {e for t in ints for e in t} or {(0,) * width}
+            rows.append(ints)
+            self.scales.append(scale)
+            tops.append(list(map(max, zip(*exps))))
+            degrees.append({sum(e[:nv]) for e in exps})
+        spans = list(map(sum, zip(*tops)))
+        used = [v for v, span in enumerate(spans) if span]
+        self.drop = None  # the last used variable, when every row is homogeneous
+        if all(len(g) == 1 for g in degrees):
+            self.degrees = [g.pop() for g in degrees]
+            self.drop = next((v for v in reversed(used) if v < nv), None)
+        self.radices = [(v, spans[v] + 1) for v in used if v != self.drop]
+        weights, w = [0] * width, 1
+        for v, radix in self.radices:
+            weights[v], w = w, w * radix
+        bound = prod(max(1, sum(abs(c) for t in r for c in t.values())) for r in rows)
+        self.k = k = bound.bit_length() + 1
+        shift = {e: k * sum(map(mul, e, weights)) for r in rows for t in r for e in t}
+        self.entries = [[sum(c << shift[e] for e, c in t.items()) for t in r] for r in rows]
 
-    def det(self, rows, cols):
-        d = _laplace_det(self.by_row, tuple(rows), tuple(cols), self.memo)
-        if self.scale is not None:
-            d = {e: Fraction(c, self.scale ** len(rows)) for e, c in d.items()}
-        return self.ring.from_terms(d)
+    def det(self, rows, cols) -> Polynomial:
+        """The minor on (rows, cols), read off the digits of the integer
+        determinant."""
+        nv, d, drop = self.ring.nvars, self.d, self.drop
+        value = _bareiss_det([[self.entries[i][j] for j in cols] for i in rows])
+        degree = sum(self.degrees[i] for i in rows) if drop is not None else 0
+        parts = {}
+        for pos, c in _balanced_digits(value, self.k):
+            e = [0] * (nv + 1)
+            for v, radix in self.radices:
+                pos, e[v] = divmod(pos, radix)
+            j = e.pop()  # w^j = d^(j//2) * w^(j%2)
+            if drop is not None:
+                e[drop] = degree - sum(e)
+            parts.setdefault(tuple(e), [0, 0])[j & 1] += c * d ** (j >> 1) if j > 1 else c
+        scale = prod(self.scales[i] for i in rows)
+        if d is None:
+            return Polynomial(self.ring, {e: Fraction(a, scale) for e, (a, _) in parts.items()})
+        pairs = {e: (Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in parts.items()}
+        return Polynomial(self.ring, {e: QuadExt(a, b, d) for e, (a, b) in pairs.items() if a or b})
 
 
 def matrix_minors(matrix: PolyMatrix, size: int) -> list[Polynomial]:
@@ -124,20 +160,19 @@ def matrix_minors(matrix: PolyMatrix, size: int) -> list[Polynomial]:
         raise ValueError(
             f"minor size {size} out of range for a {matrix.rows}x{matrix.cols} matrix"
         )
-    ctx = _LaplaceContext(matrix)
-    out = []
-    for rows in combinations(range(matrix.rows), size):
-        for cols in combinations(range(matrix.cols), size):
-            out.append(ctx.det(rows, cols))
-    return out
+    packed = _PackedMatrix(matrix)
+    return [
+        packed.det(rows, cols)
+        for rows in combinations(range(matrix.rows), size)
+        for cols in combinations(range(matrix.cols), size)
+    ]
 
 
 def matrix_det(matrix: PolyMatrix) -> Polynomial:
-    """Determinant by Laplace expansion memoized on column subsets."""
+    """Determinant by Kronecker substitution and one integer elimination."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    return _LaplaceContext(matrix).det(range(n), range(n))
+    return matrix_minors(matrix, matrix.rows)[0]
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -181,9 +216,14 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 PRIME = 2**61 - 1
-# PRIME, then the primes below it in decreasing order: built by `_moduli` as
-# far as it is read
-_PRIMES = [PRIME]
+# 2^61 - p for the first 32 primes p from PRIME down
+_PRIME_OFFSETS = (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489, 1525,
+)
+# PRIME, then the primes below it in decreasing order: extended by `_moduli`
+# as far as it is read
+_PRIMES = [2**61 - o for o in _PRIME_OFFSETS]
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -570,10 +610,14 @@ def characteristic_polynomial(rows) -> list:
     taken modulo the primes of `_moduli` until their product exceeds twice
     that bound, and the symmetric residues of their Chinese remainder
     combination are its coefficients; chi_A(T) = D^(-m)*chi_N(D*T).  Over
-    QQ(sqrt d) the Hessenberg route runs in the field."""
-    if any(isinstance(c, QuadExt) for r in rows for c in r):
-        return _field_characteristic_polynomial(rows)
+    QQ(sqrt d) it is the polynomial determinant of T*I - A."""
     m = len(rows)
+    d = next((c.d for r in rows for c in r if isinstance(c, QuadExt)), None)
+    if d is not None:
+        ring = PolyRing(("T",), QuadraticField(d))
+        diagonal = [ring.var("T") if i == j else ring.zero() for i in range(m) for j in range(m)]
+        chi = matrix_det(PolyMatrix(ring, m, m, [t - c for t, c in zip(diagonal, chain(*rows))]))
+        return [chi.terms.get((k,), ring.field.zero) for k in range(m + 1)]
     den = lcm(*(c.denominator for r in rows for c in r))
     scaled = [[c.numerator * (den // c.denominator) for c in r] for r in rows]
     b = max((sum(map(abs, r)) for r in scaled), default=0)
@@ -590,46 +634,14 @@ def characteristic_polynomial(rows) -> list:
     return [Fraction(c, den ** (m - k)) for k, c in enumerate(chi)]
 
 
-def _field_characteristic_polynomial(rows) -> list:
-    """det(T*I - A) by the Hessenberg route over the field of the entries.  A
+def _hessenberg_mod_prime(rows, p: int) -> list[int]:
+    """det(T*I - A) mod p for an integer matrix A, constant first.  A
     similarity brings A to upper Hessenberg form H; then the leading
     principal minors p_m of T*I - H satisfy p_m = T*p_(m-1) -
-    sum_(r<m) h[r][m-1] * h[r+1][r] * ... * h[m-1][m-2] * p_r."""
-    h = [list(r) for r in rows]
-    n = len(h)
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
-        if piv is None:
-            continue
-        h[k + 1], h[piv] = h[piv], h[k + 1]
-        for row in h:
-            row[k + 1], row[piv] = row[piv], row[k + 1]
-        for i in range(k + 2, n):
-            f = h[i][k] / h[k + 1][k]
-            if f:  # subtract f * row k+1 from row i, then add f * column i to column k+1
-                h[i] = [x - f * y for x, y in zip(h[i], h[k + 1])]
-                for row in h:
-                    row[k + 1] += f * row[i]
-    minors = [[1]]
-    for m in range(1, n + 1):
-        p = [0] + minors[-1]
-        sub = 1  # h[r+1][r] * ... * h[m-1][m-2]
-        for r in range(m - 1, -1, -1):
-            f = sub * h[r][m - 1]
-            if f:
-                for j, c in enumerate(minors[r]):
-                    p[j] -= f * c
-            sub *= h[r][r - 1] if r else 0
-        minors.append(p)
-    return minors[n]
-
-
-def _hessenberg_mod_prime(rows, p: int) -> list[int]:
-    """det(T*I - A) mod p for an integer matrix A, constant first: the
-    Hessenberg route of `_field_characteristic_polynomial` over GF(p).  The
-    row operations of one column all subtract multiples of the same pivot
-    row, so they commute, and the matching column operations go in one
-    pass after them."""
+    sum_(r<m) h[r][m-1] * h[r+1][r] * ... * h[m-1][m-2] * p_r.  The row
+    operations of one column all subtract multiples of the same pivot row,
+    so they commute, and the matching column operations go in one pass
+    after them."""
     h = [[v % p for v in r] for r in rows]
     n = len(h)
     for k in range(n - 2):

@@ -9,14 +9,16 @@ parameterizations, and the scheme-level projection (add graph forms, saturate
 by the ambient irrelevant ideal, eliminate the ambient variables) transports
 finite subschemes along.  The implicit equation of a degree-n
 parameterization is the squarefree part of the determinant of its n x n
-moving-line matrix, whose entries are linear forms in the plane coordinates.
+moving-line matrix, whose entries are linear forms in the plane coordinates
+built from integer-scaled coefficient triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, prod
+from math import comb, isqrt, lcm, prod
+from operator import add
 
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
@@ -31,6 +33,7 @@ from .polyops import (
     matrix_rank,
     nullspace,
     poly_gcd,
+    primitive_integers,
     squarefree_part,
 )
 from .qfields import QQ, RationalField
@@ -300,33 +303,50 @@ def _moving_line_matrix(param: PlaneParameterization, plane: PolyRing) -> PolyMa
     det[f(s, t); f(u, v); (x, y, z)] / (s*v - t*u), a linear form of the
     plane ring: with a_j the coefficient triple of s^(n-j) t^j, each pair
     j < k adds (x, y, z) . (a_j x a_k) along the antidiagonal
-    (j + r, k - 1 - r), r = 0..k-j-1."""
+    (j + r, k - 1 - r), r = 0..k-j-1.  Over QQ the three forms are first
+    scaled together to primitive integers, which scales the matrix but not
+    the curve, and the entries are summed as integer triples."""
     n = param.n
-    triples = list(zip(*(_binary_coefficients(f, n) for f in param.forms)))
-    gens = plane.gens()
-    rows = [[plane.zero()] * n for _ in range(n)]
+    coeffs = [c for f in param.forms for c in _binary_coefficients(f, n)]
+    if isinstance(plane.field, RationalField):
+        coeffs = primitive_integers(coeffs)
+    triples = list(zip(coeffs[: n + 1], coeffs[n + 1 : 2 * n + 2], coeffs[2 * n + 2 :]))
+    cells = [[(0, 0, 0)] * n for _ in range(n)]
     for j in range(n + 1):
         for k in range(j + 1, n + 1):
-            c = _linear_combination(_cross(triples[j], triples[k]), gens)
+            c = _cross(triples[j], triples[k])
             for r in range(k - j):
-                rows[j + r][k - 1 - r] = rows[j + r][k - 1 - r] + c
-    return PolyMatrix(plane, n, n, [e for row in rows for e in row])
+                cells[j + r][k - 1 - r] = tuple(map(add, cells[j + r][k - 1 - r], c))
+    units, lift = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), plane.field.coerce
+    terms = [{e: lift(v) for e, v in zip(units, cell) if v} for row in cells for cell in row]
+    return PolyMatrix(plane, n, n, [Polynomial(plane, t) for t in terms])
 
 
 def _vanishes_on(F: Polynomial, param: PlaneParameterization) -> bool:
-    """Whether F(f0, f1, f2) = 0.  It is a binary form of degree n*deg(F), so
-    it is zero once it vanishes at the n*deg(F) + 1 points (1 : i) of P^1.
-    Over QQ, F and the forms are first scaled to integers, which leaves the
-    zeros of the homogeneous F(f0, f1, f2) where they are."""
+    """Whether F(f0, f1, f2) = 0 for a homogeneous F, from one exact value.
+
+    At s = 1 that binary form is G(T) = F(f0(1, T), f1(1, T), f2(1, T)).
+    With F and the forms scaled by one integer to integer coefficients (over
+    QQ(sqrt d) integer parts, a + b*sqrt(d) counted as |a| + r*|b| with
+    r = isqrt(|d|) + 1, a submultiplicative norm bounding both parts), G is
+    A + sqrt(d)*B with integer A and B of l1 norm at most
+    M = |F| * max_j |f_j|^deg(F) in those norms.  A nonzero integer
+    polynomial of l1 norm M has no root of absolute value 1 + M or more
+    (Cauchy's bound), so G vanishes identically when G(2 + M) = 0."""
+    d = getattr(F.ring.field, "d", None)
     dicts = [F.terms] + [f.terms for f in param.forms]
-    if isinstance(F.ring.field, RationalField):
+    if d is None:
         dicts, _ = integer_dicts(dicts)
-    coeffs, *forms = dicts
-    for i in range(param.n * F.degree() + 1):
-        point = [sum(c * i ** e[1] for e, c in f.items()) for f in forms]
-        if sum(c * prod(v**k for v, k in zip(point, e)) for e, c in coeffs.items()):
-            return False
-    return True
+        norms = [sum(map(abs, t.values())) for t in dicts]
+    else:
+        den = lcm(*(x.denominator for t in dicts for c in t.values() for x in (c.a, c.b)))
+        dicts = [{e: c * den for e, c in t.items()} for t in dicts]
+        r = isqrt(abs(d)) + 1
+        norms = [int(sum(abs(c.a) + r * abs(c.b) for c in t.values())) for t in dicts]
+    f, *forms = dicts
+    point = 2 + norms[0] * max(norms[1:]) ** F.degree()
+    values = [sum(c * point ** e[1] for e, c in g.items()) for g in forms]
+    return not sum(c * prod(map(pow, values, e)) for e, c in f.items())
 
 
 def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve:
@@ -337,8 +357,10 @@ def implicitize(param: PlaneParameterization, names=PLANE_VARS) -> ImplicitCurve
     equation and d the degree of the parameterization map (Sederberg, Goldman
     & Du, JSC 23, 1997); the squarefree part removes the d-th power.  A
     constant determinant is refused: it is zero when the forms share a base
-    point.  The result is checked to vanish on the parameterization;
-    `map_degree` is n / deg(F)."""
+    point.  The result is checked to vanish on the parameterization by one
+    exact value past every root the check allows (`_vanishes_on`), and a
+    candidate that fails raises `InvariantViolation`; `map_degree` is
+    n / deg(F)."""
     plane = PolyRing(tuple(names), param.ring.field)
     n = param.n
     raw = _moving_line_matrix(param, plane).det()

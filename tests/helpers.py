@@ -1,12 +1,45 @@
 """Reference algorithms shared by the tests; the package does not use them."""
 
-from itertools import count
+from functools import cache
+from itertools import combinations, count
+from operator import ge
 
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import Ideal, TermOrder, is_empty_scheme
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
 from oscurve.polyops import _row_echelon
 from oscurve.rings import INF, Polynomial, PolyMatrix
+
+
+def laplace_det(matrix: PolyMatrix, rows=None, cols=None) -> Polynomial:
+    """Determinant of the submatrix on (rows, cols), all of the matrix by
+    default, by Laplace expansion along the last row memoized on the
+    (rows, cols) pairs of the expansion."""
+
+    @cache
+    def det(rows, cols):
+        if len(rows) == 1:
+            return matrix.entry(rows[0], cols[0])
+        total = matrix.ring.zero()
+        for j in range(len(cols)):
+            entry = matrix.entry(rows[-1], cols[j])
+            if not entry.is_zero:
+                minor = det(rows[:-1], cols[:j] + cols[j + 1 :])
+                total += entry * minor if (len(cols) - 1 - j) % 2 == 0 else -(entry * minor)
+        return total
+
+    rows = range(matrix.rows) if rows is None else rows
+    return det(tuple(rows), tuple(range(matrix.cols) if cols is None else cols))
+
+
+def laplace_minors(matrix: PolyMatrix, size: int) -> list[Polynomial]:
+    """All size x size minors by `laplace_det`, in the order of
+    `PolyMatrix.minors`: lexicographic by (row set, col set)."""
+    return [
+        laplace_det(matrix, rows, cols)
+        for rows in combinations(range(matrix.rows), size)
+        for cols in combinations(range(matrix.cols), size)
+    ]
 
 
 def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
@@ -39,6 +72,28 @@ def sylvester_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
             row[i + k] = cb.get(n - k, zero)
         entries.extend(row)
     return PolyMatrix(ring, size, size, entries).det()
+
+
+def normal_form_with_cofactors(gb, f: Polynomial):
+    """(remainder, cofactors) with f = sum(cofactor_i * basis_i) + remainder,
+    by division by the basis `gb` in field arithmetic, independent of
+    `GroebnerBasis.normal_form`."""
+    ring, key = gb.ring, gb.order.key_function(gb.ring)
+    rest, remainder, cofactors = f, ring.zero(), [ring.zero()] * len(gb.polys)
+    while not rest.is_zero:
+        exp = max(rest.terms, key=key)
+        c = rest.terms[exp]
+        i = next((i for i, lead in enumerate(gb.lead_exponents) if all(map(ge, exp, lead))), None)
+        if i is None:
+            remainder += Polynomial(ring, {exp: c})
+            rest -= Polynomial(ring, {exp: c})
+            continue
+        lead = gb.lead_exponents[i]
+        shift = tuple(a - b for a, b in zip(exp, lead))
+        q = Polynomial(ring, {shift: c / gb.polys[i].terms[lead]})
+        cofactors[i] += q
+        rest -= q * gb.polys[i]
+    return remainder, cofactors
 
 
 def has_triple_point_grevlex(F: Polynomial) -> bool:
@@ -104,3 +159,37 @@ def colon_variable_power_by_fixpoint(ideal: Ideal, var: str) -> Ideal:
         if divided == list(gb.polys):
             return Ideal(ring, gb.polys).attach_basis(gb)
         current = Ideal(ring, divided)
+
+
+def field_characteristic_polynomial(rows) -> list:
+    """det(T*I - A) by the Hessenberg route over the field of the entries.  A
+    similarity brings A to upper Hessenberg form H; then the leading
+    principal minors p_m of T*I - H satisfy p_m = T*p_(m-1) -
+    sum_(r<m) h[r][m-1] * h[r+1][r] * ... * h[m-1][m-2] * p_r."""
+    h = [list(r) for r in rows]
+    n = len(h)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[k + 1], h[piv] = h[piv], h[k + 1]
+        for row in h:
+            row[k + 1], row[piv] = row[piv], row[k + 1]
+        for i in range(k + 2, n):
+            f = h[i][k] / h[k + 1][k]
+            if f:  # subtract f * row k+1 from row i, then add f * column i to column k+1
+                h[i] = [x - f * y for x, y in zip(h[i], h[k + 1])]
+                for row in h:
+                    row[k + 1] += f * row[i]
+    minors = [[1]]
+    for m in range(1, n + 1):
+        p = [0] + minors[-1]
+        sub = 1  # h[r+1][r] * ... * h[m-1][m-2]
+        for r in range(m - 1, -1, -1):
+            f = sub * h[r][m - 1]
+            if f:
+                for j, c in enumerate(minors[r]):
+                    p[j] -= f * c
+            sub *= h[r][r - 1] if r else 0
+        minors.append(p)
+    return minors[n]

@@ -805,7 +805,7 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
     from pathlib import Path
 
     from oscurve import groebner
-    from oscurve.polyops import _field_characteristic_polynomial
+    from helpers import field_characteristic_polynomial
 
     path = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
     if not path.exists():
@@ -826,4 +826,4 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
         double_point_census(PlaneParameterization.parse(text))
     assert len(texts) > 30 and max(len(rows) for rows, _ in seen) == 15
     for rows, chi in seen:
-        assert chi == _field_characteristic_polynomial(rows)
+        assert chi == field_characteristic_polynomial(rows)

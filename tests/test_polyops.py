@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscurve import polyops
+from oscurve.census import multiple_point_matrix
 from oscurve.errors import DegenerateInputError, ExtensionMismatchError
 from oscurve.polyops import (
     PRIME,
-    _field_characteristic_polynomial,
     certify_squarefree_by_restriction,
     characteristic_polynomial,
     coprime_mod_prime,
@@ -28,9 +28,15 @@ from oscurve.polyops import (
     squarefree_part,
 )
 from oscurve.qfields import QQ, QuadExt, QuadraticField
+from oscurve.rational_curves import PlaneParameterization
 from oscurve.rings import PolyMatrix, PolyRing, Polynomial
 
-from helpers import sylvester_resultant
+from helpers import (
+    field_characteristic_polynomial,
+    laplace_det,
+    laplace_minors,
+    sylvester_resultant,
+)
 
 R2 = PolyRing(("x", "y"))
 R4 = PolyRing(("x", "y", "z", "w"))
@@ -86,6 +92,150 @@ def test_det_agrees_with_cofactor_expansion():
             minor = PolyMatrix(R2, 3, 3, sub).det()
             total = total + M.entry(row, j) * minor * ((-1) ** (row + j))
         assert total == det
+
+
+# -- the determinant kernel against the Laplace reference and sympy ---------------
+
+R3 = PolyRing(("x", "y", "z"))
+WIDE = (1, 1, 3, 2**40 + 15, 10**30 + 57)
+
+
+def _sympy_det(matrix):
+    sympy = pytest.importorskip("sympy")
+    rows = [
+        [sympy.sympify(str(matrix.entry(i, j)).replace("^", "**")) for j in range(matrix.cols)]
+        for i in range(matrix.rows)
+    ]
+    return sympy.expand(sympy.Matrix(rows).det(method="berkowitz"))
+
+
+def _agrees_with_sympy(poly, expr):
+    sympy = pytest.importorskip("sympy")
+    return sympy.expand(sympy.sympify(str(poly).replace("^", "**")) - expr) == 0
+
+
+@st.composite
+def polynomial_matrices(draw, field=QQ, max_size=4):
+    """Square matrices over QQ[x, y, z], or QQ(sqrt d)[x, y, z], with rows
+    homogeneous or not, coefficients up to 2^80 over denominators up to
+    10^30, and now and then a zero row or a zero column."""
+    ring = PolyRing(R3.variables, field)
+    size = draw(st.integers(1, max_size))
+    coeff = st.builds(Fraction, st.integers(-(2**80), 2**80), st.sampled_from(WIDE))
+    if field != QQ:
+        irrational = st.sampled_from((0, 0, 1, -3)).map(Fraction)
+        coeff = st.builds(QuadExt, coeff, irrational, st.just(field.d))
+    entries = []
+    for _ in range(size):
+        homogeneous = draw(st.booleans())
+        degree = draw(st.integers(0, 2))
+        for _ in range(size):
+            exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=3))
+            if homogeneous:
+                exps = [e for e in exps if sum(e) == degree]
+            entries.append(ring.from_terms({e: draw(coeff) for e in exps}))
+    if draw(st.booleans()):
+        row, col = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        zero = ring.zero()
+        if draw(st.booleans()):
+            entries[row * size : (row + 1) * size] = [zero] * size
+        else:
+            entries[col::size] = [zero] * size
+    return PolyMatrix(ring, size, size, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_matrices())
+def test_det_agrees_with_the_laplace_reference(matrix):
+    assert matrix_det(matrix) == laplace_det(matrix)
+
+
+@pytest.mark.parametrize("field", [QuadraticField(2), QuadraticField(-1)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_det_over_a_quadratic_field_agrees_with_the_laplace_reference(field, data):
+    matrix = data.draw(polynomial_matrices(field, max_size=3))
+    assert matrix_det(matrix) == laplace_det(matrix)
+
+
+@settings(max_examples=15, deadline=None)
+@given(polynomial_matrices(max_size=3))
+def test_det_agrees_with_sympy(matrix):
+    assert _agrees_with_sympy(matrix_det(matrix), _sympy_det(matrix))
+
+
+@pytest.mark.parametrize("d", [2, -1])
+def test_det_over_a_quadratic_field_agrees_with_sympy(d):
+    field = QuadraticField(d)
+    ring = PolyRing(R3.variables, field)
+    w = QuadExt(0, 1, d)
+    x, y, z = ring.gens()
+    half = QuadExt(Fraction(1, 2), Fraction(-1, 3), d)
+    entries = [x * w, y + z * half, ring.one(), y * y * w, x * z, z * w, x, y * half, x * y + 1]
+    matrix = PolyMatrix(ring, 3, 3, entries)
+    assert matrix_det(matrix) == laplace_det(matrix)
+    assert _agrees_with_sympy(matrix_det(matrix), _sympy_det(matrix))
+    # sqrt(d) in all five rows: the packed w reaches w^5 = d^2 * w
+    entries = [x * w + y * i if i == j else z * j for i in range(5) for j in range(5)]
+    matrix = PolyMatrix(ring, 5, 5, entries)
+    assert matrix_det(matrix) == laplace_det(matrix)
+    entries = [x * w + 1 if i == j else ring.zero() for i in range(5) for j in range(5)]
+    diagonal = PolyMatrix(ring, 5, 5, entries)
+    assert matrix_det(diagonal) == (x * w + 1) ** 5
+
+
+def test_det_swaps_in_a_row_for_a_zero_pivot():
+    x, y, z = R3.gens()
+    zero = R3.zero()
+    assert matrix_det(PolyMatrix(R3, 2, 2, [zero, x, y, zero])) == -x * y
+    # zero first pivot, and a zero pivot again after one elimination step
+    matrix = PolyMatrix(R3, 3, 3, [zero, x, y, x, x, z, zero, zero, x + y])
+    assert matrix_det(matrix) == laplace_det(matrix) == -x * x * (x + y)
+    matrix = PolyMatrix(R3, 3, 3, [x, y, z, x * 2, y * 2, x, y, z, z])
+    assert matrix_det(matrix) == laplace_det(matrix)
+
+
+def test_det_of_one_by_one_matrices_is_the_entry():
+    for text in ("0", "7/3", "x^2*y - 5/2*z + 1", "-x^3"):
+        entry = R3.parse(text)
+        assert matrix_det(PolyMatrix(R3, 1, 1, [entry])) == entry
+
+
+@pytest.mark.parametrize("bits", [1, 2, 7, 61, 200])
+def test_det_reads_back_coefficients_at_the_digit_edge(bits):
+    # single-monomial entries make a determinant coefficient equal to the
+    # bound, so it sits at +-(2^(k-1) - 1), the largest digit the packing
+    # reads back; the anti-diagonal one also needs a row swap
+    edge = 2**bits - 1
+    x, y, z = R3.gens()
+    zero = R3.zero()
+    for entries, det in (
+        ([x * edge], x * edge),
+        ([x * -edge], x * -edge),
+        ([x * y, zero, zero, z * -edge], x * y * z * -edge),
+        ([zero, x * edge, y, zero], x * y * -edge),
+        ([R3.const(edge)], R3.const(edge)),
+    ):
+        size = 1 if len(entries) == 1 else 2
+        matrix = PolyMatrix(R3, size, size, entries)
+        assert 2 ** (polyops._PackedMatrix(matrix).k - 1) - 1 == edge
+        assert matrix_det(matrix) == det
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_minors_of_the_census_matrices_match_the_laplace_reference(k):
+    param = PlaneParameterization.parse(
+        "s^6 + t^6; -s^5*t + 3*s*t^5 - s^3*t^3; 9*s^2*t^4 + s^4*t^2 - 1/7*s^3*t^3"
+    )
+    matrix = multiple_point_matrix(param, k)
+    size = param.n - k + 3
+    assert matrix.minors(size) == laplace_minors(matrix, size)
+
+
+def test_prime_offsets_are_the_primes_below_two_to_the_sixty_one():
+    below = (q for q in range(PRIME, 1, -1) if polyops._is_prime(q))
+    assert tuple(2**61 - next(below) for _ in polyops._PRIME_OFFSETS) == polyops._PRIME_OFFSETS
+    assert len(polyops._PRIME_OFFSETS) == 32
 
 
 def test_sylvester_resultant_examples():
@@ -415,7 +565,7 @@ def test_characteristic_polynomial_against_sympy():
         entries = [sympy.Rational(c.numerator, c.denominator) for r in a for c in r]
         coeffs = sympy.Matrix(n, n, entries).charpoly().all_coeffs()[::-1]
         assert characteristic_polynomial(a) == [Fraction(str(c)) for c in coeffs]
-        assert characteristic_polynomial(a) == _field_characteristic_polynomial(a)
+        assert characteristic_polynomial(a) == field_characteristic_polynomial(a)
         if n and all(a[i][j] == 0 for i in range(n) for j in range(i + 1)):
             assert characteristic_polynomial(a) == [0] * n + [1]
     assert characteristic_polynomial([]) == [1]
@@ -444,6 +594,19 @@ def _random_rational_matrix(rng, n, height):
     ]
 
 
+@pytest.mark.parametrize("tags", [(2, 8), (-1,), (3, 12, 27)])
+def test_characteristic_polynomial_over_a_quadratic_field_matches_the_field_route(tags):
+    rng = random.Random(sum(tags))
+
+    def entry():
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return QuadExt(a, rng.randint(-2, 2), rng.choice(tags))
+
+    for n in range(1, 7):
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        assert characteristic_polynomial(a) == field_characteristic_polynomial(a)
+
+
 def test_characteristic_polynomial_takes_the_primes_its_bound_asks_for(monkeypatch):
     from math import comb, prod
 
@@ -454,7 +617,7 @@ def test_characteristic_polynomial_takes_the_primes_its_bound_asks_for(monkeypat
         del used[:]
         chi = characteristic_polynomial(a)
         if n <= 12:  # the field route takes seconds at n = 20
-            assert chi == _field_characteristic_polynomial(a)
+            assert chi == field_characteristic_polynomial(a)
         den = lcm(*(c.denominator for r in a for c in r))
         b = max((sum(abs(c * den) for c in r) for r in a), default=0)
         bound = max(comb(n, k) * b**k for k in range(n + 1))
@@ -471,7 +634,7 @@ def test_characteristic_polynomial_combines_many_small_primes(monkeypatch):
     rng = random.Random(13)
     for n in (2, 5, 9):
         a = _random_rational_matrix(rng, n, 10**20)
-        assert characteristic_polynomial(a) == _field_characteristic_polynomial(a)
+        assert characteristic_polynomial(a) == field_characteristic_polynomial(a)
     assert len(used) > 200 and max(used) < 2**13
     below = range(2**13 - 1, min(used) - 1, -1)
     assert polyops._PRIMES == [q for q in below if polyops._is_prime(q)]

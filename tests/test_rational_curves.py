@@ -25,7 +25,7 @@ from oscurve.rational_curves import (
     project_scheme,
     rational_normal_curve_ideal,
 )
-from oscurve.qfields import QQ, QuadraticField
+from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rings import PolyRing
 
 from helpers import sylvester_resultant
@@ -287,10 +287,7 @@ def test_moving_line_determinant_is_a_power_of_the_implicit_equation(seeded):
 
 
 def test_moving_line_route_agrees_with_the_sylvester_route(seeded):
-    # n = 8 is left out: its 16 x 16 Sylvester determinant takes seconds
     for n, param in seeded.items():
-        if n > 7:
-            continue
         res, ring = _sylvester_route(param)
         x = ring.var("x")
         low = min(e[1] for e in res.terms)
@@ -344,6 +341,31 @@ def test_vanishing_check_on_the_parameter_line(text, field):
     wrong = F + lines
     assert all(wrong.evaluate(param.evaluate((1, i))) == 0 for i in range(3))
     assert not _vanishes_on(wrong, param)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 10**6, 2**64 + 13])
+def test_vanishing_point_passes_the_largest_root_the_norm_allows(M):
+    # on (s : t : s), M*x - y gives G(T) = M - T: its root M is as large as a
+    # root of an integer polynomial of l1 norm M + 1 can be (Cauchy's bound)
+    param = PlaneParameterization.parse("s; t; s")
+    x, y, z = PolyRing(("x", "y", "z")).gens()
+    assert _vanishes_on(x - z, param)
+    assert not _vanishes_on(x * M - y, param)
+    assert not _vanishes_on((x * M - y) * (x * (M + 1) - y) * z, param)
+    # G(T) = T*(T - 1)*...*(T - 6): zero at the first seven integers
+    candidate = y
+    for i in range(1, 7):
+        candidate = candidate * (y - x * i)
+    assert not _vanishes_on(candidate, param)
+    # over QQ(sqrt 2), a candidate whose rational part vanishes on the curve
+    # and whose sqrt(2) part is M - T
+    param = PlaneParameterization.parse("s; t; s", field=QQ2)
+    x, y, z = PolyRing(("x", "y", "z"), QQ2).gens()
+    sqrt2 = QQ2.coerce(QuadExt(0, 1, 2))
+    assert _vanishes_on((x - z) * sqrt2, param)
+    assert not _vanishes_on(x - z + (x * M - y) * sqrt2, param)
+    # a bound blind to the sqrt(2) part would evaluate at 2 + |x - z| = 4
+    assert not _vanishes_on(x - z + (x * 4 - y) * sqrt2, param)
 
 
 def test_implicitize_refuses_a_base_point():
