@@ -827,12 +827,11 @@ def linear_relations(gb: GroebnerBasis, polys) -> list[list]:
     return nullspace(rows, len(nfs), one=field.one)
 
 
-def degree_slice_members(ideal: Ideal, d: int, strict: bool = True):
-    """Basis of the space of ideal members of degree == d (strict) or <= d:
-    the linear relations among the monomials modulo the ideal."""
+def degree_slice_members(ideal: Ideal, d: int):
+    """Basis of the space of ideal members that are forms of degree d: the
+    linear relations among the degree-d monomials modulo the ideal."""
     ring = ideal.ring
-    degrees = [d] if strict else range(d + 1)
-    exps = [e for k in degrees for e in _degree_exponents(ring.nvars, k)]
+    exps = list(_degree_exponents(ring.nvars, d))
     relations = linear_relations(ideal.groebner_basis(), [ring.monomial(e) for e in exps])
     return [ring.from_terms(zip(exps, vec)) for vec in relations]
 

@@ -26,7 +26,7 @@ stabilized value, is the one a separate matrix for each level would give.
 from __future__ import annotations
 
 from .errors import DegenerateInputError
-from .polyops import _integer_step, _row_echelon, integer_rows
+from .polyops import _row_echelon, integer_rows
 from .qfields import field_of
 from .rings import INF, Polynomial, PolyRing
 
@@ -169,7 +169,7 @@ def _dimensions_below(bases, width: int, horizon: int):
                         c = column(i + mi, j + mj)
                         row[c : c + width] = entries
                 rows.append(row)
-        pivots = _row_echelon(rows, range(column(deg, 0), column(deg + 1, 0)), _integer_step)
+        pivots = _row_echelon(rows, range(column(deg, 0), column(deg + 1, 0)))
         rank += len(pivots)
         rows = [r for r in rows[len(pivots) :] if any(r)]
         yield (deg + 1) * (deg + 2) // 2 - rank // width
@@ -180,7 +180,8 @@ def _quotient_dimensions(f: Polynomial, g: Polynomial):
     grows by `_HORIZON_STEP` whenever the levels reach it.  A restart only
     repeats the levels already given."""
     exps = sorted(set(f.terms) | set(g.terms))
-    patterns, width = integer_rows([[p.terms.get(e, 0) for e in exps] for p in (f, g)])
+    patterns, d = integer_rows([[p.terms.get(e, 0) for e in exps] for p in (f, g)])
+    width = 1 if d is None else 2
     bases = []
     for row in patterns:
         terms = [(e, row[width * t : width * t + width]) for t, e in enumerate(exps)]

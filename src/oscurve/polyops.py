@@ -15,16 +15,20 @@ keeps below 2^(k-1), so the balanced base-2^k digits of the integer
 determinant, taken by fraction-free (Bareiss) elimination, are exactly the
 coefficients: no check afterwards.  `matrix_minors` packs once.
 
-Row reduction of scalar matrices happens here and nowhere else:
-`_row_echelon` is the one forward-elimination routine, over a range of
-columns, with the sparsest candidate row as each column's pivot.
-`matrix_rank` runs it alone and fraction-free on `integer_rows`: over QQ(sqrt
-d) each row r becomes the two rational rows (Re r, Im r) and
-(Re sqrt(d)*r, Im sqrt(d)*r), which span the K-span as a QQ-space, so the
-rank over K is half the rational rank, on every prefix of columns too.  The
-local-multiplicity oracle carries the same elimination across its levels.
-`nullspace` and `matrix_inverse` add back-substitution over the field to the
-reduced echelon form.  `characteristic_polynomial` eliminates by similarity
+Row reduction of scalar matrices happens here and nowhere else, in one
+elimination on one packing.  `_row_echelon` is fraction-free forward
+elimination of the integer rows that `integer_rows` makes, over a range of
+columns, with the sparsest candidate row as each column's pivot.  Over
+QQ(sqrt d) a row r = a + sqrt(d)*b becomes the two rational rows of
+v -> r.v on the column pairs (x_j, y_j), v = x + sqrt(d)*y: (a_j, d*b_j)_j
+and (b_j, a_j)_j.  So the rank over K is half the rational rank, on every
+prefix of columns too, and the rational kernel is the K-kernel.
+`matrix_rank` is the number of pivots, and the local-multiplicity oracle
+carries the same elimination across its levels.  `nullspace` back-solves the
+echelon rows in rationals for each free column; the free columns are those
+of the reduced echelon form, whatever rows served as pivots.
+`matrix_inverse` reads A^-1 off the null space of [A | -I].
+`characteristic_polynomial` eliminates by similarity
 instead, to upper Hessenberg form, over QQ on the integer matrix N = D*A
 modulo primes, combined by the Chinese remainder theorem; over QQ(sqrt d) it
 is the polynomial determinant of T*I - A.  The primes below 2^61, from
@@ -52,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, count
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .errors import DegenerateInputError, InvariantViolation
@@ -533,7 +537,7 @@ def rational_roots(g: Polynomial) -> list[Fraction]:
         return zero
     reduced = False
     for p in count(len(f)):
-        if p % 2 == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)) or f[-1] % p == 0:
+        if p % 2 == 0 or not _is_prime(p) or f[-1] % p == 0:
             continue
         df = [i * c for i, c in enumerate(f)][1:]
         residues = [r for r in range(p) if _value_mod(f, r, p) == 0]
@@ -559,16 +563,9 @@ def rational_roots(g: Polynomial) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _field_step(row, top, col):
-    """row minus the multiple of the pivot row `top` that clears column col."""
-    f = row[col] / top[col]
-    return [x - f * y for x, y in zip(row, top)]
-
-
 def _integer_step(row, top, col):
-    """Fraction-free `_field_step` for integer rows that vanish before
-    column col, as in forward elimination: the primitive integer combination
-    of row and top that clears column col."""
+    """The primitive integer combination of row and the pivot row `top`,
+    both vanishing before column col, that clears column col."""
     g = gcd(top[col], row[col])
     a, b = top[col] // g, row[col] // g
     out = [a * x - b * y for x, y in zip(row[col:], top[col:])]
@@ -576,8 +573,9 @@ def _integer_step(row, top, col):
     return [0] * col + ([x // g for x in out] if g > 1 else out)
 
 
-def _row_echelon(rows, cols, step=_field_step):
-    """Forward elimination in place over the columns `cols`, in order;
+def _row_echelon(rows, cols):
+    """Fraction-free forward elimination of integer rows in place over the
+    columns `cols`, in order;
     returns the pivot columns.  Each column's pivot is the candidate row with
     the fewest nonzero entries, so sparse rows serve as pivots unreduced and
     dense rows do not fill them in.  Afterwards rows[:len(pivots)] are in
@@ -595,7 +593,7 @@ def _row_echelon(rows, cols, step=_field_step):
         top = rows[rank]
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                rows[r] = step(rows[r], top, col)
+                rows[r] = _integer_step(rows[r], top, col)
         pivots.append(col)
     return pivots
 
@@ -672,20 +670,6 @@ def _hessenberg_mod_prime(rows, p: int) -> list[int]:
     return minors[n]
 
 
-def _reduced_echelon(rows, ncols):
-    """`_row_echelon` followed by back-substitution: every pivot scaled to
-    one and cleared from the rows above it."""
-    pivots = _row_echelon(rows, range(ncols))
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        pv = rows[i][pc]
-        rows[i] = top = [x / pv for x in rows[i]]
-        for r in range(i):
-            if rows[r][pc]:
-                rows[r] = _field_step(rows[r], top, pc)
-    return pivots
-
-
 def _parts_over(c, d):
     """(a, b) with c = a + b*sqrt(d)."""
     if not isinstance(c, QuadExt):
@@ -693,20 +677,18 @@ def _parts_over(c, d):
     return c.a, c.b if c.d == d else c._over(d).b
 
 
-def integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rows of field scalars as primitive integer rows, and a width: the
-    rank of the integer rows on the first width*k columns is width times the
-    rank of the input on its first k columns, for every k.  Zero rows are
-    dropped.
+def integer_rows(rows) -> tuple[list[list[int]], int | None]:
+    """Rows of field scalars as primitive integer rows, zero rows dropped,
+    and the tag d of their field, None over QQ.
 
-    Over QQ the width is 1 and each row is cleared of denominators.  Over
-    QQ(sqrt d) the width is 2: a row r becomes the rational rows
-    (Re r, Im r) and (Re sqrt(d)*r, Im sqrt(d)*r), the two parts of each
-    column side by side.  Their QQ-span is the K-span of the rows taken as a
-    QQ-space, and projection onto any set of columns commutes with
-    multiplication by sqrt(d).  Entries are written over the tag of the
-    first irrational one; an entry of another field raises
-    `ExtensionMismatchError`."""
+    Over QQ each row is cleared of denominators.  Over QQ(sqrt d) a row
+    r = a + sqrt(d)*b becomes two rows on the column pairs (x_j, y_j), with
+    v = x + sqrt(d)*y: Re(r.v) = (a_j, d*b_j)_j and Im(r.v) = (b_j, a_j)_j.
+    They are the matrix of v -> r.v over QQ, so the rational rank is twice
+    the rank over K on every prefix of columns, and the rational kernel
+    vectors (x, y) are the K-kernel vectors x + sqrt(d)*y.  Entries are
+    written over the tag of the first irrational one; an entry of another
+    field raises `ExtensionMismatchError`."""
     d = next((c.d for r in rows for c in r if isinstance(c, QuadExt) and c.b), None)
     if d is None:
         rational = [[c.a if isinstance(c, QuadExt) else c for c in r] for r in rows]
@@ -714,9 +696,9 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
         rational = []
         for r in rows:
             parts = [_parts_over(c, d) for c in r]
-            rational.append([v for a, b in parts for v in (a, b)])
-            rational.append([v for a, b in parts for v in (d * b, a)])
-    return [p for p in map(primitive_integers, rational) if any(p)], 1 if d is None else 2
+            rational.append([v for a, b in parts for v in (a, d * b)])
+            rational.append([v for a, b in parts for v in (b, a)])
+    return [p for p in map(primitive_integers, rational) if any(p)], d
 
 
 def matrix_rank(rows) -> int:
@@ -725,36 +707,46 @@ def matrix_rank(rows) -> int:
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    int_rows, width = integer_rows(rows)
-    return len(_row_echelon(int_rows, range(width * len(rows[0])), _integer_step)) // width
+    int_rows, d = integer_rows(rows)
+    width = 1 if d is None else 2
+    return len(_row_echelon(int_rows, range(width * len(rows[0])))) // width
 
 
 def nullspace(rows, ncols, one=Fraction(1)):
     """Basis of the right null space of a matrix of field scalars with
-    `ncols` columns (rows may be empty): one vector per free column of the
-    reduced echelon form."""
-    rows = [list(r) for r in rows if any(r)]
-    pivots = _reduced_echelon(rows, ncols)
-    zero = one - one
+    `ncols` columns (rows may be empty): for each free column, the vector
+    with 1 there and 0 at the other free columns, as the reduced echelon
+    form gives it.  Each is back-solved in rationals from the echelon rows
+    of `integer_rows`, which have the same free columns.  Over QQ(sqrt d)
+    the free columns come in pairs (x_j, y_j), and the vector of a free x_j
+    reads back as x + sqrt(d)*y."""
+    int_rows, d = integer_rows([list(r) for r in rows])
+    width = 1 if d is None else 2
+    pivots = _row_echelon(int_rows, range(width * ncols))
+    solved = list(zip(int_rows, pivots))[::-1]
     basis = []
-    for fc in range(ncols):
+    for fc in range(0, width * ncols, width):
         if fc in pivots:
             continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
+        z = {fc: Fraction(1)}  # the rows vanish left of their pivots
+        for row, pc in solved:
+            s = sum(row[j] * v for j, v in z.items())
+            if s:
+                z[pc] = -s / row[pc]
+        if d is None:
+            basis.append([one * z.get(j, 0) for j in range(ncols)])
+        else:
+            basis.append([QuadExt(z.get(2 * j, 0), z.get(2 * j + 1, 0), d) for j in range(ncols)])
     return basis
 
 
 def matrix_inverse(rows, field):
-    """Inverse of a square matrix over `field`, by reducing [A | I]."""
+    """Inverse of a square matrix A over `field`, read off the null space of
+    [A | -I]: its basis is (A^-1 e_j, e_j) exactly when A is invertible."""
     n = len(rows)
-    aug = [
-        [field.coerce(v) for v in row] + [field.one if i == j else field.zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    if len(_reduced_echelon(aug, n)) < n:
+    identity = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    aug = [[field.coerce(v) for v in row] + [-v for v in e] for row, e in zip(rows, identity)]
+    kernel = nullspace(aug, 2 * n, one=field.one)
+    if [v[n:] for v in kernel] != identity:
         raise DegenerateInputError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(zip(*(v[:n] for v in kernel)))

@@ -1,5 +1,6 @@
 """Reference algorithms shared by the tests; the package does not use them."""
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 from operator import ge
@@ -7,7 +8,6 @@ from operator import ge
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import Ideal, TermOrder, is_empty_scheme
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
-from oscurve.polyops import _row_echelon
 from oscurve.rings import INF, Polynomial, PolyMatrix
 
 
@@ -106,10 +106,82 @@ def has_triple_point_grevlex(F: Polynomial) -> bool:
     return not is_empty_scheme(Ideal(F.ring, second))
 
 
+def _field_step(row, top, col):
+    """row minus the multiple of the pivot row `top` that clears column col."""
+    f = row[col] / top[col]
+    return [x - f * y for x, y in zip(row, top)]
+
+
+def field_row_echelon(rows, ncols):
+    """Forward elimination in place over the field of the entries, on the
+    first ncols columns; returns the pivot columns.  Each column's pivot is
+    the candidate row with the fewest nonzero entries."""
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        candidates = [r for r in range(rank, len(rows)) if rows[r][col]]
+        if not candidates:
+            continue
+        piv = min(candidates, key=lambda r: len(rows[r]) - rows[r].count(0))
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                rows[r] = _field_step(rows[r], rows[rank], col)
+        pivots.append(col)
+    return pivots
+
+
+def _reduced_echelon(rows, ncols):
+    """`field_row_echelon` followed by back-substitution: every pivot scaled
+    to one and cleared from the rows above it."""
+    pivots = field_row_echelon(rows, ncols)
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        pv = rows[i][pc]
+        rows[i] = top = [x / pv for x in rows[i]]
+        for r in range(i):
+            if rows[r][pc]:
+                rows[r] = _field_step(rows[r], top, pc)
+    return pivots
+
+
+def field_nullspace(rows, ncols, one=Fraction(1)):
+    """`polyops.nullspace` over the field of the entries: one vector per
+    free column of the reduced echelon form."""
+    rows = [list(r) for r in rows if any(r)]
+    pivots = _reduced_echelon(rows, ncols)
+    zero = one - one
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def field_matrix_inverse(rows, field):
+    """`polyops.matrix_inverse` over the field of the entries, by reducing
+    [A | I]."""
+    n = len(rows)
+    aug = [
+        [field.coerce(v) for v in row] + [field.one if i == j else field.zero for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if len(_reduced_echelon(aug, n)) < n:
+        raise DegenerateInputError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def quotient_dimension_at_level(f: Polynomial, g: Polynomial, n: int) -> int:
     """d_n = dim K[x,y]/((f, g) + m^n) from a fresh matrix of the rows m*f
     and m*g on the monomials of degree < n, ranked by elimination over the
-    field itself (`_row_echelon` with `_field_step`)."""
+    field itself (`field_row_echelon`)."""
     monos = [(d - j, j) for d in range(n) for j in range(d + 1)]
     index = {m: k for k, m in enumerate(monos)}
     rows = []
@@ -122,7 +194,7 @@ def quotient_dimension_at_level(f: Polynomial, g: Polynomial, n: int) -> int:
                     if col is not None:
                         row[col] = c
                 rows.append(row)
-    return len(monos) - len(_row_echelon(rows, range(len(monos))))
+    return len(monos) - len(field_row_echelon(rows, len(monos)))
 
 
 def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=None):

@@ -455,9 +455,9 @@ def test_chart_radical_reads_local_lengths_off_chi():
 
 def test_degree_slice_members():
     I = ideal(R2, "y - x^2", "x^3")
-    assert degree_slice_members(I, 1, strict=False) == []
+    assert degree_slice_members(I, 0) == [] and degree_slice_members(I, 1) == []
     J = ideal(R2, "x + y")
-    slice1 = degree_slice_members(J, 1, strict=True)
+    slice1 = degree_slice_members(J, 1)
     assert len(slice1) == 1
 
 

@@ -33,6 +33,9 @@ from oscurve.rings import PolyMatrix, PolyRing, Polynomial
 
 from helpers import (
     field_characteristic_polynomial,
+    field_matrix_inverse,
+    field_nullspace,
+    field_row_echelon,
     laplace_det,
     laplace_minors,
     sylvester_resultant,
@@ -366,8 +369,8 @@ def test_rank_and_nullspace():
 
 
 def _field_rank(rows, ncols):
-    """Rank by elimination over the field itself, `_field_step` on field scalars."""
-    return len(polyops._row_echelon([list(r) for r in rows], range(ncols)))
+    """Rank by elimination over the field itself (`field_row_echelon`)."""
+    return len(field_row_echelon([list(r) for r in rows], ncols))
 
 
 @pytest.mark.parametrize("tags", [(2, 8), (-1,), (3, 12, 27), (2 * 1009**2, 2)])
@@ -390,6 +393,56 @@ def test_quadratic_rank_through_integer_pairs_matches_field_elimination(tags):
         for width in range(1, ncols + 1):
             prefix = [r[:width] for r in rows]
             assert matrix_rank(prefix) == _field_rank(prefix, width), (prefix, width)
+
+
+@pytest.mark.parametrize("tags", [(), (-1,), (5,), (2, 8), (3, 12, 27)])
+def test_kernels_and_inverses_match_field_elimination(tags):
+    """The same vectors as the reduced echelon form over the field, printed
+    the same.  Where the rows mix tags of one field, field arithmetic writes
+    each entry over whichever tag its operations met first, so kernel
+    entries are then printed over the field's own tag."""
+    rng = random.Random(20 + sum(tags))
+    field = QuadraticField(tags[0]) if tags else QQ
+    mixed = len(tags) > 1
+
+    def same(got, want, show=str):
+        assert [list(v) for v in got] == [list(v) for v in want]
+        assert [list(map(show, v)) for v in got] == [list(map(show, v)) for v in want]
+
+    def entry():
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return QuadExt(a, rng.randint(-2, 2) * rng.randint(0, 1), rng.choice(tags)) if tags else a
+
+    def product(nrows, inner, ncols):
+        """A matrix of rank <= inner, with a zero row now and then."""
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        rows = [
+            [sum((a * right[k][j] for k, a in enumerate(row)), field.zero) for j in range(ncols)]
+            for row in left
+        ]
+        return [r if rng.random() > 0.15 else [field.zero] * ncols for r in rows]
+
+    for ncols in range(1, 4):
+        same(nullspace([], ncols, one=field.one), field_nullspace([], ncols, one=field.one))
+    for _ in range(40):  # more rows than columns about half of the time
+        ncols = rng.randint(1, 5)
+        rows = product(rng.randint(1, 7), rng.randint(0, 4), ncols)
+        want = field_nullspace(rows, ncols, one=field.one)
+        same(nullspace(rows, ncols, one=field.one), want, (lambda c: str(field.coerce(c))) if mixed else str)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        square = product(n, n - rng.randint(0, 1), n)
+        try:
+            want = field_matrix_inverse(square, field)
+        except DegenerateInputError:
+            singular += 1
+            with pytest.raises(DegenerateInputError):
+                matrix_inverse(square, field)
+            continue
+        same(matrix_inverse(square, field), want)
+    assert 0 < singular < 40
 
 
 def test_rank_refuses_rows_that_mix_two_fields():
