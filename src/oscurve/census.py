@@ -9,9 +9,10 @@ each support point is the delta invariant of the singular point there.  One
 chart algebra gives them all: by Stickelberger's theorem they are the root
 multiplicities of the characteristic polynomial of a chart coordinate that
 separates the points (`groebner.chart_radical`), and the shape position that
-places the points comes from one linear solve in that algebra, not from a
-lex Groebner basis.  The census needs double points only, and checks that
-on the parameter line (`has_triple_point`): the image has a point of
+places the points comes from one linear solve on the powers of its
+multiplication matrix (`groebner._shape_line`), not from a lex Groebner
+basis.  The census needs double points only, and checks that on the
+parameter line (`has_triple_point`): the image has a point of
 multiplicity >= 3 exactly when the second partials H_ij of the implicit
 equation F, composed with the parameterization, share a root.  Their values
 at (1:0) are exact; for the rest, a constant gcd modulo one prime proves
@@ -32,11 +33,11 @@ from .classifier import classify_double_point
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
+    _shape_line,
     chart_lines,
     chart_matrix,
     chart_radical,
     ideal_sum,
-    linear_relations,
     point_chart_matrix,
     scheme_length,
     to_chart,
@@ -267,7 +268,9 @@ def _split_eliminant(g: Polynomial, h_line: Polynomial, chi: Polynomial) -> list
         return _evaluate_ext(h_line, [x_value, x_value * 0])
 
     def piece(factor, points):
-        return _SupportPiece(factor, factor.degree(), points, h_line, _roots_among(chi, factor))
+        # a squarefree chi is g: every point has length 1
+        delta = factor.degree() if chi == g else _roots_among(chi, factor)
+        return _SupportPiece(factor, factor.degree(), points, h_line, delta)
 
     work = g
     for root in rational_roots(g):
@@ -294,13 +297,17 @@ def support_sites(ideal: Ideal):
     of xc on the support, and 1, xc, ..., xc^(deg g - 1) are independent
     modulo the radical.  So xc separates the points exactly when yc = h(xc)
     modulo the radical for some h of degree < deg g: the shape position
-    [g(xc), yc - h(xc)], found by one linear solve on normal forms.  Then
-    the local lengths are the root multiplicities of chi_x, by Stickelberger's
-    theorem.  In every `chart_matrix`, xc = x / ell, which cannot separate
-    two points on the line x = 0; so once the chart lines run out, they are
-    tried again with their two kernel coordinates swapped.  Returns a list
-    of (_SupportPiece, chart matrix); chart data maps back to the input
-    coordinates through the matrix.
+    [g(xc), yc - h(xc)], found by one linear solve (`groebner._shape_line`).
+    Then the local lengths are the root multiplicities of chi_x, by
+    Stickelberger's theorem.  The radical route runs only when chi_x is not
+    squarefree: a squarefree chi_x makes the chart scheme its own radical
+    (`chart_radical`), and then by the shape lemma xc separates the points,
+    each of length 1, so the solve reads the matrix that chi_x came from
+    and no gcd is taken.  In every `chart_matrix`, xc = x / ell, which
+    cannot separate two points on the line x = 0; so once the chart lines
+    run out, they are tried again with their two kernel coordinates swapped.
+    Returns a list of (_SupportPiece, chart matrix); chart data maps back to
+    the input coordinates through the matrix.
     """
     lines, again = tee(chart_lines(ideal))
     swapped = (tuple((b, a, c) for a, b, c in chart_matrix(ell)) for ell in again)
@@ -308,14 +315,8 @@ def support_sites(ideal: Ideal):
         radical, chi, g = chart_radical(ideal, matrix)
         if g.degree() == 0:
             return []
-        xc, yc = radical.ring.gens()
-        relations = linear_relations(
-            radical.groebner_basis(), [xc**i for i in range(g.degree())] + [yc]
-        )
-        if relations:
-            # the powers of xc are independent, so yc's column is the free one
-            (vec,) = relations
-            h_line = radical.ring.from_terms({(i, 0): -c for i, c in enumerate(vec[:-1])})
+        h_line = _shape_line(radical, g.degree())
+        if h_line is not None:
             return [(piece, matrix) for piece in _split_eliminant(g, h_line, chi)]
     raise DegenerateInputError("could not put the support in shape position")
 

@@ -38,7 +38,8 @@ saturating, and `chart_lines`, `chart_matrix`, `to_chart` and `from_chart`
 are the only way into an affine chart missing the support and back.  In the
 chart, `chart_radical` reads the scheme off one quotient algebra: the
 characteristic polynomials of its coordinates carry the local lengths
-(Stickelberger), and their squarefree parts give the radical.
+(Stickelberger), and their squarefree parts give the radical, unless that of
+chi_x shows the scheme to be its own; `_shape_line` places its points.
 """
 
 from __future__ import annotations
@@ -47,17 +48,19 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import gcd
-from operator import add, ge, sub
+from math import gcd, lcm
+from operator import add, ge, mul, sub
 
 from .errors import DegenerateInputError, RingMismatchError
 from .polyops import (
     characteristic_polynomial,
+    coprime_mod_prime,
     matrix_inverse,
     nullspace,
     primitive_integers,
     squarefree_part,
 )
+from .qfields import RationalField
 from .rings import Polynomial, PolyRing
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ class GroebnerBasis:
     forms: over QQ they are primitive integer dicts, and `polys` is their
     monic form."""
 
-    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational")
+    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational", "_matrices")
 
     def __init__(self, ring, order, pairs):
         pairs = tuple(pairs)
@@ -417,6 +420,7 @@ class GroebnerBasis:
         object.__setattr__(self, "_keyf", order.key_function(ring))
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_rational", rational)
+        object.__setattr__(self, "_matrices", {})  # `_multiplication_matrix`, by variable
 
     def __setattr__(self, *args):
         raise AttributeError("GroebnerBasis is immutable")
@@ -950,42 +954,90 @@ def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
     return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 
 
+def _multiplication_matrix(gb: GroebnerBasis, var: int):
+    """(monomials, rows) for the basis of a finite scheme: the standard
+    monomials by degree, 1 first, and the matrix of multiplication by
+    variable `var` on them, one normal form per monomial, built once."""
+    if var not in gb._matrices:
+        ring, leads, n = gb.ring, gb.lead_exponents, gb.ring.nvars
+        # a finite scheme has a pure-power lead for every variable, so no
+        # standard monomial of degree >= the sum of the largest exponents
+        top = sum(map(max, zip(*leads)))
+        if _standard_monomials(n, top, leads):
+            raise DegenerateInputError("the chart scheme is not finite")
+        monomials = [e for d in range(top) for e in _standard_monomials(n, d, leads)]
+        index = {e: i for i, e in enumerate(monomials)}
+        rows = [[ring.field.zero] * len(monomials) for _ in monomials]
+        for j, e in enumerate(monomials):
+            moved = ring.monomial(e[:var] + (e[var] + 1,) + e[var + 1 :])
+            for f, c in gb.normal_form(moved).terms.items():
+                rows[index[f]][j] = c
+        gb._matrices[var] = (tuple(monomials), tuple(map(tuple, rows)))
+    return gb._matrices[var]
+
+
 def chart_radical(ideal: Ideal, matrix):
     """(radical, chi_x, g) of the chart scheme I = `to_chart(ideal, matrix)`,
     with g the monic squarefree part of chi_x.
 
     The standard monomials of the grevlex basis of I are a basis of A =
     K[xc, yc]/I, and normal forms give the matrices of multiplication by xc
-    and yc on it.  By Stickelberger's theorem their characteristic
-    polynomials are prod (T - xc(p))^len_p and prod (T - yc(p))^len_p over
-    the points p (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 par.
-    4).  I plus their squarefree parts is the radical (Seidenberg's lemma),
-    returned with its reduced grevlex basis as generators; chi_x is in xc.
-    The chart basis (`_chart_with_basis`) and the radical's basis, which
-    starts from it, take no Buchberger run from scratch in the z chart.
+    and yc on it (`_multiplication_matrix`).  By Stickelberger's theorem
+    their characteristic polynomials are prod (T - xc(p))^len_p and
+    prod (T - yc(p))^len_p over the points p (Cox, Little & O'Shea, Using
+    Algebraic Geometry, ch. 2 par. 4).  So when chi_x is squarefree (shown by
+    `coprime_mod_prime`, else by the exact squarefree part) every point has
+    length 1, I is its own radical, and xc separates the points (the shape
+    lemma of Gianni and Mora): no chi_y and no further basis.  Otherwise I
+    plus the squarefree parts of chi_x and chi_y is the radical (Seidenberg's
+    lemma).  Either way it comes with its reduced grevlex basis as
+    generators; chi_x is in xc.  The chart basis (`_chart_with_basis`) and
+    the radical's basis, which starts from it, take no Buchberger run from
+    scratch in the z chart.
     """
     chart = _chart_with_basis(ideal, matrix)
     gb = chart.groebner_basis()
-    ring, leads = gb.ring, gb.lead_exponents
-    # a finite scheme has leads xc^a, yc^b, then no standard monomial of degree >= a + b - 1
-    top = sum(map(max, zip(*leads)))
-    if _standard_monomials(2, top, leads):
-        raise DegenerateInputError("the chart scheme is not finite")
-    basis = [e for degree in range(top) for e in _standard_monomials(2, degree, leads)]
-    index = {e: i for i, e in enumerate(basis)}
-    chis = []
-    for step in ((1, 0), (0, 1)):
-        rows = [[ring.field.zero] * len(basis) for _ in basis]
-        for j, e in enumerate(basis):
-            moved = ring.monomial(tuple(map(add, e, step)))
-            for f, c in gb.normal_form(moved).terms.items():
-                rows[index[f]][j] = c
-        coeffs = characteristic_polynomial(rows)
-        chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
-    parts = [squarefree_part(chi) for chi in chis]
-    reduced = ideal_sum(chart, Ideal(ring, parts)).groebner_basis()
-    g = parts[0] * (ring.field.one / parts[0].terms[(parts[0].degree(), 0)])
-    return Ideal(ring, reduced.polys).attach_basis(reduced), chis[0], g
+    ring = gb.ring
+
+    def chi(var):
+        coeffs = characteristic_polynomial(_multiplication_matrix(gb, var)[1])
+        return ring.from_terms({(k * (var == 0), k * (var == 1)): c for k, c in enumerate(coeffs)})
+
+    chi_x = chi(0)
+    part = chi_x if coprime_mod_prime(chi_x, chi_x.derivative("xc")) else squarefree_part(chi_x)
+    g = part * (ring.field.one / part.terms[(part.degree(), 0)])
+    if g == chi_x:
+        return Ideal(ring, gb.polys).attach_basis(gb), chi_x, g
+    reduced = ideal_sum(chart, Ideal(ring, [g, squarefree_part(chi(1))])).groebner_basis()
+    return Ideal(ring, reduced.polys).attach_basis(reduced), chi_x, g
+
+
+def _shape_line(radical: Ideal, degree: int):
+    """h of degree < `degree` with yc = h(xc) modulo the radical, or None.
+
+    The vector of xc^(i+1) on the standard monomials is M_x times that of
+    xc^i (the FGLM idea), M_x the radical's `_multiplication_matrix` of xc,
+    so h solves [v_0 ... v_(degree-1) | t] with v_i = M_x^i e_1 and t the
+    normal form of yc.  The v_i are kept integer: (D*M_x)^i e_1, D the
+    common denominator of M_x, divided by its content at every step."""
+    if not isinstance(radical.ring.field, RationalField):
+        raise DegenerateInputError("the shape solve runs over QQ only")
+    gb = radical.groebner_basis()
+    basis, rows = _multiplication_matrix(gb, 0)
+    den = lcm(*(c.denominator for r in rows for c in r))
+    scaled = [[int(c * den) for c in r] for r in rows]
+    powers, scales = [[1] + [0] * (len(basis) - 1)], [Fraction(1)]
+    while len(powers) < degree:
+        nxt = [sum(map(mul, r, powers[-1])) for r in scaled]
+        content = gcd(*nxt)
+        powers.append([v // content for v in nxt])
+        scales.append(scales[-1] * den / content)  # powers[i] = scales[i] * xc^i
+    target = gb.normal_form(gb.ring.var("yc")).terms
+    kernel = nullspace([[*r, target.get(e, 0)] for r, e in zip(zip(*powers), basis)], degree + 1)
+    if not kernel:
+        return None
+    # the powers are independent, so yc's column is the free one
+    return gb.ring.from_terms({(i, 0): -c * s for i, (c, s) in enumerate(zip(kernel[0], scales))})
 
 
 def zero_dim_radical(ideal: Ideal) -> Ideal:

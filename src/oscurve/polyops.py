@@ -29,14 +29,13 @@ echelon rows in rationals for each free column; the free columns are those
 of the reduced echelon form, whatever rows served as pivots.
 `matrix_inverse` reads A^-1 off the null space of [A | -I].
 `characteristic_polynomial` eliminates by similarity
-instead, to upper Hessenberg form, over QQ on the integer matrix N = D*A
-modulo primes, combined by the Chinese remainder theorem; over QQ(sqrt d) it
-is the polynomial determinant of T*I - A.  The primes below 2^61, from
-PRIME = 2^61 - 1 down, form one deterministic list: the first 32 ship as
-offsets from 2^61, and `_moduli` extends it as far as it is read
-(Miller-Rabin with witnesses that prove primality below 3.3 * 10^24).  How
-many are taken comes from a proven bound, |c_k| <= C(m, k)*B^k for the
-coefficient of T^(m-k), B the largest absolute row sum of N, and needs no
+instead, to upper Hessenberg form, over QQ modulo primes, combined by the
+Chinese remainder theorem; over QQ(sqrt d) it is the polynomial determinant
+of T*I - A.  The primes below 2^61, from PRIME = 2^61 - 1 down, form one
+deterministic list: the first 32 ship as offsets from 2^61, and `_moduli`
+extends it as far as it is read (Miller-Rabin with witnesses that prove
+primality below 3.3 * 10^24).  How many are taken comes from a proven
+bound, Hadamard's inequality on the columns scaled to integers, and needs no
 check afterwards.
 
 One prime-field kernel works modulo PRIME on coefficient lists: reduction
@@ -56,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, count
-from math import comb, gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DegenerateInputError, InvariantViolation
@@ -602,13 +601,17 @@ def characteristic_polynomial(rows) -> list:
     """Coefficients of det(T*I - A), constant first, for a square matrix A of
     field scalars.
 
-    Over QQ, with D the least common denominator, N = D*A is an integer
-    matrix; every eigenvalue of N is at most its largest absolute row sum B,
-    so the coefficient of T^(m-k) in chi_N is at most C(m, k)*B^k.  chi_N is
-    taken modulo the primes of `_moduli` until their product exceeds twice
-    that bound, and the symmetric residues of their Chinese remainder
-    combination are its coefficients; chi_A(T) = D^(-m)*chi_N(D*T).  Over
-    QQ(sqrt d) it is the polynomial determinant of T*I - A."""
+    Over QQ, with d_j the least common denominator of column j and Delta =
+    prod d_j, (T*I - A)*diag(d_j) has integer columns d_j*(T*e_j - a_j), so
+    Delta*chi_A has integer coefficients.  On |T| = 1 Hadamard's inequality
+    bounds its values, and so each coefficient, by prod_j (d_j +
+    ||d_j*a_j||_2), the norm rounded up here.  Delta*chi_A is taken modulo
+    the primes of `_moduli` that do not divide Delta until their product
+    exceeds twice that bound, and the symmetric residues of their Chinese
+    remainder combination are its coefficients.  A unit column multiplies
+    the bound by 3, where one common denominator of all entries would
+    multiply it by that denominator.  Over QQ(sqrt d) it is the polynomial
+    determinant of T*I - A."""
     m = len(rows)
     d = next((c.d for r in rows for c in r if isinstance(c, QuadExt)), None)
     if d is not None:
@@ -616,20 +619,23 @@ def characteristic_polynomial(rows) -> list:
         diagonal = [ring.var("T") if i == j else ring.zero() for i in range(m) for j in range(m)]
         chi = matrix_det(PolyMatrix(ring, m, m, [t - c for t, c in zip(diagonal, chain(*rows))]))
         return [chi.terms.get((k,), ring.field.zero) for k in range(m + 1)]
-    den = lcm(*(c.denominator for r in rows for c in r))
-    scaled = [[c.numerator * (den // c.denominator) for c in r] for r in rows]
-    b = max((sum(map(abs, r)) for r in scaled), default=0)
-    bound = max(comb(m, k) * b**k for k in range(m + 1))
+    dens = [lcm(*(c.denominator for c in col)) for col in zip(*rows)]
+    scaled = [[c.numerator * (dj // c.denominator) for c, dj in zip(r, dens)] for r in rows]
+    delta = prod(dens)
+    bound = prod(dj + isqrt(sum(v * v for v in col)) + 1 for dj, col in zip(dens, zip(*scaled)))
     chi, modulus = [0] * (m + 1), 1
     moduli = _moduli()
     while modulus <= 2 * bound:
         p = next(moduli)
+        if delta % p == 0:
+            continue
+        inverses = [pow(dj, -1, p) for dj in dens]
+        residues = _hessenberg_mod_prime([list(map(mul, r, inverses)) for r in scaled], p)
         step = modulus * pow(modulus, -1, p)  # 1 mod p, 0 mod the primes so far
-        chi = [v + (r - v) * step for v, r in zip(chi, _hessenberg_mod_prime(scaled, p))]
+        chi = [v + (delta % p * r - v) * step for v, r in zip(chi, residues)]
         modulus *= p
         chi = [v % modulus for v in chi]
-    chi = [v - modulus if 2 * v > modulus else v for v in chi]
-    return [Fraction(c, den ** (m - k)) for k, c in enumerate(chi)]
+    return [Fraction(v - modulus if 2 * v > modulus else v, delta) for v in chi]
 
 
 def _hessenberg_mod_prime(rows, p: int) -> list[int]:

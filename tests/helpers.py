@@ -6,8 +6,16 @@ from itertools import combinations, count
 from operator import ge
 
 from oscurve.errors import DegenerateInputError
-from oscurve.groebner import Ideal, TermOrder, is_empty_scheme
+from oscurve.groebner import (
+    Ideal,
+    TermOrder,
+    ideal_sum,
+    is_empty_scheme,
+    linear_relations,
+    to_chart,
+)
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
+from oscurve.polyops import characteristic_polynomial, squarefree_part
 from oscurve.rings import INF, Polynomial, PolyMatrix
 
 
@@ -265,3 +273,45 @@ def field_characteristic_polynomial(rows) -> list:
             sub *= h[r][r - 1] if r else 0
         minors.append(p)
     return minors[n]
+
+
+def radical_route_chart(ideal: Ideal, matrix):
+    """(radical basis, chi_x, g, h) of the chart scheme I =
+    `to_chart(ideal, matrix)` by the radical route, whatever chi_x is: the
+    multiplication matrices of xc and yc on the standard monomials of I's
+    grevlex basis (computed afresh), both characteristic polynomials, the
+    basis of I plus both squarefree parts, g the monic squarefree part of
+    chi_x, and h with yc = h(xc) modulo the radical, deg h < deg g, from the
+    normal forms of the powers xc^i (`linear_relations`); h is None when
+    there is no such h or g is constant."""
+    chart = to_chart(ideal, matrix)
+    gb = chart.groebner_basis()
+    ring, leads = gb.ring, gb.lead_exponents
+    a = min(lead[0] for lead in leads if lead[1] == 0)
+    b = min(lead[1] for lead in leads if lead[0] == 0)
+    monomials = [
+        (i, j)
+        for i in range(a)
+        for j in range(b)
+        if not any(i >= lead[0] and j >= lead[1] for lead in leads)
+    ]
+    chis = []
+    for step in ((1, 0), (0, 1)):
+        rows = [[Fraction(0)] * len(monomials) for _ in monomials]
+        for j, (i, k) in enumerate(monomials):
+            moved = ring.monomial((i + step[0], k + step[1]))
+            for e, c in gb.normal_form(moved).terms.items():
+                rows[monomials.index(e)][j] = c
+        coeffs = characteristic_polynomial(rows)
+        chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
+    parts = [squarefree_part(chi) for chi in chis]
+    radical = ideal_sum(chart, Ideal(ring, parts)).groebner_basis()
+    g = parts[0] * (1 / parts[0].terms[(parts[0].degree(), 0)])
+    if g.degree() == 0:
+        return radical.polys, chis[0], g, None
+    xc, yc = ring.gens()
+    relations = linear_relations(radical, [xc**i for i in range(g.degree())] + [yc])
+    if not relations:
+        return radical.polys, chis[0], g, None
+    (vec,) = relations
+    return radical.polys, chis[0], g, ring.from_terms({(i, 0): -c for i, c in enumerate(vec[:-1])})

@@ -25,6 +25,7 @@ from oscurve.groebner import (
     is_empty_scheme,
     saturate,
     scheme_length,
+    to_chart,
     zero_dim_radical,
 )
 from oscurve.polyops import poly_gcd, poly_normalize
@@ -546,6 +547,14 @@ def test_support_when_xc_does_not_separate():
     assert found == set(points)
 
 
+def test_support_over_a_quadratic_field_is_refused():
+    from oscurve.qfields import QuadraticField
+
+    ring = PolyRing(("x", "y", "z"), QuadraticField(2))
+    with pytest.raises(DegenerateInputError):
+        support_sites(Ideal(ring, [ring.parse("x^2 - 2*z^2"), ring.parse("y")]))
+
+
 @pytest.mark.parametrize("name", ["tacnode", "sextic", "mixed-cluster"])
 def test_local_lengths_match_saturation(name):
     param = {
@@ -797,15 +806,12 @@ def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
     assert z_only >= 6
 
 
-def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monkeypatch):
-    # every chart matrix of the benchmark's census inputs for seeds 1-5,
-    # against the Hessenberg route over QQ
+def bench_census_texts(monkeypatch):
+    """The benchmark's census inputs for seeds 1-5; skips without a benchmark
+    checkout next to the tests."""
     import importlib.util
     import sys
     from pathlib import Path
-
-    from oscurve import groebner
-    from helpers import field_characteristic_polynomial
 
     path = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
     if not path.exists():
@@ -814,7 +820,17 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
     cases = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, cases)  # its dataclasses look themselves up there
     spec.loader.exec_module(cases)
-    seen, texts = [], {text for seed in range(1, 6) for _, text in cases.census_inputs(seed)}
+    return sorted({text for seed in range(1, 6) for _, text in cases.census_inputs(seed)})
+
+
+def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monkeypatch):
+    # every chart matrix of the benchmark's census inputs for seeds 1-5,
+    # against the Hessenberg route over QQ
+    from oscurve import groebner
+    from helpers import field_characteristic_polynomial
+
+    texts = bench_census_texts(monkeypatch)
+    seen = []
     charpoly = groebner.characteristic_polynomial
 
     def recording(rows):
@@ -822,8 +838,159 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
         return seen[-1][1]
 
     monkeypatch.setattr(groebner, "characteristic_polynomial", recording)
-    for text in sorted(texts):
+    for text in texts:
         double_point_census(PlaneParameterization.parse(text))
     assert len(texts) > 30 and max(len(rows) for rows, _ in seen) == 15
     for rows, chi in seen:
         assert chi == field_characteristic_polynomial(rows)
+
+
+# -- a squarefree chi_x skips the radical: both routes agree on every chart -----------
+
+
+def census_charts(monkeypatch, params):
+    """(ideal, matrix, chart_radical's result) for every chart that the
+    census of each parameterization reads."""
+    from oscurve import census as census_module
+
+    charts = []
+    radical = census_module.chart_radical
+
+    def recording(ideal, matrix):
+        charts.append((ideal, matrix, radical(ideal, matrix)))
+        return charts[-1][2]
+
+    monkeypatch.setattr(census_module, "chart_radical", recording)
+    for param in params:
+        double_point_census(param)
+    return charts
+
+
+def assert_routes_agree(charts):
+    from oscurve.groebner import _shape_line
+    from helpers import radical_route_chart
+
+    for ideal, matrix, (radical, chi, g) in charts:
+        h = _shape_line(radical, g.degree()) if g.degree() else None
+        assert (radical.gens, chi, g, h) == radical_route_chart(ideal, matrix)
+
+
+ROUTE_INPUTS = {**CENSUS_INPUTS, "generator-10": lambda: generator_param(10)}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_INPUTS))
+def test_chart_routes_agree(monkeypatch, name):
+    charts = census_charts(monkeypatch, [ROUTE_INPUTS[name]()])
+    assert charts
+    assert_routes_agree(charts)
+
+
+def test_chart_routes_agree_on_the_benchmark_inputs(monkeypatch):
+    texts = bench_census_texts(monkeypatch)
+    charts = census_charts(monkeypatch, [PlaneParameterization.parse(t) for t in texts])
+    assert_routes_agree(charts)
+    # both routes are taken
+    squarefree = [chi == g for _, _, (_, chi, g) in charts]
+    assert any(squarefree) and not all(squarefree)
+
+
+@pytest.mark.parametrize(
+    "build, routes, sites",
+    [
+        # two of the three nodes share xc in the z chart; the next line separates them
+        (
+            lambda: PlaneParameterization.parse("s^4 + 10*t^4; 17*s^3*t - s*t^3; 7*s^2*t^2 + t^4"),
+            [(3, 2, None), (3, 3, 2)],
+            [
+                "[1 : 0 : -1/17]  delta=1  A1",
+                "[1 : 1/24*sqrt(-9912799) : -1189/24]  delta=1  A1",
+                "[1 : -1/24*sqrt(-9912799) : -1189/24]  delta=1  A1",
+            ],
+        ),
+        # the generator's A4, a point of length 2
+        (
+            lambda: generator_param(8),
+            [(21, 20, 19)],
+            ["[1 : 0 : 0]  delta=2  A4", ("cluster", 19, 19, "A1")],
+        ),
+        # two cusps, one of them an A4
+        (
+            lambda: PlaneParameterization.parse("s^2*t^2; s^4; t^4 + s*t^3"),
+            [(3, 2, -1)],
+            ["[0 : 0 : 1]  delta=1  A2", "[1 : 0 : 0]  delta=2  A4"],
+        ),
+    ],
+    ids=["shared-xc", "generator-8", "cusps"],
+)
+def test_census_without_a_squarefree_chi_takes_the_radical_route(monkeypatch, build, routes, sites):
+    from oscurve.groebner import _shape_line
+
+    param = build()
+    charts = census_charts(monkeypatch, [param])
+    # (deg chi_x, deg g, deg h) per chart: h is None when xc does not
+    # separate the points, and deg h = -1 when h = 0
+    degrees = []
+    for _, _, (radical, chi, g) in charts:
+        h = _shape_line(radical, g.degree())
+        degrees.append((chi.degree(), g.degree(), None if h is None else h.degree()))
+    assert degrees == routes
+    census = classify_curve_singularities(param)
+    pinned = [
+        site.describe() if site.kind == "point" else (site.kind, site.size, site.delta, site.label)
+        for site in census.sites
+    ]
+    assert pinned == sites
+    assert census.delta_sum == census.total_length
+
+
+def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkeypatch):
+    from oscurve import groebner
+
+    runs, chis = [], []
+    engine, charpoly = groebner._buchberger_dicts, groebner.characteristic_polynomial
+
+    def counting_engine(gen_dicts, keyf, seed=()):
+        runs.append(bool(seed))
+        return engine(gen_dicts, keyf, seed)
+
+    def counting_charpoly(rows):
+        chis.append(len(rows))
+        return charpoly(rows)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
+    monkeypatch.setattr(groebner, "characteristic_polynomial", counting_charpoly)
+    for name, squarefree in [
+        ("generator-9", True),
+        ("conjugate-nodes-quartic", True),
+        ("sextic", False),
+    ]:
+        ideal = multiple_point_scheme_ideal(CENSUS_INPUTS[name](), 2)
+        line = next(groebner.chart_lines(ideal))
+        assert (line == ideal.ring.var("z")) == squarefree
+        matrix = groebner.chart_matrix(line)
+        del runs[:], chis[:]
+        radical, chi, g = chart_radical(ideal, matrix)
+        assert (chi == g) == squarefree
+        if squarefree:
+            # the z chart's basis is read off the scheme's, and nothing is added
+            assert runs == [] and chis == [chi.degree()]
+            fresh = to_chart(ideal, matrix).groebner_basis().polys
+            assert radical.gens == radical.groebner_basis().polys == fresh
+        else:
+            # the chart of the line y from scratch, then chi_y and one basis
+            # that starts from the chart's (`ideal_sum`)
+            assert runs == [False, True] and chis == [chi.degree()] * 2
+
+
+def test_chart_radical_without_the_prime_certificate_takes_the_exact_test(monkeypatch):
+    # the certificate is one-sided: when it proves nothing, the exact
+    # squarefree part decides, with the same results
+    from oscurve import groebner
+
+    ideals = [multiple_point_scheme_ideal(CENSUS_INPUTS[n](), 2) for n in ("generator-7", "sextic")]
+    matrices = [groebner.chart_matrix(next(groebner.chart_lines(ideal))) for ideal in ideals]
+    certified = [chart_radical(ideal, m) for ideal, m in zip(ideals, matrices)]
+    monkeypatch.setattr(groebner, "coprime_mod_prime", lambda p, q: False)
+    for (radical, chi, g), ideal, matrix in zip(certified, ideals, matrices):
+        again, chi_again, g_again = chart_radical(ideal, matrix)
+        assert (again.gens, chi_again, g_again) == (radical.gens, chi, g)

@@ -604,6 +604,15 @@ def test_characteristic_polynomial_against_sympy():
     for n in range(1, 9):
         matrices.append([[rational() for _ in range(n)] for _ in range(n)])
         matrices.append([[wide() for _ in range(n)] for _ in range(n)])
+        # zero columns and unit columns, with wide denominators in the others
+        mixed = [[wide() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if j % 3 == 0:
+                    mixed[i][j] = Fraction(0)
+                elif j % 3 == 1:
+                    mixed[i][j] = Fraction(int(i == j + 1))
+        matrices.append(mixed)
         # zero subdiagonal: block upper triangular, the blocks' polynomials multiply
         block = [[rational() for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -661,22 +670,41 @@ def test_characteristic_polynomial_over_a_quadratic_field_matches_the_field_rout
 
 
 def test_characteristic_polynomial_takes_the_primes_its_bound_asks_for(monkeypatch):
-    from math import comb, prod
+    from math import isqrt, prod
 
     used = _count_primes(monkeypatch)
     rng = random.Random(12)
-    for n, height in [(0, 1), (1, 0), (3, 10), (6, 10**6), (12, 10**15), (20, 3), (24, 0)]:
-        a = _random_rational_matrix(rng, n, height)
+    matrices = [
+        _random_rational_matrix(rng, n, height)
+        for n, height in [(0, 1), (1, 0), (3, 10), (6, 10**6), (12, 10**15), (20, 3), (24, 0)]
+    ]
+    # PRIME and the next prime divide the column denominators: both are skipped
+    wide = _random_rational_matrix(rng, 5, 10**9)
+    skipping = [
+        [c / (PRIME * polyops._PRIMES[1]) if j == 2 else c for j, c in enumerate(r)] for r in wide
+    ]
+    matrices.append(skipping)
+    # unit columns, as in a multiplication matrix, next to one dense column
+    unit = [[Fraction(int(i == j + 1)) for j in range(7)] + [wide[i % 5][0]] for i in range(8)]
+    matrices.append(unit)
+    for a in matrices:
+        n = len(a)
         del used[:]
         chi = characteristic_polynomial(a)
         if n <= 12:  # the field route takes seconds at n = 20
             assert chi == field_characteristic_polynomial(a)
-        den = lcm(*(c.denominator for r in a for c in r))
-        b = max((sum(abs(c * den) for c in r) for r in a), default=0)
-        bound = max(comb(n, k) * b**k for k in range(n + 1))
-        primes = polyops._PRIMES
-        k = next((k for k in range(1, len(primes) + 1) if prod(primes[:k]) > 2 * bound), None)
-        assert k is not None and used == polyops._PRIMES[:k]
+        # Hadamard on the columns of (T*I - A)*diag(d_j) at |T| = 1
+        dens = [lcm(*(a[i][j].denominator for i in range(n))) for j in range(n)]
+        norms = [sum((a[i][j] * dens[j]) ** 2 for i in range(n)) for j in range(n)]
+        bound = prod(d + isqrt(int(s)) + 1 for d, s in zip(dens, norms))
+        expected, product = [], 1
+        for p in polyops._PRIMES:
+            if product > 2 * bound:
+                break
+            if prod(dens) % p:
+                expected.append(p)
+                product *= p
+        assert used == expected and (PRIME not in used) == (a is skipping)
     assert len(polyops._PRIMES) > 10 and polyops._PRIMES[0] == PRIME
 
 
