@@ -300,22 +300,20 @@ def support_sites(ideal: Ideal):
     [g(xc), yc - h(xc)], found by one linear solve (`groebner._shape_line`).
     Then the local lengths are the root multiplicities of chi_x, by
     Stickelberger's theorem.  The radical route runs only when chi_x is not
-    squarefree: a squarefree chi_x makes the chart scheme its own radical
-    (`chart_radical`), and then by the shape lemma xc separates the points,
-    each of length 1, so the solve reads the matrix that chi_x came from
-    and no gcd is taken.  In every `chart_matrix`, xc = x / ell, which
-    cannot separate two points on the line x = 0; so once the chart lines
-    run out, they are tried again with their two kernel coordinates swapped.
-    Returns a list of (_SupportPiece, chart matrix); chart data maps back to
-    the input coordinates through the matrix.
+    squarefree; otherwise every point has length 1 and the chart scheme is
+    its own radical (`chart_radical`).  In every `chart_matrix`, xc = x / ell,
+    which cannot separate two points on the line x = 0; so once the chart
+    lines run out, they are tried again with their two kernel coordinates
+    swapped.  Returns a list of (_SupportPiece, chart matrix); chart data
+    maps back to the input coordinates through the matrix.
     """
     lines, again = tee(chart_lines(ideal))
     swapped = (tuple((b, a, c) for a, b, c in chart_matrix(ell)) for ell in again)
     for matrix in chain(map(chart_matrix, lines), swapped):
-        radical, chi, g = chart_radical(ideal, matrix)
+        radical, chi, g, m_x = chart_radical(ideal, matrix)
         if g.degree() == 0:
             return []
-        h_line = _shape_line(radical, g.degree())
+        h_line = _shape_line(radical, m_x, g.degree())
         if h_line is not None:
             return [(piece, matrix) for piece in _split_eliminant(g, h_line, chi)]
     raise DegenerateInputError("could not put the support in shape position")

@@ -54,7 +54,6 @@ from operator import add, ge, mul, sub
 from .errors import DegenerateInputError, RingMismatchError
 from .polyops import (
     characteristic_polynomial,
-    coprime_mod_prime,
     matrix_inverse,
     nullspace,
     primitive_integers,
@@ -405,7 +404,7 @@ class GroebnerBasis:
     forms: over QQ they are primitive integer dicts, and `polys` is their
     monic form."""
 
-    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational", "_matrices")
+    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational")
 
     def __init__(self, ring, order, pairs):
         pairs = tuple(pairs)
@@ -420,7 +419,6 @@ class GroebnerBasis:
         object.__setattr__(self, "_keyf", order.key_function(ring))
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_rational", rational)
-        object.__setattr__(self, "_matrices", {})  # `_multiplication_matrix`, by variable
 
     def __setattr__(self, *args):
         raise AttributeError("GroebnerBasis is immutable")
@@ -954,44 +952,39 @@ def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
     return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 
 
-def _multiplication_matrix(gb: GroebnerBasis, var: int):
-    """(monomials, rows) for the basis of a finite scheme: the standard
-    monomials by degree, 1 first, and the matrix of multiplication by
-    variable `var` on them, one normal form per monomial, built once."""
-    if var not in gb._matrices:
-        ring, leads, n = gb.ring, gb.lead_exponents, gb.ring.nvars
-        # a finite scheme has a pure-power lead for every variable, so no
-        # standard monomial of degree >= the sum of the largest exponents
-        top = sum(map(max, zip(*leads)))
-        if _standard_monomials(n, top, leads):
-            raise DegenerateInputError("the chart scheme is not finite")
-        monomials = [e for d in range(top) for e in _standard_monomials(n, d, leads)]
-        index = {e: i for i, e in enumerate(monomials)}
-        rows = [[ring.field.zero] * len(monomials) for _ in monomials]
-        for j, e in enumerate(monomials):
-            moved = ring.monomial(e[:var] + (e[var] + 1,) + e[var + 1 :])
-            for f, c in gb.normal_form(moved).terms.items():
-                rows[index[f]][j] = c
-        gb._matrices[var] = (tuple(monomials), tuple(map(tuple, rows)))
-    return gb._matrices[var]
+def _multiplication_matrix(gb: GroebnerBasis, step):
+    """(standard monomials, rows) of the basis of a finite chart scheme: the
+    standard monomials by degree, 1 first, and the matrix of multiplication
+    by xc (`step` (1, 0)) or yc ((0, 1)) on them, one normal form each."""
+    ring, leads = gb.ring, gb.lead_exponents
+    # a finite scheme has leads xc^a, yc^b, then no standard monomial of degree >= a + b - 1
+    top = sum(map(max, zip(*leads)))
+    if _standard_monomials(2, top, leads):
+        raise DegenerateInputError("the chart scheme is not finite")
+    basis = [e for degree in range(top) for e in _standard_monomials(2, degree, leads)]
+    index = {e: i for i, e in enumerate(basis)}
+    rows = [[ring.field.zero] * len(basis) for _ in basis]
+    for j, e in enumerate(basis):
+        for f, c in gb.normal_form(ring.monomial(tuple(map(add, e, step)))).terms.items():
+            rows[index[f]][j] = c
+    return basis, rows
 
 
 def chart_radical(ideal: Ideal, matrix):
-    """(radical, chi_x, g) of the chart scheme I = `to_chart(ideal, matrix)`,
-    with g the monic squarefree part of chi_x.
+    """(radical, chi_x, g, m_x) of the chart scheme I = `to_chart(ideal,
+    matrix)`: g is the monic squarefree part of chi_x, m_x the
+    `_multiplication_matrix` of xc on the radical's standard monomials.
 
-    The standard monomials of the grevlex basis of I are a basis of A =
-    K[xc, yc]/I, and normal forms give the matrices of multiplication by xc
-    and yc on it (`_multiplication_matrix`).  By Stickelberger's theorem
-    their characteristic polynomials are prod (T - xc(p))^len_p and
+    The standard monomials of I's grevlex basis are a basis of A =
+    K[xc, yc]/I.  By Stickelberger's theorem the characteristic polynomials
+    of multiplication by xc and yc on A are prod (T - xc(p))^len_p and
     prod (T - yc(p))^len_p over the points p (Cox, Little & O'Shea, Using
-    Algebraic Geometry, ch. 2 par. 4).  So when chi_x is squarefree (shown by
-    `coprime_mod_prime`, else by the exact squarefree part) every point has
-    length 1, I is its own radical, and xc separates the points (the shape
-    lemma of Gianni and Mora): no chi_y and no further basis.  Otherwise I
-    plus the squarefree parts of chi_x and chi_y is the radical (Seidenberg's
-    lemma).  Either way it comes with its reduced grevlex basis as
-    generators; chi_x is in xc.  The chart basis (`_chart_with_basis`) and
+    Algebraic Geometry, ch. 2 par. 4).  So a squarefree chi_x makes every
+    length 1: I is its own radical and xc separates the points (the shape
+    lemma of Gianni and Mora), with no chi_y and no further basis.  Otherwise
+    I plus the squarefree parts of chi_x and chi_y is the radical
+    (Seidenberg's lemma).  Either way it comes with its reduced grevlex basis
+    as generators; chi_x is in xc.  The chart basis (`_chart_with_basis`) and
     the radical's basis, which starts from it, take no Buchberger run from
     scratch in the z chart.
     """
@@ -999,31 +992,33 @@ def chart_radical(ideal: Ideal, matrix):
     gb = chart.groebner_basis()
     ring = gb.ring
 
-    def chi(var):
-        coeffs = characteristic_polynomial(_multiplication_matrix(gb, var)[1])
-        return ring.from_terms({(k * (var == 0), k * (var == 1)): c for k, c in enumerate(coeffs)})
+    def chi(rows, step):
+        coeffs = characteristic_polynomial(rows)
+        return ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)})
 
-    chi_x = chi(0)
-    part = chi_x if coprime_mod_prime(chi_x, chi_x.derivative("xc")) else squarefree_part(chi_x)
+    m_x = _multiplication_matrix(gb, (1, 0))
+    chi_x = chi(m_x[1], (1, 0))
+    part = squarefree_part(chi_x)  # chi_x itself once its gcd with chi_x' is 1 modulo PRIME
     g = part * (ring.field.one / part.terms[(part.degree(), 0)])
-    if g == chi_x:
-        return Ideal(ring, gb.polys).attach_basis(gb), chi_x, g
-    reduced = ideal_sum(chart, Ideal(ring, [g, squarefree_part(chi(1))])).groebner_basis()
-    return Ideal(ring, reduced.polys).attach_basis(reduced), chi_x, g
+    if g != chi_x:
+        chi_y = chi(_multiplication_matrix(gb, (0, 1))[1], (0, 1))
+        gb = ideal_sum(chart, Ideal(ring, [g, squarefree_part(chi_y)])).groebner_basis()
+        m_x = _multiplication_matrix(gb, (1, 0))
+    return Ideal(ring, gb.polys).attach_basis(gb), chi_x, g, m_x
 
 
-def _shape_line(radical: Ideal, degree: int):
+def _shape_line(radical: Ideal, m_x, degree: int):
     """h of degree < `degree` with yc = h(xc) modulo the radical, or None.
 
     The vector of xc^(i+1) on the standard monomials is M_x times that of
-    xc^i (the FGLM idea), M_x the radical's `_multiplication_matrix` of xc,
-    so h solves [v_0 ... v_(degree-1) | t] with v_i = M_x^i e_1 and t the
-    normal form of yc.  The v_i are kept integer: (D*M_x)^i e_1, D the
+    xc^i (the FGLM idea), M_x = `m_x` the radical's `_multiplication_matrix`
+    of xc, so h solves [v_0 ... v_(degree-1) | t] with v_i = M_x^i e_1 and t
+    the normal form of yc.  The v_i are kept integer: (D*M_x)^i e_1, D the
     common denominator of M_x, divided by its content at every step."""
     if not isinstance(radical.ring.field, RationalField):
         raise DegenerateInputError("the shape solve runs over QQ only")
     gb = radical.groebner_basis()
-    basis, rows = _multiplication_matrix(gb, 0)
+    basis, rows = m_x
     den = lcm(*(c.denominator for r in rows for c in r))
     scaled = [[int(c * den) for c in r] for r in rows]
     powers, scales = [[1] + [0] * (len(basis) - 1)], [Fraction(1)]

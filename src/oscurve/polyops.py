@@ -608,10 +608,8 @@ def characteristic_polynomial(rows) -> list:
     ||d_j*a_j||_2), the norm rounded up here.  Delta*chi_A is taken modulo
     the primes of `_moduli` that do not divide Delta until their product
     exceeds twice that bound, and the symmetric residues of their Chinese
-    remainder combination are its coefficients.  A unit column multiplies
-    the bound by 3, where one common denominator of all entries would
-    multiply it by that denominator.  Over QQ(sqrt d) it is the polynomial
-    determinant of T*I - A."""
+    remainder combination are its coefficients.  Over QQ(sqrt d) it is the
+    polynomial determinant of T*I - A."""
     m = len(rows)
     d = next((c.d for r in rows for c in r if isinstance(c, QuadExt)), None)
     if d is not None:

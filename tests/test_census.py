@@ -675,7 +675,7 @@ def test_shape_position_matches_the_lex_basis(name):
     pieces = support_sites(ideal)
     (matrix,) = {matrix for _, matrix in pieces}
     (h_line,) = {piece.h_line for piece, _ in pieces}
-    radical, _, g = chart_radical(ideal, matrix)
+    radical, _, g, _ = chart_radical(ideal, matrix)
     product = radical.ring.one()
     for piece, _ in pieces:
         product = product * piece.factor
@@ -870,8 +870,8 @@ def assert_routes_agree(charts):
     from oscurve.groebner import _shape_line
     from helpers import radical_route_chart
 
-    for ideal, matrix, (radical, chi, g) in charts:
-        h = _shape_line(radical, g.degree()) if g.degree() else None
+    for ideal, matrix, (radical, chi, g, m_x) in charts:
+        h = _shape_line(radical, m_x, g.degree()) if g.degree() else None
         assert (radical.gens, chi, g, h) == radical_route_chart(ideal, matrix)
 
 
@@ -890,7 +890,7 @@ def test_chart_routes_agree_on_the_benchmark_inputs(monkeypatch):
     charts = census_charts(monkeypatch, [PlaneParameterization.parse(t) for t in texts])
     assert_routes_agree(charts)
     # both routes are taken
-    squarefree = [chi == g for _, _, (_, chi, g) in charts]
+    squarefree = [chi == g for _, _, (_, chi, g, _) in charts]
     assert any(squarefree) and not all(squarefree)
 
 
@@ -930,8 +930,8 @@ def test_census_without_a_squarefree_chi_takes_the_radical_route(monkeypatch, bu
     # (deg chi_x, deg g, deg h) per chart: h is None when xc does not
     # separate the points, and deg h = -1 when h = 0
     degrees = []
-    for _, _, (radical, chi, g) in charts:
-        h = _shape_line(radical, g.degree())
+    for _, _, (radical, chi, g, m_x) in charts:
+        h = _shape_line(radical, m_x, g.degree())
         degrees.append((chi.degree(), g.degree(), None if h is None else h.degree()))
     assert degrees == routes
     census = classify_curve_singularities(param)
@@ -969,7 +969,7 @@ def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkey
         assert (line == ideal.ring.var("z")) == squarefree
         matrix = groebner.chart_matrix(line)
         del runs[:], chis[:]
-        radical, chi, g = chart_radical(ideal, matrix)
+        radical, chi, g, _ = chart_radical(ideal, matrix)
         assert (chi == g) == squarefree
         if squarefree:
             # the z chart's basis is read off the scheme's, and nothing is added
@@ -983,14 +983,16 @@ def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkey
 
 
 def test_chart_radical_without_the_prime_certificate_takes_the_exact_test(monkeypatch):
-    # the certificate is one-sided: when it proves nothing, the exact
-    # squarefree part decides, with the same results
-    from oscurve import groebner
+    # the certificate in `poly_gcd` is one-sided: when it proves nothing, the
+    # pseudo-remainder gcd decides whether chi_x is squarefree, with the same results
+    from oscurve import groebner, polyops
 
     ideals = [multiple_point_scheme_ideal(CENSUS_INPUTS[n](), 2) for n in ("generator-7", "sextic")]
     matrices = [groebner.chart_matrix(next(groebner.chart_lines(ideal))) for ideal in ideals]
     certified = [chart_radical(ideal, m) for ideal, m in zip(ideals, matrices)]
-    monkeypatch.setattr(groebner, "coprime_mod_prime", lambda p, q: False)
-    for (radical, chi, g), ideal, matrix in zip(certified, ideals, matrices):
-        again, chi_again, g_again = chart_radical(ideal, matrix)
-        assert (again.gens, chi_again, g_again) == (radical.gens, chi, g)
+    refused = []
+    monkeypatch.setattr(polyops, "coprime_mod_prime", lambda p, q: refused.append(p) or False)
+    for (radical, chi, g, m_x), ideal, matrix in zip(certified, ideals, matrices):
+        again, chi_again, g_again, m_x_again = chart_radical(ideal, matrix)
+        assert (again.gens, chi_again, g_again, m_x_again) == (radical.gens, chi, g, m_x)
+    assert refused

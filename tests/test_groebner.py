@@ -440,7 +440,7 @@ def test_chart_radical_reads_local_lengths_off_chi():
     # a fat point of length 3 at [0:0:1] and a simple point at [1:0:1]
     I = ideal_intersection(ideal(R3, "x^2", "x*y", "y^2"), ideal(R3, "x - z", "y"))
     assert scheme_length(I) == 4
-    radical, chi, g = chart_radical(I, chart_matrix(R3.var("z")))
+    radical, chi, g, _ = chart_radical(I, chart_matrix(R3.var("z")))
     A = radical.ring
     assert chi == A.parse("xc^3*(xc - 1)")
     assert g == A.parse("xc^2 - xc")
