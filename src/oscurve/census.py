@@ -14,13 +14,16 @@ multiplication matrix (`groebner._shape_line`), not from a lex Groebner
 basis.  The census needs double points only, and checks that on the
 parameter line (`has_triple_point`): the image has a point of
 multiplicity >= 3 exactly when the second partials H_ij of the implicit
-equation F, composed with the parameterization, share a root.  Their values
-at (1:0) are exact; for the rest, a constant gcd modulo one prime proves
-there is none, and only a nonconstant one pays for the exact gcd over QQ.
-There is no Groebner basis in the gate.  Support points on the
-conic y^2 - 4xz are exactly the one-branch (cuspidal) singularities.  Labels
-come from the implicit-side double point classifier, run at each image
-point.
+equation F, composed with the parameterization, share a root.  They are
+composed from F's residues modulo one prime: a value at (1:0) that survives
+there and a constant gcd prove there is none, and only another outcome pays
+for the exact second partials and their gcd over QQ.  There is no Groebner
+basis in the gate.  Support points on the conic y^2 - 4xz are exactly the
+one-branch (cuspidal) singularities.  The length of the scheme plus the
+conic comes from the sites, since a point of local length 1 on the conic
+adds 1 and one off it nothing; only a deeper point on it (A_2k, k >= 2)
+costs a second Groebner basis, that of the sum.  Labels come from the
+implicit-side double point classifier, run at each image point.
 """
 
 from __future__ import annotations
@@ -104,33 +107,42 @@ def cusp_conic(ring: PolyRing) -> Polynomial:
     return y * y - 4 * x * z
 
 
-def _compose_mod_prime(forms, images):
-    """The binary forms H(images), one per ternary form H of `forms`, as
-    coefficient lists mod PRIME with the highest s-power first; `images` are
-    three such lists of one degree.  None when PRIME divides a denominator
-    of some H."""
-    top = max(h.degree() for h in forms)
+def _second_partials_mod_prime(F: Polynomial, coefficients):
+    """The binary forms H_ij(phi) of the six second partials H_ij of F, read
+    off F's residues mod PRIME, as coefficient lists with the highest s-power
+    first; `coefficients` are phi's three such lists over QQ.  None when
+    PRIME divides a denominator of F or of phi."""
+    images = [residues_mod_prime(c) for c in coefficients]
+    coeffs = residues_mod_prime(F.terms.values())
+    if coeffs is None or None in images:
+        return None
+    top = F.degree() - 2
     powers = []
     for image in images:
         row = [[1]]
         for _ in range(top):
             row.append(mul_mod_prime(row[-1], image))
         powers.append(row)
-    products, out = {}, []
-    for h in forms:
-        coeffs = residues_mod_prime(h.terms.values())
-        if coeffs is None:
-            return None
-        acc = [0] * ((len(images[0]) - 1) * h.degree() + 1)
-        for e, c in zip(h.terms, coeffs):
-            prod = products.get(e)
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    out = [[0] * ((len(images[0]) - 1) * top + 1) for _ in pairs]
+    products = {}
+    for e, c in zip(F.terms, coeffs):
+        for acc, (i, j) in zip(out, pairs):
+            m = e[i] * (e[j] - (i == j))
+            if not m:
+                continue
+            d = list(e)
+            d[i] -= 1
+            d[j] -= 1
+            d = tuple(d)
+            prod = products.get(d)
             if prod is None:
-                a, b, d = (powers[k][e[k]] for k in range(3))
-                prod = products[e] = mul_mod_prime(mul_mod_prime(a, b), d)
-            for i, v in enumerate(prod):
-                acc[i] += c * v
-        out.append([v % PRIME for v in acc])
-    return out
+                a, b, f = (powers[k][d[k]] for k in range(3))
+                prod = products[d] = mul_mod_prime(mul_mod_prime(a, b), f)
+            cm = c * m
+            for k, v in enumerate(prod):
+                acc[k] += cm * v
+    return [[v % PRIME for v in acc] for acc in out]
 
 
 def has_triple_point(param: PlaneParameterization) -> bool:
@@ -140,22 +152,17 @@ def has_triple_point(param: PlaneParameterization) -> bool:
     Such a point is a common zero of the six second partials H_ij of the
     implicit equation F (Euler's formula in characteristic 0 makes F and its
     first partials vanish there too), and every image point is phi(s:t), so
-    it exists exactly when the binary forms H_ij(phi) share a root.  At (1:0)
-    their values H_ij(phi(1:0)) are checked exactly.  The other roots are
-    those of the compositions with phi(s, 1); modulo PRIME, anchored on an
-    H_ij(phi) whose leading coefficient H_ij(phi(1:0)) survives there, their
-    gcd has at least the degree of the gcd over QQ (as in
+    it exists exactly when the binary forms H_ij(phi) share a root.  Their
+    leading coefficients are the values H_ij(phi(1:0)).  Modulo PRIME, taken
+    from F's residues, one of them that survives is nonzero over QQ too and
+    rules out (1:0); anchored on that H_ij(phi), the gcd of the compositions
+    with phi(s, 1) has at least the degree of the gcd over QQ (as in
     `coprime_mod_prime`), so a constant gcd mod PRIME proves there is no such
-    point.  Anything else is decided by the exact gcd of the H_ij(phi)."""
+    point.  Anything else is decided exactly: by the values at (1:0) and the
+    gcd of the H_ij(phi) over QQ, from the second partials of F itself."""
     F = param.implicit.poly
-    names = F.ring.variables
-    second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
-    second = [h for h in second if not h.is_zero]
     coefficients = [_binary_coefficients(f, param.n) for f in param.forms]
-    if not any(h.evaluate([c[0] for c in coefficients]) for h in second):
-        return True
-    images = [residues_mod_prime(c) for c in coefficients]
-    composed = None if None in images else _compose_mod_prime(second, images)
+    composed = _second_partials_mod_prime(F, coefficients)
     anchor = next((c for c in composed or () if c[0]), None)
     if anchor is not None:
         g = anchor
@@ -163,6 +170,11 @@ def has_triple_point(param: PlaneParameterization) -> bool:
             g = gcd_mod_prime(g, c)
             if len(g) == 1:
                 return False
+    names = F.ring.variables
+    second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
+    second = [h for h in second if not h.is_zero]
+    if not any(h.evaluate([c[0] for c in coefficients]) for h in second):
+        return True
     g = param.ring.zero()
     for h in second:
         g = poly_gcd(g, h.substitute(dict(zip(names, param.forms))))
@@ -208,6 +220,8 @@ class SingularityCensus:
     n: int
     total_length: int
     sites: tuple
+    # length of I + (y^2 - 4xz): the sites' cusp counts, unless a point of
+    # local length >= 2 lies on the conic; then a Groebner basis of the sum
     cusp_intersection_length: int
 
     @property
@@ -398,7 +412,6 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
     if total != expected:
         raise InvariantViolation(f"double-point scheme length {total} != C(n-1,2) = {expected}")
     conic = cusp_conic(ring)
-    cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
 
     sites = []
     for piece, matrix in support_sites(ideal):
@@ -437,6 +450,11 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                     image_point=None,
                 )
             )
+    # a point of local length 1 adds 1 to I + (conic), one off the conic 0;
+    # only a deeper point on the conic needs the basis of the sum
+    cusp_len = sum(site.cusp_count for site in sites)
+    if any(site.cusp_count and site.delta_total != site.size for site in sites):
+        cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
     census = SingularityCensus(
         n=n, total_length=total, sites=tuple(sites), cusp_intersection_length=cusp_len
     )

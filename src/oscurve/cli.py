@@ -173,7 +173,12 @@ def census_json(census) -> dict:
             entry["s"] = int(site.label[1:])
             entry["label"] = site.label
         points.append(entry)
-    return {"n": census.n, "x2_length": census.total_length, "points": points}
+    return {
+        "n": census.n,
+        "x2_length": census.total_length,
+        "cusp_length": census.cusp_intersection_length,
+        "points": points,
+    }
 
 
 def _emit(doc, as_json: bool, human_lines):

@@ -207,19 +207,34 @@ def _count_exact_gcds(monkeypatch):
     return calls
 
 
+def _count_derivatives(monkeypatch):
+    from oscurve.rings import Polynomial
+
+    calls = []
+    original = Polynomial.derivative
+
+    def counting(self, name):
+        calls.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(Polynomial, "derivative", counting)
+    return calls
+
+
 def test_triple_point_gate_decides_double_point_curves_modulo_the_prime(monkeypatch):
     params = {name: CENSUS_INPUTS[name]() for name in CENSUS_INPUTS}
     for param in params.values():
         param.implicit
-    calls = _count_exact_gcds(monkeypatch)
+    calls, derivatives = _count_exact_gcds(monkeypatch), _count_derivatives(monkeypatch)
     for name, param in params.items():
         assert not has_triple_point(param), name
-    assert calls == []
+    # the certificate settles them without an exact derivative of F
+    assert calls == derivatives == []
     # a triple point at an affine parameter is confirmed by the exact gcd
     param = PlaneParameterization.parse("t^4; s^3*t; s^4")
+    assert has_triple_point(param) and calls and derivatives
     second, point = _second_partials_at_infinity(param)
     assert any(h.evaluate(point) for h in second)
-    assert has_triple_point(param) and calls
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -240,6 +255,26 @@ def test_triple_point_gate_stays_exact_with_an_unlucky_prime(monkeypatch, prime)
     calls = _count_exact_gcds(monkeypatch)
     assert [has_triple_point(param) for param in params] == expected
     assert calls
+
+
+def test_triple_point_gate_without_residues_takes_the_exact_route(monkeypatch):
+    from oscurve import census
+
+    # "t^4; s^3*t; s^4" is refused; every H_ij of "s^4; s*t^3; t^4" vanishes at phi(1 : 0)
+    texts = ("t^4; s^3*t; s^4", "s^4; s*t^3; t^4")
+    second, point = _second_partials_at_infinity(PlaneParameterization.parse(texts[1]))
+    assert not any(h.evaluate(point) for h in second)
+    params = [build() for build in CENSUS_INPUTS.values()]
+    params += [PlaneParameterization.parse(text) for text in texts]
+    expected = [has_triple_point(param) for param in params]
+    assert expected == [False] * len(CENSUS_INPUTS) + [True, True]
+    derivatives = _count_derivatives(monkeypatch)
+    monkeypatch.setattr(census, "residues_mod_prime", lambda values: None)
+    for param, verdict in zip(params, expected):
+        del derivatives[:]
+        assert has_triple_point(param) == verdict and derivatives
+    with pytest.raises(DegenerateInputError, match="multiplicity >= 3"):
+        double_point_census(params[-2])
 
 
 # -- censuses ---------------------------------------------------------------------
@@ -996,3 +1031,94 @@ def test_chart_radical_without_the_prime_certificate_takes_the_exact_test(monkey
         again, chi_again, g_again, m_x_again = chart_radical(ideal, matrix)
         assert (again.gens, chi_again, g_again, m_x_again) == (radical.gens, chi, g, m_x)
     assert refused
+
+
+# -- the cusp-conic length from the sites, against the basis of I + (conic) ------------
+
+A2_A4_QUARTIC = "s^4; s^2*t^2; t^4 + s*t^3"
+CUSP_INPUTS = {**CENSUS_INPUTS, "a2-a4-quartic": lambda: PlaneParameterization.parse(A2_A4_QUARTIC)}
+
+
+def conic_sum_length(param):
+    ideal = multiple_point_scheme_ideal(param, 2)
+    return scheme_length(ideal_sum(ideal, Ideal(ideal.ring, [cusp_conic(ideal.ring)])))
+
+
+def buchberger_runs_after_the_support(monkeypatch):
+    """A list that records each Buchberger run once `support_sites` has
+    returned (True for a run that starts from a basis), and the census to run."""
+    from oscurve import census as census_module
+    from oscurve import groebner
+
+    runs, done = [], []
+    engine, support = groebner._buchberger_dicts, census_module.support_sites
+
+    def counting_engine(gen_dicts, keyf, seed=()):
+        if done:
+            runs.append(bool(seed))
+        return engine(gen_dicts, keyf, seed)
+
+    def marking_support(ideal):
+        sites = support(ideal)
+        done.append(True)
+        return sites
+
+    def census(param):
+        del runs[:], done[:]
+        return double_point_census(param)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
+    monkeypatch.setattr(census_module, "support_sites", marking_support)
+    return runs, census
+
+
+def has_deeper_point_on_the_conic(census):
+    return any(site.cusp_count and site.delta_total != site.size for site in census.sites)
+
+
+@pytest.mark.parametrize("name", sorted(CUSP_INPUTS))
+def test_cusp_length_equals_the_length_of_the_conic_sum(monkeypatch, name):
+    param = CUSP_INPUTS[name]()
+    runs, census = buchberger_runs_after_the_support(monkeypatch)
+    length = census(param).cusp_intersection_length
+    # no deeper point on the conic: no Groebner basis after the support
+    assert runs == ([True] if name in ("a2-a4-quartic", "generator-8") else [])
+    assert length == conic_sum_length(param)
+    pinned = {"cuspidal-cubic": 1, "a2-a4-quartic": 2, "generator-8": 1, "generator-9": 0}
+    assert length == pinned.get(name, length)
+
+
+def sparse_params(count, seed):
+    """Seeded parameterizations of degree 4 to 6 with coefficients +-1 or +-2,
+    each term kept with probability 0.45, that the census accepts."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 6)
+        rows = [
+            [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.45 else 0 for _ in range(n + 1)]
+            for _ in range(3)
+        ]
+        if not all(any(row) for row in rows):
+            continue
+        text = "; ".join(
+            " + ".join(f"{c}*s^{n - k}*t^{k}" for k, c in enumerate(row) if c) for row in rows
+        )
+        try:
+            param = PlaneParameterization.parse(text)
+            out.append((param, double_point_census(param)))
+        except DegenerateInputError:
+            continue
+    return out
+
+
+def test_cusp_length_on_seeded_sparse_curves():
+    censuses = sparse_params(80, seed=3)
+    for param, census in censuses:
+        assert census.cusp_intersection_length == conic_sum_length(param), param
+    # both routes are taken
+    deeper = [has_deeper_point_on_the_conic(census) for _, census in censuses]
+    assert any(deeper) and not all(deeper)
+    assert any(census.cusp_intersection_length for _, census in censuses)

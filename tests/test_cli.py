@@ -175,11 +175,26 @@ def test_analyze_param_json_schema(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) == {"n", "x2_length", "points"}
-    assert doc["n"] == 3 and doc["x2_length"] == 1
+    assert set(doc) == {"n", "x2_length", "cusp_length", "points"}
+    assert doc["n"] == 3 and doc["x2_length"] == 1 and doc["cusp_length"] == 0
     (point,) = doc["points"]
     assert point["delta"] == 1 and point["cusp"] is False
     assert point["label"] == "A1" and point["s"] == 1
+
+
+@pytest.mark.parametrize(
+    "param, length",
+    [
+        ("s^2*t; s^3; t^3", 1),  # a cusp of length 1: from the sites
+        ("s^4; s^2*t^2; t^4 + s*t^3", 2),  # A2 + A4: the A4 takes the basis of the sum
+    ],
+    ids=["cuspidal-cubic", "a2-a4-quartic"],
+)
+def test_analyze_param_reports_the_cusp_conic_length(capsys, param, length):
+    code, out, _ = run_cli(capsys, "analyze-param", "--param", param, "--json")
+    assert code == 0 and json.loads(out)["cusp_length"] == length
+    code, out, _ = run_cli(capsys, "analyze-param", "--param", param)
+    assert code == 0 and f"cusp-conic intersection length {length}" in out
 
 
 # -- ideal commands --------------------------------------------------------------------
