@@ -18,12 +18,23 @@ equation F, composed with the parameterization, share a root.  They are
 composed from F's residues modulo one prime: a value at (1:0) that survives
 there and a constant gcd prove there is none, and only another outcome pays
 for the exact second partials and their gcd over QQ.  There is no Groebner
-basis in the gate.  Support points on the conic y^2 - 4xz are exactly the
-one-branch (cuspidal) singularities.  The length of the scheme plus the
-conic comes from the sites, since a point of local length 1 on the conic
-adds 1 and one off it nothing; only a deeper point on it (A_2k, k >= 2)
-costs a second Groebner basis, that of the sum.  Labels come from the
-implicit-side double point classifier, run at each image point.
+basis in the gate.
+
+Two local facts let the census read labels and the cusp length off the
+scheme Z of double points, a subscheme of Sym^2 P^1 = P^2 whose diagonal is
+the conic y^2 - 4xz.  At a double point of type A_s the point of Z is the
+pair of parameters over it, and Z has local length delta = ceil(s/2) there;
+the pair lies on the diagonal exactly when the point has one branch, that is
+when s is even.  So a point site is A_2delta on the conic (a cusp) and
+A_(2delta - 1) off it, with no implicit-side classifier; that classifier is
+the `classify` command and the tests' independent oracle.  At a one-branch
+point, with parameters u, v near it and a coordinate of the
+parameterization of order 2 there, the divided difference of that
+coordinate vanishes on Z and has linear part u + v in the symmetric
+coordinates u + v, uv, while the diagonal (u + v)^2 - 4uv has linear part
+-4uv.  So Z lies on a smooth curve transverse to the conic there and meets
+the conic with length 1 at every cusp: the length of Z + (conic) is the sum
+of the sites' cusp counts, with no second Groebner basis.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, tee
 
-from .classifier import classify_double_point
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
@@ -40,7 +50,6 @@ from .groebner import (
     chart_lines,
     chart_matrix,
     chart_radical,
-    ideal_sum,
     point_chart_matrix,
     scheme_length,
     to_chart,
@@ -197,14 +206,10 @@ class CensusSite:
     coords: tuple | None  # scheme-plane coordinates, for point sites
     eliminant: Polynomial | None  # chart eliminant, for cluster sites
     size: int  # number of geometric points at the site
-    delta: int  # localized length (per point for "point", total for clusters)
+    delta: int  # localized length: of the point, or the total over a cluster
     cusp_count: int  # how many of the points lie on the cusp conic
     image_point: tuple | None  # singular point of the image curve
     label: str | None = None  # A_s label once classified
-
-    @property
-    def delta_total(self) -> int:
-        return self.delta * self.size if self.kind == "point" else self.delta
 
     def describe(self) -> str:
         if self.kind == "point":
@@ -220,13 +225,15 @@ class SingularityCensus:
     n: int
     total_length: int
     sites: tuple
-    # length of I + (y^2 - 4xz): the sites' cusp counts, unless a point of
-    # local length >= 2 lies on the conic; then a Groebner basis of the sum
-    cusp_intersection_length: int
+
+    @property
+    def cusp_intersection_length(self) -> int:
+        # length of I + (y^2 - 4xz): every cusp meets the conic with length 1
+        return sum(site.cusp_count for site in self.sites)
 
     @property
     def delta_sum(self) -> int:
-        return sum(site.delta_total for site in self.sites)
+        return sum(site.delta for site in self.sites)
 
     def point_count(self) -> int:
         return sum(site.size for site in self.sites)
@@ -234,8 +241,7 @@ class SingularityCensus:
     def labels(self) -> list[str]:
         out = []
         for site in self.sites:
-            count = site.size if site.kind == "cluster" else 1
-            out.extend([site.label or "?"] * count)
+            out.extend([site.label or "?"] * site.size)
         return sorted(out)
 
 
@@ -450,14 +456,7 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                     image_point=None,
                 )
             )
-    # a point of local length 1 adds 1 to I + (conic), one off the conic 0;
-    # only a deeper point on the conic needs the basis of the sum
-    cusp_len = sum(site.cusp_count for site in sites)
-    if any(site.cusp_count and site.delta_total != site.size for site in sites):
-        cusp_len = scheme_length(ideal_sum(ideal, Ideal(ring, [conic])))
-    census = SingularityCensus(
-        n=n, total_length=total, sites=tuple(sites), cusp_intersection_length=cusp_len
-    )
+    census = SingularityCensus(n=n, total_length=total, sites=tuple(sites))
     if census.delta_sum != total:
         raise InvariantViolation(f"per-site lengths {census.delta_sum} do not add up to {total}")
     return census
@@ -469,43 +468,24 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
 
 
 def classify_curve_singularities(param: PlaneParameterization) -> SingularityCensus:
-    """Census plus A_s labels: delta = 1 points split into nodes and cusps by
-    the conic test; deeper points go through the implicit-equation
-    classifier, with the delta = ceil(s/2) consistency check."""
+    """Census plus A_s labels read off each site's local length and the conic
+    (see the module docstring): a point of length delta is A_2delta on the
+    conic and A_(2delta - 1) off it; a reduced cluster, a Galois orbit of
+    delta = 1 points, is A1 or A2 when its points are all nodes or all cusps.
+    Any other site stays unlabeled."""
     census = double_point_census(param)
-    F = param.implicit.poly
     labeled = []
     for site in census.sites:
         label = None
         if site.kind == "point":
-            if site.delta == 1:
-                label = "A2" if site.cusp_count else "A1"
-            else:
-                label = _classify_image_point(F, site)
+            label = f"A{2 * site.delta}" if site.cusp_count else f"A{2 * site.delta - 1}"
         elif site.delta == site.size:
-            # a reduced cluster is a Galois orbit of delta = 1 double points
             if site.cusp_count == 0:
                 label = "A1"
             elif site.cusp_count == site.size:
                 label = "A2"
         labeled.append(replace(site, label=label))
     return replace(census, sites=tuple(labeled))
-
-
-def _classify_image_point(F: Polynomial, site: CensusSite):
-    if site.image_point is None:
-        return None
-    field = field_of(site.image_point)
-    if field != F.ring.field:
-        F = F.restrict(PolyRing(F.ring.variables, field))
-    verdict, _ = classify_double_point(F, site.image_point)
-    if verdict.kind != "double_point":
-        return None
-    if -(-verdict.s // 2) != site.delta:
-        raise InvariantViolation(
-            f"classifier type A{verdict.s} disagrees with local length {site.delta}"
-        )
-    return f"A{verdict.s}"
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +498,10 @@ def is_curvilinear_at(scheme: Ideal, point) -> bool:
     smooth curve germ exactly when the generators' linear parts at the point
     span a space of codimension <= 1 in the plane."""
     field = scheme.ring.field
+    if scheme.ring.nvars != 3:
+        raise DegenerateInputError("curvilinearity is tested in the plane: a ring of 3 variables")
+    if len(point) != 3:
+        raise DegenerateInputError(f"a point of the plane needs 3 coordinates, got {len(point)}")
     pt = [field.coerce(v) for v in point]
     if not any(pt):
         raise DegenerateInputError("not a projective point")

@@ -20,7 +20,7 @@ basis with z set to 1, interreduced, is the basis of the z chart
 (`_chart_with_basis`).  A sum I + J made by `ideal_sum` starts Buchberger
 from I's cached basis for the order and forms only the pairs with J's
 generators, as the pairs within I's basis reduce to zero; that serves the
-cusp conic, the other chart lines and the chart radical.
+other chart lines and the chart radical.
 
 Saturation has two routes: the colon of a homogeneous ideal by one linear
 form (move the form to the last variable by `chart_matrix`, divide it out of

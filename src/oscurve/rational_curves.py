@@ -123,6 +123,10 @@ def osculating_space_ideal(n: int, q, r: int, names=None, field=QQ) -> Ideal:
 def point_ideal(ring: PolyRing, point) -> Ideal:
     """All linear forms vanishing at a projective point."""
     field = ring.field
+    if len(point) != ring.nvars:
+        raise DegenerateInputError(
+            f"a point of P^{ring.nvars - 1} needs {ring.nvars} coordinates, got {len(point)}"
+        )
     pt = [field.coerce(v) for v in point]
     if not any(pt):
         raise DegenerateInputError("not a projective point")

@@ -13,6 +13,7 @@ from oscurve.census import (
     multiple_point_scheme_ideal,
     support_sites,
 )
+from oscurve.classifier import classify_double_point
 from oscurve.errors import DegenerateInputError, OscurveError
 from oscurve.groebner import (
     Ideal,
@@ -355,16 +356,6 @@ def test_census_refuses_improper_parameterization():
         double_point_census(PlaneParameterization.parse("s^4; s^2*t^2; t^4"))
 
 
-def test_census_delta_matches_classifier_type():
-    # delta = ceil(s/2) is asserted inside the labeling step; a successful
-    # sextic run means every site passed the cross-check
-    census = classify_curve_singularities(sextic_param())
-    for site in census.sites:
-        if site.label and site.kind == "point":
-            s = int(site.label[1:])
-            assert (s + 1) // 2 == site.delta
-
-
 def test_classification_implicitizes_once(monkeypatch):
     import sys
 
@@ -407,6 +398,21 @@ def test_curvilinear_rejects_unsupported_point():
     scheme = Ideal(ring, [ring.parse("v"), ring.parse("w")])
     with pytest.raises(DegenerateInputError):
         is_curvilinear_at(scheme, (0, 0, 1))
+
+
+@pytest.mark.parametrize("point", [(0, 0, 1, 5), (1, 0)])
+def test_curvilinear_refuses_a_point_of_the_wrong_length(point):
+    ring = PolyRing(("u", "v", "w"))
+    scheme = Ideal(ring, [ring.parse("v"), ring.parse("w")])
+    with pytest.raises(DegenerateInputError, match="3 coordinates"):
+        is_curvilinear_at(scheme, point)
+
+
+def test_curvilinear_refuses_a_ring_outside_the_plane():
+    ring = PolyRing(("a", "b", "c", "d"))
+    scheme = Ideal(ring, [ring.parse(t) for t in ("b", "c", "d")])
+    with pytest.raises(DegenerateInputError, match="3 variables"):
+        is_curvilinear_at(scheme, (1, 0, 0, 0))
 
 
 # -- mixed censuses and conjugate support, frozen from seeded searches ----------------
@@ -630,7 +636,7 @@ def test_roadmap_octic_census():
     census = classify_curve_singularities(generator_param(8))
     assert census.total_length == 21
     assert census.labels() == ["A1"] * 19 + ["A4"]
-    assert sorted(site.delta_total for site in census.sites) == [2, 19]
+    assert sorted(site.delta for site in census.sites) == [2, 19]
 
 
 def test_roadmap_nonic_census():
@@ -1073,7 +1079,7 @@ def buchberger_runs_after_the_support(monkeypatch):
 
 
 def has_deeper_point_on_the_conic(census):
-    return any(site.cusp_count and site.delta_total != site.size for site in census.sites)
+    return any(site.cusp_count and site.delta != site.size for site in census.sites)
 
 
 @pytest.mark.parametrize("name", sorted(CUSP_INPUTS))
@@ -1081,8 +1087,9 @@ def test_cusp_length_equals_the_length_of_the_conic_sum(monkeypatch, name):
     param = CUSP_INPUTS[name]()
     runs, census = buchberger_runs_after_the_support(monkeypatch)
     length = census(param).cusp_intersection_length
-    # no deeper point on the conic: no Groebner basis after the support
-    assert runs == ([True] if name in ("a2-a4-quartic", "generator-8") else [])
+    # every cusp meets the conic with length 1, deeper ones (the A4s of
+    # a2-a4-quartic and generator-8) too: no Groebner basis after the support
+    assert runs == []
     assert length == conic_sum_length(param)
     pinned = {"cuspidal-cubic": 1, "a2-a4-quartic": 2, "generator-8": 1, "generator-9": 0}
     assert length == pinned.get(name, length)
@@ -1118,7 +1125,65 @@ def test_cusp_length_on_seeded_sparse_curves():
     censuses = sparse_params(80, seed=3)
     for param, census in censuses:
         assert census.cusp_intersection_length == conic_sum_length(param), param
-    # both routes are taken
-    deeper = [has_deeper_point_on_the_conic(census) for _, census in censuses]
-    assert any(deeper) and not all(deeper)
+    # some census has a deeper point on the conic, an A4 or A6
+    assert any(has_deeper_point_on_the_conic(census) for _, census in censuses)
     assert any(census.cusp_intersection_length for _, census in censuses)
+
+
+# -- census labels against the implicit classifier, two independent routes ------------
+
+
+def classifier_label(F, point):
+    """A_s from `classify_double_point` on F at a point, over the point's field."""
+    field = field_of(point)
+    if field != F.ring.field:
+        F = F.restrict(PolyRing(F.ring.variables, field))
+    verdict, _ = classify_double_point(F, point)
+    return f"A{verdict.s}" if verdict.kind == "double_point" else None
+
+
+@pytest.mark.parametrize("inputs", ["census-inputs", 1, 2, 3, 4, 5])
+def test_census_labels_match_the_classifier(inputs):
+    # the census labels a point by its local length delta and the conic; the
+    # classifier works on the implicit equation F at the image point alone
+    if inputs == "census-inputs":
+        params = [build() for build in CUSP_INPUTS.values()]
+    else:
+        params = [param for param, _ in sparse_params(60, seed=inputs)]
+    deep = set()
+    for param in params:
+        census = classify_curve_singularities(param)
+        F = param.implicit.poly
+        for site in census.sites:
+            if site.kind == "point":
+                assert site.image_point is not None, param
+                assert classifier_label(F, site.image_point) == site.label, (param, site)
+                assert (int(site.label[1:]) + 1) // 2 == site.delta
+                if site.delta > 1:
+                    deep.add(site.label)
+    expected = {"census-inputs": {"A3", "A4", "A5"}}
+    assert deep >= expected.get(inputs, {"A4"}), deep
+
+
+def test_census_labels_call_no_classifier(monkeypatch):
+    import sys
+
+    from oscurve import classifier
+
+    calls = []
+    original = classifier.classify_double_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # rebind the name in every module that imported it, so no call site is missed
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oscurve") and getattr(module, "classify_double_point", None) is original:
+            monkeypatch.setattr(module, "classify_double_point", counting)
+    labels = [
+        classify_curve_singularities(CUSP_INPUTS[name]()).labels()
+        for name in ("sextic", "tacnode-quartic", "a2-a4-quartic", "generator-8")
+    ]
+    assert labels == [["A1"] * 7 + ["A5"], ["A1", "A3"], ["A2", "A4"], ["A1"] * 19 + ["A4"]]
+    assert calls == []

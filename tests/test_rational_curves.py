@@ -120,6 +120,12 @@ def test_projection_of_a_single_point_is_its_image():
     assert [str(p) for p in image.groebner_basis().polys] == ["v - 1/9*w", "u - 2/9*w"]
 
 
+@pytest.mark.parametrize("point", [(1, 0, 0, 0, 0, 7), (1, 0, 0, 0)])
+def test_point_ideal_refuses_a_point_of_the_wrong_length(point):
+    with pytest.raises(DegenerateInputError, match="needs 5 coordinates"):
+        point_ideal(ambient_ring(4), point)
+
+
 def test_projection_commutes_with_parameterization():
     amb = ambient_ring(6, SEXTIC_NAMES)
     center = sextic_center(amb)
