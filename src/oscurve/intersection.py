@@ -21,6 +21,9 @@ only its own columns among the rows that are not pivots yet.  Rows are cut
 at a column horizon that grows when the levels reach it; the pivots on a
 column prefix do not depend on the columns beyond it, so every d_N, and the
 stabilized value, is the one a separate matrix for each level would give.
+The horizon starts at `_HORIZON_STEP` = 4 degrees and grows by as much, so a
+node's witness of contact order 3, stable at level 4, is decided within the
+first horizon; a deeper witness pays for one more run, the smallest.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ class TruncatedMultiplicity:
 
 # The carried elimination truncates its rows at this many degrees, and
 # restarts with the horizon this much larger when a level reaches it.
-_HORIZON_START = 8
 _HORIZON_STEP = 4
 
 
@@ -187,7 +189,7 @@ def _quotient_dimensions(f: Polynomial, g: Polynomial):
         terms = [(e, row[width * t : width * t + width]) for t, e in enumerate(exps)]
         terms = [(e, entries) for e, entries in terms if any(entries)]
         bases.append((min(sum(e) for e, _ in terms), terms))
-    given, horizon = 0, _HORIZON_START
+    given, horizon = 0, _HORIZON_STEP
     while True:
         for level, dim in enumerate(_dimensions_below(bases, width, horizon), 1):
             if level > given:

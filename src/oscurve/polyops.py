@@ -18,7 +18,12 @@ coefficients: no check afterwards.  `matrix_minors` packs once.
 Row reduction of scalar matrices happens here and nowhere else, in one
 elimination on one packing.  `_row_echelon` is fraction-free forward
 elimination of the integer rows that `integer_rows` makes, over a range of
-columns, with the sparsest candidate row as each column's pivot.  Over
+columns, with the sparsest candidate row as each column's pivot; each row's
+count of nonzero entries is kept with it, updated after each of its steps.
+A pivot with few nonzero entries (the oracle's rows m*g of a three-term
+witness) changes the other rows at those entries only, after scaling them
+by |a|; the sign of a is kept aside for each row and applied once at the
+end, so the rows and pivots are those of steps over whole rows.  Over
 QQ(sqrt d) a row r = a + sqrt(d)*b becomes the two rational rows of
 v -> r.v on the column pairs (x_j, y_j), v = x + sqrt(d)*y: (a_j, d*b_j)_j
 and (b_j, a_j)_j.  So the rank over K is half the rational rank, on every
@@ -562,14 +567,28 @@ def rational_roots(g: Polynomial) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _integer_step(row, top, col):
-    """The primitive integer combination of row and the pivot row `top`,
-    both vanishing before column col, that clears column col."""
-    g = gcd(top[col], row[col])
-    a, b = top[col] // g, row[col] // g
-    out = [a * x - b * y for x, y in zip(row[col:], top[col:])]
+def _integer_step(row, s, top, t, col, support):
+    """The primitive integer combination a*s*row - b*t*top of s*row and the
+    pivot t*top (s, t = +-1), both vanishing before column col, that clears
+    column col; returns (r, sign, nonzero count), the combination being
+    sign*r.  With `support`, the positions of top's nonzero entries, row is
+    scaled by |a| (only when |a| > 1) and updated at those entries only, the
+    sign of a going into `sign`; otherwise the sign is 1."""
+    x, y = s * row[col], t * top[col]
+    g = gcd(x, y)
+    a, b = y // g, x // g
+    if support is None:
+        a, b, sign = a * s, b * t, 1
+        out = [a * u - b * v for u, v in zip(row[col:], top[col:])]
+    else:
+        sign = s if a > 0 else -s
+        a, b = abs(a), b * t * sign
+        out = row[col:] if a == 1 else [a * u for u in row[col:]]
+        for k in support:
+            out[k - col] -= b * top[k]
     g = gcd(*out)
-    return [0] * col + ([x // g for x in out] if g > 1 else out)
+    out = [u // g for u in out] if g > 1 else out
+    return [0] * col + out, sign, len(out) - out.count(0)
 
 
 def _row_echelon(rows, cols):
@@ -577,9 +596,14 @@ def _row_echelon(rows, cols):
     columns `cols`, in order;
     returns the pivot columns.  Each column's pivot is the candidate row with
     the fewest nonzero entries, so sparse rows serve as pivots unreduced and
-    dense rows do not fill them in.  Afterwards rows[:len(pivots)] are in
-    echelon form on `cols` and the remaining rows vanish on those columns."""
+    dense rows do not fill them in.  The counts are kept with the rows.  A
+    pivot with few nonzero entries updates the other rows at those entries
+    only, each row's sign kept aside until the end.  Afterwards
+    rows[:len(pivots)] are in echelon form on `cols` and the remaining rows
+    vanish on those columns."""
     pivots = []
+    weights = [len(r) - r.count(0) for r in rows]
+    signs = [1] * len(rows)  # rows[r] holds signs[r] times the row
     for col in cols:
         rank = len(pivots)
         if rank == len(rows):
@@ -587,13 +611,20 @@ def _row_echelon(rows, cols):
         candidates = [r for r in range(rank, len(rows)) if rows[r][col]]
         if not candidates:
             continue
-        piv = min(candidates, key=lambda r: len(rows[r]) - rows[r].count(0))
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
+        piv = min(candidates, key=weights.__getitem__)
+        for v in (rows, weights, signs):
+            v[rank], v[piv] = v[piv], v[rank]
+        top, t = rows[rank], signs[rank]
+        support = [k for k in range(col, len(top)) if top[k]]
+        if 2 * len(support) > len(top) - col:
+            support = None
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                rows[r] = _integer_step(rows[r], top, col)
+                rows[r], signs[r], weights[r] = _integer_step(rows[r], signs[r], top, t, col, support)
         pivots.append(col)
+    for r, s in enumerate(signs):
+        if s < 0:
+            rows[r] = [-u for u in rows[r]]
     return pivots
 
 

@@ -401,6 +401,7 @@ def cone_fiber_test(n: int, center, source_point, names=None, field=QQ) -> Fiber
     the image point; the fiber must be exactly the reduced source point."""
     ring = ambient_ring(n, names, field)
     forms = validate_center(ring, center)
+    expected = point_ideal(ring, source_point)  # checks the number of coordinates
     pt = [field.coerce(v) for v in source_point]
     image = tuple(f.evaluate(pt) for f in forms)
     if not any(image):
@@ -409,7 +410,6 @@ def cone_fiber_test(n: int, center, source_point, names=None, field=QQ) -> Fiber
     cone_forms = [_linear_combination(vec, forms) for vec in kernel]
     curve = rational_normal_curve_ideal(n, ring.variables, field)
     fiber = saturate(ideal_sum(curve, Ideal(ring, cone_forms)), irrelevant_ideal(ring))
-    expected = point_ideal(ring, pt)
     single = fiber == expected
     image_ideal = project_scheme(point_ideal(ring, pt), forms)
     return FiberTestResult(

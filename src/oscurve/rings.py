@@ -9,6 +9,7 @@ through `parse_poly`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -632,45 +633,32 @@ class PolyMatrix:
 # parsing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()/,")
+# one token per match: an integer, a name, an operator, or a stray character
+_TOKEN = re.compile(r"(\d+)|([^\W\d_][^\W_]*)|([-+*^()/,])|(\S)")
 
 
 def _tokenize(text):
     tokens = []  # (kind, value, pos)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastindex, m[m.lastindex]
+        if kind == 4 or kind == 2 and not value[0].isalpha():  # a name starts with a letter
+            raise ParseError(f"unexpected character {value[0]!r}", m.start())
+        tokens.append((("int", "name", value)[kind - 1], int(value) if kind == 1 else value, m.start()))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every value is a term dict whose
+    coefficients are ints, Fractions or QuadExts, coerced into the field
+    once, when the one `Polynomial` is made at the end; only the sum being
+    built is changed in place, so a variable's dict is shared."""
+
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.gens = {v: dict.fromkeys(g.terms, 1) for v, g in zip(ring.variables, ring.gens())}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -687,39 +675,39 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        kind, _, _ = self.peek()
-        if kind == "-":
+        """A sum of terms, each added into one dict in place."""
+        total, kind = {}, self.peek()[0]
+        if kind in ("+", "-"):
             self.next()
-            total = -self.parse_term()
-        elif kind == "+":
-            self.next()
-            total = self.parse_term()
-        else:
-            total = self.parse_term()
         while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.next()
-                total = total + self.parse_term()
-            elif kind == "-":
-                self.next()
-                total = total - self.parse_term()
-            else:
+            for e, c in self.parse_term().items():
+                s = total.get(e, 0) - c if kind == "-" else total.get(e, 0) + c
+                if s:
+                    total[e] = s
+                else:
+                    del total[e]
+            kind = self.peek()[0]
+            if kind not in ("+", "-"):
                 return total
+            self.next()
 
     def parse_term(self):
         total = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            total = total * self.parse_factor()
+            total = dict_mul(total, self.parse_factor())
         return total
 
     def parse_factor(self):
         base = self.parse_atom()
         while self.peek()[0] == "^":
             self.next()
-            tok = self.expect("int")
-            base = base ** tok[1]
+            k = self.expect("int")[1]
+            if len(base) == 1 and k:  # a monomial: scale its exponent
+                ((e, c),) = base.items()
+                base = {tuple(k * v for v in e): c**k}
+            else:
+                base = _powers(base, (k,), dict_mul, {(0,) * self.ring.nvars: 1})[k]
         return base
 
     def parse_atom(self):
@@ -730,20 +718,20 @@ class _Parser:
                 tok = self.expect("int")
                 if tok[1] == 0:
                     raise ParseError("zero denominator in rational literal", tok[2])
-                return self.ring.const(Fraction(value, tok[1]))
-            return self.ring.const(value)
+                value = Fraction(value, tok[1])
+            return {(0,) * self.ring.nvars: value} if value else {}
         if kind == "name":
             if value == "sqrt":
                 return self._parse_sqrt(pos)
-            if value not in self.ring._index:
+            if value not in self.gens:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return self.ring.var(value)
+            return self.gens[value]
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
             return inner
         if kind == "-":
-            return -self.parse_atom()
+            return {e: -c for e, c in self.parse_atom().items()}
         raise ParseError(f"unexpected token {value!r}", pos)
 
     def _parse_sqrt(self, pos):
@@ -765,8 +753,7 @@ class _Parser:
             raise ParseError("sqrt(...) literal requires a quadratic-extension ring", pos)
         from .qfields import make_quadratic
 
-        value = make_quadratic(0, 1, d)
-        return self.ring.const(field.coerce(value))
+        return {(0,) * self.ring.nvars: field.coerce(make_quadratic(0, 1, d))}
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
@@ -777,7 +764,7 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return result
+    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in result.items()})
 
 
 # ---------------------------------------------------------------------------

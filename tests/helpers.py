@@ -3,9 +3,10 @@
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
+from math import gcd
 from operator import ge
 
-from oscurve.errors import DegenerateInputError
+from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
     Ideal,
     TermOrder,
@@ -16,6 +17,7 @@ from oscurve.groebner import (
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
 from oscurve.polyops import characteristic_polynomial, squarefree_part
+from oscurve.qfields import QuadraticField, make_quadratic
 from oscurve.rings import INF, Polynomial, PolyMatrix
 
 
@@ -112,6 +114,39 @@ def has_triple_point_grevlex(F: Polynomial) -> bool:
     names = F.ring.variables
     second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
     return not is_empty_scheme(Ideal(F.ring, second))
+
+
+def dense_integer_step(row, top, col):
+    """The primitive integer combination of row and the pivot row `top`,
+    both vanishing before column col, that clears column col, computed over
+    the whole tail of the rows."""
+    g = gcd(top[col], row[col])
+    a, b = top[col] // g, row[col] // g
+    out = [a * x - b * y for x, y in zip(row[col:], top[col:])]
+    g = gcd(*out)
+    return [0] * col + ([x // g for x in out] if g > 1 else out)
+
+
+def dense_row_echelon(rows, cols):
+    """`polyops._row_echelon` with every step over the whole tail and each
+    row's nonzero entries counted afresh at every column: the same pivot
+    choice, the sparsest candidate, first among equals."""
+    pivots = []
+    for col in cols:
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        candidates = [r for r in range(rank, len(rows)) if rows[r][col]]
+        if not candidates:
+            continue
+        piv = min(candidates, key=lambda r: len(rows[r]) - rows[r].count(0))
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                rows[r] = dense_integer_step(rows[r], top, col)
+        pivots.append(col)
+    return pivots
 
 
 def _field_step(row, top, col):
@@ -315,3 +350,135 @@ def radical_route_chart(ideal: Ideal, matrix):
         return radical.polys, chis[0], g, None
     (vec,) = relations
     return radical.polys, chis[0], g, ring.from_terms({(i, 0): -c for i, c in enumerate(vec[:-1])})
+
+
+# -- the Polynomial-building parser ------------------------------------------------------
+
+
+def _reference_tokens(text):
+    tokens = []  # (kind, value, pos)
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^()/,":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent that builds a `Polynomial` at every node, with the
+    ring's own sum, product and power."""
+
+    def __init__(self, tokens, ring):
+        self.tokens, self.pos, self.ring = tokens, 0, ring
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def expr(self):
+        kind = self.peek()[0]
+        if kind in ("+", "-"):
+            self.next()
+        total = -self.term() if kind == "-" else self.term()
+        while self.peek()[0] in ("+", "-"):
+            if self.next()[0] == "+":
+                total = total + self.term()
+            else:
+                total = total - self.term()
+        return total
+
+    def term(self):
+        total = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            total = total * self.factor()
+        return total
+
+    def factor(self):
+        base = self.atom()
+        while self.peek()[0] == "^":
+            self.next()
+            base = base ** self.expect("int")[1]
+        return base
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if kind == "int":
+            if self.peek()[0] == "/":
+                self.next()
+                tok = self.expect("int")
+                if tok[1] == 0:
+                    raise ParseError("zero denominator in rational literal", tok[2])
+                return self.ring.const(Fraction(value, tok[1]))
+            return self.ring.const(value)
+        if kind == "name":
+            if value == "sqrt":
+                return self.sqrt(pos)
+            if value not in self.ring.variables:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            return self.ring.var(value)
+        if kind == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if kind == "-":
+            return -self.atom()
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+    def sqrt(self, pos):
+        self.expect("(")
+        sign = 1
+        if self.peek()[0] == "-":
+            self.next()
+            sign = -1
+        d = sign * self.expect("int")[1]
+        if self.peek()[0] == "/":
+            self.next()
+            d = Fraction(d, self.expect("int")[1])
+        self.expect(")")
+        field = self.ring.field
+        if not isinstance(field, QuadraticField):
+            raise ParseError("sqrt(...) literal requires a quadratic-extension ring", pos)
+        return self.ring.const(field.coerce(make_quadratic(0, 1, d)))
+
+
+def reference_parse_poly(text: str, ring) -> Polynomial:
+    """`rings.parse_poly` by a parser that builds a `Polynomial` for every
+    atom, product, power and sum; the same grammar, errors and positions."""
+    parser = _ReferenceParser(_reference_tokens(text), ring)
+    result = parser.expr()
+    tok = parser.peek()
+    if tok[0] != "end":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return result

@@ -7,9 +7,11 @@ from itertools import islice
 
 import pytest
 
+from oscurve import intersection
 from oscurve.errors import DegenerateInputError
 from oscurve.intersection import (
     GraphCurve,
+    TruncatedMultiplicity,
     _quotient_dimensions,
     branch_separation,
     graph_intersection_multiplicity,
@@ -199,12 +201,43 @@ def test_oracle_cap_on_a_shared_component_matches_the_level_by_level_oracle(fiel
     )
 
 
-def test_oracle_restarts_past_its_horizon_without_changing_a_level():
-    # contact order 13 stabilizes past the first two horizons, 8 and 12
+def counted_horizons(monkeypatch):
+    """The horizons of the `_dimensions_below` runs from now on."""
+    runs, inner = [], intersection._dimensions_below
+
+    def counting(bases, width, horizon):
+        runs.append(horizon)
+        return inner(bases, width, horizon)
+
+    monkeypatch.setattr(intersection, "_dimensions_below", counting)
+    return runs
+
+
+def test_oracle_restarts_past_its_horizon_without_changing_a_level(monkeypatch):
+    # contact order 13 stabilizes at level 14, past the first three horizons, 4, 8 and 12
     f = R2.parse("y - x^13 + x*y")
     g = R2.parse("y + x^2*y")
     assert truncated_local_multiplicity(f, g) == truncated_local_multiplicity_by_levels(f, g)
+    runs = counted_horizons(monkeypatch)
     assert truncated_local_multiplicity(f, g).value == 13
+    assert runs == [4, 8, 12, 16]
+
+
+@pytest.mark.parametrize(
+    "field, f_text, g_text",
+    [
+        (None, "y^2 - x^2 + x^3", "y - x"),
+        (10403, "y^2 - 10403*x^2 + x^3", "y - sqrt(10403)*x"),
+    ],
+)
+def test_node_witness_of_contact_order_three_is_decided_within_the_first_horizon(
+    monkeypatch, field, f_text, g_text
+):
+    ring = R2 if field is None else PolyRing(("x", "y"), QuadraticField(field))
+    f, g = ring.parse(f_text), ring.parse(g_text)
+    runs = counted_horizons(monkeypatch)
+    assert truncated_local_multiplicity(f, g) == TruncatedMultiplicity(3, False)
+    assert runs == [4]
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from oscurve.rational_curves import PlaneParameterization
 from oscurve.rings import PolyMatrix, PolyRing, Polynomial
 
 from helpers import (
+    dense_row_echelon,
     field_characteristic_polynomial,
     field_matrix_inverse,
     field_nullspace,
@@ -443,6 +444,37 @@ def test_kernels_and_inverses_match_field_elimination(tags):
             continue
         same(matrix_inverse(square, field), want)
     assert 0 < singular < 40
+
+
+def sparse_and_dense_rows(rng, nrows, ncols):
+    """Integer rows, about half of them with 2-3 entries (the oracle's rows
+    m*g of a three-term witness), the rest dense; the entries are mostly
+    +-1, as a witness's leading coefficient is, with a few large ones."""
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.5:
+            row = [0] * ncols
+            for k in rng.sample(range(ncols), min(ncols, rng.randint(2, 3))):
+                row[k] = rng.choice((1, -1, 1, -1, 2, -64, rng.randint(-(10**6), 10**6)))
+        else:
+            row = [rng.choice((0, rng.randint(-40, 40))) for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_pivot_steps_leave_the_rows_and_pivots_of_dense_steps(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        ncols = rng.randint(1, 50)
+        rows = sparse_and_dense_rows(rng, rng.randint(1, 40), ncols)
+        # a column range from the first column on, or starting where the rows vanish
+        start = rng.choice((0, rng.randrange(ncols)))
+        rows = [[0] * start + r[start:] for r in rows]
+        cols = range(start, rng.randint(start, ncols))
+        mine, dense = [list(r) for r in rows], [list(r) for r in rows]
+        assert polyops._row_echelon(mine, cols) == dense_row_echelon(dense, cols)
+        assert mine == dense
 
 
 def test_rank_refuses_rows_that_mix_two_fields():

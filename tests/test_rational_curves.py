@@ -411,3 +411,11 @@ def test_cone_fiber_certifies_generic_injectivity():
         "b - g",
         "a - g",
     ]
+
+
+@pytest.mark.parametrize("point", [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0)])
+def test_cone_fiber_refuses_a_source_point_of_the_wrong_length(point):
+    ring = ambient_ring(4)
+    x0, x1, x2, x3, x4 = ring.gens()
+    with pytest.raises(DegenerateInputError, match="needs 5 coordinates"):
+        cone_fiber_test(4, [x0 + x4, x1 - x3, x2], point)

@@ -1,14 +1,17 @@
 """Polynomial core: parsing, printing, arithmetic, substitution, coordinate
 changes, orders of vanishing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscurve.errors import DegenerateInputError, ParseError, RingMismatchError
+from oscurve.errors import DegenerateInputError, ExtensionMismatchError, ParseError, RingMismatchError
 from oscurve.qfields import QQ, QuadExt, QuadraticField
-from oscurve.rings import INF, PolyRing, Polynomial
+from oscurve.rings import INF, PolyRing, Polynomial, parse_poly
+
+from helpers import reference_parse_poly
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x0", "x1", "x2"))
@@ -51,6 +54,88 @@ def test_parse_errors_carry_position():
         poly("x + ")
     with pytest.raises(ParseError):
         poly("x ^ y")
+
+
+def random_expression(rng, names, depth, root=None):
+    """A random text of the grammar: sums, products and powers of nested
+    parentheses, unary minus, integer and rational literals, variables, and
+    sqrt(root) when a root is given."""
+    if depth == 0 or rng.random() < 0.15:
+        atoms = [str(rng.randint(0, 12)), f"{rng.randint(0, 30)}/{rng.randint(1, 9)}", rng.choice(names)]
+        if root is not None:
+            atoms.append(f"sqrt({root})")
+        atom = rng.choice(atoms)
+        return "-" + atom if rng.random() < 0.15 else atom
+    kind = rng.randrange(4)
+    if kind == 0:
+        parts = [random_expression(rng, names, depth - 1, root) for _ in range(rng.randint(2, 4))]
+        text = parts[0] + "".join(rng.choice((" + ", " - ")) + p for p in parts[1:])
+        return f"({text})" if rng.random() < 0.8 else f"-({text})"
+    if kind == 1:
+        return "*".join(random_expression(rng, names, depth - 1, root) for _ in range(rng.randint(2, 3)))
+    if kind == 2:
+        return f"({random_expression(rng, names, depth - 1, root)})^{rng.randint(0, 3)}"
+    return f"(({random_expression(rng, names, depth - 1, root)}))"
+
+
+def parse_outcome(parse, text, ring):
+    """The parse as (terms, coefficient types), or the error's type, text and
+    position (a mismatched sqrt literal is refused by the field)."""
+    try:
+        p = parse(text, ring)
+    except (ParseError, ExtensionMismatchError) as err:
+        return type(err), str(err), getattr(err, "position", None)
+    return p.terms, {e: type(c) for e, c in p.terms.items()}
+
+
+SQRT5_RING = PolyRing(("x", "y"), QuadraticField(5))
+
+
+@pytest.mark.parametrize("ring, root", [(R2, None), (R3, None), (SQRT5_RING, 5), (SQRT5_RING, "20/9")])
+def test_parser_matches_the_polynomial_building_reference(ring, root):
+    rng = random.Random(11)
+    for _ in range(150):
+        text = random_expression(rng, ring.variables, 5, root)
+        assert parse_outcome(parse_poly, text, ring) == parse_outcome(reference_parse_poly, text, ring), text
+
+
+# +-1 matrices of nonzero determinant, as the benchmark moves its normal forms
+SIGN_MATRICES = [((1, 1, -1), (1, -1, 1), (-1, 1, 1)), ((1, -1, -1), (-1, -1, 1), (1, 1, 1))]
+
+
+@pytest.mark.parametrize("m", SIGN_MATRICES)
+@pytest.mark.parametrize("form", ["x1^2*x2^10 - x0^12", "x1^2*x2^11 - x0^13", "x1^2*x2 - x0^2*x2 + x0^3"])
+def test_parser_matches_the_reference_on_moved_normal_forms(m, form):
+    moved = str(R3.parse(form).linear_change(m))
+    assert parse_outcome(parse_poly, moved, R3) == parse_outcome(reference_parse_poly, moved, R3)
+    if form == "x1^2*x2^11 - x0^13":
+        assert len(R3.parse(moved).terms) >= 90
+
+
+@pytest.mark.parametrize("ring, root", [(R2, None), (SQRT5_RING, 5)])
+def test_parser_errors_match_the_reference(ring, root):
+    rng = random.Random(17)
+    noise = "+-*^()/, 0123xyzq$."
+    for _ in range(400):
+        text = list(random_expression(rng, ring.variables, 3, root))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5 and k < len(text):
+                del text[k]
+            else:
+                text.insert(k, rng.choice(noise))
+        text = "".join(text)
+        assert parse_outcome(parse_poly, text, ring) == parse_outcome(reference_parse_poly, text, ring), text
+    for text in ("", "x +", "2x", "x ^ y", "1/0", "x**2", "sqrt(2)", "(x", "x)", "x + q", "#", "x_1", "é", "½*x", "x + ٣"):
+        assert parse_outcome(parse_poly, text, R2) == parse_outcome(reference_parse_poly, text, R2), text
+
+
+@pytest.mark.parametrize("text, position", [("x^²", 2), ("2²", 1)])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(text, position):
+    # the reference parser's tokenizer takes it for a digit and fails in int()
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        R2.parse(text)
+    assert err.value.position == position
 
 
 def test_print_round_trips():
