@@ -23,14 +23,15 @@ generators, as the pairs within I's basis reduce to zero; that serves the
 other chart lines and the chart radical.
 
 Saturation has two routes: the colon of a homogeneous ideal by one linear
-form (move the form to the last variable by `chart_matrix`, divide it out of
-a grevlex basis where it is cheapest, move back), and the general
-auxiliary-variable route.  The colon is one pass: by the same theorem, the
-elements of the basis divided by their full powers of the last variable are
-a basis of I : z^infinity.  Saturating a homogeneous I by the irrelevant
-ideal m is one colon whenever a line l has I + (l) m-primary, which holds
-for every finite scheme off a fixed list of lines; that equality is exact,
-not a candidate to check.
+form, and the general auxiliary-variable route.  The colon is one pass over
+I's own grevlex basis: by the same theorem, its elements divided by their
+full powers of the last variable z are a basis of I : z^infinity
+(`_colon_last_variable`).  Another linear form is first moved to z by
+`chart_matrix` and moved back after; `from_chart` takes the colon by z on
+the homogenized chart ideal as it stands.  Saturating a homogeneous I by
+the irrelevant ideal m is one colon whenever a line l has I + (l)
+m-primary, which holds for every finite scheme off a fixed list of lines;
+that equality is exact, not a candidate to check.
 
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
@@ -70,44 +71,38 @@ from .rings import Polynomial, PolyRing
 class TermOrder:
     """A monomial order: grevlex, lex, or an elimination block order.
 
-    `priority` lists variable names from most to least significant; it
-    defaults to the ring's own order.  Block orders compare the front block
-    grevlex-first, so basis elements whose leading term avoids the front
-    block avoid it entirely.
+    Grevlex and lex read exponents in the ring's own variable order, so the
+    last variable is the cheapest in grevlex; for another order of the
+    variables, build the ring in that order.  Block orders compare the front
+    block grevlex-first, so basis elements whose leading term avoids the
+    front block avoid it entirely.
     """
 
-    __slots__ = ("kind", "priority", "front")
+    __slots__ = ("kind", "front")
 
-    def __init__(self, kind, priority=None, front=None):
+    def __init__(self, kind, front=None):
+        front = tuple(front or ())
         if kind not in ("grevlex", "lex", "block"):
             raise ValueError(f"unknown order kind {kind!r}")
+        if (kind == "block") != bool(front):
+            raise ValueError("only a block order has a front block, and it must be nonempty")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "priority", tuple(priority) if priority else None)
-        object.__setattr__(self, "front", tuple(front) if front else None)
+        object.__setattr__(self, "front", front)
 
     def __setattr__(self, *args):
         raise AttributeError("TermOrder is immutable")
 
     @staticmethod
-    def grevlex(priority=None) -> "TermOrder":
-        return TermOrder("grevlex", priority)
+    def grevlex() -> "TermOrder":
+        return TermOrder("grevlex")
 
     @staticmethod
-    def lex(priority=None) -> "TermOrder":
-        return TermOrder("lex", priority)
+    def lex() -> "TermOrder":
+        return TermOrder("lex")
 
     @staticmethod
     def elimination(front) -> "TermOrder":
-        return TermOrder("block", front=front)
-
-    def _positions(self, ring: PolyRing):
-        if self.priority is not None:
-            names = list(self.priority)
-            if sorted(names) != sorted(ring.variables):
-                raise ValueError("priority must be a permutation of the ring variables")
-        else:
-            names = list(ring.variables)
-        return [ring.index(v) for v in names]
+        return TermOrder("block", front)
 
     def key_function(self, ring: PolyRing):
         if self.kind == "block":
@@ -126,36 +121,23 @@ class TermOrder:
                 )
 
             return key
-        pos = self._positions(ring)
         if self.kind == "lex":
+            return tuple  # an exponent tuple is its own lex key
 
-            def key(exp, pos=tuple(pos)):
-                return tuple(exp[i] for i in pos)
-
-            return key
-
-        def key(exp, pos=tuple(pos)):
-            p = [exp[i] for i in pos]
-            return (sum(p),) + tuple(-v for v in reversed(p))
+        def key(exp):
+            return (sum(exp),) + tuple(-v for v in reversed(exp))
 
         return key
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and self.kind == other.kind
-            and self.priority == other.priority
-            and self.front == other.front
-        )
+        return isinstance(other, TermOrder) and (self.kind, self.front) == (other.kind, other.front)
 
     def __hash__(self):
-        return hash((self.kind, self.priority, self.front))
+        return hash((self.kind, self.front))
 
     def __repr__(self):
         if self.kind == "block":
             return f"TermOrder.elimination({list(self.front)})"
-        if self.priority:
-            return f"TermOrder.{self.kind}({list(self.priority)})"
         return f"TermOrder.{self.kind}()"
 
 
@@ -494,8 +476,8 @@ class Ideal:
         self._gb_cache.setdefault(gb.order, gb)
         return self
 
-    def normal_form(self, f: Polynomial, order: TermOrder = DEFAULT_ORDER) -> Polynomial:
-        return self.groebner_basis(order).normal_form(f)
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        return self.groebner_basis().normal_form(f)
 
     def contains(self, f: Polynomial) -> bool:
         if self._gb_cache:
@@ -714,23 +696,21 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _colon_variable_power(ideal: Ideal, var: str) -> Ideal:
-    """I : var^infinity for homogeneous I, in one pass: in grevlex with `var`
-    cheapest, the elements of I's basis divided by their full powers of var
-    are a basis of the colon (Bayer and Stillman; Eisenbud, Commutative
-    Algebra, Prop. 15.12), made reduced by one interreduction."""
+def _colon_last_variable(ideal: Ideal) -> Ideal:
+    """I : z^infinity for homogeneous I and z the ring's last variable, in
+    one pass: in grevlex, where z is cheapest, the elements of I's basis
+    divided by their full powers of z are a basis of the colon (Bayer and
+    Stillman; Eisenbud, Commutative Algebra, Prop. 15.12), made reduced by
+    one interreduction."""
     ring = ideal.ring
-    pos = ring.index(var)
-    order = TermOrder.grevlex([v for v in ring.variables if v != var] + [var])
-    gb = ideal.groebner_basis(order)
+    gb = ideal.groebner_basis()
     divided = []
     for g, lead in gb._pairs:
-        k = min(e[pos] for e in g)
-        drop = tuple(k if i == pos else 0 for i in range(ring.nvars))
+        drop = (0,) * (ring.nvars - 1) + (min(e[-1] for e in g),)
         quotient = {tuple(map(sub, e, drop)): c for e, c in g.items()}
         divided.append((quotient, tuple(map(sub, lead, drop))))
     pairs = _interreduce(divided, _HeapEntries(gb._keyf), gb._rational)
-    colon = GroebnerBasis(ring, order, pairs)
+    colon = GroebnerBasis(ring, DEFAULT_ORDER, pairs)
     return Ideal(ring, colon.polys).attach_basis(colon)
 
 
@@ -740,7 +720,7 @@ def _colon_linear_power(ideal: Ideal, ell: Polynomial) -> Ideal:
     ring = ideal.ring
     matrix = chart_matrix(ell)
     moved = Ideal(ring, [g.linear_change(matrix) for g in ideal.gens])
-    colon = _colon_variable_power(moved, ring.variables[-1])
+    colon = _colon_last_variable(moved)
     inverse = matrix_inverse(matrix, ring.field)
     return Ideal(ring, [g.linear_change(inverse) for g in colon.gens])
 
@@ -811,31 +791,6 @@ def saturate(ideal: Ideal, by) -> Ideal:
                         return _colon_linear_power(ideal, lines[0])
                     return saturate_general(ideal, K)
     return saturate_general(ideal, by)
-
-
-# ---------------------------------------------------------------------------
-# low-degree slices (ideal members of bounded degree, by linear algebra)
-# ---------------------------------------------------------------------------
-
-
-def linear_relations(gb: GroebnerBasis, polys) -> list[list]:
-    """Basis of the coefficient vectors (a_1, ..., a_m) with sum_i a_i p_i in
-    the ideal of `gb`: the null space of the normal forms of the p_i, one
-    equation per monomial that they use."""
-    nfs = [gb.normal_form(p) for p in polys]
-    field = gb.ring.field
-    monomials = sorted({e for nf in nfs for e in nf.terms})
-    rows = [[nf.terms.get(e, field.zero) for nf in nfs] for e in monomials]
-    return nullspace(rows, len(nfs), one=field.one)
-
-
-def degree_slice_members(ideal: Ideal, d: int):
-    """Basis of the space of ideal members that are forms of degree d: the
-    linear relations among the degree-d monomials modulo the ideal."""
-    ring = ideal.ring
-    exps = list(_degree_exponents(ring.nvars, d))
-    relations = linear_relations(ideal.groebner_basis(), [ring.monomial(e) for e in exps])
-    return [ring.from_terms(zip(exps, vec)) for vec in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -942,12 +897,12 @@ def _chart_with_basis(ideal: Ideal, matrix) -> Ideal:
 
 def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
     """Homogeneous ideal in `ring` of the chart scheme cut out by `gens`:
-    homogenize, saturate by the last variable, undo the chart matrix.  An
-    ideal saturated by one variable is saturated by the irrelevant ideal too,
-    so no second saturation is needed."""
+    homogenize, take the colon by the last variable, undo the chart matrix.
+    An ideal saturated by one variable is saturated by the irrelevant ideal
+    too, so no second saturation is needed."""
     x, y, z = ring.variables
     hom = Ideal(ring, [g.homogenize(ring, z, {"xc": x, "yc": y}) for g in gens])
-    sat = saturate(hom, Ideal(ring, [ring.var(z)]))
+    sat = _colon_last_variable(hom)
     inverse = matrix_inverse(matrix, ring.field)
     return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 

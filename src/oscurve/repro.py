@@ -19,7 +19,6 @@ from .census import (
 from .classifier import classify_double_point, projective_ring
 from .groebner import (
     Ideal,
-    degree_slice_members,
     hilbert_function,
     ideal_power,
     ideal_sum,
@@ -89,9 +88,10 @@ def _run_sextic_construction():
 
     fat3 = ideal_sum(ideal_power(through, 3), curve)
     proj3 = project_scheme(fat3, center)
-    len3 = hilbert_function(proj3).stable_value
+    hilbert3 = hilbert_function(proj3)
+    len3 = hilbert3.stable_value
     curvi3 = is_curvilinear_at(proj3, (1, 0, 0))
-    lines3 = len(degree_slice_members(proj3, 1))
+    lines3 = 3 - hilbert3.values[1]  # the linear forms in proj3: 3 - H(1)
 
     fat4 = ideal_sum(ideal_power(through, 4), curve)
     proj4 = project_scheme(fat4, center)

@@ -8,15 +8,15 @@ from operator import ge
 
 from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
+    GroebnerBasis,
     Ideal,
-    TermOrder,
+    _degree_exponents,
     ideal_sum,
     is_empty_scheme,
-    linear_relations,
     to_chart,
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
-from oscurve.polyops import characteristic_polynomial, squarefree_part
+from oscurve.polyops import characteristic_polynomial, nullspace, squarefree_part
 from oscurve.qfields import QuadraticField, make_quadratic
 from oscurve.rings import INF, Polynomial, PolyMatrix
 
@@ -256,24 +256,44 @@ def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=Non
             return TruncatedMultiplicity(INF, True)
 
 
-def colon_variable_power_by_fixpoint(ideal: Ideal, var: str) -> Ideal:
-    """I : var^infinity for homogeneous I, without Bayer and Stillman: take
-    the grevlex basis with `var` cheapest, divide each element by its full
-    power of var, and start again from the quotients until none changes."""
+def colon_last_variable_by_fixpoint(ideal: Ideal) -> Ideal:
+    """I : z^infinity for homogeneous I and z the ring's last variable,
+    without Bayer and Stillman: take the grevlex basis, where z is cheapest,
+    divide each element by its full power of z, and start again from the
+    quotients until none changes."""
     ring = ideal.ring
-    pos = ring.index(var)
-    order = TermOrder.grevlex([v for v in ring.variables if v != var] + [var])
     current = ideal
     while True:
-        gb = current.groebner_basis(order)
+        gb = current.groebner_basis()
         divided = []
         for p in gb.polys:
-            k = min(e[pos] for e in p.terms)
-            terms = {e[:pos] + (e[pos] - k,) + e[pos + 1 :]: c for e, c in p.terms.items()}
+            k = min(e[-1] for e in p.terms)
+            terms = {e[:-1] + (e[-1] - k,): c for e, c in p.terms.items()}
             divided.append(ring.from_terms(terms))
         if divided == list(gb.polys):
             return Ideal(ring, gb.polys).attach_basis(gb)
         current = Ideal(ring, divided)
+
+
+def linear_relations(gb: GroebnerBasis, polys) -> list[list]:
+    """Basis of the coefficient vectors (a_1, ..., a_m) with sum_i a_i p_i in
+    the ideal of `gb`: the null space of the normal forms of the p_i, one
+    equation per monomial that they use."""
+    nfs = [gb.normal_form(p) for p in polys]
+    field = gb.ring.field
+    monomials = sorted({e for nf in nfs for e in nf.terms})
+    rows = [[nf.terms.get(e, field.zero) for nf in nfs] for e in monomials]
+    return nullspace(rows, len(nfs), one=field.one)
+
+
+def degree_slice_members(ideal: Ideal, d: int):
+    """Basis of the space of ideal members that are forms of degree d: the
+    linear relations among the degree-d monomials modulo the ideal (which
+    need not be homogeneous)."""
+    ring = ideal.ring
+    exps = list(_degree_exponents(ring.nvars, d))
+    relations = linear_relations(ideal.groebner_basis(), [ring.monomial(e) for e in exps])
+    return [ring.from_terms(zip(exps, vec)) for vec in relations]
 
 
 def field_characteristic_polynomial(rows) -> list:

@@ -21,7 +21,6 @@ from oscurve.classifier import classify_double_point, projective_ring
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import (
     Ideal,
-    degree_slice_members,
     hilbert_function,
     ideal_power,
     ideal_sum,
@@ -45,6 +44,8 @@ from oscurve.rational_curves import (
     rational_normal_curve_ideal,
 )
 from oscurve.rings import INF, PolyRing
+
+from helpers import degree_slice_members
 
 R3 = projective_ring()
 R2 = PolyRing(("x", "y"))

@@ -721,8 +721,12 @@ def test_shape_position_matches_the_lex_basis(name):
     for piece, _ in pieces:
         product = product * piece.factor
     assert product == g
+    # lex with yc before xc: the ring lists yc first
+    swapped = PolyRing(("yc", "xc"), radical.ring.field)
+    lex = Ideal(swapped, [p.restrict(swapped) for p in radical.gens])
+    lex = lex.groebner_basis(TermOrder.lex())
     yc = radical.ring.var("yc")
-    assert list(radical.groebner_basis(TermOrder.lex(("yc", "xc"))).polys) == [g, yc - h_line]
+    assert list(lex.polys) == [g.restrict(swapped), (yc - h_line).restrict(swapped)]
 
 
 def test_census_makes_no_lex_basis_and_no_k3_scheme(monkeypatch):

@@ -10,7 +10,6 @@ from oscurve.errors import DegenerateInputError
 from oscurve.groebner import (
     Ideal,
     TermOrder,
-    degree_slice_members,
     eliminate,
     hilbert_function,
     ideal_intersection,
@@ -27,7 +26,7 @@ from oscurve.qfields import QuadExt, QuadraticField
 from oscurve.rational_curves import rational_normal_curve_ideal
 from oscurve.rings import Polynomial, PolyRing
 
-from helpers import normal_form_with_cofactors
+from helpers import degree_slice_members, normal_form_with_cofactors
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -194,6 +193,16 @@ def test_reduced_bases_agree_with_sympy_over_a_quadratic_field():
         )
 
 
+def test_orders_refuse_a_misplaced_front_block():
+    # a front block is checked when the order is built, not at its first key
+    with pytest.raises(ValueError):
+        TermOrder.elimination([])
+    with pytest.raises(ValueError):
+        TermOrder("grevlex", ["x"])
+    assert TermOrder.elimination(["x"]) == TermOrder("block", ("x",))
+    assert TermOrder.grevlex() == TermOrder("grevlex") != TermOrder.lex()
+
+
 def test_normal_forms_are_exact_with_large_denominators():
     # normal_form works on primitive integer polynomials; the cofactor
     # division stays in field arithmetic and is the reference
@@ -350,10 +359,10 @@ def test_sextic_construction_saturates_by_one_colon_each(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(rational_curves, "saturate", counting("saturate"))
-    for name in ("saturate", "_colon_variable_power", "saturate_general"):
+    for name in ("saturate", "_colon_last_variable", "saturate_general"):
         monkeypatch.setattr(groebner, name, counting(name))
     assert run_repro_case("example-6.1-part1")[0]
-    assert events and events == ["saturate", "_colon_variable_power"] * (len(events) // 2)
+    assert events and events == ["saturate", "_colon_last_variable"] * (len(events) // 2)
 
 
 @pytest.mark.parametrize("n", [3, 7])
@@ -474,9 +483,9 @@ def _random_form(rng, ring, degree, nterms, coefficient):
 
 
 def test_colon_in_one_pass_matches_the_fixpoint_loop():
-    from oscurve.groebner import _colon_variable_power
+    from oscurve.groebner import _colon_last_variable
 
-    from helpers import colon_variable_power_by_fixpoint
+    from helpers import colon_last_variable_by_fixpoint
 
     rng = random.Random(17)
     sqrt2 = PolyRing(("x", "y", "z"), QuadraticField(2))
@@ -495,12 +504,38 @@ def test_colon_in_one_pass_matches_the_fixpoint_loop():
             power = ring.var(rng.choice(ring.variables)) ** rng.randint(0, 2)
             form = _random_form(rng, ring, rng.randint(1, 3), rng.randint(1, 3), coefficient)
             gens.append(form * power)
-        I = Ideal(ring, gens)
-        ours = _colon_variable_power(I, var)
-        oracle = colon_variable_power_by_fixpoint(I, var)
+        # the colon is by the last variable, so the ring puts `var` last
+        moved = PolyRing([v for v in ring.variables if v != var] + [var], ring.field)
+        I = Ideal(moved, [g.restrict(moved) for g in gens])
+        ours = _colon_last_variable(I)
+        oracle = colon_last_variable_by_fixpoint(I)
         assert ours.gens == oracle.gens, (trial, I)
         torsion += not all(map(I.contains, ours.gens))
     assert torsion > 12
+
+
+def test_radical_takes_its_colon_without_saturate(monkeypatch):
+    # the CI's z-torsion scheme: `from_chart` reads the colon by z off the
+    # homogenized chart radical's own basis, with no call to `saturate`
+    from oscurve import groebner
+    from oscurve.groebner import chart_matrix, chart_radical
+
+    I = ideal(R3, "x^2*z", "x*y*z", "y^2*z", "x^3", "y^3")
+    calls = []
+    original = groebner.saturate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "saturate", counting)
+    radical = zero_dim_radical(I)
+    assert calls == []
+    assert [str(p) for p in radical.groebner_basis().polys] == ["y", "x"]
+    # the same radical by the auxiliary-variable saturation of the chart radical
+    chart = chart_radical(I, chart_matrix(R3.var("z")))[0]
+    hom = Ideal(R3, [g.homogenize(R3, "z", {"xc": "x", "yc": "y"}) for g in chart.gens])
+    assert radical == saturate_general(hom, ideal(R3, "z"))
 
 
 def _record_seeds(monkeypatch):
