@@ -22,16 +22,25 @@ from I's cached basis for the order and forms only the pairs with J's
 generators, as the pairs within I's basis reduce to zero; that serves the
 other chart lines and the chart radical.
 
-Saturation has two routes: the colon of a homogeneous ideal by one linear
-form, and the general auxiliary-variable route.  The colon is one pass over
-I's own grevlex basis: by the same theorem, its elements divided by their
-full powers of the last variable z are a basis of I : z^infinity
-(`_colon_last_variable`).  Another linear form is first moved to z by
-`chart_matrix` and moved back after; `from_chart` takes the colon by z on
-the homogenized chart ideal as it stands.  Saturating a homogeneous I by
-the irrelevant ideal m is one colon whenever a line l has I + (l)
-m-primary, which holds for every finite scheme off a fixed list of lines;
-that equality is exact, not a candidate to check.
+Saturation has three routes.  The colon of a homogeneous ideal by one
+linear form is one pass over I's own grevlex basis: by the same theorem, its
+elements divided by their full powers of the last variable z are a basis of
+I : z^infinity (`_colon_last_variable`).  Another linear form is first moved
+to z by `chart_matrix` and moved back after; `from_chart` takes the colon by
+z on the homogenized chart ideal as it stands.  A homogeneous I saturated by
+the irrelevant ideal m is read off the chart algebra A = S/(I + (l - 1))
+when a line l of a fixed list has I + (l) m-primary, which holds for every
+finite scheme that some line of the list misses; A's basis starts from I's
+and takes no coordinate change (`_chart_image`).  l misses the scheme, so it is a
+nonzerodivisor on S/Sat(I, m) and each degree of S/Sat(I, m) embeds into A:
+Sat(I, m) in degree e is the kernel of S_e -> A, taken degree by degree by
+the FGLM walk.  The walk stops at the first e >= 1 where the number H(e) of
+standard monomials equals H(e - 1): the first difference of H is the
+Hilbert function of the Artinian algebra S/(Sat(I, m) + (l)), zero from e
+on, so the saturation is generated in degrees <= e.  The same kernel with
+forms l_i in place of the variables is the image of the scheme under the
+projection from the l_i (`rational_curves.project_scheme`).  Every other
+saturation takes the general auxiliary-variable route.
 
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
@@ -725,6 +734,57 @@ def _colon_linear_power(ideal: Ideal, ell: Polynomial) -> Ideal:
     return Ideal(ring, [g.linear_change(inverse) for g in colon.gens])
 
 
+def _chart_image(ideal: Ideal, ell: Polynomial, forms, target: PolyRing) -> Ideal:
+    """J = ker(K[target] -> S/Sat(I, m)), y_i -> forms[i], with its reduced
+    grevlex basis as generators, for homogeneous I in S and a combination
+    ell of the forms with I + (ell) m-primary.  J_e is the kernel of
+    K[target]_e -> A = S/(I + (ell - 1)); the module docstring has why, and
+    why J is generated by the degree where the walk stops.
+
+    Each degree e walks, in increasing grevlex order, the monomials y_i*s
+    over the standard monomials s of degree e - 1, skipping the multiples
+    of the leads found so far (FGLM: Faugere, Gianni, Lazard & Mora,
+    J. Symbolic Comput. 16, 1993).  A monomial's vector in A is the normal
+    form of forms[i] times the stored one of m / y_i; reduced against that
+    degree's standard vectors, it is new (m is standard) or gives the
+    element m - sum c*s of J with lead m.  One Buchberger run makes the
+    elements found the reduced basis, which may need higher degrees.  The
+    chart's basis starts from I's, which the callers have cached."""
+    ring, field = ideal.ring, ideal.ring.field
+    chart = ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
+    if chart.is_unit():
+        return Ideal(target, [target.one()])
+    keyf = DEFAULT_ORDER.key_function(target)
+    steps = [tuple(int(i == j) for j in range(target.nvars)) for i in range(target.nvars)]
+    images = {(0,) * target.nvars: chart.normal_form(ring.one())}  # standard monomial -> image
+    leads, found = [], []
+    while True:
+        standard, rows = {}, []  # rows: (pivot, vector, combination), pivot coefficient 1
+        for m in sorted({tuple(map(add, s, u)) for s in images for u in steps}, key=keyf):
+            if any(_divisible(m, lead) for lead in leads):
+                continue
+            i = next(i for i, k in enumerate(m) if k)
+            image = chart.normal_form(forms[i] * images[tuple(map(sub, m, steps[i]))])
+            vec, comb = image, target.monomial(m)
+            for pivot, row, row_comb in rows:
+                c = vec.terms.get(pivot)
+                if c:
+                    vec, comb = vec - row * c, comb - row_comb * c
+            if vec.is_zero:
+                leads.append(m)
+                found.append(comb)
+            else:
+                pivot = next(iter(vec.terms))
+                inv = field.one / vec.terms[pivot]
+                rows.append((pivot, vec * inv, comb * inv))
+                standard[m] = image
+        if len(standard) == len(images):
+            break
+        images = standard
+    gb = Ideal(target, found).groebner_basis()
+    return Ideal(target, gb.polys).attach_basis(gb)
+
+
 def _saturation_candidates(k: int):
     """Deterministic coefficient vectors of the lines `saturate` tries in turn."""
     yield tuple(1 for _ in range(k))
@@ -764,9 +824,11 @@ def saturate(ideal: Ideal, by) -> Ideal:
     linear with V(J) empty, it is the irrelevant ideal m, and the lines
     l_1, l_2, ... of `_saturation_candidates` are taken in turn up to the
     shortest prefix K with I + K m-primary; then Sat(I, m) = Sat(I, K), as
-    K lies in m and m^N lies in I + K.  K is one line for a finite scheme,
-    so one colon, and two lines for a curve.  Every other J, and an I that
-    no prefix serves, takes the auxiliary-variable route `saturate_general`.
+    K lies in m and m^N lies in I + K.  K is one line l for a finite
+    scheme, and then Sat(I, m) is read off the chart algebra S/(I + (l - 1))
+    (`_chart_image`, with the variables as the forms), with no colon.  K is
+    two lines for a curve.  Every other J, and an I that no prefix serves,
+    takes the auxiliary-variable route `saturate_general`.
     """
     if isinstance(by, Polynomial):
         by = Ideal(ideal.ring, [by])
@@ -782,13 +844,14 @@ def saturate(ideal: Ideal, by) -> Ideal:
         if len(by.gens) == 1:
             return _colon_linear_power(ideal, by.gens[0])
         if is_empty_scheme(by):
+            ideal.groebner_basis()  # the bases of the sums below start from I's
             lines = []
             for coeffs in _saturation_candidates(ring.nvars):
                 lines.append(sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero()))
                 K = Ideal(ring, lines)
                 if is_empty_scheme(ideal_sum(ideal, K)):
                     if len(lines) == 1:
-                        return _colon_linear_power(ideal, lines[0])
+                        return _chart_image(ideal, lines[0], ring.gens(), ring)
                     return saturate_general(ideal, K)
     return saturate_general(ideal, by)
 

@@ -5,9 +5,10 @@ The degree-n rational normal curve is carried by the standard parameterization
 (s^n, s^(n-1)t, ..., t^n); its ideal is generated by the 2x2 minors of the
 two-row catalecticant matrix of the ambient coordinates.  Projecting from a
 codimension-3 linear center yields plane curves together with their binary
-parameterizations, and the scheme-level projection (add graph forms, saturate
-by the ambient irrelevant ideal, eliminate the ambient variables) transports
-finite subschemes along.  The implicit equation of a degree-n
+parameterizations, and the scheme-level projection transports finite
+subschemes along: the image is the kernel of the map from the plane's ring
+to the scheme's chart algebra at a combination of the center forms that
+misses it (`groebner._chart_image`).  The implicit equation of a degree-n
 parameterization is the squarefree part of the determinant of its n x n
 moving-line matrix, whose entries are linear forms in the plane coordinates
 built from integer-scaled coefficient triples.
@@ -23,6 +24,8 @@ from operator import add
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
+    _chart_image,
+    _saturation_candidates,
     eliminate,
     ideal_sum,
     irrelevant_ideal,
@@ -154,18 +157,40 @@ def validate_center(ring: PolyRing, forms) -> list[Polynomial]:
 
 
 def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
-    """Image of a finite scheme under projection from the center.
+    """Image of a finite scheme under projection from the center, in
+    K[targets]: the kernel of K[targets] -> S/Sat(I, m), t_i -> l_i.
 
-    Adds graph forms t_i - l_i, saturates by the ambient irrelevant ideal,
-    and eliminates the ambient variables; the result lives in K[targets].
-    Raises when the center meets the scheme (the projection is undefined
-    there)."""
+    The first line ell = c . (l_0, l_1, l_2) of `_saturation_candidates`
+    with I + (ell) m-primary misses the scheme, so the center misses it too,
+    and the kernel is read off the chart algebra S/(I + (ell - 1))
+    (`_chart_image`), with no saturation and no elimination.  Only when no
+    candidate serves is the center tested against the scheme itself: a
+    center that meets it is refused (the projection is undefined there),
+    and a scheme that is not finite takes the graph forms t_i - l_i, the
+    saturation by the ambient irrelevant ideal and the elimination of the
+    ambient variables.  Refuses also targets that are not three distinct
+    names apart from the ambient ones, and a scheme ideal that is not
+    homogeneous."""
     ring = scheme.ring
     forms = validate_center(ring, center)
+    targets = tuple(targets)
+    if len(targets) != 3 or len(set(targets)) != 3:
+        raise DegenerateInputError(f"a plane projection needs three distinct targets, got {targets}")
+    for name in targets:
+        if name in ring.variables:
+            raise DegenerateInputError(f"the target {name!r} is an ambient variable")
+    if not scheme.is_homogeneous():
+        raise DegenerateInputError("the scheme to project needs a homogeneous ideal")
+    plane = PolyRing(targets, ring.field)
+    scheme.groebner_basis()  # the bases of the sums below start from I's
+    for coeffs in _saturation_candidates(3):
+        ell = _linear_combination(coeffs, forms)
+        if is_empty_scheme(ideal_sum(scheme, Ideal(ring, [ell]))):
+            return _chart_image(scheme, ell, forms, plane)
     if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
         raise DegenerateInputError("the projection center meets the scheme")
     sat = saturate(scheme, irrelevant_ideal(ring))
-    big = PolyRing(ring.variables + tuple(targets), ring.field)
+    big = PolyRing(ring.variables + targets, ring.field)
     gens = [g.restrict(big) for g in sat.gens]
     for name, form in zip(targets, forms):
         gens.append(big.var(name) - form.restrict(big))
@@ -411,7 +436,8 @@ def cone_fiber_test(n: int, center, source_point, names=None, field=QQ) -> Fiber
     curve = rational_normal_curve_ideal(n, ring.variables, field)
     fiber = saturate(ideal_sum(curve, Ideal(ring, cone_forms)), irrelevant_ideal(ring))
     single = fiber == expected
-    image_ideal = project_scheme(point_ideal(ring, pt), forms)
+    # the image of a reduced point off the center is the reduced image point
+    image_ideal = point_ideal(PolyRing(("u", "v", "w"), field), image)
     return FiberTestResult(
         image_point=image,
         image_ideal=image_ideal,

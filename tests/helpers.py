@@ -10,15 +10,21 @@ from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
     GroebnerBasis,
     Ideal,
+    _colon_linear_power,
     _degree_exponents,
+    _saturation_candidates,
+    eliminate,
     ideal_sum,
+    irrelevant_ideal,
     is_empty_scheme,
+    saturate,
     to_chart,
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
 from oscurve.polyops import characteristic_polynomial, nullspace, squarefree_part
 from oscurve.qfields import QuadraticField, make_quadratic
-from oscurve.rings import INF, Polynomial, PolyMatrix
+from oscurve.rational_curves import validate_center
+from oscurve.rings import INF, Polynomial, PolyMatrix, PolyRing
 
 
 def laplace_det(matrix: PolyMatrix, rows=None, cols=None) -> Polynomial:
@@ -273,6 +279,36 @@ def colon_last_variable_by_fixpoint(ideal: Ideal) -> Ideal:
         if divided == list(gb.polys):
             return Ideal(ring, gb.polys).attach_basis(gb)
         current = Ideal(ring, divided)
+
+
+def saturate_by_colon(ideal: Ideal) -> Ideal:
+    """Sat(I, m) for homogeneous I by the colon I : l^infinity with the
+    first line l of `_saturation_candidates` that has I + (l) m-primary,
+    moved to the last variable and back (`_colon_linear_power`); an I that
+    no line serves takes `saturate`."""
+    ring = ideal.ring
+    for coeffs in _saturation_candidates(ring.nvars):
+        ell = sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero())
+        if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
+            return _colon_linear_power(ideal, ell)
+    return saturate(ideal, irrelevant_ideal(ring))
+
+
+def project_by_elimination(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
+    """`project_scheme` by the graph of the projection: refuse a center
+    that meets the scheme, saturate by the irrelevant ideal
+    (`saturate_by_colon`), add the graph forms t_i - l_i and eliminate the
+    ambient variables with a block order."""
+    ring = scheme.ring
+    forms = validate_center(ring, center)
+    if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
+        raise DegenerateInputError("the projection center meets the scheme")
+    sat = saturate_by_colon(scheme)
+    big = PolyRing(ring.variables + tuple(targets), ring.field)
+    gens = [g.restrict(big) for g in sat.gens]
+    for name, form in zip(targets, forms):
+        gens.append(big.var(name) - form.restrict(big))
+    return eliminate(Ideal(big, gens), set(ring.variables))
 
 
 def linear_relations(gb: GroebnerBasis, polys) -> list[list]:

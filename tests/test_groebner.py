@@ -343,7 +343,9 @@ def test_saturation_fast_path_matches_general_route():
         assert saturate(I, by) == saturate_general(I, by), (I, by)
 
 
-def test_sextic_construction_saturates_by_one_colon_each(monkeypatch):
+def test_sextic_construction_reads_each_image_off_one_chart_algebra(monkeypatch):
+    # three projections and the fiber's saturation by m: one chart image
+    # each, with no colon, no auxiliary-variable saturation, no elimination
     from oscurve import groebner, rational_curves
     from oscurve.repro import run_repro_case
 
@@ -358,11 +360,12 @@ def test_sextic_construction_saturates_by_one_colon_each(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(rational_curves, "saturate", counting("saturate"))
-    for name in ("saturate", "_colon_last_variable", "saturate_general"):
+    for name in ("saturate", "_chart_image", "eliminate"):
+        monkeypatch.setattr(rational_curves, name, counting(name))
+    for name in ("saturate", "_chart_image", "_colon_last_variable", "saturate_general", "eliminate"):
         monkeypatch.setattr(groebner, name, counting(name))
     assert run_repro_case("example-6.1-part1")[0]
-    assert events and events == ["saturate", "_colon_last_variable"] * (len(events) // 2)
+    assert events == ["_chart_image"] * 3 + ["saturate", "_chart_image"]
 
 
 @pytest.mark.parametrize("n", [3, 7])

@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from oscurve.errors import DegenerateInputError
-from oscurve.groebner import Ideal, ideal_power, ideal_sum, scheme_length
+from oscurve.groebner import (
+    Ideal,
+    _degree_exponents,
+    ideal_intersection,
+    ideal_power,
+    ideal_sum,
+    irrelevant_ideal,
+    saturate,
+    scheme_length,
+)
 from oscurve.polyops import exact_divide, squarefree_part
 from oscurve.rational_curves import (
     PlaneParameterization,
@@ -24,11 +33,12 @@ from oscurve.rational_curves import (
     point_ideal,
     project_scheme,
     rational_normal_curve_ideal,
+    validate_center,
 )
 from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rings import PolyRing
 
-from helpers import sylvester_resultant
+from helpers import project_by_elimination, saturate_by_colon, sylvester_resultant
 
 SEXTIC_NAMES = tuple("abcdefg")
 QQ2 = QuadraticField(2)
@@ -156,6 +166,175 @@ def test_project_contact_schemes():
     target = image.ring
     assert image == Ideal(target, [target.parse(t) for t in ("w^2", "v*w", "v^2 - u*w")])
     assert scheme_length(image) == 3
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (("u", "v"), "three distinct targets"),
+        (("u", "v", "w", "x"), "three distinct targets"),
+        (("u", "v", "a"), "the target 'a' is an ambient variable"),
+    ],
+    ids=["two", "four", "ambient-name"],
+)
+def test_projection_refuses_targets_that_are_not_three_new_names(targets, message):
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    with pytest.raises(DegenerateInputError, match=message):
+        project_scheme(point_ideal(amb, [1] * 7), sextic_center(amb), targets=targets)
+
+
+def test_projection_refuses_a_non_homogeneous_scheme():
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    affine = Ideal(amb, [g - 1 for g in amb.gens()[:-1]])  # a - 1, ..., f - 1
+    with pytest.raises(DegenerateInputError, match="needs a homogeneous ideal"):
+        project_scheme(affine, sextic_center(amb))
+
+
+# -- projection by the chart image, against elimination --------------------------------
+
+
+def _contact_scheme(k):
+    """(b, c, d, e, f)^k + RNC_6: the k-th order contact scheme of the sextic."""
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    through = Ideal(amb, [amb.var(v) for v in "bcdef"])
+    return ideal_sum(ideal_power(through, k), rational_normal_curve_ideal(6, SEXTIC_NAMES))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_contact_scheme_projection_equals_elimination(k):
+    center = sextic_center(ambient_ring(6, SEXTIC_NAMES))
+    image = project_scheme(_contact_scheme(k), center)
+    assert image.gens == image.groebner_basis().polys
+    assert image == project_by_elimination(_contact_scheme(k), center)
+
+
+def _random_form(rng, ring, degree):
+    exps = list(_degree_exponents(ring.nvars, degree))
+    return ring.from_terms({e: rng.randint(-3, 3) for e in rng.sample(exps, min(len(exps), 4))})
+
+
+def _random_point(rng, n):
+    while True:
+        point = [rng.randint(-3, 3) for _ in range(n + 1)]
+        if any(point):
+            return point
+
+
+def _refused(seed):
+    """Every seventh seed of points or a fat point in P^n, n > 2."""
+    return seed % 7 == 6 and seed // 5 % 3 < 2 and seed % 5 > 0
+
+
+def _seeded_projection(seed):
+    """(scheme, center) in P^n, n = 2..6: two to four points, a fat point and
+    a point, or a complete intersection of n - 2 lines and two conics.  The
+    center is random, except for the `_refused` seeds: three forms through a
+    support point, which the projection must refuse."""
+    rng = random.Random(seed)
+    n = 2 + seed % 5
+    ring = PolyRing([f"x{i}" for i in range(n + 1)])
+    kind = seed // 5 % 3
+    first = _random_point(rng, n)
+    if kind == 0:
+        scheme = point_ideal(ring, first)
+        for _ in range(rng.randint(1, 2 if n > 3 else 3)):
+            scheme = ideal_intersection(scheme, point_ideal(ring, _random_point(rng, n)))
+    elif kind == 1:
+        fat = ideal_power(point_ideal(ring, first), 2)
+        scheme = ideal_intersection(fat, point_ideal(ring, _random_point(rng, n)))
+    else:
+        lines = [_random_form(rng, ring, 1) for _ in range(n - 2)]
+        scheme = Ideal(ring, lines + [_random_form(rng, ring, 2) for _ in range(2)])
+    while True:
+        if _refused(seed):
+            gens = point_ideal(ring, first).gens
+            center = [sum((g * rng.randint(-3, 3) for g in gens), ring.zero()) for _ in range(3)]
+        else:
+            center = [_random_form(rng, ring, 1) for _ in range(3)]
+        try:
+            return scheme, validate_center(ring, center)
+        except DegenerateInputError:
+            continue
+
+
+def _outcome(project, scheme, center):
+    try:
+        return project(Ideal(scheme.ring, scheme.gens), center).groebner_basis().polys
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(35))
+def test_seeded_projection_equals_elimination(seed):
+    scheme, center = _seeded_projection(seed)
+    ours = _outcome(project_scheme, scheme, center)
+    assert ours == _outcome(project_by_elimination, scheme, center)
+    assert (ours == "the projection center meets the scheme") == _refused(seed)
+    m = irrelevant_ideal(scheme.ring)
+    assert saturate(scheme, m).gens == saturate_by_colon(scheme).groebner_basis().polys
+
+
+def test_projection_skips_a_candidate_line_through_the_scheme(monkeypatch):
+    from oscurve import rational_curves
+
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    center = sextic_center(amb)
+    # P goes to (1, -1, 0), where the first candidate, the sum of the center
+    # forms, vanishes; the second, (1, 2, 3), does not vanish there nor at the
+    # image (2, 1, 9) of Q
+    P, Q = (1, 1, 0, 0, 0, 0, 0), (1,) * 7
+    scheme = ideal_intersection(point_ideal(amb, P), point_ideal(amb, Q))
+    lines = []
+    chart_image = rational_curves._chart_image
+    monkeypatch.setattr(
+        rational_curves, "_chart_image", lambda I, ell, *rest: lines.append(ell) or chart_image(I, ell, *rest)
+    )
+    image = project_scheme(scheme, center)
+    l0, l1, l2 = center
+    assert lines == [l0 + l1 * 2 + l2 * 3]
+    assert image == project_by_elimination(scheme, center)
+    assert scheme_length(image) == 2
+
+
+def test_projection_of_the_empty_scheme_is_the_unit_ideal():
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    center = sextic_center(amb)
+    empty = ideal_sum(_contact_scheme(2), Ideal(amb, [amb.var("a") - amb.var("g")]))
+    image = project_scheme(empty, center)
+    assert image.is_unit() and image == project_by_elimination(empty, center)
+
+
+def test_projection_of_a_curve_takes_the_elimination_route(monkeypatch):
+    from oscurve import rational_curves
+
+    amb = ambient_ring(4)
+    z0, z1, z2, z3, z4 = amb.gens()
+    center = [z0 + z4, z1 - z3 * 2, z2 + z0 - z1]
+    eliminated = []
+    eliminate = rational_curves.eliminate
+    monkeypatch.setattr(rational_curves, "eliminate", lambda *a: eliminated.append(1) or eliminate(*a))
+    image = project_scheme(rational_normal_curve_ideal(4), center)
+    assert eliminated == [1]
+    curve = implicitize(parameterization_from_center(4, center), names=("u", "v", "w"))
+    assert curve.map_degree == 1 and image == Ideal(image.ring, [curve.poly])
+
+
+def test_finite_projection_stays_in_the_ambient_ring(monkeypatch):
+    from oscurve import groebner, rational_curves
+
+    def refuse(*args):
+        raise AssertionError("a finite scheme is projected without elimination")
+
+    monkeypatch.setattr(rational_curves, "eliminate", refuse)
+    monkeypatch.setattr(groebner, "eliminate", refuse)
+    sizes = []
+    buchberger = groebner.buchberger
+    monkeypatch.setattr(
+        groebner, "buchberger", lambda I, *order: sizes.append(I.ring.nvars) or buchberger(I, *order)
+    )
+    image = project_scheme(_contact_scheme(4), sextic_center(ambient_ring(6, SEXTIC_NAMES)))
+    assert [str(p) for p in image.gens] == ["w^2", "v^2*w", "-u*v*w + v^3"]
+    assert set(sizes) == {7, 3}
 
 
 # -- parameterizations ---------------------------------------------------------------
@@ -411,6 +590,16 @@ def test_cone_fiber_certifies_generic_injectivity():
         "b - g",
         "a - g",
     ]
+
+
+@pytest.mark.parametrize("q", [(1, 1), (1, -2), (3, 1)])
+def test_cone_fiber_image_ideal_is_the_projected_point(q):
+    amb = ambient_ring(6, SEXTIC_NAMES)
+    center = sextic_center(amb)
+    source = moment_point(6, q)
+    result = cone_fiber_test(6, center, source, SEXTIC_NAMES)
+    projected = project_scheme(point_ideal(amb, source), center)
+    assert result.image_ideal.groebner_basis().polys == projected.groebner_basis().polys
 
 
 @pytest.mark.parametrize("point", [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0)])

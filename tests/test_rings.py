@@ -262,7 +262,8 @@ def test_linear_change_rejects_a_singular_matrix_each_time():
 
 def test_moving_many_polynomials_checks_each_matrix_once(monkeypatch):
     from oscurve import polyops, rings
-    from oscurve.repro import run_repro_case
+    from oscurve.groebner import Ideal, ideal_power, ideal_sum, irrelevant_ideal, saturate
+    from oscurve.rational_curves import rational_normal_curve_ideal
 
     ranked = []
     rank = polyops.matrix_rank
@@ -271,13 +272,19 @@ def test_moving_many_polynomials_checks_each_matrix_once(monkeypatch):
         ranked.append(rows)
         return rank(rows)
 
+    # the colon by a + g moves the 85 generators of the sextic's fourth-order
+    # contact scheme to the chart of a + g, and its basis back
+    amb = PolyRing(tuple("abcdefg"))
+    through = Ideal(amb, [amb.var(v) for v in "bcdef"])
+    fat = ideal_sum(ideal_power(through, 4), rational_normal_curve_ideal(6, amb.variables))
     monkeypatch.setattr(polyops, "matrix_rank", counting)
     rings._is_invertible.cache_clear()
-    passed, _, _, bad = run_repro_case("example-6.1-part1")
-    assert passed, bad
+    colon = saturate(fat, amb.parse("a + g"))
     moves = rings._is_invertible.cache_info()
-    # the parent ranked a matrix for each of 232 moved polynomials
-    assert len(ranked) == moves.misses == len(set(ranked))
+    monkeypatch.undo()
+    # a + g misses the scheme's support, [1:0:...:0] and [0:...:0:1]
+    assert colon == saturate(fat, irrelevant_ideal(amb))
+    assert len(ranked) == moves.misses == len(set(ranked)) == 2
     assert moves.hits > 10 * moves.misses
 
 
