@@ -368,7 +368,10 @@ def _cmd_eliminate(ns) -> int:
 
 def _cmd_saturate(ns) -> int:
     ideal = _load_ideal(ns.ideal)
-    by = Ideal(ideal.ring, [ideal.ring.parse(p) for p in ns.by.split(";") if p.strip()])
+    texts = [p for p in ns.by.split(";") if p.strip()]
+    if not texts:
+        raise ParseError("--by lists no generators")
+    by = Ideal(ideal.ring, [ideal.ring.parse(p) for p in texts])
     result = saturate(ideal, by)
     gb = result.groebner_basis()
     doc = {"ideal": [str(p) for p in gb.polys]}

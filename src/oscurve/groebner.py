@@ -22,34 +22,32 @@ from I's cached basis for the order and forms only the pairs with J's
 generators, as the pairs within I's basis reduce to zero; that serves the
 other chart lines and the chart radical.
 
-Saturation has three routes.  The colon of a homogeneous ideal by one
-linear form is one pass over I's own grevlex basis: by the same theorem, its
-elements divided by their full powers of the last variable z are a basis of
-I : z^infinity (`_colon_last_variable`).  Another linear form is first moved
-to z by `chart_matrix` and moved back after; `from_chart` takes the colon by
-z on the homogenized chart ideal as it stands.  A homogeneous I saturated by
-the irrelevant ideal m is read off the chart algebra A = S/(I + (l - 1))
-when a line l of a fixed list has I + (l) m-primary, which holds for every
-finite scheme that some line of the list misses; A's basis starts from I's
-and takes no coordinate change (`_chart_image`).  l misses the scheme, so it is a
-nonzerodivisor on S/Sat(I, m) and each degree of S/Sat(I, m) embeds into A:
-Sat(I, m) in degree e is the kernel of S_e -> A, taken degree by degree by
-the FGLM walk.  The walk stops at the first e >= 1 where the number H(e) of
-standard monomials equals H(e - 1): the first difference of H is the
-Hilbert function of the Artinian algebra S/(Sat(I, m) + (l)), zero from e
-on, so the saturation is generated in degrees <= e.  The same kernel with
-forms l_i in place of the variables is the image of the scheme under the
-projection from the l_i (`rational_curves.project_scheme`).  Every other
-saturation takes the general auxiliary-variable route.
+Saturation has two routes.  A homogeneous I saturated by the irrelevant
+ideal m is read off the chart algebra A = S/(I + (l - 1)) when a line l of
+a fixed list has I + (l) m-primary, which holds for every finite scheme
+that some line of the list misses (`_finite_chart`); A's basis starts from
+I's and takes no coordinate change (`_chart_image`).  l misses the scheme,
+so it is a nonzerodivisor on S/Sat(I, m) and each degree of S/Sat(I, m)
+embeds into A: Sat(I, m) in degree e is the kernel of S_e -> A, taken
+degree by degree by the FGLM walk.  The walk stops at the first e >= 1
+where the number H(e) of standard monomials equals H(e - 1): the first
+difference of H is the Hilbert function of the Artinian algebra
+S/(Sat(I, m) + (l)), zero from e on, so the saturation is generated in
+degrees <= e.  The same kernel with forms l_i in place of the variables is
+the image of the scheme under the projection from the l_i
+(`rational_curves.project_scheme`).  Every other saturation takes the
+general auxiliary-variable route.
 
 Finite plane schemes have one home for each projective decision here:
 `is_empty_scheme` decides emptiness from lead terms alone, without
-saturating, and `chart_lines`, `chart_matrix`, `to_chart` and `from_chart`
-are the only way into an affine chart missing the support and back.  In the
-chart, `chart_radical` reads the scheme off one quotient algebra: the
-characteristic polynomials of its coordinates carry the local lengths
-(Stickelberger), and their squarefree parts give the radical, unless that of
-chi_x shows the scheme to be its own; `_shape_line` places its points.
+saturating, and `chart_lines`, `chart_matrix` and `to_chart` are the only
+way into an affine chart missing the support; `_chart_image`, the same
+kernel with the images M (xc, yc, 1) of a chart matrix M, is the only way
+back.  In the chart, `chart_radical` reads the scheme off one quotient
+algebra: the characteristic polynomials of its coordinates carry the local
+lengths (Stickelberger), and their squarefree parts give the radical,
+unless that of chi_x shows the scheme to be its own; `_shape_line` places
+its points.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from operator import add, ge, mul, sub
 from .errors import DegenerateInputError, RingMismatchError
 from .polyops import (
     characteristic_polynomial,
-    matrix_inverse,
     nullspace,
     primitive_integers,
     squarefree_part,
@@ -705,66 +702,39 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _colon_last_variable(ideal: Ideal) -> Ideal:
-    """I : z^infinity for homogeneous I and z the ring's last variable, in
-    one pass: in grevlex, where z is cheapest, the elements of I's basis
-    divided by their full powers of z are a basis of the colon (Bayer and
-    Stillman; Eisenbud, Commutative Algebra, Prop. 15.12), made reduced by
-    one interreduction."""
-    ring = ideal.ring
-    gb = ideal.groebner_basis()
-    divided = []
-    for g, lead in gb._pairs:
-        drop = (0,) * (ring.nvars - 1) + (min(e[-1] for e in g),)
-        quotient = {tuple(map(sub, e, drop)): c for e, c in g.items()}
-        divided.append((quotient, tuple(map(sub, lead, drop))))
-    pairs = _interreduce(divided, _HeapEntries(gb._keyf), gb._rational)
-    colon = GroebnerBasis(ring, DEFAULT_ORDER, pairs)
-    return Ideal(ring, colon.polys).attach_basis(colon)
-
-
-def _colon_linear_power(ideal: Ideal, ell: Polynomial) -> Ideal:
-    """I : ell^infinity for homogeneous I and a linear form ell: move ell to
-    the last variable by `chart_matrix`, take that colon, and move back."""
-    ring = ideal.ring
-    matrix = chart_matrix(ell)
-    moved = Ideal(ring, [g.linear_change(matrix) for g in ideal.gens])
-    colon = _colon_last_variable(moved)
-    inverse = matrix_inverse(matrix, ring.field)
-    return Ideal(ring, [g.linear_change(inverse) for g in colon.gens])
-
-
-def _chart_image(ideal: Ideal, ell: Polynomial, forms, target: PolyRing) -> Ideal:
-    """J = ker(K[target] -> S/Sat(I, m)), y_i -> forms[i], with its reduced
-    grevlex basis as generators, for homogeneous I in S and a combination
-    ell of the forms with I + (ell) m-primary.  J_e is the kernel of
-    K[target]_e -> A = S/(I + (ell - 1)); the module docstring has why, and
-    why J is generated by the degree where the walk stops.
+def _chart_image(chart: GroebnerBasis, images, target: PolyRing) -> Ideal:
+    """J = ker(K[target] -> A) degree by degree, y_i -> images[i]: the forms
+    f with f(images) = 0 in A, with J's reduced grevlex basis as generators.
+    `chart` is the reduced basis of a finite algebra A, and some combination
+    lambda . images is 1 in A, so lambda . y is a nonzerodivisor on
+    K[target]/J: J is saturated, and generated by the degree where the walk
+    stops (the module docstring has why).  For the chart S/(I + (l - 1)) of
+    a finite scheme and linear forms as images, J is the ideal of the
+    scheme's image; for a chart radical and the images M (xc, yc, 1), the
+    ideal of its points.
 
     Each degree e walks, in increasing grevlex order, the monomials y_i*s
     over the standard monomials s of degree e - 1, skipping the multiples
     of the leads found so far (FGLM: Faugere, Gianni, Lazard & Mora,
     J. Symbolic Comput. 16, 1993).  A monomial's vector in A is the normal
-    form of forms[i] times the stored one of m / y_i; reduced against that
+    form of images[i] times the stored one of m / y_i; reduced against that
     degree's standard vectors, it is new (m is standard) or gives the
     element m - sum c*s of J with lead m.  One Buchberger run makes the
-    elements found the reduced basis, which may need higher degrees.  The
-    chart's basis starts from I's, which the callers have cached."""
-    ring, field = ideal.ring, ideal.ring.field
-    chart = ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
+    elements found the reduced basis, which may need higher degrees."""
     if chart.is_unit():
         return Ideal(target, [target.one()])
+    field = target.field
     keyf = DEFAULT_ORDER.key_function(target)
     steps = [tuple(int(i == j) for j in range(target.nvars)) for i in range(target.nvars)]
-    images = {(0,) * target.nvars: chart.normal_form(ring.one())}  # standard monomial -> image
+    stored = {(0,) * target.nvars: chart.normal_form(chart.ring.one())}  # standard monomial -> image
     leads, found = [], []
     while True:
         standard, rows = {}, []  # rows: (pivot, vector, combination), pivot coefficient 1
-        for m in sorted({tuple(map(add, s, u)) for s in images for u in steps}, key=keyf):
+        for m in sorted({tuple(map(add, s, u)) for s in stored for u in steps}, key=keyf):
             if any(_divisible(m, lead) for lead in leads):
                 continue
             i = next(i for i, k in enumerate(m) if k)
-            image = chart.normal_form(forms[i] * images[tuple(map(sub, m, steps[i]))])
+            image = chart.normal_form(images[i] * stored[tuple(map(sub, m, steps[i]))])
             vec, comb = image, target.monomial(m)
             for pivot, row, row_comb in rows:
                 c = vec.terms.get(pivot)
@@ -778,11 +748,25 @@ def _chart_image(ideal: Ideal, ell: Polynomial, forms, target: PolyRing) -> Idea
                 inv = field.one / vec.terms[pivot]
                 rows.append((pivot, vec * inv, comb * inv))
                 standard[m] = image
-        if len(standard) == len(images):
+        if len(standard) == len(stored):
             break
-        images = standard
+        stored = standard
     gb = Ideal(target, found).groebner_basis()
     return Ideal(target, gb.polys).attach_basis(gb)
+
+
+def _finite_chart(ideal: Ideal, forms):
+    """The reduced basis of I + (ell - 1), for homogeneous I and the first
+    combination ell of the linear forms by `_saturation_candidates` with
+    I + (ell) m-primary, or None when no candidate serves.  Such an ell
+    misses the scheme, so the basis is that of a finite chart algebra of it."""
+    ring = ideal.ring
+    ideal.groebner_basis()  # the bases of the sums below start from I's
+    for coeffs in _saturation_candidates(len(forms)):
+        ell = sum((f * c for c, f in zip(coeffs, forms)), ring.zero())
+        if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
+            return ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
+    return None
 
 
 def _saturation_candidates(k: int):
@@ -818,17 +802,14 @@ def saturate_general(ideal: Ideal, by: Ideal) -> Ideal:
 
 
 def saturate(ideal: Ideal, by) -> Ideal:
-    """I : J^infinity.
+    """I : J^infinity, by one of two routes.
 
-    For homogeneous I, a single linear form J is one colon.  When J is
-    linear with V(J) empty, it is the irrelevant ideal m, and the lines
-    l_1, l_2, ... of `_saturation_candidates` are taken in turn up to the
-    shortest prefix K with I + K m-primary; then Sat(I, m) = Sat(I, K), as
-    K lies in m and m^N lies in I + K.  K is one line l for a finite
-    scheme, and then Sat(I, m) is read off the chart algebra S/(I + (l - 1))
-    (`_chart_image`, with the variables as the forms), with no colon.  K is
-    two lines for a curve.  Every other J, and an I that no prefix serves,
-    takes the auxiliary-variable route `saturate_general`.
+    For homogeneous I and linear J with V(J) empty, J is the irrelevant
+    ideal m, and a finite scheme that a line of `_saturation_candidates`
+    misses has Sat(I, m) read off its chart algebra S/(I + (l - 1)) at the
+    first such line l (`_finite_chart`), with the variables as the images
+    (`_chart_image`).  Every other I and J takes the auxiliary-variable
+    route `saturate_general`.
     """
     if isinstance(by, Polynomial):
         by = Ideal(ideal.ring, [by])
@@ -840,19 +821,10 @@ def saturate(ideal: Ideal, by) -> Ideal:
         return ideal
     ring = ideal.ring
     linear = all(g.degree() == 1 and g.is_homogeneous() for g in by.gens)
-    if linear and ideal.is_homogeneous():
-        if len(by.gens) == 1:
-            return _colon_linear_power(ideal, by.gens[0])
-        if is_empty_scheme(by):
-            ideal.groebner_basis()  # the bases of the sums below start from I's
-            lines = []
-            for coeffs in _saturation_candidates(ring.nvars):
-                lines.append(sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero()))
-                K = Ideal(ring, lines)
-                if is_empty_scheme(ideal_sum(ideal, K)):
-                    if len(lines) == 1:
-                        return _chart_image(ideal, lines[0], ring.gens(), ring)
-                    return saturate_general(ideal, K)
+    if linear and ideal.is_homogeneous() and is_empty_scheme(by):
+        chart = _finite_chart(ideal, ring.gens())
+        if chart is not None:
+            return _chart_image(chart, ring.gens(), ring)
     return saturate_general(ideal, by)
 
 
@@ -958,18 +930,6 @@ def _chart_with_basis(ideal: Ideal, matrix) -> Ideal:
     return chart.attach_basis(GroebnerBasis(aff, DEFAULT_ORDER, pairs))
 
 
-def from_chart(gens, matrix, ring: PolyRing) -> Ideal:
-    """Homogeneous ideal in `ring` of the chart scheme cut out by `gens`:
-    homogenize, take the colon by the last variable, undo the chart matrix.
-    An ideal saturated by one variable is saturated by the irrelevant ideal
-    too, so no second saturation is needed."""
-    x, y, z = ring.variables
-    hom = Ideal(ring, [g.homogenize(ring, z, {"xc": x, "yc": y}) for g in gens])
-    sat = _colon_last_variable(hom)
-    inverse = matrix_inverse(matrix, ring.field)
-    return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
-
-
 def _multiplication_matrix(gb: GroebnerBasis, step):
     """(standard monomials, rows) of the basis of a finite chart scheme: the
     standard monomials by degree, 1 first, and the matrix of multiplication
@@ -1056,7 +1016,9 @@ def _shape_line(radical: Ideal, m_x, degree: int):
 def zero_dim_radical(ideal: Ideal) -> Ideal:
     """Radical of a homogeneous ideal with finite projective support in three
     variables: the chart radical (`chart_radical`) in the first chart line
-    missing the support, brought back by `from_chart`.
+    ell missing the support, read back as the kernel of K[x, y, z] -> its
+    chart algebra, with images M (xc, yc, 1) for the chart matrix M
+    (`_chart_image`): ell takes the value 1 on them.
     """
     ring = ideal.ring
     if ring.nvars != 3:
@@ -1067,4 +1029,6 @@ def zero_dim_radical(ideal: Ideal) -> Ideal:
             "could not find a chart line avoiding the support; is the ideal zero-dimensional?"
         )
     matrix = chart_matrix(ell)
-    return from_chart(chart_radical(ideal, matrix)[0].gens, matrix, ring)
+    radical = chart_radical(ideal, matrix)[0]
+    images = [radical.ring.from_terms(zip([(1, 0), (0, 1), (0, 0)], row)) for row in matrix]
+    return _chart_image(radical.groebner_basis(), images, ring)

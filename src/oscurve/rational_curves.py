@@ -25,7 +25,7 @@ from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
     _chart_image,
-    _saturation_candidates,
+    _finite_chart,
     eliminate,
     ideal_sum,
     irrelevant_ideal,
@@ -163,14 +163,14 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     The first line ell = c . (l_0, l_1, l_2) of `_saturation_candidates`
     with I + (ell) m-primary misses the scheme, so the center misses it too,
     and the kernel is read off the chart algebra S/(I + (ell - 1))
-    (`_chart_image`), with no saturation and no elimination.  Only when no
-    candidate serves is the center tested against the scheme itself: a
-    center that meets it is refused (the projection is undefined there),
-    and a scheme that is not finite takes the graph forms t_i - l_i, the
-    saturation by the ambient irrelevant ideal and the elimination of the
-    ambient variables.  Refuses also targets that are not three distinct
-    names apart from the ambient ones, and a scheme ideal that is not
-    homogeneous."""
+    (`_finite_chart`, then `_chart_image` with the forms as the images),
+    with no saturation and no elimination.  Only when no candidate serves
+    is the center tested against the scheme itself: a center that meets it
+    is refused (the projection is undefined there), and a scheme that is
+    not finite takes the graph forms t_i - l_i, the saturation by the
+    ambient irrelevant ideal and the elimination of the ambient variables.
+    Refuses also targets that are not three distinct names apart from the
+    ambient ones, and a scheme ideal that is not homogeneous."""
     ring = scheme.ring
     forms = validate_center(ring, center)
     targets = tuple(targets)
@@ -182,11 +182,9 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     if not scheme.is_homogeneous():
         raise DegenerateInputError("the scheme to project needs a homogeneous ideal")
     plane = PolyRing(targets, ring.field)
-    scheme.groebner_basis()  # the bases of the sums below start from I's
-    for coeffs in _saturation_candidates(3):
-        ell = _linear_combination(coeffs, forms)
-        if is_empty_scheme(ideal_sum(scheme, Ideal(ring, [ell]))):
-            return _chart_image(scheme, ell, forms, plane)
+    chart = _finite_chart(scheme, forms)
+    if chart is not None:
+        return _chart_image(chart, forms, plane)
     if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
         raise DegenerateInputError("the projection center meets the scheme")
     sat = saturate(scheme, irrelevant_ideal(ring))

@@ -10,18 +10,17 @@ from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
     GroebnerBasis,
     Ideal,
-    _colon_linear_power,
     _degree_exponents,
     _saturation_candidates,
     eliminate,
     ideal_sum,
     irrelevant_ideal,
     is_empty_scheme,
-    saturate,
+    saturate_general,
     to_chart,
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
-from oscurve.polyops import characteristic_polynomial, nullspace, squarefree_part
+from oscurve.polyops import characteristic_polynomial, matrix_inverse, nullspace, squarefree_part
 from oscurve.qfields import QuadraticField, make_quadratic
 from oscurve.rational_curves import validate_center
 from oscurve.rings import INF, Polynomial, PolyMatrix, PolyRing
@@ -262,48 +261,39 @@ def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=Non
             return TruncatedMultiplicity(INF, True)
 
 
-def colon_last_variable_by_fixpoint(ideal: Ideal) -> Ideal:
-    """I : z^infinity for homogeneous I and z the ring's last variable,
-    without Bayer and Stillman: take the grevlex basis, where z is cheapest,
-    divide each element by its full power of z, and start again from the
-    quotients until none changes."""
-    ring = ideal.ring
-    current = ideal
-    while True:
-        gb = current.groebner_basis()
-        divided = []
-        for p in gb.polys:
-            k = min(e[-1] for e in p.terms)
-            terms = {e[:-1] + (e[-1] - k,): c for e, c in p.terms.items()}
-            divided.append(ring.from_terms(terms))
-        if divided == list(gb.polys):
-            return Ideal(ring, gb.polys).attach_basis(gb)
-        current = Ideal(ring, divided)
+def projective_ideal_by_saturation(gens, matrix, ring: PolyRing) -> Ideal:
+    """The homogeneous ideal in `ring` of the chart scheme that `gens` cut
+    out in K[xc, yc]: homogenize, saturate by the last variable on the
+    auxiliary-variable route, and undo the chart matrix."""
+    x, y, z = ring.variables
+    hom = Ideal(ring, [g.homogenize(ring, z, {"xc": x, "yc": y}) for g in gens])
+    sat = saturate_general(hom, Ideal(ring, [ring.var(z)]))
+    inverse = matrix_inverse(matrix, ring.field)
+    return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
 
 
-def saturate_by_colon(ideal: Ideal) -> Ideal:
-    """Sat(I, m) for homogeneous I by the colon I : l^infinity with the
-    first line l of `_saturation_candidates` that has I + (l) m-primary,
-    moved to the last variable and back (`_colon_linear_power`); an I that
-    no line serves takes `saturate`."""
+def saturate_by_one_line(ideal: Ideal) -> Ideal:
+    """Sat(I, m) for homogeneous I as I : l^infinity on the auxiliary-variable
+    route, for the first line l of `_saturation_candidates` that has I + (l)
+    m-primary; an I that no line serves is saturated by m on that route."""
     ring = ideal.ring
     for coeffs in _saturation_candidates(ring.nvars):
         ell = sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero())
         if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
-            return _colon_linear_power(ideal, ell)
-    return saturate(ideal, irrelevant_ideal(ring))
+            return saturate_general(ideal, Ideal(ring, [ell]))
+    return saturate_general(ideal, irrelevant_ideal(ring))
 
 
 def project_by_elimination(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     """`project_scheme` by the graph of the projection: refuse a center
     that meets the scheme, saturate by the irrelevant ideal
-    (`saturate_by_colon`), add the graph forms t_i - l_i and eliminate the
+    (`saturate_by_one_line`), add the graph forms t_i - l_i and eliminate the
     ambient variables with a block order."""
     ring = scheme.ring
     forms = validate_center(ring, center)
     if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
         raise DegenerateInputError("the projection center meets the scheme")
-    sat = saturate_by_colon(scheme)
+    sat = saturate_by_one_line(scheme)
     big = PolyRing(ring.variables + tuple(targets), ring.field)
     gens = [g.restrict(big) for g in sat.gens]
     for name, form in zip(targets, forms):

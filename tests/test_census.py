@@ -18,8 +18,9 @@ from oscurve.errors import DegenerateInputError, OscurveError
 from oscurve.groebner import (
     Ideal,
     TermOrder,
+    chart_lines,
+    chart_matrix,
     chart_radical,
-    from_chart,
     ideal_intersection,
     ideal_power,
     ideal_sum,
@@ -39,7 +40,7 @@ from oscurve.rational_curves import (
 )
 from oscurve.rings import PolyRing
 
-from helpers import has_triple_point_grevlex
+from helpers import has_triple_point_grevlex, projective_ideal_by_saturation
 
 SEXTIC_NAMES = tuple("abcdefg")
 NODAL_CUBIC = "(s^2 - t^2)*t; s*(s^2 - t^2); t^3"
@@ -101,7 +102,7 @@ def site_ideal(piece, matrix, ring):
     """Homogeneous ideal of one support piece: the points yc = h(xc) over
     the roots of the piece's factor, back from the chart."""
     yc = piece.factor.ring.var("yc")
-    return from_chart([piece.factor, yc - piece.h_line], matrix, ring)
+    return projective_ideal_by_saturation([piece.factor, yc - piece.h_line], matrix, ring)
 
 
 # -- the banded matrix -----------------------------------------------------------
@@ -568,6 +569,43 @@ def test_support_in_a_fallback_chart():
     assert found == set(points)
 
 
+def _radical_inputs():
+    from oscurve.qfields import QuadExt, QuadraticField
+
+    R3 = PolyRing(("x", "y", "z"))
+    sqrt2 = PolyRing(("x", "y", "z"), QuadraticField(2))
+    texts = [
+        ("x^2", "y"),
+        ("x^2", "x*y", "y^3"),
+        ("(x - y)*(x - 2*y)*(y - 5*z)", "x*z - y^2"),
+        ("x^2*z", "x*y*z", "y^2*z", "x^3", "y^3"),
+    ]
+    inputs = [Ideal(R3, [R3.parse(t) for t in gens]) for gens in texts]
+    inputs.append(fallback_chart_schemes()[0])
+    # over QQ(sqrt(2)): the points (+-sqrt(2) : 0 : 1), a double point at
+    # (sqrt(2) : 1 : 1), and a point on z = 0
+    x, y, z = sqrt2.gens()
+    root = QuadExt(0, 1, 2)
+    conjugate = Ideal(sqrt2, [x * x - z * z * 2, y])
+    doubled = ideal_power(Ideal(sqrt2, [x - z * root, y - z]), 2)
+    at_infinity = Ideal(sqrt2, [x - y, z])
+    inputs.append(ideal_intersection(ideal_intersection(conjugate, doubled), at_infinity))
+    inputs.append(multiple_point_scheme_ideal(sextic_param(), 2))
+    return inputs
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_radical_equals_the_saturation_reference(index):
+    # the kernel read back from the chart radical against homogenizing it,
+    # saturating by the last variable and undoing the chart matrix
+    ideal = _radical_inputs()[index]
+    radical = zero_dim_radical(ideal)
+    assert radical.gens == radical.groebner_basis().polys
+    matrix = chart_matrix(next(chart_lines(ideal)))
+    chart = chart_radical(ideal, matrix)[0]
+    assert radical == projective_ideal_by_saturation(chart.gens, matrix, ideal.ring)
+
+
 def test_support_when_xc_does_not_separate():
     from oscurve.census import _projective_from_chart
     from oscurve.groebner import chart_matrix
@@ -651,7 +689,7 @@ def test_census_runs_no_saturation_or_elimination(monkeypatch):
     from oscurve import groebner
 
     calls = []
-    for name in ("saturate", "eliminate", "from_chart", "zero_dim_radical"):
+    for name in ("saturate", "eliminate", "_chart_image", "zero_dim_radical"):
         original = getattr(groebner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):

@@ -247,6 +247,16 @@ def test_saturate_command(capsys, ideal_file):
     assert json.loads(out)["ideal"] == ["y"]
 
 
+def test_saturate_by_no_generators_is_input_error(capsys, ideal_file):
+    path = ideal_file("ring: QQ[x,y,z]\nx^2*y")
+    code, out, err = run_cli(capsys, "saturate", "--ideal", path, "--by", " ; ")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "--by" in err
+    # a zero generator is read, and saturating by the zero ideal is refused
+    code, _, err = run_cli(capsys, "saturate", "--ideal", path, "--by", "0")
+    assert code == 1 and err.startswith("refused: ")
+
+
 def test_radical_command(capsys, ideal_file):
     path = ideal_file("ring: QQ[x,y,z]\nx^2\ny")
     code, out, _ = run_cli(capsys, "radical", "--ideal", path, "--json")

@@ -316,36 +316,53 @@ def test_saturation_no_supported_component():
     assert saturate(I, ideal(R3, "x")) == I
 
 
-def test_saturation_fast_path_matches_general_route():
+def test_saturation_fast_path_matches_general_route(monkeypatch):
+    from oscurve import groebner
+
+    routes = []
+    for name in ("_chart_image", "saturate_general"):
+        original = getattr(groebner, name)
+        monkeypatch.setattr(
+            groebner, name, lambda *args, _name=name, _original=original: routes.append(_name) or _original(*args)
+        )
     rng = random.Random(17)
     pool = ["x^2*y", "x*y*z", "y^3 - x^2*z", "z^2*x", "x^3", "y^2*z - z^3", "x*y^2"]
     cases = []
     for _ in range(6):
         I = ideal(R3, *rng.sample(pool, rng.randint(1, 3)))
         by = ideal(R3, *rng.sample(["x", "y", "z", "x + y", "y - z"], rng.randint(1, 3)))
-        cases.append((I, by))
+        cases.append((I, by, None))
     m3 = irrelevant_ideal(R3)
     fat_point = ideal(R3, "x^2", "x*y", "y^2")
     conic_with_point = ideal_intersection(ideal(R3, "x*z - y^2"), ideal(R3, "x^2", "y"))
+    # the point [1:-1:0] with an embedded point at the origin, on the first
+    # candidate line x + y + z: the chart of the second line
+    embedded = Ideal(R3, [f * v for f in (R3.parse("x + y"), R3.var("z")) for v in R3.gens()])
     R5 = PolyRing(tuple(f"x{i}" for i in range(5)))
+    chart, aux = ["_chart_image"], ["saturate_general"]
     cases += [
-        # a point on the first candidate line x + y + z
-        (ideal(R3, "x + y", "z"), m3),
-        (ideal_intersection(fat_point, ideal_power(m3, 4)), m3),
-        (conic_with_point, m3),
-        (conic_with_point, ideal(R3, "x")),
-        # a curve: two lines, the auxiliary-variable route
-        (rational_normal_curve_ideal(4, R5.variables), irrelevant_ideal(R5)),
-        # a point ideal J
-        (ideal(R3, "x^2*y", "x*z^2", "y^3 - x^2*z"), ideal(R3, "x", "y")),
+        (ideal(R3, "x + y", "z"), m3, chart),
+        (embedded, m3, chart),
+        (ideal_intersection(fat_point, ideal_power(m3, 4)), m3, chart),
+        # curves, one linear form, and a point ideal J: the auxiliary-variable route
+        (conic_with_point, m3, aux),
+        (conic_with_point, ideal(R3, "x"), aux),
+        (embedded, ideal(R3, "x + y + z"), aux),
+        (rational_normal_curve_ideal(4, R5.variables), irrelevant_ideal(R5), aux),
+        (ideal(R3, "x^2*y", "x*z^2", "y^3 - x^2*z"), ideal(R3, "x", "y"), aux),
     ]
-    for I, by in cases:
-        assert saturate(I, by) == saturate_general(I, by), (I, by)
+    for I, by, route in cases:
+        routes.clear()
+        result = saturate(I, by)
+        assert route is None or routes == route, (I, by, routes)
+        assert result == saturate_general(I, by), (I, by)
+    assert saturate(embedded, m3) == ideal(R3, "x + y", "z")
 
 
 def test_sextic_construction_reads_each_image_off_one_chart_algebra(monkeypatch):
-    # three projections and the fiber's saturation by m: one chart image
-    # each, with no colon, no auxiliary-variable saturation, no elimination
+    # three projections and the fiber's saturation by m: one line search and
+    # one chart image each, with no auxiliary-variable saturation and no
+    # elimination
     from oscurve import groebner, rational_curves
     from oscurve.repro import run_repro_case
 
@@ -360,12 +377,13 @@ def test_sextic_construction_reads_each_image_off_one_chart_algebra(monkeypatch)
 
         return wrapped
 
-    for name in ("saturate", "_chart_image", "eliminate"):
+    for name in ("saturate", "_finite_chart", "_chart_image", "eliminate"):
         monkeypatch.setattr(rational_curves, name, counting(name))
-    for name in ("saturate", "_chart_image", "_colon_last_variable", "saturate_general", "eliminate"):
+    for name in ("saturate", "_finite_chart", "_chart_image", "saturate_general", "eliminate"):
         monkeypatch.setattr(groebner, name, counting(name))
     assert run_repro_case("example-6.1-part1")[0]
-    assert events == ["_chart_image"] * 3 + ["saturate", "_chart_image"]
+    one_chart = ["_finite_chart", "_chart_image"]
+    assert events == one_chart * 3 + ["saturate"] + one_chart
 
 
 @pytest.mark.parametrize("n", [3, 7])
@@ -473,55 +491,16 @@ def test_degree_slice_members():
     assert len(slice1) == 1
 
 
-# -- one basis per scheme: the single-pass colon and seeded sums --------------------
-
-
-def _random_form(rng, ring, degree, nterms, coefficient):
-    terms = {}
-    while len(terms) < nterms:
-        a = rng.randint(0, degree)
-        b = rng.randint(0, degree - a)
-        terms[(a, b, degree - a - b)] = coefficient()
-    return ring.from_terms(terms)
-
-
-def test_colon_in_one_pass_matches_the_fixpoint_loop():
-    from oscurve.groebner import _colon_last_variable
-
-    from helpers import colon_last_variable_by_fixpoint
-
-    rng = random.Random(17)
-    sqrt2 = PolyRing(("x", "y", "z"), QuadraticField(2))
-    torsion = 0
-    for trial in range(24):
-        ring = sqrt2 if trial % 4 == 3 else R3
-
-        def coefficient():
-            c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-            return QuadExt(c, rng.randint(-1, 1), 2) if ring is sqrt2 else c
-
-        # forms times powers of one variable, so the colon has torsion to remove
-        var = rng.choice(ring.variables)
-        gens = []
-        for _ in range(rng.randint(2, 4)):
-            power = ring.var(rng.choice(ring.variables)) ** rng.randint(0, 2)
-            form = _random_form(rng, ring, rng.randint(1, 3), rng.randint(1, 3), coefficient)
-            gens.append(form * power)
-        # the colon is by the last variable, so the ring puts `var` last
-        moved = PolyRing([v for v in ring.variables if v != var] + [var], ring.field)
-        I = Ideal(moved, [g.restrict(moved) for g in gens])
-        ours = _colon_last_variable(I)
-        oracle = colon_last_variable_by_fixpoint(I)
-        assert ours.gens == oracle.gens, (trial, I)
-        torsion += not all(map(I.contains, ours.gens))
-    assert torsion > 12
+# -- one basis per scheme: the way back from the chart and seeded sums ----------------
 
 
 def test_radical_takes_its_colon_without_saturate(monkeypatch):
-    # the CI's z-torsion scheme: `from_chart` reads the colon by z off the
-    # homogenized chart radical's own basis, with no call to `saturate`
+    # the CI's z-torsion scheme: the chart radical's own basis is read back
+    # as a kernel (`_chart_image`), with no call to `saturate`
     from oscurve import groebner
     from oscurve.groebner import chart_matrix, chart_radical
+
+    from helpers import projective_ideal_by_saturation
 
     I = ideal(R3, "x^2*z", "x*y*z", "y^2*z", "x^3", "y^3")
     calls = []
@@ -534,11 +513,10 @@ def test_radical_takes_its_colon_without_saturate(monkeypatch):
     monkeypatch.setattr(groebner, "saturate", counting)
     radical = zero_dim_radical(I)
     assert calls == []
-    assert [str(p) for p in radical.groebner_basis().polys] == ["y", "x"]
+    assert [str(p) for p in radical.gens] == ["y", "x"]
     # the same radical by the auxiliary-variable saturation of the chart radical
-    chart = chart_radical(I, chart_matrix(R3.var("z")))[0]
-    hom = Ideal(R3, [g.homogenize(R3, "z", {"xc": "x", "yc": "y"}) for g in chart.gens])
-    assert radical == saturate_general(hom, ideal(R3, "z"))
+    z_chart = chart_matrix(R3.var("z"))
+    assert radical == projective_ideal_by_saturation(chart_radical(I, z_chart)[0].gens, z_chart, R3)
 
 
 def _record_seeds(monkeypatch):

@@ -38,7 +38,7 @@ from oscurve.rational_curves import (
 from oscurve.qfields import QQ, QuadExt, QuadraticField
 from oscurve.rings import PolyRing
 
-from helpers import project_by_elimination, saturate_by_colon, sylvester_resultant
+from helpers import project_by_elimination, saturate_by_one_line, sylvester_resultant
 
 SEXTIC_NAMES = tuple("abcdefg")
 QQ2 = QuadraticField(2)
@@ -271,7 +271,7 @@ def test_seeded_projection_equals_elimination(seed):
     assert ours == _outcome(project_by_elimination, scheme, center)
     assert (ours == "the projection center meets the scheme") == _refused(seed)
     m = irrelevant_ideal(scheme.ring)
-    assert saturate(scheme, m).gens == saturate_by_colon(scheme).groebner_basis().polys
+    assert saturate(scheme, m).gens == saturate_by_one_line(scheme).groebner_basis().polys
 
 
 def test_projection_skips_a_candidate_line_through_the_scheme(monkeypatch):
@@ -284,14 +284,15 @@ def test_projection_skips_a_candidate_line_through_the_scheme(monkeypatch):
     # image (2, 1, 9) of Q
     P, Q = (1, 1, 0, 0, 0, 0, 0), (1,) * 7
     scheme = ideal_intersection(point_ideal(amb, P), point_ideal(amb, Q))
-    lines = []
+    charts = []
     chart_image = rational_curves._chart_image
     monkeypatch.setattr(
-        rational_curves, "_chart_image", lambda I, ell, *rest: lines.append(ell) or chart_image(I, ell, *rest)
+        rational_curves, "_chart_image", lambda chart, *rest: charts.append(chart) or chart_image(chart, *rest)
     )
     image = project_scheme(scheme, center)
     l0, l1, l2 = center
-    assert lines == [l0 + l1 * 2 + l2 * 3]
+    (chart,) = charts
+    assert chart.contains(l0 + l1 * 2 + l2 * 3 - 1)
     assert image == project_by_elimination(scheme, center)
     assert scheme_length(image) == 2
 
