@@ -6,12 +6,13 @@ three coefficient rows of the forms; the scheme cut out by its maximal-minor
 drops lives in P^k and its support encodes the k-fold points of the image.
 For k = 2 the scheme is finite of length C(n-1, 2), and its local length at
 each support point is the delta invariant of the singular point there.  One
-chart algebra gives them all: by Stickelberger's theorem they are the root
-multiplicities of the characteristic polynomial of a chart coordinate that
-separates the points (`groebner.chart_radical`), and the shape position that
-places the points comes from one linear solve on the powers of its
-multiplication matrix (`groebner._shape_line`), not from a lex Groebner
-basis.  The census needs double points only, and checks that on the
+chart algebra A = K[xc, yc]/I gives them all: by Stickelberger's theorem they
+are the root multiplicities of chi_x, the characteristic polynomial of a
+chart coordinate xc (`groebner.chart_algebra`).  Z lies on a smooth curve
+germ at every point (below), so a generic xc generates A, I = (chi_x(xc),
+yc - H(xc)) by the shape lemma, and one Krylov solve on the powers of xc's
+multiplication matrix finds H (`groebner._shape_line`), with no radical and
+no lex basis.  The census needs double points only, and checks that on the
 parameter line (`has_triple_point`): the image has a point of
 multiplicity >= 3 exactly when the second partials H_ij of the implicit
 equation F, composed with the parameterization, share a root.  They are
@@ -47,15 +48,16 @@ from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
     _shape_line,
+    chart_algebra,
     chart_lines,
     chart_matrix,
-    chart_radical,
     point_chart_matrix,
     scheme_length,
     to_chart,
 )
 from .polyops import (
     PRIME,
+    _prem,
     exact_divide,
     gcd_mod_prime,
     matrix_rank,
@@ -313,30 +315,29 @@ def support_sites(ideal: Ideal):
     conjugate quadratic pairs and unsplit clusters, each with its local
     length.
 
-    In a chart, g = the monic squarefree part of chi_x has one root per value
-    of xc on the support, and 1, xc, ..., xc^(deg g - 1) are independent
-    modulo the radical.  So xc separates the points exactly when yc = h(xc)
-    modulo the radical for some h of degree < deg g: the shape position
-    [g(xc), yc - h(xc)], found by one linear solve (`groebner._shape_line`).
-    Then the local lengths are the root multiplicities of chi_x, by
-    Stickelberger's theorem.  The radical route runs only when chi_x is not
-    squarefree; otherwise every point has length 1 and the chart scheme is
-    its own radical (`chart_radical`).  In every `chart_matrix`, xc = x / ell,
-    which cannot separate two points on the line x = 0; so once the chart
-    lines run out, they are tried again with their two kernel coordinates
-    swapped.  Returns a list of (_SupportPiece, chart matrix); chart data
-    maps back to the input coordinates through the matrix.
+    Each chart is read once (`chart_algebra`): A = K[xc, yc]/I, xc's matrix
+    M_x, chi_x and its monic squarefree part g.  The first chart whose xc
+    generates A has I = (chi_x(xc), yc - H(xc)), H from one Krylov solve
+    (`groebner._shape_line`); g has one root per point, yc = h(xc) on the
+    support for h = H mod g, and the local lengths are the root
+    multiplicities of chi_x (Stickelberger).  When no chart coordinate
+    generates A, as at a point that is not curvilinear, it refuses.  In every
+    `chart_matrix`, xc = x / ell, which cannot separate two points on the
+    line x = 0; so once the chart lines run out, they are tried again with
+    their two kernel coordinates swapped.  Returns a list of (_SupportPiece,
+    chart matrix); chart data maps back through the matrix.
     """
     lines, again = tee(chart_lines(ideal))
     swapped = (tuple((b, a, c) for a, b, c in chart_matrix(ell)) for ell in again)
     for matrix in chain(map(chart_matrix, lines), swapped):
-        radical, chi, g, m_x = chart_radical(ideal, matrix)
+        chart, chi, g, m_x = chart_algebra(ideal, matrix)
         if g.degree() == 0:
             return []
-        h_line = _shape_line(radical, m_x, g.degree())
-        if h_line is not None:
+        shape = _shape_line(chart, m_x)
+        if shape is not None:
+            h_line = shape if g == chi else _prem(shape, g, "xc")
             return [(piece, matrix) for piece in _split_eliminant(g, h_line, chi)]
-    raise DegenerateInputError("could not put the support in shape position")
+    raise DegenerateInputError("no chart coordinate generates the chart algebra")
 
 
 def _projective_from_chart(chart_point, matrix):

@@ -20,7 +20,7 @@ basis with z set to 1, interreduced, is the basis of the z chart
 (`_chart_with_basis`).  A sum I + J made by `ideal_sum` starts Buchberger
 from I's cached basis for the order and forms only the pairs with J's
 generators, as the pairs within I's basis reduce to zero; that serves the
-other chart lines and the chart radical.
+other chart lines and the radical.
 
 Saturation has two routes.  A homogeneous I saturated by the irrelevant
 ideal m is read off the chart algebra A = S/(I + (l - 1)) when a line l of
@@ -43,11 +43,13 @@ Finite plane schemes have one home for each projective decision here:
 saturating, and `chart_lines`, `chart_matrix` and `to_chart` are the only
 way into an affine chart missing the support; `_chart_image`, the same
 kernel with the images M (xc, yc, 1) of a chart matrix M, is the only way
-back.  In the chart, `chart_radical` reads the scheme off one quotient
-algebra: the characteristic polynomials of its coordinates carry the local
-lengths (Stickelberger), and their squarefree parts give the radical,
-unless that of chi_x shows the scheme to be its own; `_shape_line` places
-its points.
+back.  In the chart, `chart_algebra` reads the scheme off one quotient
+algebra A: the characteristic polynomial chi_x of a chart coordinate
+carries the local lengths (Stickelberger), and when that coordinate
+generates A, one Krylov solve on its multiplication matrix writes the other
+coordinate as a polynomial in it (`_shape_line`, the shape lemma).  The
+squarefree parts of chi_x and chi_y give the radical (`zero_dim_radical`),
+unless that of chi_x shows the scheme to be its own.
 """
 
 from __future__ import annotations
@@ -948,78 +950,67 @@ def _multiplication_matrix(gb: GroebnerBasis, step):
     return basis, rows
 
 
-def chart_radical(ideal: Ideal, matrix):
-    """(radical, chi_x, g, m_x) of the chart scheme I = `to_chart(ideal,
-    matrix)`: g is the monic squarefree part of chi_x, m_x the
-    `_multiplication_matrix` of xc on the radical's standard monomials.
-
-    The standard monomials of I's grevlex basis are a basis of A =
-    K[xc, yc]/I.  By Stickelberger's theorem the characteristic polynomials
-    of multiplication by xc and yc on A are prod (T - xc(p))^len_p and
-    prod (T - yc(p))^len_p over the points p (Cox, Little & O'Shea, Using
-    Algebraic Geometry, ch. 2 par. 4).  So a squarefree chi_x makes every
-    length 1: I is its own radical and xc separates the points (the shape
-    lemma of Gianni and Mora), with no chi_y and no further basis.  Otherwise
-    I plus the squarefree parts of chi_x and chi_y is the radical
-    (Seidenberg's lemma).  Either way it comes with its reduced grevlex basis
-    as generators; chi_x is in xc.  The chart basis (`_chart_with_basis`) and
-    the radical's basis, which starts from it, take no Buchberger run from
-    scratch in the z chart.
-    """
+def chart_algebra(ideal: Ideal, matrix):
+    """(chart, chi_x, g, m_x) of the chart scheme I = `to_chart(ideal,
+    matrix)`, with its reduced grevlex basis attached: m_x is the
+    `_multiplication_matrix` of xc on the standard monomials of I's basis, a
+    basis of A = K[xc, yc]/I, chi_x its characteristic polynomial, in xc,
+    and g the monic squarefree part of chi_x.  In the z chart the basis is
+    read off the scheme's (`_chart_with_basis`), with no Buchberger run."""
     chart = _chart_with_basis(ideal, matrix)
     gb = chart.groebner_basis()
-    ring = gb.ring
-
-    def chi(rows, step):
-        coeffs = characteristic_polynomial(rows)
-        return ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)})
-
     m_x = _multiplication_matrix(gb, (1, 0))
-    chi_x = chi(m_x[1], (1, 0))
+    chi_x = gb.ring.from_terms({(k, 0): c for k, c in enumerate(characteristic_polynomial(m_x[1]))})
     part = squarefree_part(chi_x)  # chi_x itself once its gcd with chi_x' is 1 modulo PRIME
-    g = part * (ring.field.one / part.terms[(part.degree(), 0)])
-    if g != chi_x:
-        chi_y = chi(_multiplication_matrix(gb, (0, 1))[1], (0, 1))
-        gb = ideal_sum(chart, Ideal(ring, [g, squarefree_part(chi_y)])).groebner_basis()
-        m_x = _multiplication_matrix(gb, (1, 0))
-    return Ideal(ring, gb.polys).attach_basis(gb), chi_x, g, m_x
+    return chart, chi_x, part * (gb.ring.field.one / part.terms[(part.degree(), 0)]), m_x
 
 
-def _shape_line(radical: Ideal, m_x, degree: int):
-    """h of degree < `degree` with yc = h(xc) modulo the radical, or None.
+def _shape_line(chart: Ideal, m_x):
+    """H of degree < m = dim A with yc = H(xc) in A = K[xc, yc]/I, I the
+    chart ideal (the shape lemma of Gianni and Mora), or None when xc does
+    not generate A.
 
     The vector of xc^(i+1) on the standard monomials is M_x times that of
-    xc^i (the FGLM idea), M_x = `m_x` the radical's `_multiplication_matrix`
-    of xc, so h solves [v_0 ... v_(degree-1) | t] with v_i = M_x^i e_1 and t
-    the normal form of yc.  The v_i are kept integer: (D*M_x)^i e_1, D the
-    common denominator of M_x, divided by its content at every step."""
-    if not isinstance(radical.ring.field, RationalField):
+    xc^i (the FGLM idea), M_x = `m_x` the chart's `_multiplication_matrix`
+    of xc, so H solves [v_0 ... v_(m-1) | t] with v_i = M_x^i e_1 and t the
+    normal form of yc.  xc generates A exactly when the v_i are independent;
+    they are not when some v_i is zero (xc^i = 0 in A, i < m) or the
+    kernel is not one vector nonzero at t's column (a free column k < m of
+    the reduced echelon form forces a zero there).  The v_i are kept integer:
+    (D*M_x)^i e_1, D the common denominator of M_x, over its content."""
+    if not isinstance(chart.ring.field, RationalField):
         raise DegenerateInputError("the shape solve runs over QQ only")
-    gb = radical.groebner_basis()
+    gb = chart.groebner_basis()
     basis, rows = m_x
+    m = len(basis)
     den = lcm(*(c.denominator for r in rows for c in r))
     scaled = [[int(c * den) for c in r] for r in rows]
-    powers, scales = [[1] + [0] * (len(basis) - 1)], [Fraction(1)]
-    while len(powers) < degree:
+    powers, scales = [[1] + [0] * (m - 1)], [Fraction(1)]
+    while len(powers) < m:
         nxt = [sum(map(mul, r, powers[-1])) for r in scaled]
         content = gcd(*nxt)
+        if not content:
+            return None
         powers.append([v // content for v in nxt])
         scales.append(scales[-1] * den / content)  # powers[i] = scales[i] * xc^i
     target = gb.normal_form(gb.ring.var("yc")).terms
-    kernel = nullspace([[*r, target.get(e, 0)] for r, e in zip(zip(*powers), basis)], degree + 1)
-    if not kernel:
+    kernel = nullspace([[*r, target.get(e, 0)] for r, e in zip(zip(*powers), basis)], m + 1)
+    if len(kernel) != 1 or not kernel[0][m]:
         return None
-    # the powers are independent, so yc's column is the free one
     return gb.ring.from_terms({(i, 0): -c * s for i, (c, s) in enumerate(zip(kernel[0], scales))})
 
 
 def zero_dim_radical(ideal: Ideal) -> Ideal:
     """Radical of a homogeneous ideal with finite projective support in three
-    variables: the chart radical (`chart_radical`) in the first chart line
-    ell missing the support, read back as the kernel of K[x, y, z] -> its
-    chart algebra, with images M (xc, yc, 1) for the chart matrix M
-    (`_chart_image`): ell takes the value 1 on them.
-    """
+    variables, taken in the chart algebra A = K[xc, yc]/I of the first chart
+    line ell missing the support (`chart_algebra`).  By Stickelberger's
+    theorem the characteristic polynomials of xc and yc on A are
+    prod (T - xc(p))^len_p and prod (T - yc(p))^len_p over the points p (Cox,
+    Little & O'Shea, Using Algebraic Geometry, ch. 2 par. 4).  So a
+    squarefree chi_x makes I its own radical, with no chi_y; otherwise I plus
+    the squarefree parts of chi_x and chi_y is (Seidenberg's lemma).  It is
+    read back as the kernel of K[x, y, z] -> its chart algebra, with images
+    M (xc, yc, 1) for the chart matrix M (`_chart_image`), where ell is 1."""
     ring = ideal.ring
     if ring.nvars != 3:
         raise DegenerateInputError("zero_dim_radical expects a three-variable ring")
@@ -1029,6 +1020,12 @@ def zero_dim_radical(ideal: Ideal) -> Ideal:
             "could not find a chart line avoiding the support; is the ideal zero-dimensional?"
         )
     matrix = chart_matrix(ell)
-    radical = chart_radical(ideal, matrix)[0]
-    images = [radical.ring.from_terms(zip([(1, 0), (0, 1), (0, 0)], row)) for row in matrix]
-    return _chart_image(radical.groebner_basis(), images, ring)
+    chart, chi_x, g, _ = chart_algebra(ideal, matrix)
+    radical = chart.groebner_basis()
+    aff = radical.ring
+    if g != chi_x:
+        m_y = _multiplication_matrix(radical, (0, 1))[1]
+        chi_y = aff.from_terms({(0, k): c for k, c in enumerate(characteristic_polynomial(m_y))})
+        radical = ideal_sum(chart, Ideal(aff, [g, squarefree_part(chi_y)])).groebner_basis()
+    images = [aff.from_terms(zip([(1, 0), (0, 1), (0, 0)], row)) for row in matrix]
+    return _chart_image(radical, images, ring)

@@ -262,24 +262,6 @@ class PlaneParameterization:
     def evaluate(self, q):
         return tuple(f.evaluate(q) for f in self.forms)
 
-    def fiber_form(self, point) -> Polynomial:
-        """Binary form whose roots are the parameters mapping to `point`:
-        the gcd of the cross products point_j * f_i - point_i * f_j."""
-        field = self.ring.field
-        pt = [field.coerce(v) for v in point]
-        crosses = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                c = self.forms[i] * pt[j] - self.forms[j] * pt[i]
-                if not c.is_zero:
-                    crosses.append(c)
-        if not crosses:
-            raise DegenerateInputError("every cross product vanished; not a curve")
-        g = crosses[0]
-        for c in crosses[1:]:
-            g = poly_gcd(g, c)
-        return g
-
 
 def parameterization_from_center(n: int, center, names=None, field=QQ) -> PlaneParameterization:
     """Evaluate three independent linear forms on the standard degree-n

@@ -20,7 +20,13 @@ from oscurve.groebner import (
     to_chart,
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
-from oscurve.polyops import characteristic_polynomial, matrix_inverse, nullspace, squarefree_part
+from oscurve.polyops import (
+    characteristic_polynomial,
+    matrix_inverse,
+    nullspace,
+    poly_gcd,
+    squarefree_part,
+)
 from oscurve.qfields import QuadraticField, make_quadratic
 from oscurve.rational_curves import validate_center
 from oscurve.rings import INF, Polynomial, PolyMatrix, PolyRing
@@ -299,6 +305,25 @@ def project_by_elimination(scheme: Ideal, center, targets=("u", "v", "w")) -> Id
     for name, form in zip(targets, forms):
         gens.append(big.var(name) - form.restrict(big))
     return eliminate(Ideal(big, gens), set(ring.variables))
+
+
+def fiber_form(param, point) -> Polynomial:
+    """Binary form whose roots are the parameters that `param` maps to
+    `point`: the gcd of the cross products point_j * f_i - point_i * f_j."""
+    field = param.ring.field
+    pt = [field.coerce(v) for v in point]
+    crosses = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            c = param.forms[i] * pt[j] - param.forms[j] * pt[i]
+            if not c.is_zero:
+                crosses.append(c)
+    if not crosses:
+        raise DegenerateInputError("every cross product vanished; not a curve")
+    g = crosses[0]
+    for c in crosses[1:]:
+        g = poly_gcd(g, c)
+    return g
 
 
 def linear_relations(gb: GroebnerBasis, polys) -> list[list]:

@@ -18,9 +18,9 @@ from oscurve.errors import DegenerateInputError, OscurveError
 from oscurve.groebner import (
     Ideal,
     TermOrder,
+    chart_algebra,
     chart_lines,
     chart_matrix,
-    chart_radical,
     ideal_intersection,
     ideal_power,
     ideal_sum,
@@ -40,7 +40,12 @@ from oscurve.rational_curves import (
 )
 from oscurve.rings import PolyRing
 
-from helpers import has_triple_point_grevlex, projective_ideal_by_saturation
+from helpers import (
+    fiber_form,
+    has_triple_point_grevlex,
+    projective_ideal_by_saturation,
+    radical_route_chart,
+)
 
 SEXTIC_NAMES = tuple("abcdefg")
 NODAL_CUBIC = "(s^2 - t^2)*t; s*(s^2 - t^2); t^3"
@@ -71,7 +76,7 @@ def site_quadratic(param, site):
     s, t = param.ring.gens()
     c0, c1, c2 = (param.ring.field.coerce(c) for c in site.coords)
     quadratic = poly_normalize(s * s * c0 + s * t * c1 + t * t * c2)
-    assert poly_normalize(param.fiber_form(site.image_point)) == quadratic
+    assert poly_normalize(fiber_form(param, site.image_point)) == quadratic
     return quadratic
 
 
@@ -318,7 +323,7 @@ def test_fiber_form_discriminants_match_branch_counts():
 def test_fiber_form_from_cross_products():
     param = sextic_param()
     # over the image of the marked double point, the fiber binary form is s*t
-    form = param.fiber_form((1, 0, 0))
+    form = fiber_form(param, (1, 0, 0))
     st = param.ring
     assert poly_gcd(form, st.parse("s*t")) == poly_gcd(form, form)
 
@@ -548,25 +553,49 @@ def fallback_chart_schemes():
     return fat, reduced
 
 
+def fallback_curvilinear_scheme():
+    """A curvilinear scheme of length 3 at each of FALLBACK_POINTS: with u, v
+    the linear forms of the point and l0 a coordinate nonzero there, the
+    local coordinates l1 = u + v, l2 = v cut out (l1 + l2^2, l2^3) near it,
+    that is (l0*l1 + l2^2) plus the cube of the point's ideal."""
+    ring = PolyRing(("x", "y", "z"))
+    scheme = None
+    for p in FALLBACK_POINTS:
+        u, v = point_ideal(ring, p).gens
+        l0 = ring.gens()[next(i for i, c in enumerate(p) if c)]
+        local = ideal_sum(Ideal(ring, [l0 * (u + v) + v * v]), ideal_power(point_ideal(ring, p), 3))
+        scheme = local if scheme is None else ideal_intersection(scheme, local)
+    return scheme
+
+
 def test_support_in_a_fallback_chart():
     from oscurve.census import _projective_from_chart
 
     ring = PolyRing(("x", "y", "z"))
     points = FALLBACK_POINTS
-    fat, reduced = fallback_chart_schemes()
-    radical = zero_dim_radical(fat)
-    assert radical == reduced
-    total = scheme_length(fat)
-    found = set()
-    for piece, matrix in support_sites(fat):
+    scheme = fallback_curvilinear_scheme()
+    total = scheme_length(scheme)
+    assert total == 12
+    found, matrices = set(), set()
+    for piece, matrix in support_sites(scheme):
         assert piece.size == 1
         point = _projective_from_chart(piece.chart_points[0], matrix)
         found.add(point)
-        # a double point of the plane has length 3, as the saturation route
-        # (the length that saturating by the point removes) confirms
+        matrices.add(matrix)
+        # the length that saturating by the point removes
         assert piece.delta == 3
-        assert piece.delta == total - scheme_length(saturate(fat, point_ideal(ring, point)))
+        assert piece.delta == total - scheme_length(saturate(scheme, point_ideal(ring, point)))
     assert found == set(points)
+    assert matrices == {chart_matrix(ring.parse("3*x - y + 2*z"))}
+
+
+def test_support_refuses_a_scheme_that_is_not_curvilinear():
+    # the square of a point's ideal has tangent dimension 2: no chart
+    # coordinate generates its algebra, though the radical is still taken
+    fat, reduced = fallback_chart_schemes()
+    with pytest.raises(DegenerateInputError, match="no chart coordinate generates the chart algebra"):
+        support_sites(fat)
+    assert zero_dim_radical(fat) == reduced
 
 
 def _radical_inputs():
@@ -596,14 +625,15 @@ def _radical_inputs():
 
 @pytest.mark.parametrize("index", range(7))
 def test_radical_equals_the_saturation_reference(index):
-    # the kernel read back from the chart radical against homogenizing it,
-    # saturating by the last variable and undoing the chart matrix
+    # the kernel read back from the chart radical against the reference
+    # radical of the chart, homogenized, saturated by the last variable and
+    # moved back by the chart matrix
     ideal = _radical_inputs()[index]
     radical = zero_dim_radical(ideal)
     assert radical.gens == radical.groebner_basis().polys
     matrix = chart_matrix(next(chart_lines(ideal)))
-    chart = chart_radical(ideal, matrix)[0]
-    assert radical == projective_ideal_by_saturation(chart.gens, matrix, ideal.ring)
+    chart = radical_route_chart(ideal, matrix)[0]
+    assert radical == projective_ideal_by_saturation(chart, matrix, ideal.ring)
 
 
 def test_support_when_xc_does_not_separate():
@@ -754,16 +784,16 @@ def test_shape_position_matches_the_lex_basis(name):
     pieces = support_sites(ideal)
     (matrix,) = {matrix for _, matrix in pieces}
     (h_line,) = {piece.h_line for piece, _ in pieces}
-    radical, _, g, _ = chart_radical(ideal, matrix)
-    product = radical.ring.one()
+    radical, _, g, _ = radical_route_chart(ideal, matrix)
+    product = g.ring.one()
     for piece, _ in pieces:
         product = product * piece.factor
     assert product == g
     # lex with yc before xc: the ring lists yc first
-    swapped = PolyRing(("yc", "xc"), radical.ring.field)
-    lex = Ideal(swapped, [p.restrict(swapped) for p in radical.gens])
+    swapped = PolyRing(("yc", "xc"), g.ring.field)
+    lex = Ideal(swapped, [p.restrict(swapped) for p in radical])
     lex = lex.groebner_basis(TermOrder.lex())
-    yc = radical.ring.var("yc")
+    yc = g.ring.var("yc")
     assert list(lex.polys) == [g.restrict(swapped), (yc - h_line).restrict(swapped)]
 
 
@@ -854,7 +884,7 @@ def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
 
     scratch, charts, current = [], [], []
     buchberger, engine = groebner.buchberger, groebner._buchberger_dicts
-    radical = census_module.chart_radical
+    read = census_module.chart_algebra
 
     def tracking_buchberger(ideal, order=groebner.DEFAULT_ORDER):
         current.append(ideal)
@@ -868,13 +898,13 @@ def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
             scratch.append(current[-1])
         return engine(gen_dicts, keyf, seed)
 
-    def recording_radical(ideal, matrix):
+    def recording_read(ideal, matrix):
         charts.append(matrix)
-        return radical(ideal, matrix)
+        return read(ideal, matrix)
 
     monkeypatch.setattr(groebner, "buchberger", tracking_buchberger)
     monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
-    monkeypatch.setattr(census_module, "chart_radical", recording_radical)
+    monkeypatch.setattr(census_module, "chart_algebra", recording_read)
     identity = groebner.chart_matrix(PolyRing(("x", "y", "z")).var("z"))
     z_only = 0
     for name in sorted(set(CENSUS_INPUTS) - {"generator-9"}):
@@ -928,34 +958,52 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
         assert chi == field_characteristic_polynomial(rows)
 
 
-# -- a squarefree chi_x skips the radical: both routes agree on every chart -----------
+# -- one chart algebra per chart: the census against the radical route ---------------
 
 
 def census_charts(monkeypatch, params):
-    """(ideal, matrix, chart_radical's result) for every chart that the
-    census of each parameterization reads."""
+    """[ideal, matrix, chart_algebra's result, h] for every chart that the
+    census of each parameterization reads: h is the shape line of the sites
+    that the census took from the chart, None for a chart it passed over."""
     from oscurve import census as census_module
 
     charts = []
-    radical = census_module.chart_radical
+    read, support = census_module.chart_algebra, census_module.support_sites
 
     def recording(ideal, matrix):
-        charts.append((ideal, matrix, radical(ideal, matrix)))
+        charts.append([ideal, matrix, read(ideal, matrix), None])
         return charts[-1][2]
 
-    monkeypatch.setattr(census_module, "chart_radical", recording)
+    def marking(ideal):
+        pieces = support(ideal)
+        for piece, matrix in pieces:
+            assert matrix == charts[-1][1]
+            charts[-1][3] = piece.h_line
+        return pieces
+
+    monkeypatch.setattr(census_module, "chart_algebra", recording)
+    monkeypatch.setattr(census_module, "support_sites", marking)
     for param in params:
         double_point_census(param)
     return charts
 
 
 def assert_routes_agree(charts):
-    from oscurve.groebner import _shape_line
-    from helpers import radical_route_chart
+    """Every chart against the radical route (`radical_route_chart`): the
+    same chi_x and g, and the census's h equal to the reference h.  In a
+    chart the census passed over, 1, xc, ..., xc^(m-1) are dependent modulo
+    the chart ideal, m its length: xc does not generate the chart algebra."""
+    from helpers import linear_relations
 
-    for ideal, matrix, (radical, chi, g, m_x) in charts:
-        h = _shape_line(radical, m_x, g.degree()) if g.degree() else None
-        assert (radical.gens, chi, g, h) == radical_route_chart(ideal, matrix)
+    for ideal, matrix, (chart, chi, g, m_x), h in charts:
+        _, ref_chi, ref_g, ref_h = radical_route_chart(ideal, matrix)
+        assert (chi, g) == (ref_chi, ref_g)
+        if h is not None:
+            assert h == ref_h
+        elif g.degree():
+            xc = chart.ring.var("xc")
+            powers = [xc**i for i in range(len(m_x[0]))]
+            assert linear_relations(to_chart(ideal, matrix).groebner_basis(), powers)
 
 
 ROUTE_INPUTS = {**CENSUS_INPUTS, "generator-10": lambda: generator_param(10)}
@@ -972,9 +1020,28 @@ def test_chart_routes_agree_on_the_benchmark_inputs(monkeypatch):
     texts = bench_census_texts(monkeypatch)
     charts = census_charts(monkeypatch, [PlaneParameterization.parse(t) for t in texts])
     assert_routes_agree(charts)
-    # both routes are taken
-    squarefree = [chi == g for _, _, (_, chi, g, _) in charts]
+    # squarefree and non-squarefree chi_x both occur
+    squarefree = [chi == g for _, _, (_, chi, g, _), _ in charts]
     assert any(squarefree) and not all(squarefree)
+
+
+@pytest.mark.parametrize("name", ["tacnode-quartic", "nodal-cubic"])
+def test_chart_routes_catch_a_mutated_shape_line(monkeypatch, name):
+    # h + 1 in place of h, with chi_x not squarefree (the A3 of the
+    # tacnode quartic) and squarefree (the node of the cubic)
+    from oscurve import census as census_module
+
+    shape = census_module._shape_line
+
+    def shifted(chart, m_x):
+        h = shape(chart, m_x)
+        return None if h is None else h + chart.ring.one()
+
+    monkeypatch.setattr(census_module, "_shape_line", shifted)
+    charts = census_charts(monkeypatch, [CENSUS_INPUTS[name]()])
+    assert any(chi != g for _, _, (_, chi, g, _), _ in charts) == (name == "tacnode-quartic")
+    with pytest.raises(AssertionError):
+        assert_routes_agree(charts)
 
 
 @pytest.mark.parametrize(
@@ -1005,17 +1072,17 @@ def test_chart_routes_agree_on_the_benchmark_inputs(monkeypatch):
     ],
     ids=["shared-xc", "generator-8", "cusps"],
 )
-def test_census_without_a_squarefree_chi_takes_the_radical_route(monkeypatch, build, routes, sites):
-    from oscurve.groebner import _shape_line
-
+def test_census_without_a_squarefree_chi_reads_the_chart_algebra_once(
+    monkeypatch, build, routes, sites
+):
     param = build()
     charts = census_charts(monkeypatch, [param])
     # (deg chi_x, deg g, deg h) per chart: h is None when xc does not
-    # separate the points, and deg h = -1 when h = 0
-    degrees = []
-    for _, _, (radical, chi, g, m_x) in charts:
-        h = _shape_line(radical, m_x, g.degree())
-        degrees.append((chi.degree(), g.degree(), None if h is None else h.degree()))
+    # generate the chart algebra, and deg h = -1 when h = 0
+    degrees = [
+        (chi.degree(), g.degree(), None if h is None else h.degree())
+        for _, _, (_, chi, g, _), h in charts
+    ]
     assert degrees == routes
     census = classify_curve_singularities(param)
     pinned = [
@@ -1026,7 +1093,28 @@ def test_census_without_a_squarefree_chi_takes_the_radical_route(monkeypatch, bu
     assert census.delta_sum == census.total_length
 
 
+def test_shape_line_refuses_a_coordinate_that_does_not_generate():
+    from oscurve.groebner import _shape_line
+
+    # the fat point (xc^2, xc*yc, yc^2): xc is nilpotent, and v_2 = xc^2 = 0
+    ring = PolyRing(("x", "y", "z"))
+    z_chart = chart_matrix(ring.var("z"))
+    fat = Ideal(ring, [ring.parse(t) for t in ("x^2", "x*y", "y^2")])
+    chart, chi, _, m_x = chart_algebra(fat, z_chart)
+    assert chi == chart.ring.parse("xc^3")
+    assert _shape_line(chart, m_x) is None
+    # two of the pickled quartic's three nodes share xc in the z chart: the
+    # v_i are nonzero and dependent
+    ideal = multiple_point_scheme_ideal(CENSUS_INPUTS["pickled-quartic"](), 2)
+    assert next(chart_lines(ideal)) == ring.var("z")
+    chart, chi, g, m_x = chart_algebra(ideal, z_chart)
+    assert (chi.degree(), g.degree()) == (3, 2)
+    assert _shape_line(chart, m_x) is None
+
+
 def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkeypatch):
+    # one characteristic polynomial per chart and no basis beyond the
+    # chart's, whether chi_x is squarefree or not
     from oscurve import groebner
 
     runs, chis = [], []
@@ -1052,32 +1140,79 @@ def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkey
         assert (line == ideal.ring.var("z")) == squarefree
         matrix = groebner.chart_matrix(line)
         del runs[:], chis[:]
-        radical, chi, g, _ = chart_radical(ideal, matrix)
+        chart, chi, g, (basis, _) = chart_algebra(ideal, matrix)
         assert (chi == g) == squarefree
-        if squarefree:
-            # the z chart's basis is read off the scheme's, and nothing is added
-            assert runs == [] and chis == [chi.degree()]
-            fresh = to_chart(ideal, matrix).groebner_basis().polys
-            assert radical.gens == radical.groebner_basis().polys == fresh
-        else:
-            # the chart of the line y from scratch, then chi_y and one basis
-            # that starts from the chart's (`ideal_sum`)
-            assert runs == [False, True] and chis == [chi.degree()] * 2
+        assert chis == [chi.degree()] == [len(basis)]
+        # the z chart's basis is read off the scheme's; the chart of the
+        # line y takes one run from scratch
+        assert runs == ([] if squarefree else [False])
+        assert chart.groebner_basis().polys == to_chart(ideal, matrix).groebner_basis().polys
 
 
-def test_chart_radical_without_the_prime_certificate_takes_the_exact_test(monkeypatch):
+def test_census_takes_no_radical(monkeypatch):
+    # no chi_y, one characteristic polynomial per chart, and no sum or seeded
+    # Buchberger run but a chart line's emptiness test (`chart_lines`)
+    from oscurve import census as census_module
+    from oscurve import groebner
+
+    sums, steps, chis, seeded, reads = [], [], [], [], []
+    originals = (
+        groebner.ideal_sum,
+        groebner._multiplication_matrix,
+        groebner.characteristic_polynomial,
+        groebner._buchberger_dicts,
+        census_module.chart_algebra,
+    )
+    add, matrix_of, charpoly, engine, read = originals
+
+    def recording_sum(a, b):
+        sums.append(b.gens)
+        return add(a, b)
+
+    def recording_matrix(gb, step):
+        steps.append(step)
+        return matrix_of(gb, step)
+
+    def recording_charpoly(rows):
+        chis.append(len(rows))
+        return charpoly(rows)
+
+    def recording_engine(gen_dicts, keyf, seed=()):
+        seeded.append(bool(seed))
+        return engine(gen_dicts, keyf, seed)
+
+    def recording_read(ideal, matrix):
+        reads.append(read(ideal, matrix))
+        return reads[-1]
+
+    monkeypatch.setattr(groebner, "ideal_sum", recording_sum)
+    monkeypatch.setattr(groebner, "_multiplication_matrix", recording_matrix)
+    monkeypatch.setattr(groebner, "characteristic_polynomial", recording_charpoly)
+    monkeypatch.setattr(groebner, "_buchberger_dicts", recording_engine)
+    monkeypatch.setattr(census_module, "chart_algebra", recording_read)
+    for name in sorted(set(CUSP_INPUTS) - {"generator-9"}):
+        double_point_census(CUSP_INPUTS[name]())
+    assert steps == [(1, 0)] * len(reads)
+    assert chis == [len(basis) for _, _, _, (basis, _) in reads]
+    assert all(len(gens) == 1 and gens[0].degree() == 1 for gens in sums)
+    assert sum(seeded) == len(sums)
+    # charts with and without a squarefree chi_x
+    assert {chi == g for _, chi, g, _ in reads} == {True, False}
+
+
+def test_chart_algebra_without_the_prime_certificate_takes_the_exact_test(monkeypatch):
     # the certificate in `poly_gcd` is one-sided: when it proves nothing, the
     # pseudo-remainder gcd decides whether chi_x is squarefree, with the same results
     from oscurve import groebner, polyops
 
     ideals = [multiple_point_scheme_ideal(CENSUS_INPUTS[n](), 2) for n in ("generator-7", "sextic")]
     matrices = [groebner.chart_matrix(next(groebner.chart_lines(ideal))) for ideal in ideals]
-    certified = [chart_radical(ideal, m) for ideal, m in zip(ideals, matrices)]
+    certified = [chart_algebra(ideal, m) for ideal, m in zip(ideals, matrices)]
     refused = []
     monkeypatch.setattr(polyops, "coprime_mod_prime", lambda p, q: refused.append(p) or False)
-    for (radical, chi, g, m_x), ideal, matrix in zip(certified, ideals, matrices):
-        again, chi_again, g_again, m_x_again = chart_radical(ideal, matrix)
-        assert (again.gens, chi_again, g_again, m_x_again) == (radical.gens, chi, g, m_x)
+    for (chart, chi, g, m_x), ideal, matrix in zip(certified, ideals, matrices):
+        again, chi_again, g_again, m_x_again = chart_algebra(ideal, matrix)
+        assert (again.gens, chi_again, g_again, m_x_again) == (chart.gens, chi, g, m_x)
     assert refused
 
 

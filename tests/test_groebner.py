@@ -464,20 +464,21 @@ def test_radical_squarefree_eliminants():
         assert e.degree() == 1 and poly_gcd(e, e.derivative(keep)).degree() == 0
 
 
-def test_chart_radical_reads_local_lengths_off_chi():
-    from oscurve.groebner import chart_matrix, chart_radical
+def test_chart_algebra_reads_local_lengths_off_chi():
+    from oscurve.groebner import chart_algebra, chart_matrix
 
     # a fat point of length 3 at [0:0:1] and a simple point at [1:0:1]
     I = ideal_intersection(ideal(R3, "x^2", "x*y", "y^2"), ideal(R3, "x - z", "y"))
     assert scheme_length(I) == 4
-    radical, chi, g, _ = chart_radical(I, chart_matrix(R3.var("z")))
-    A = radical.ring
+    chart, chi, g, (basis, rows) = chart_algebra(I, chart_matrix(R3.var("z")))
+    A = chart.ring
     assert chi == A.parse("xc^3*(xc - 1)")
     assert g == A.parse("xc^2 - xc")
-    assert radical.gens == radical.groebner_basis().polys
-    assert radical == Ideal(A, [A.parse("xc^2 - xc"), A.parse("yc")])
+    assert len(basis) == len(rows) == 4
+    # the radical adds the squarefree parts of chi_x and chi_y (Seidenberg)
+    assert zero_dim_radical(I) == ideal(R3, "x^2 - x*z", "y")
     with pytest.raises(DegenerateInputError):
-        chart_radical(ideal(R3, "x*y"), chart_matrix(R3.var("z")))
+        chart_algebra(ideal(R3, "x*y"), chart_matrix(R3.var("z")))
 
 
 # -- degree slices ----------------------------------------------------------------
@@ -498,9 +499,9 @@ def test_radical_takes_its_colon_without_saturate(monkeypatch):
     # the CI's z-torsion scheme: the chart radical's own basis is read back
     # as a kernel (`_chart_image`), with no call to `saturate`
     from oscurve import groebner
-    from oscurve.groebner import chart_matrix, chart_radical
+    from oscurve.groebner import chart_matrix
 
-    from helpers import projective_ideal_by_saturation
+    from helpers import projective_ideal_by_saturation, radical_route_chart
 
     I = ideal(R3, "x^2*z", "x*y*z", "y^2*z", "x^3", "y^3")
     calls = []
@@ -514,9 +515,9 @@ def test_radical_takes_its_colon_without_saturate(monkeypatch):
     radical = zero_dim_radical(I)
     assert calls == []
     assert [str(p) for p in radical.gens] == ["y", "x"]
-    # the same radical by the auxiliary-variable saturation of the chart radical
+    # the same radical by the auxiliary-variable saturation of the reference chart radical
     z_chart = chart_matrix(R3.var("z"))
-    assert radical == projective_ideal_by_saturation(chart_radical(I, z_chart)[0].gens, z_chart, R3)
+    assert radical == projective_ideal_by_saturation(radical_route_chart(I, z_chart)[0], z_chart, R3)
 
 
 def _record_seeds(monkeypatch):
