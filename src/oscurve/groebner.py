@@ -8,7 +8,9 @@ pruning), and one interreduction pass to the unique reduced basis
 it is fraction-free: polynomials are primitive integer term dicts, a
 reduction step is work <- a*work - b*m*g with integers a, b, and the basis is
 made monic once, at the end; over QQ(sqrt d) the same loop keeps basis
-elements monic.
+elements monic.  A term's reducer is the first basis element whose lead
+divides it, looked up once per exponent and basis (`_Reducers`), and live
+pairs carry the lcm of their leads, which the chain criterion reads.
 
 A finite scheme takes one Buchberger run from scratch, for the grevlex basis
 of its ideal I; the other bases are read off it or start from it.  Grevlex
@@ -57,6 +59,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count
 from math import gcd, lcm
 from operator import add, ge, mul, sub
@@ -206,8 +209,33 @@ def _divisible(exp, lead):
     return all(map(ge, exp, lead))
 
 
-def _reduce_full(pdict, basis, entry, split):
-    """Fully reduce a term dict against basis entries (dict, lead_exp).
+class _Reducers(dict):
+    """Called on an exponent, the first (dict, lead) entry of an append-only
+    basis list whose lead divides it, or None.  The table maps the exponent
+    to that entry, or to the number k of entries checked, where a later
+    lookup resumes: after an append it checks only the new entries."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis):
+        self.basis = basis
+
+    def __call__(self, exp):
+        found = self.get(exp, 0)
+        if not isinstance(found, int):
+            return found
+        basis = self.basis
+        for k in range(found, len(basis)):
+            if _divisible(exp, basis[k][1]):
+                found = self[exp] = basis[k]
+                return found
+        self[exp] = len(basis)
+        return None
+
+
+def _reduce_full(pdict, reducers, entry, split):
+    """Fully reduce a term dict against the basis entries (dict, lead_exp)
+    of a `_Reducers` table.
 
     A step at the top term c*x^e, with the first reducer g whose lead L*x^l
     divides it, sets work = a*work - b*x^(e-l)*g for (a, b) = split(c, L)
@@ -226,12 +254,11 @@ def _reduce_full(pdict, basis, entry, split):
         c = work.pop(exp, None)
         if c is None:
             continue
-        for g, glead in basis:
-            if _divisible(exp, glead):
-                break
-        else:
+        found = reducers(exp)
+        if found is None:
             remainder[exp] = c
             continue
+        g, glead = found
         a, b = split(c, g[glead])
         if a != 1:
             work = {e: v * a for e, v in work.items()}
@@ -306,48 +333,44 @@ def _buchberger_dicts(gen_dicts, keyf, seed=()):
     else:
         split, normalize = _field_split, _monic
     basis: list[tuple[dict, tuple]] = list(seed)  # (dict, lead)
+    reducers = _Reducers(basis)
+    order_key = cache(keyf)  # of the pairs' lcms
     pair_heap: list = []
-    alive: set[tuple[int, int]] = set()
+    alive: dict[tuple[int, int], tuple] = {}  # live pair -> lcm of its leads
     counter = count()
-
-    def lead_of(i):
-        return basis[i][1]
 
     def add_pairs(t):
         # Gebauer-Moeller update for the new element index t
-        lt = lead_of(t)
-        new_pairs = {}
-        for i in range(t):
-            new_pairs[i] = _exp_lcm(lead_of(i), lt)
+        lt = basis[t][1]
+        new_pairs = [_exp_lcm(lead, lt) for _, lead in basis[:t]]
         # chain criterion against existing pairs
-        for (i, j) in list(alive):
-            lcm_ij = _exp_lcm(lead_of(i), lead_of(j))
+        for ij, lcm_ij in list(alive.items()):
             if (
                 _divisible(lcm_ij, lt)
-                and lcm_ij != new_pairs[i]
-                and lcm_ij != new_pairs[j]
+                and lcm_ij != new_pairs[ij[0]]
+                and lcm_ij != new_pairs[ij[1]]
             ):
-                alive.discard((i, j))
+                del alive[ij]
         # prune among the new pairs: keep minimal lcms, one per value
-        items = sorted(new_pairs.items(), key=lambda kv: (keyf(kv[1]), kv[0]))
+        items = sorted(enumerate(new_pairs), key=lambda kv: (order_key(kv[1]), kv[0]))
         kept: list[tuple[int, tuple]] = []
         seen = set()
         for i, lc in items:
             if lc in seen:
                 continue
-            if any(_divisible(lc, other) and other != lc for _, other in kept):
+            if any(_divisible(lc, other) for _, other in kept):  # other != lc: lc is unseen
                 continue
             kept.append((i, lc))
             seen.add(lc)
         for i, lc in kept:
             # coprime criterion
-            if lc == tuple(map(add, lead_of(i), lt)):
+            if lc == tuple(map(add, basis[i][1], lt)):
                 continue
-            alive.add((i, t))
-            heapq.heappush(pair_heap, (keyf(lc), next(counter), i, t, lc))
+            alive[i, t] = lc
+            heapq.heappush(pair_heap, (order_key(lc), next(counter), i, t))
 
     def insert(pdict):
-        red = _reduce_full(pdict, basis, entry, split)[0]
+        red = _reduce_full(pdict, reducers, entry, split)[0]
         if red:
             lead = _lead(red, entry)
             basis.append((normalize(red, lead), lead))
@@ -356,11 +379,10 @@ def _buchberger_dicts(gen_dicts, keyf, seed=()):
     for d in sorted(gen_dicts, key=lambda d: keyf(_lead(d, entry))):
         insert(d)
     while pair_heap:
-        _, _, i, j, lcm = heapq.heappop(pair_heap)
-        if (i, j) not in alive:
-            continue
-        alive.discard((i, j))
-        insert(_spoly_dict(*basis[i], *basis[j], lcm, split))
+        _, _, i, j = heapq.heappop(pair_heap)
+        lcm = alive.pop((i, j), None)
+        if lcm is not None:
+            insert(_spoly_dict(*basis[i], *basis[j], lcm, split))
     return _interreduce(basis, entry, rational)
 
 
@@ -370,16 +392,20 @@ def _interreduce(pairs, entry, rational):
     representation (`rational`: primitive integer dicts).  Minimalize (drop
     each element whose lead another lead divides), then tail-reduce: the
     leads of a minimal basis are fixed, so one pass leaves no tail term
-    divisible by any of them."""
+    divisible by any of them.  A lead dividing a term is at most the term,
+    so each element is reduced by those before it in lead order, through
+    one table over the minimal elements done so far."""
     split, normalize = (_integer_split, _primitive) if rational else (_field_split, _monic)
     minimal = []
     for g, lead in sorted(pairs, key=lambda gl: entry.keyf(gl[1])):
         if not any(_divisible(lead, m) for _, m in minimal):
             minimal.append((g, lead))
-    return [
-        (normalize(_reduce_full(g, minimal[:i] + minimal[i + 1 :], entry, split)[0], lead), lead)
-        for i, (g, lead) in enumerate(minimal)
-    ]
+    done, reduced = [], []
+    reducers = _Reducers(done)
+    for g, lead in minimal:
+        reduced.append((normalize(_reduce_full(g, reducers, entry, split)[0], lead), lead))
+        done.append((g, lead))
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +417,10 @@ class GroebnerBasis:
     """A reduced, monic Groebner basis together with its order.
 
     Built from the engine's (dict, lead) pairs, which it keeps for normal
-    forms: over QQ they are primitive integer dicts, and `polys` is their
-    monic form."""
+    forms with one reducer table: over QQ they are primitive integer dicts,
+    and `polys` is their monic form."""
 
-    __slots__ = ("ring", "order", "polys", "_keyf", "_pairs", "_rational")
+    __slots__ = ("ring", "order", "polys", "_pairs", "_rational", "_entry", "_reducers")
 
     def __init__(self, ring, order, pairs):
         pairs = tuple(pairs)
@@ -406,9 +432,10 @@ class GroebnerBasis:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "_keyf", order.key_function(ring))
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_rational", rational)
+        object.__setattr__(self, "_entry", _HeapEntries(order.key_function(ring)))
+        object.__setattr__(self, "_reducers", _Reducers(pairs))
 
     def __setattr__(self, *args):
         raise AttributeError("GroebnerBasis is immutable")
@@ -427,13 +454,12 @@ class GroebnerBasis:
         """The remainder of f: exact, also when it is computed on integers."""
         if f.ring != self.ring:
             raise RingMismatchError("normal form of a polynomial from another ring")
-        entry = _HeapEntries(self._keyf)
         if not (self._rational and f.terms and _is_rational(f.terms)):
-            red, _ = _reduce_full(f.terms, self._pairs, entry, _field_split)
+            red, _ = _reduce_full(f.terms, self._reducers, self._entry, _field_split)
             return Polynomial(self.ring, red)
         first = next(iter(f.terms))
         work = _primitive(f.terms, first)
-        red, scale = _reduce_full(work, self._pairs, entry, _integer_split)
+        red, scale = _reduce_full(work, self._reducers, self._entry, _integer_split)
         unscale = f.terms[first] / (scale * work[first])
         return Polynomial(self.ring, {e: v * unscale for e, v in red.items()})
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 from math import gcd
-from operator import ge
+from operator import ge, sub
 
 from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
@@ -115,6 +115,31 @@ def normal_form_with_cofactors(gb, f: Polynomial):
         cofactors[i] += q
         rest -= q * gb.polys[i]
     return remainder, cofactors
+
+
+def groebner_certificate(ideal: Ideal, gb: GroebnerBasis):
+    """Assert that `gb` is a reduced Groebner basis whose ideal contains the
+    generators of `ideal`, by plain multivariate division on Polynomials
+    (`normal_form_with_cofactors`), never the engine's reduction: every
+    element is monic in its lead, found here by the order key; no term of
+    an element is divisible by another element's lead; and every generator
+    and every S-polynomial of the basis divides to remainder 0."""
+    ring, key = gb.ring, gb.order.key_function(gb.ring)
+    polys = gb.polys
+    leads = tuple(max(p.terms, key=key) for p in polys)
+    assert leads == gb.lead_exponents, (leads, gb.lead_exponents)
+    for i, (p, lead) in enumerate(zip(polys, leads)):
+        assert p.terms[lead] == 1, f"{p} is not monic"
+        for j, other in enumerate(leads):
+            unreduced = j != i and any(all(map(ge, e, other)) for e in p.terms)
+            assert not unreduced, f"a term of {p} is divisible by the lead of {polys[j]}"
+    for g in ideal.gens:
+        assert normal_form_with_cofactors(gb, g)[0].is_zero, f"{g} is not in the basis's ideal"
+    for (p, lp), (q, lq) in combinations(zip(polys, leads), 2):
+        lcm = tuple(map(max, lp, lq))
+        s = p * ring.monomial(tuple(map(sub, lcm, lp)))
+        s -= q * ring.monomial(tuple(map(sub, lcm, lq)))
+        assert normal_form_with_cofactors(gb, s)[0].is_zero, f"S({p}, {q}) does not reduce to 0"
 
 
 def has_triple_point_grevlex(F: Polynomial) -> bool:

@@ -3,13 +3,20 @@ saturation, radicals."""
 
 import random
 from fractions import Fraction
+from operator import ge
 
 import pytest
 
 from oscurve.errors import DegenerateInputError
 from oscurve.groebner import (
+    GroebnerBasis,
     Ideal,
     TermOrder,
+    _field_split,
+    _HeapEntries,
+    _integer_split,
+    _reduce_full,
+    _Reducers,
     eliminate,
     hilbert_function,
     ideal_intersection,
@@ -23,10 +30,11 @@ from oscurve.groebner import (
     zero_dim_radical,
 )
 from oscurve.qfields import QuadExt, QuadraticField
-from oscurve.rational_curves import rational_normal_curve_ideal
+from oscurve.rational_curves import rational_normal_curve_ideal, validate_center
+from oscurve.repro import _sextic_center
 from oscurve.rings import Polynomial, PolyRing
 
-from helpers import degree_slice_members, normal_form_with_cofactors
+from helpers import degree_slice_members, groebner_certificate, normal_form_with_cofactors
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -138,14 +146,14 @@ def _random_poly(rng, ring, nterms, degree, coefficient):
 def _sympy_monic_basis(sympy, gens, order, domain):
     """sympy's reduced basis of the ideal, each element divided by its
     leading coefficient in `order`, as Polys sorted by their text."""
-    symbols = sympy.symbols("x y z")
+    symbols = sympy.symbols(gens[0].ring.variables)
     exprs = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
     basis = sympy.groebner(exprs, *symbols, order=order, domain=domain)
     return sorted((p.exquo_ground(p.LC(order=order)) for p in basis.polys), key=str)
 
 
 def _as_sympy_polys(sympy, polys, domain):
-    symbols = sympy.symbols("x y z")
+    symbols = sympy.symbols(polys[0].ring.variables)
     exprs = [sympy.sympify(str(p).replace("^", "**")) for p in polys]
     return sorted((sympy.Poly(e, *symbols, domain=domain) for e in exprs), key=str)
 
@@ -191,6 +199,159 @@ def test_reduced_bases_agree_with_sympy_over_a_quadratic_field():
         assert _as_sympy_polys(sympy, gb.polys, domain) == _sympy_monic_basis(
             sympy, gens, order, domain
         )
+
+
+def _sextic_fat_scheme(k):
+    """(I, ell): I = (b, ..., f)^k + RNC_6, the scheme that the sextic
+    construction projects, and the first candidate line of the sextic
+    center (the sum of its forms), with I + (ell) m-primary."""
+    curve = rational_normal_curve_ideal(6, "abcdefg")
+    ring = curve.ring
+    through = Ideal(ring, [ring.var(v) for v in "bcdef"])
+    forms = validate_center(ring, _sextic_center(ring))
+    ell = sum(forms[1:], forms[0])
+    return ideal_sum(ideal_power(through, k), curve), ell
+
+
+def _sextic_chart_sums(I, ell):
+    return [ideal_sum(I, Ideal(I.ring, [ell])), ideal_sum(I, Ideal(I.ring, [ell - I.ring.one()]))]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sextic_fat_schemes_and_chart_sums_pass_the_certificate(k):
+    I, ell = _sextic_fat_scheme(k)
+    groebner_certificate(I, I.groebner_basis())
+    empty, chart = _sextic_chart_sums(I, ell)
+    groebner_certificate(empty, empty.groebner_basis())
+    assert is_empty_scheme(empty)
+    groebner_certificate(chart, chart.groebner_basis())
+
+
+def test_seeded_sum_over_a_quadratic_field_passes_the_certificate(monkeypatch):
+    ring = PolyRing(("x", "y", "z"), QuadraticField(2))
+    s2 = QuadExt(0, 1, 2)
+    I = Ideal(ring, [ring.parse("x^2 - y*z"), ring.parse("x*y - z^2") + ring.parse("y^2") * s2])
+    I.groebner_basis()
+    total = ideal_sum(I, Ideal(ring, [ring.parse("y^2 - x*z") * (1 + s2) + ring.parse("x*z")]))
+    seeds = _record_seeds(monkeypatch)
+    gb = total.groebner_basis()
+    assert seeds == [True]
+    assert any(isinstance(c, QuadExt) and c.b for p in gb for c in p.terms.values())
+    groebner_certificate(total, gb)
+
+
+def test_golden_sextic_double_point_chart_passes_the_certificate():
+    from oscurve.census import multiple_point_scheme_ideal
+    from oscurve.groebner import chart_algebra, chart_lines, chart_matrix
+    from oscurve.rational_curves import parameterization_from_center
+    from oscurve.repro import _SEXTIC_NAMES
+
+    param = parameterization_from_center(6, _sextic_center(PolyRing(_SEXTIC_NAMES)), _SEXTIC_NAMES)
+    scheme = multiple_point_scheme_ideal(param, 2)
+    chart = chart_algebra(scheme, chart_matrix(next(chart_lines(scheme))))[0]
+    groebner_certificate(chart, chart.groebner_basis())
+
+
+def test_certificate_catches_a_broken_basis():
+    # each check on its own: a dropped element, a tail term that another lead
+    # divides, and generators that are no Groebner basis of their ideal
+    I, _ = _sextic_fat_scheme(2)
+    gb = I.groebner_basis()
+    pairs = gb._pairs
+    with pytest.raises(AssertionError, match="is not in the basis's ideal"):
+        groebner_certificate(I, GroebnerBasis(I.ring, gb.order, pairs[:-1]))
+    # the lowest lead as a new tail term of the top element, whose lead stays
+    (top, top_lead), low_lead = pairs[-1], pairs[0][1]
+    unreduced = GroebnerBasis(I.ring, gb.order, pairs[:-1] + (({**top, low_lead: 1}, top_lead),))
+    with pytest.raises(AssertionError, match="is divisible by the lead of"):
+        groebner_certificate(I, unreduced)
+    J = ideal(R3, "x^2 - y*z", "x*y - z^2")
+    leads = ((2, 0, 0), (1, 1, 0))
+    generators = GroebnerBasis(R3, TermOrder.grevlex(), zip((g.terms for g in J.gens), leads))
+    with pytest.raises(AssertionError, match="does not reduce to 0"):
+        groebner_certificate(J, generators)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_seven_variable_bases_agree_with_sympy(k):
+    # the fat schemes of the sextic construction, and for k = 3 the two sums
+    # that the projection's line search and chart algebra take
+    sympy = pytest.importorskip("sympy")
+    I, ell = _sextic_fat_scheme(k)
+    ideals = [I] + (_sextic_chart_sums(I, ell) if k == 3 else [])
+    for J in ideals:
+        gb = J.groebner_basis()
+        assert _as_sympy_polys(sympy, gb.polys, "QQ") == _sympy_monic_basis(
+            sympy, list(J.gens), "grevlex", "QQ"
+        )
+
+
+# -- the reducer table -----------------------------------------------------------
+
+
+def _scan_reducers(basis):
+    """The reducer lookup by a linear scan of the basis, as a reference."""
+    return lambda exp: next((g for g in basis if all(map(ge, exp, g[1]))), None)
+
+
+def _grevlex_entries(ring):
+    return _HeapEntries(TermOrder.grevlex().key_function(ring))
+
+
+def test_reducer_table_finds_an_element_appended_after_a_miss():
+    basis = [({(2, 0, 0): 1, (0, 0, 2): -1}, (2, 0, 0))]
+    reducers = _Reducers(basis)
+    exp = (0, 3, 1)
+    assert reducers(exp) is None
+    assert reducers[exp] == 1  # none among the first entry
+    basis.append(({(0, 2, 0): 1, (0, 0, 2): -1}, (0, 2, 0)))
+    assert reducers(exp) is basis[1]
+    # the table resumes at the new entry, and the normal form uses it
+    red, _ = _reduce_full({exp: 1}, reducers, _grevlex_entries(R3), _field_split)
+    assert red == {(0, 1, 3): 1}
+
+
+def test_reducer_table_takes_the_first_listed_of_two_dividing_leads():
+    first = ({(1, 1, 0): 1, (0, 0, 2): 3}, (1, 1, 0))
+    second = ({(0, 2, 0): 1, (1, 0, 1): -2}, (0, 2, 0))
+    for basis in ([first, second], [second, first]):
+        reducers = _Reducers(basis)
+        assert reducers((1, 2, 0)) is basis[0]
+    rng = random.Random(11)
+    basis = [first, second, ({(2, 0, 0): 1, (0, 1, 1): 5}, (2, 0, 0))]
+    entry = _grevlex_entries(R3)
+    for _ in range(40):
+        f = _random_poly(rng, R3, 5, 4, lambda: rng.randint(-9, 9) or 1).terms
+        f = {e: int(c) for e, c in f.items()}  # the engine's integer dicts
+        for split in (_integer_split, _field_split):
+            assert _reduce_full(f, _Reducers(basis), entry, split) == _reduce_full(
+                f, _scan_reducers(basis), entry, split
+            )
+
+
+def test_one_basis_gives_fresh_normal_forms_in_either_order():
+    gens = ["x^2 - y*z", "x*y - z^2 + x", "y^3 - x*z"]
+    rng = random.Random(13)
+    polys = [
+        _random_poly(rng, R3, 4, 5, lambda: Fraction(rng.randint(-9, 9) or 1, 3)) for _ in range(12)
+    ]
+    gb = ideal(R3, *gens).groebner_basis()
+    forward = [gb.normal_form(f) for f in polys]
+    backward = [gb.normal_form(f) for f in reversed(polys)][::-1]
+    fresh = [ideal(R3, *gens).groebner_basis().normal_form(f) for f in polys]
+    assert forward == backward == fresh
+
+
+def test_bases_of_two_ideals_keep_their_own_tables():
+    a = ideal(R3, "x^2 - y*z", "y^2 - x*z").groebner_basis()
+    b = ideal(R3, "x^2 + z^2", "x*y - 2*z^2").groebner_basis()
+    assert a._reducers is not b._reducers
+    f = R3.parse("x^3*y + x^2*y^2 - z^4 + x*y*z^2")
+    interleaved = [a.normal_form(f), b.normal_form(f), a.normal_form(f), b.normal_form(f)]
+    fresh_a = ideal(R3, "x^2 - y*z", "y^2 - x*z").groebner_basis().normal_form(f)
+    fresh_b = ideal(R3, "x^2 + z^2", "x*y - 2*z^2").groebner_basis().normal_form(f)
+    assert interleaved == [fresh_a, fresh_b, fresh_a, fresh_b]
+    assert fresh_a != fresh_b
 
 
 def test_orders_refuse_a_misplaced_front_block():
