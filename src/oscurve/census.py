@@ -6,20 +6,22 @@ three coefficient rows of the forms; the scheme cut out by its maximal-minor
 drops lives in P^k and its support encodes the k-fold points of the image.
 For k = 2 the scheme is finite of length C(n-1, 2), and its local length at
 each support point is the delta invariant of the singular point there.  One
-chart algebra A = K[xc, yc]/I gives them all: by Stickelberger's theorem they
-are the root multiplicities of chi_x, the characteristic polynomial of a
-chart coordinate xc (`groebner.chart_algebra`).  Z lies on a smooth curve
-germ at every point (below), so a generic xc generates A, I = (chi_x(xc),
-yc - H(xc)) by the shape lemma, and one Krylov solve on the powers of xc's
+chart algebra A = S/(I + (l - 1)), for a line l that misses the scheme,
+gives them all (`groebner._finite_chart`): its dimension is the scheme's
+length, and by Stickelberger's theorem the local lengths are the root
+multiplicities of chi, the characteristic polynomial of a chart coordinate
+u (`groebner.chart_algebra`).  Z lies on a smooth curve germ at every point
+(below), so a generic u generates A, the other chart coordinate is v = H(u)
+in A by the shape lemma, and one Krylov solve on the powers of u's
 multiplication matrix finds H (`groebner._shape_line`), with no radical and
-no lex basis.  The census needs double points only, and checks that on the
-parameter line (`has_triple_point`): the image has a point of
-multiplicity >= 3 exactly when the second partials H_ij of the implicit
-equation F, composed with the parameterization, share a root.  They are
-composed from F's residues modulo one prime: a value at (1:0) that survives
-there and a constant gcd prove there is none, and only another outcome pays
-for the exact second partials and their gcd over QQ.  There is no Groebner
-basis in the gate.
+no lex basis; l = 1 gives the pivot coordinate.  The census needs double
+points only, and checks that on the parameter line (`has_triple_point`):
+the image has a point of multiplicity >= 3 exactly when the second partials
+H_ij of the implicit equation F, composed with the parameterization, share
+a root.  They are composed from F's residues modulo one prime: a value at
+(1:0) that survives there and a constant gcd prove there is none, and only
+another outcome pays for the exact second partials and their gcd over QQ.
+There is no Groebner basis in the gate.
 
 Two local facts let the census read labels and the cusp length off the
 scheme Z of double points, a subscheme of Sym^2 P^1 = P^2 whose diagonal is
@@ -42,18 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, tee
 
 from .errors import DegenerateInputError, InvariantViolation
 from .groebner import (
     Ideal,
+    _chart_coordinates,
+    _finite_chart,
     _shape_line,
     chart_algebra,
-    chart_lines,
-    chart_matrix,
     point_chart_matrix,
-    scheme_length,
-    to_chart,
 )
 from .polyops import (
     PRIME,
@@ -254,10 +253,11 @@ class SingularityCensus:
 
 @dataclass(frozen=True)
 class _SupportPiece:
-    factor: Polynomial  # squarefree chart eliminant piece; degree == size
+    factor: Polynomial  # squarefree chart eliminant piece in a chart coordinate u; degree == size
     size: int
-    chart_points: tuple | None  # ((x, y), ...) when the piece is split
-    h_line: Polynomial  # shape-position polynomial: yc = h_line(xc)
+    points: tuple | None  # normalized projective points, when the piece is split
+    images: tuple  # the coordinates x, y, z on the support, as polynomials in u
+    line: Polynomial  # the chart's line l, 1 on the support
     delta: int  # local length of the scheme, summed over the piece's points
 
 
@@ -278,33 +278,36 @@ def _roots_among(chi: Polynomial, factor: Polynomial) -> int:
     return g.degree() + _roots_among(exact_divide(chi, g), g)
 
 
-def _split_eliminant(g: Polynomial, h_line: Polynomial, chi: Polynomial) -> list[_SupportPiece]:
+def _split_eliminant(g: Polynomial, images, line, chi: Polynomial) -> list[_SupportPiece]:
     """Rational roots split off as simple points, a final quadratic splits
     over one extension, anything bigger stays an unsplit cluster.  Each
-    piece's local length is its share of the roots of chi."""
+    piece's local length is its share of the roots of chi, and a point's
+    coordinates are the `images` at its root."""
     pieces = []
     var = g.used_variables()[0]
     ring = g.ring
+    pos = ring.index(var)
 
-    def y_of(x_value):
-        return _evaluate_ext(h_line, [x_value, x_value * 0])
+    def point(u):
+        at = [u if i == pos else u * 0 for i in range(ring.nvars)]
+        return _normalize_projective([_evaluate_ext(p, at) for p in images])
 
-    def piece(factor, points):
+    def piece(factor, roots):
         # a squarefree chi is g: every point has length 1
         delta = factor.degree() if chi == g else _roots_among(chi, factor)
-        return _SupportPiece(factor, factor.degree(), points, h_line, delta)
+        points = None if roots is None else tuple(map(point, roots))
+        return _SupportPiece(factor, factor.degree(), points, images, line, delta)
 
     work = g
     for root in rational_roots(g):
         linear = ring.var(var) - ring.const(root)
-        pieces.append(piece(linear, ((root, y_of(root)),)))
+        pieces.append(piece(linear, (root,)))
         work = exact_divide(work, linear)
     deg = work.degree()
     if deg == 2:
         cs = {sum(e): c for e, c in work.terms.items()}
         c2, c1, c0 = (cs.get(k, Fraction(0)) for k in (2, 1, 0))
-        (r1, r2), _ = quadratic_roots(c2, c1, c0)
-        pieces.append(piece(work, ((r1, y_of(r1)), (r2, y_of(r2)))))
+        pieces.append(piece(work, quadratic_roots(c2, c1, c0)[0]))
     elif deg > 0:
         pieces.append(piece(work, None))
     return pieces
@@ -315,36 +318,35 @@ def support_sites(ideal: Ideal):
     conjugate quadratic pairs and unsplit clusters, each with its local
     length.
 
-    Each chart is read once (`chart_algebra`): A = K[xc, yc]/I, xc's matrix
-    M_x, chi_x and its monic squarefree part g.  The first chart whose xc
-    generates A has I = (chi_x(xc), yc - H(xc)), H from one Krylov solve
-    (`groebner._shape_line`); g has one root per point, yc = h(xc) on the
-    support for h = H mod g, and the local lengths are the root
-    multiplicities of chi_x (Stickelberger).  When no chart coordinate
-    generates A, as at a point that is not curvilinear, it refuses.  In every
-    `chart_matrix`, xc = x / ell, which cannot separate two points on the
-    line x = 0; so once the chart lines run out, they are tried again with
-    their two kernel coordinates swapped.  Returns a list of (_SupportPiece,
-    chart matrix); chart data maps back through the matrix.
-    """
-    lines, again = tee(chart_lines(ideal))
-    swapped = (tuple((b, a, c) for a, b, c in chart_matrix(ell)) for ell in again)
-    for matrix in chain(map(chart_matrix, lines), swapped):
-        chart, chi, g, m_x = chart_algebra(ideal, matrix)
-        if g.degree() == 0:
-            return []
-        shape = _shape_line(chart, m_x)
-        if shape is not None:
-            h_line = shape if g == chi else _prem(shape, g, "xc")
-            return [(piece, matrix) for piece in _split_eliminant(g, h_line, chi)]
+    Each chart A = S/(I + (l - 1)) of `groebner._finite_chart` is tried in
+    turn, and in each chart both of its coordinates, the variables but l's
+    pivot (`chart_algebra`: the matrix M of a coordinate u, its chi and the
+    monic squarefree part g of chi).  The first u that generates A has the
+    other coordinate v = H(u) in A, H from one Krylov solve
+    (`groebner._shape_line`); g has one root per point, v = h(u) on the
+    support for h = H mod g, l = 1 gives the pivot, and the local lengths
+    are the root multiplicities of chi (Stickelberger).  A coordinate cannot
+    separate two points where it takes one value, which the other one may;
+    when no chart coordinate generates A, as at a point that is not
+    curvilinear, it refuses.  Returns dim A, which is the scheme's length
+    as l misses it, and the pieces."""
+    ring = ideal.ring
+    for line, chart in _finite_chart(ideal, ring.gens()):
+        u, v = _chart_coordinates(line)
+        (pivot,) = set(ring.variables) - {u, v}
+        for var, other in ((u, v), (v, u)):
+            chi, g, m = chart_algebra(chart, var)
+            if g.degree() == 0:
+                return len(m[0]), []
+            shape = _shape_line(chart, m, var, other)
+            if shape is not None:
+                h = shape if g == chi else _prem(shape, g, var)
+                # on the support other = h, and line = c*pivot + (the rest) = 1
+                images = [h if w == other else ring.var(w) for w in ring.variables]
+                c = line.derivative(pivot).constant_term()
+                images[ring.index(pivot)] += (ring.one() - line.substitute({other: h})) * (1 / c)
+                return len(m[0]), _split_eliminant(g, tuple(images), line, chi)
     raise DegenerateInputError("no chart coordinate generates the chart algebra")
-
-
-def _projective_from_chart(chart_point, matrix):
-    xv, yv = chart_point
-    vec = (xv, yv, 1)
-    coords = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
-    return _normalize_projective(coords)
 
 
 def _normalize_projective(coords):
@@ -414,20 +416,19 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
         )
     ideal = multiple_point_scheme_ideal(param, 2)
     ring = ideal.ring
-    total = scheme_length(ideal)
+    total, pieces = support_sites(ideal)
     expected = expected_double_point_count(n)
     if total != expected:
         raise InvariantViolation(f"double-point scheme length {total} != C(n-1,2) = {expected}")
     conic = cusp_conic(ring)
 
     sites = []
-    for piece, matrix in support_sites(ideal):
-        if piece.chart_points is not None:
+    for piece in pieces:
+        if piece.points is not None:
             if piece.delta % piece.size:
                 raise InvariantViolation("conjugate points with unequal local lengths")
             images = []
-            for chart_pt in piece.chart_points:
-                coords = _projective_from_chart(chart_pt, matrix)
+            for coords in piece.points:
                 conic_value = _evaluate_ext(conic, list(coords))
                 # the second point of a conjugate pair maps to the conjugate image
                 images.append(_conjugate(images[0]) if images else _image_of_site(param, coords))
@@ -443,9 +444,9 @@ def double_point_census(param: PlaneParameterization) -> SingularityCensus:
                     )
                 )
         else:
-            # cusps: common roots of the factor and the conic on yc = h(xc)
-            chart_conic = to_chart(Ideal(ring, [conic]), matrix).gens[0]
-            cusps = poly_gcd(piece.factor, chart_conic.substitute({"yc": piece.h_line}))
+            # cusps: common roots of the factor and the conic on the support
+            on_support = conic.substitute(dict(zip(ring.variables, piece.images)))
+            cusps = poly_gcd(piece.factor, on_support)
             sites.append(
                 CensusSite(
                     kind="cluster",

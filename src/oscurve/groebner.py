@@ -13,45 +13,48 @@ divides it, looked up once per exponent and basis (`_Reducers`), and live
 pairs carry the lcm of their leads, which the chain criterion reads.
 
 A finite scheme takes one Buchberger run from scratch, for the grevlex basis
-of its ideal I; the other bases are read off it or start from it.  Grevlex
-with z last puts into the lead of each form the least power of z in it
-(Bayer and Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
-Prop. 15.12), which gives two reads: in(I + (z)) = in(I) + (z), so whether
-the line z misses the support is read off I's leads (`chart_lines`); and I's
-basis with z set to 1, interreduced, is the basis of the z chart
-(`_chart_with_basis`).  A sum I + J made by `ideal_sum` starts Buchberger
-from I's cached basis for the order and forms only the pairs with J's
-generators, as the pairs within I's basis reduce to zero; that serves the
-other chart lines and the radical.
+of its ideal I; the other bases are read off it or start from it.  A sum
+I + J made by `ideal_sum` starts Buchberger from I's cached basis for the
+order and forms only the pairs with J's generators, as the pairs within I's
+basis reduce to zero.
 
-Saturation has two routes.  A homogeneous I saturated by the irrelevant
-ideal m is read off the chart algebra A = S/(I + (l - 1)) when a line l of
-a fixed list has I + (l) m-primary, which holds for every finite scheme
-that some line of the list misses (`_finite_chart`); A's basis starts from
-I's and takes no coordinate change (`_chart_image`).  l misses the scheme,
-so it is a nonzerodivisor on S/Sat(I, m) and each degree of S/Sat(I, m)
-embeds into A: Sat(I, m) in degree e is the kernel of S_e -> A, taken
-degree by degree by the FGLM walk.  The walk stops at the first e >= 1
-where the number H(e) of standard monomials equals H(e - 1): the first
-difference of H is the Hilbert function of the Artinian algebra
-S/(Sat(I, m) + (l)), zero from e on, so the saturation is generated in
-degrees <= e.  The same kernel with forms l_i in place of the variables is
-the image of the scheme under the projection from the l_i
-(`rational_curves.project_scheme`).  Every other saturation takes the
-general auxiliary-variable route.
+A finite scheme has one way into an affine chart: the chart algebra
+A = S/(I + (l - 1)) of a linear form l that misses it, in S itself.
+`_finite_chart` yields each such l with A's reduced basis, lazily, from one
+line search: combinations of given forms by one fixed list
+(`_saturation_candidates`), after the forms themselves when they are the
+variables (saturation by m, the radical, the census), last to first.  The
+last variable z is read off I's basis: grevlex with z last puts into the
+lead of each form the least power of z in it (Bayer and Stillman, Invent.
+Math. 87, 1987; Eisenbud, Commutative Algebra, Prop. 15.12), so
+in(I + (z)) = in(I) + (z), and z misses the support exactly when every
+other variable has a pure-power lead; and I's basis with z set to 1, plus
+z - 1, interreduced, is A's basis.  The other lines take the bases of
+I + (l) and I + (l - 1), which start from I's.  A's chart coordinates are
+the variables but l's pivot, the last variable that l uses, which l = 1
+writes in them.
 
-Finite plane schemes have one home for each projective decision here:
-`is_empty_scheme` decides emptiness from lead terms alone, without
-saturating, and `chart_lines`, `chart_matrix` and `to_chart` are the only
-way into an affine chart missing the support; `_chart_image`, the same
-kernel with the images M (xc, yc, 1) of a chart matrix M, is the only way
-back.  In the chart, `chart_algebra` reads the scheme off one quotient
-algebra A: the characteristic polynomial chi_x of a chart coordinate
+There is one way back.  l misses the scheme, so it is a nonzerodivisor on
+S/Sat(I, m) and each degree of S/Sat(I, m) embeds into A: Sat(I, m) in
+degree e is the kernel of S_e -> A, taken degree by degree by the FGLM walk
+(`_chart_image`).  The walk stops at the first e >= 1 where the number H(e)
+of standard monomials equals H(e - 1): the first difference of H is the
+Hilbert function of the Artinian algebra S/(Sat(I, m) + (l)), zero from
+e on, so the saturation is generated in degrees <= e.  The same kernel with
+forms l_i in place of the variables is the image of the scheme under the
+projection from the l_i (`rational_curves.project_scheme`).  Saturation has
+two routes: this one for a homogeneous I by the irrelevant ideal m when a
+line misses the scheme, and the general auxiliary-variable route otherwise.
+
+Emptiness is decided from lead terms alone, without saturating
+(`is_empty_scheme`).  In a chart of a plane scheme, `chart_algebra` reads
+the scheme off A: the characteristic polynomial chi of a chart coordinate
 carries the local lengths (Stickelberger), and when that coordinate
 generates A, one Krylov solve on its multiplication matrix writes the other
-coordinate as a polynomial in it (`_shape_line`, the shape lemma).  The
-squarefree parts of chi_x and chi_y give the radical (`zero_dim_radical`),
-unless that of chi_x shows the scheme to be its own.
+coordinate as a polynomial in it (`_shape_line`, the shape lemma); l = 1
+gives the third.  The squarefree parts of the two coordinates' chi give the
+radical (`zero_dim_radical`), unless the first shows the scheme to be its
+own.
 """
 
 from __future__ import annotations
@@ -738,17 +741,18 @@ def _chart_image(chart: GroebnerBasis, images, target: PolyRing) -> Ideal:
     K[target]/J: J is saturated, and generated by the degree where the walk
     stops (the module docstring has why).  For the chart S/(I + (l - 1)) of
     a finite scheme and linear forms as images, J is the ideal of the
-    scheme's image; for a chart radical and the images M (xc, yc, 1), the
-    ideal of its points.
+    scheme's image; with the variables as images, Sat(I, m).
 
-    Each degree e walks, in increasing grevlex order, the monomials y_i*s
+    Each degree e takes, in increasing grevlex order, the monomials y_i*s
     over the standard monomials s of degree e - 1, skipping the multiples
     of the leads found so far (FGLM: Faugere, Gianni, Lazard & Mora,
     J. Symbolic Comput. 16, 1993).  A monomial's vector in A is the normal
-    form of images[i] times the stored one of m / y_i; reduced against that
-    degree's standard vectors, it is new (m is standard) or gives the
-    element m - sum c*s of J with lead m.  One Buchberger run makes the
-    elements found the reduced basis, which may need higher degrees."""
+    form of images[i] times the stored one of m / y_i.  One `nullspace` of
+    the degree's vectors, as columns, gives them all: a pivot column of the
+    reduced echelon form is a standard monomial, and the kernel vector of a
+    free column m is the element m - sum c*s of J with lead m.  One
+    Buchberger run makes the elements found the reduced basis, which may
+    need higher degrees."""
     if chart.is_unit():
         return Ideal(target, [target.one()])
     field = target.field
@@ -757,25 +761,21 @@ def _chart_image(chart: GroebnerBasis, images, target: PolyRing) -> Ideal:
     stored = {(0,) * target.nvars: chart.normal_form(chart.ring.one())}  # standard monomial -> image
     leads, found = [], []
     while True:
-        standard, rows = {}, []  # rows: (pivot, vector, combination), pivot coefficient 1
-        for m in sorted({tuple(map(add, s, u)) for s in stored for u in steps}, key=keyf):
-            if any(_divisible(m, lead) for lead in leads):
-                continue
+        candidates = sorted({tuple(map(add, s, u)) for s in stored for u in steps}, key=keyf)
+        candidates = [m for m in candidates if not any(_divisible(m, lead) for lead in leads)]
+        vectors = []
+        for m in candidates:
             i = next(i for i, k in enumerate(m) if k)
-            image = chart.normal_form(images[i] * stored[tuple(map(sub, m, steps[i]))])
-            vec, comb = image, target.monomial(m)
-            for pivot, row, row_comb in rows:
-                c = vec.terms.get(pivot)
-                if c:
-                    vec, comb = vec - row * c, comb - row_comb * c
-            if vec.is_zero:
-                leads.append(m)
-                found.append(comb)
-            else:
-                pivot = next(iter(vec.terms))
-                inv = field.one / vec.terms[pivot]
-                rows.append((pivot, vec * inv, comb * inv))
-                standard[m] = image
+            vectors.append(chart.normal_form(images[i] * stored[tuple(map(sub, m, steps[i]))]))
+        monomials = {e for vec in vectors for e in vec.terms}
+        rows = [[vec.terms.get(e, field.zero) for vec in vectors] for e in monomials]
+        free = set()
+        for vec in nullspace(rows, len(candidates), one=field.one):
+            k = max(j for j, c in enumerate(vec) if c)  # the free column, where vec is 1
+            free.add(k)
+            leads.append(candidates[k])
+            found.append(target.from_terms(zip(candidates[: k + 1], vec)))
+        standard = {m: vec for k, (m, vec) in enumerate(zip(candidates, vectors)) if k not in free}
         if len(standard) == len(stored):
             break
         stored = standard
@@ -784,21 +784,44 @@ def _chart_image(chart: GroebnerBasis, images, target: PolyRing) -> Ideal:
 
 
 def _finite_chart(ideal: Ideal, forms):
-    """The reduced basis of I + (ell - 1), for homogeneous I and the first
-    combination ell of the linear forms by `_saturation_candidates` with
-    I + (ell) m-primary, or None when no candidate serves.  Such an ell
-    misses the scheme, so the basis is that of a finite chart algebra of it."""
+    """Lazily, (ell, the reduced basis of I + (ell - 1)) for homogeneous I
+    and each combination ell of the linear forms with I + (ell) m-primary.
+    Such an ell misses the scheme, so the basis is that of a finite chart
+    algebra of it.  When the forms are the ring's variables, they come
+    first, last to first: the last one z with its test and its basis read
+    off I's (`_last_variable_chart`).  The combinations of
+    `_saturation_candidates` follow.  Every basis but z's starts from I's."""
     ring = ideal.ring
-    ideal.groebner_basis()  # the bases of the sums below start from I's
-    for coeffs in _saturation_candidates(len(forms)):
-        ell = sum((f * c for c, f in zip(coeffs, forms)), ring.zero())
+    gb = ideal.groebner_basis()
+    singles = []
+    if list(forms) == ring.gens():
+        if set(range(ring.nvars - 1)) <= _pure_power_variables(ideal):
+            yield forms[-1], _last_variable_chart(gb)
+        singles = forms[-2::-1]
+    combinations = (
+        sum((f * c for c, f in zip(coeffs, forms)), ring.zero())
+        for coeffs in _saturation_candidates(len(forms))
+    )
+    for ell in chain(singles, combinations):
         if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
-            return ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
-    return None
+            yield ell, ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
+
+
+def _last_variable_chart(gb: GroebnerBasis) -> GroebnerBasis:
+    """The reduced grevlex basis of I + (z - 1), z the ring's last variable,
+    from the reduced grevlex basis of a homogeneous I: each element with z
+    set to 1, which keeps its lead (the module docstring has why), and
+    z - 1, interreduced."""
+    ring = gb.ring
+    one = 1 if gb._rational else ring.field.one
+    z = (0,) * (ring.nvars - 1) + (1,)
+    pairs = [({e[:-1] + (0,): c for e, c in g.items()}, lead[:-1] + (0,)) for g, lead in gb._pairs]
+    pairs.append(({z: one, (0,) * ring.nvars: -one}, z))
+    return GroebnerBasis(ring, DEFAULT_ORDER, _interreduce(pairs, gb._entry, gb._rational))
 
 
 def _saturation_candidates(k: int):
-    """Deterministic coefficient vectors of the lines `saturate` tries in turn."""
+    """Deterministic coefficient vectors of the lines `_finite_chart` tries in turn."""
     yield tuple(1 for _ in range(k))
     yield tuple(i + 1 for i in range(k))
     yield tuple((i + 1) ** 2 for i in range(k))
@@ -833,11 +856,10 @@ def saturate(ideal: Ideal, by) -> Ideal:
     """I : J^infinity, by one of two routes.
 
     For homogeneous I and linear J with V(J) empty, J is the irrelevant
-    ideal m, and a finite scheme that a line of `_saturation_candidates`
-    misses has Sat(I, m) read off its chart algebra S/(I + (l - 1)) at the
-    first such line l (`_finite_chart`), with the variables as the images
-    (`_chart_image`).  Every other I and J takes the auxiliary-variable
-    route `saturate_general`.
+    ideal m, and a finite scheme that a line of `_finite_chart` misses has
+    Sat(I, m) read off its chart algebra S/(I + (l - 1)) at the first such
+    line l, with the variables as the images (`_chart_image`).  Every other
+    I and J takes the auxiliary-variable route `saturate_general`.
     """
     if isinstance(by, Polynomial):
         by = Ideal(ideal.ring, [by])
@@ -850,14 +872,14 @@ def saturate(ideal: Ideal, by) -> Ideal:
     ring = ideal.ring
     linear = all(g.degree() == 1 and g.is_homogeneous() for g in by.gens)
     if linear and ideal.is_homogeneous() and is_empty_scheme(by):
-        chart = _finite_chart(ideal, ring.gens())
-        if chart is not None:
-            return _chart_image(chart, ring.gens(), ring)
+        found = next(_finite_chart(ideal, ring.gens()), None)
+        if found is not None:
+            return _chart_image(found[1], ring.gens(), ring)
     return saturate_general(ideal, by)
 
 
 # ---------------------------------------------------------------------------
-# finite plane schemes: emptiness, affine charts, radicals
+# finite schemes: emptiness, chart algebras, radicals
 # ---------------------------------------------------------------------------
 
 
@@ -879,50 +901,17 @@ def _pure_power_variables(ideal: Ideal) -> set:
     homogeneous ideal's reduced grevlex basis; a lead 1 counts for all."""
     if not ideal.is_homogeneous():
         raise DegenerateInputError("the emptiness test needs a homogeneous ideal")
-    nvars = ideal.ring.nvars
+    return _pure_powers(ideal.groebner_basis().lead_exponents)
+
+
+def _pure_powers(leads) -> set:
+    """Positions of the variables with a pure power among the leads."""
     covered = set()
-    for lead in ideal.groebner_basis().lead_exponents:
+    for lead in leads:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) <= 1:
-            covered.update(support or range(nvars))
+            covered.update(support or range(len(lead)))
     return covered
-
-
-def chart_lines(ideal: Ideal):
-    """The lines of a fixed list that miss the finite scheme of a homogeneous
-    ideal in three variables, in list order.
-
-    The first line, z, is read off I's own basis: in grevlex with z last,
-    in(I + (z)) = in(I) + (z) (Bayer and Stillman), so z misses the support
-    exactly when x and y have pure-power leads.  The other lines take the
-    basis of I + (ell), which starts from I's."""
-    ring = ideal.ring
-    x, y, z = ring.gens()
-    if {0, 1} <= _pure_power_variables(ideal):
-        yield z
-    for ell in (y, x, x + y + z, x + 2 * y - z, 3 * x - y + 2 * z, x - 5 * y + 7 * z):
-        if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
-            yield ell
-
-
-def chart_matrix(ell: Polynomial):
-    """Columns: a kernel basis of the linear form ell and a vector with
-    ell = 1, so the pulled-back form is the last coordinate."""
-    field, n = ell.ring.field, ell.ring.nvars
-    coeffs = [field.zero] * n
-    for e, c in ell.terms.items():
-        coeffs[e.index(1)] = c
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    columns = []
-    for i in range(n):
-        if i != pivot:
-            vec = [field.zero] * n
-            vec[i] = field.one
-            vec[pivot] = -coeffs[i] / coeffs[pivot]
-            columns.append(vec)
-    special = [field.zero] * n
-    special[pivot] = field.one / coeffs[pivot]
-    return tuple(zip(*columns, special))
 
 
 def point_chart_matrix(point, field):
@@ -933,125 +922,115 @@ def point_chart_matrix(point, field):
     return tuple(zip(*columns, point))
 
 
-def to_chart(ideal: Ideal, matrix) -> Ideal:
-    """The ideal moved by the chart matrix and dehomogenized at the last
-    variable, in K[xc, yc]."""
-    aff = PolyRing(("xc", "yc"), ideal.ring.field)
-    return Ideal(aff, [g.chart(matrix, aff) for g in ideal.gens])
+def _chart_coordinates(ell: Polynomial) -> list[str]:
+    """The chart coordinates of S/(I + (ell - 1)): the variables but the
+    pivot of the linear form ell, the last variable that it uses, which
+    ell = 1 writes in them."""
+    pivot = ell.used_variables()[-1]
+    return [v for v in ell.ring.variables if v != pivot]
 
 
-def _chart_with_basis(ideal: Ideal, matrix) -> Ideal:
-    """`to_chart(ideal, matrix)`, with its grevlex basis.  In the z chart
-    (the identity matrix) of a homogeneous ideal, the chart takes each form
-    with z set to 1, and its basis is I's own with z set to 1, interreduced:
-    grevlex with z last puts into each lead the least power of z in its
-    form, so setting z = 1 keeps the leads, and the dehomogenized basis is a
-    Groebner basis of the chart ideal."""
-    identity = all(v == int(i == j) for i, row in enumerate(matrix) for j, v in enumerate(row))
-    if not (identity and ideal.is_homogeneous()):
-        return to_chart(ideal, matrix)
-    aff = PolyRing(("xc", "yc"), ideal.ring.field)
-    chart = Ideal(aff, [Polynomial(aff, {e[:2]: c for e, c in g.terms.items()}) for g in ideal.gens])
-    gb = ideal.groebner_basis()
-    dehomogenized = [({e[:2]: c for e, c in g.items()}, lead[:2]) for g, lead in gb._pairs]
-    pairs = _interreduce(dehomogenized, _HeapEntries(DEFAULT_ORDER.key_function(aff)), gb._rational)
-    return chart.attach_basis(GroebnerBasis(aff, DEFAULT_ORDER, pairs))
-
-
-def _multiplication_matrix(gb: GroebnerBasis, step):
-    """(standard monomials, rows) of the basis of a finite chart scheme: the
-    standard monomials by degree, 1 first, and the matrix of multiplication
-    by xc (`step` (1, 0)) or yc ((0, 1)) on them, one normal form each."""
+def _multiplication_matrix(gb: GroebnerBasis, var):
+    """(standard monomials, rows) of the reduced basis of a finite algebra
+    A = S/J: the standard monomials by degree, 1 first, and the matrix of
+    multiplication by the variable `var` on them, one normal form each."""
     ring, leads = gb.ring, gb.lead_exponents
-    # a finite scheme has leads xc^a, yc^b, then no standard monomial of degree >= a + b - 1
-    top = sum(map(max, zip(*leads)))
-    if _standard_monomials(2, top, leads):
+    if len(_pure_powers(leads)) < ring.nvars:
         raise DegenerateInputError("the chart scheme is not finite")
-    basis = [e for degree in range(top) for e in _standard_monomials(2, degree, leads)]
+    basis = []
+    for degree in count():
+        layer = _standard_monomials(ring.nvars, degree, leads)
+        if not layer:  # the standard monomials are closed under division
+            break
+        basis += layer
     index = {e: i for i, e in enumerate(basis)}
     rows = [[ring.field.zero] * len(basis) for _ in basis]
+    x = ring.var(var)
     for j, e in enumerate(basis):
-        for f, c in gb.normal_form(ring.monomial(tuple(map(add, e, step)))).terms.items():
+        for f, c in gb.normal_form(x * ring.monomial(e)).terms.items():
             rows[index[f]][j] = c
     return basis, rows
 
 
-def chart_algebra(ideal: Ideal, matrix):
-    """(chart, chi_x, g, m_x) of the chart scheme I = `to_chart(ideal,
-    matrix)`, with its reduced grevlex basis attached: m_x is the
-    `_multiplication_matrix` of xc on the standard monomials of I's basis, a
-    basis of A = K[xc, yc]/I, chi_x its characteristic polynomial, in xc,
-    and g the monic squarefree part of chi_x.  In the z chart the basis is
-    read off the scheme's (`_chart_with_basis`), with no Buchberger run."""
-    chart = _chart_with_basis(ideal, matrix)
-    gb = chart.groebner_basis()
-    m_x = _multiplication_matrix(gb, (1, 0))
-    chi_x = gb.ring.from_terms({(k, 0): c for k, c in enumerate(characteristic_polynomial(m_x[1]))})
-    part = squarefree_part(chi_x)  # chi_x itself once its gcd with chi_x' is 1 modulo PRIME
-    return chart, chi_x, part * (gb.ring.field.one / part.terms[(part.degree(), 0)]), m_x
+def _univariate(ring: PolyRing, var, coeffs) -> Polynomial:
+    """sum_i coeffs[i] * var^i in the ring."""
+    k = ring.index(var)
+    return ring.from_terms({tuple(i * (j == k) for j in range(ring.nvars)): c for i, c in enumerate(coeffs)})
 
 
-def _shape_line(chart: Ideal, m_x):
-    """H of degree < m = dim A with yc = H(xc) in A = K[xc, yc]/I, I the
-    chart ideal (the shape lemma of Gianni and Mora), or None when xc does
-    not generate A.
+def chart_algebra(chart: GroebnerBasis, var):
+    """(chi, g, m) of the variable `var` on the finite algebra A whose
+    reduced basis is `chart`: m is its `_multiplication_matrix` on the
+    standard monomials, a basis of A, chi its characteristic polynomial, in
+    `var`, and g the monic squarefree part of chi."""
+    ring = chart.ring
+    m = _multiplication_matrix(chart, var)
+    chi = _univariate(ring, var, characteristic_polynomial(m[1]))
+    part = squarefree_part(chi)  # chi itself once its gcd with chi' is 1 modulo PRIME
+    top = max(part.terms, key=sum)
+    return chi, part * (ring.field.one / part.terms[top]), m
 
-    The vector of xc^(i+1) on the standard monomials is M_x times that of
-    xc^i (the FGLM idea), M_x = `m_x` the chart's `_multiplication_matrix`
-    of xc, so H solves [v_0 ... v_(m-1) | t] with v_i = M_x^i e_1 and t the
-    normal form of yc.  xc generates A exactly when the v_i are independent;
-    they are not when some v_i is zero (xc^i = 0 in A, i < m) or the
-    kernel is not one vector nonzero at t's column (a free column k < m of
-    the reduced echelon form forces a zero there).  The v_i are kept integer:
-    (D*M_x)^i e_1, D the common denominator of M_x, over its content."""
-    if not isinstance(chart.ring.field, RationalField):
+
+def _shape_line(chart: GroebnerBasis, m, var, other):
+    """H of degree < n = dim A in `var` with other = H(var) in A, the finite
+    algebra of the reduced basis `chart` (the shape lemma of Gianni and
+    Mora), or None when `var` does not generate A.
+
+    The vector of var^(i+1) on the standard monomials is M times that of
+    var^i (the FGLM idea), M the `_multiplication_matrix` `m` of var, so H
+    solves [v_0 ... v_(n-1) | t] with v_i = M^i e_1 and t the normal form of
+    `other`.  var generates A exactly when the v_i are independent; they
+    are not when some v_i is zero (var^i = 0 in A, i < n) or the kernel is
+    not one vector nonzero at t's column (a free column k < n of the reduced
+    echelon form forces a zero there).  The v_i are kept integer:
+    (D*M)^i e_1, D the common denominator of M, over its content."""
+    ring = chart.ring
+    if not isinstance(ring.field, RationalField):
         raise DegenerateInputError("the shape solve runs over QQ only")
-    gb = chart.groebner_basis()
-    basis, rows = m_x
-    m = len(basis)
+    basis, rows = m
+    n = len(basis)
     den = lcm(*(c.denominator for r in rows for c in r))
     scaled = [[int(c * den) for c in r] for r in rows]
-    powers, scales = [[1] + [0] * (m - 1)], [Fraction(1)]
-    while len(powers) < m:
+    powers, scales = [[1] + [0] * (n - 1)], [Fraction(1)]
+    while len(powers) < n:
         nxt = [sum(map(mul, r, powers[-1])) for r in scaled]
         content = gcd(*nxt)
         if not content:
             return None
         powers.append([v // content for v in nxt])
-        scales.append(scales[-1] * den / content)  # powers[i] = scales[i] * xc^i
-    target = gb.normal_form(gb.ring.var("yc")).terms
-    kernel = nullspace([[*r, target.get(e, 0)] for r, e in zip(zip(*powers), basis)], m + 1)
-    if len(kernel) != 1 or not kernel[0][m]:
+        scales.append(scales[-1] * den / content)  # powers[i] = scales[i] * var^i
+    target = chart.normal_form(ring.var(other)).terms
+    kernel = nullspace([[*r, target.get(e, 0)] for r, e in zip(zip(*powers), basis)], n + 1)
+    if len(kernel) != 1 or not kernel[0][n]:
         return None
-    return gb.ring.from_terms({(i, 0): -c * s for i, (c, s) in enumerate(zip(kernel[0], scales))})
+    return _univariate(ring, var, [-c * s for c, s in zip(kernel[0], scales)])
 
 
 def zero_dim_radical(ideal: Ideal) -> Ideal:
     """Radical of a homogeneous ideal with finite projective support in three
-    variables, taken in the chart algebra A = K[xc, yc]/I of the first chart
-    line ell missing the support (`chart_algebra`).  By Stickelberger's
-    theorem the characteristic polynomials of xc and yc on A are
-    prod (T - xc(p))^len_p and prod (T - yc(p))^len_p over the points p (Cox,
+    variables, taken in the chart algebra A = S/(I + (l - 1)) of the first
+    line l of `_finite_chart`.  By Stickelberger's theorem the characteristic
+    polynomials of the chart coordinates u and v on A are
+    prod (T - u(p))^len_p and prod (T - v(p))^len_p over the points p (Cox,
     Little & O'Shea, Using Algebraic Geometry, ch. 2 par. 4).  So a
-    squarefree chi_x makes I its own radical, with no chi_y; otherwise I plus
-    the squarefree parts of chi_x and chi_y is (Seidenberg's lemma).  It is
-    read back as the kernel of K[x, y, z] -> its chart algebra, with images
-    M (xc, yc, 1) for the chart matrix M (`_chart_image`), where ell is 1."""
+    squarefree chi_u makes A reduced, with no chi_v; otherwise I + (l - 1)
+    plus the squarefree parts of chi_u and chi_v is the radical of
+    I + (l - 1) (Seidenberg's lemma; l = 1 writes the pivot in u and v).
+    It is read back as the kernel of S -> A with the variables as the
+    images (`_chart_image`), the way back of `saturate`."""
     ring = ideal.ring
     if ring.nvars != 3:
         raise DegenerateInputError("zero_dim_radical expects a three-variable ring")
-    ell = next(chart_lines(ideal), None)
-    if ell is None:
+    found = next(_finite_chart(ideal, ring.gens()), None)
+    if found is None:
         raise DegenerateInputError(
             "could not find a chart line avoiding the support; is the ideal zero-dimensional?"
         )
-    matrix = chart_matrix(ell)
-    chart, chi_x, g, _ = chart_algebra(ideal, matrix)
-    radical = chart.groebner_basis()
-    aff = radical.ring
-    if g != chi_x:
-        m_y = _multiplication_matrix(radical, (0, 1))[1]
-        chi_y = aff.from_terms({(0, k): c for k, c in enumerate(characteristic_polynomial(m_y))})
-        radical = ideal_sum(chart, Ideal(aff, [g, squarefree_part(chi_y)])).groebner_basis()
-    images = [aff.from_terms(zip([(1, 0), (0, 1), (0, 0)], row)) for row in matrix]
-    return _chart_image(radical, images, ring)
+    ell, radical = found
+    u, v = _chart_coordinates(ell)
+    chi_u, g_u, _ = chart_algebra(radical, u)
+    if g_u != chi_u:
+        g_v = chart_algebra(radical, v)[1]
+        chart = Ideal(ring, radical.polys).attach_basis(radical)
+        radical = ideal_sum(chart, Ideal(ring, [g_u, g_v])).groebner_basis()
+    return _chart_image(radical, ring.gens(), ring)

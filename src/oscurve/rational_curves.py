@@ -160,10 +160,10 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     """Image of a finite scheme under projection from the center, in
     K[targets]: the kernel of K[targets] -> S/Sat(I, m), t_i -> l_i.
 
-    The first line ell = c . (l_0, l_1, l_2) of `_saturation_candidates`
-    with I + (ell) m-primary misses the scheme, so the center misses it too,
-    and the kernel is read off the chart algebra S/(I + (ell - 1))
-    (`_finite_chart`, then `_chart_image` with the forms as the images),
+    The first line ell, a combination of the l_i, that `_finite_chart`
+    finds with I + (ell) m-primary misses the scheme, so the center misses
+    it too, and the kernel is read off the chart algebra S/(I + (ell - 1))
+    (`_chart_image` with the forms as the images),
     with no saturation and no elimination.  Only when no candidate serves
     is the center tested against the scheme itself: a center that meets it
     is refused (the projection is undefined there), and a scheme that is
@@ -182,9 +182,9 @@ def project_scheme(scheme: Ideal, center, targets=("u", "v", "w")) -> Ideal:
     if not scheme.is_homogeneous():
         raise DegenerateInputError("the scheme to project needs a homogeneous ideal")
     plane = PolyRing(targets, ring.field)
-    chart = _finite_chart(scheme, forms)
-    if chart is not None:
-        return _chart_image(chart, forms, plane)
+    found = next(_finite_chart(scheme, forms), None)
+    if found is not None:
+        return _chart_image(found[1], forms, plane)
     if not is_empty_scheme(ideal_sum(scheme, Ideal(ring, forms))):
         raise DegenerateInputError("the projection center meets the scheme")
     sat = saturate(scheme, irrelevant_ideal(ring))

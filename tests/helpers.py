@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import gcd
-from operator import ge, sub
+from operator import add, ge, sub
 
 from oscurve.errors import DegenerateInputError, ParseError
 from oscurve.groebner import (
@@ -17,12 +17,10 @@ from oscurve.groebner import (
     irrelevant_ideal,
     is_empty_scheme,
     saturate_general,
-    to_chart,
 )
 from oscurve.intersection import TruncatedMultiplicity, default_multiplicity_cap
 from oscurve.polyops import (
     characteristic_polynomial,
-    matrix_inverse,
     nullspace,
     poly_gcd,
     squarefree_part,
@@ -292,15 +290,18 @@ def truncated_local_multiplicity_by_levels(f: Polynomial, g: Polynomial, cap=Non
             return TruncatedMultiplicity(INF, True)
 
 
-def projective_ideal_by_saturation(gens, matrix, ring: PolyRing) -> Ideal:
-    """The homogeneous ideal in `ring` of the chart scheme that `gens` cut
-    out in K[xc, yc]: homogenize, saturate by the last variable on the
-    auxiliary-variable route, and undo the chart matrix."""
-    x, y, z = ring.variables
-    hom = Ideal(ring, [g.homogenize(ring, z, {"xc": x, "yc": y}) for g in gens])
-    sat = saturate_general(hom, Ideal(ring, [ring.var(z)]))
-    inverse = matrix_inverse(matrix, ring.field)
-    return Ideal(ring, [g.linear_change(inverse) for g in sat.gens])
+def projective_ideal_by_saturation(gens, ell, ring: PolyRing) -> Ideal:
+    """The homogeneous ideal in `ring` of the scheme that the polynomials
+    `gens` of `ring` cut out in the affine chart ell = 1 of the linear form
+    ell: homogenize each with ell, g -> sum_k g_k * ell^(d - k) over its
+    homogeneous components g_k, and saturate by ell on the
+    auxiliary-variable route."""
+    hom = []
+    for g in gens:
+        d = g.degree()
+        parts = (g.homogeneous_component(k) * ell ** (d - k) for k in range(d + 1))
+        hom.append(sum(parts, ring.zero()))
+    return saturate_general(Ideal(ring, hom), Ideal(ring, [ell]))
 
 
 def saturate_by_one_line(ideal: Ideal) -> Ideal:
@@ -406,46 +407,50 @@ def field_characteristic_polynomial(rows) -> list:
     return minors[n]
 
 
-def radical_route_chart(ideal: Ideal, matrix):
-    """(radical basis, chi_x, g, h) of the chart scheme I =
-    `to_chart(ideal, matrix)` by the radical route, whatever chi_x is: the
-    multiplication matrices of xc and yc on the standard monomials of I's
-    grevlex basis (computed afresh), both characteristic polynomials, the
-    basis of I plus both squarefree parts, g the monic squarefree part of
-    chi_x, and h with yc = h(xc) modulo the radical, deg h < deg g, from the
-    normal forms of the powers xc^i (`linear_relations`); h is None when
-    there is no such h or g is constant."""
-    chart = to_chart(ideal, matrix)
+def radical_route_chart(ideal: Ideal, ell: Polynomial, var: str):
+    """(radical basis, chi, g, h) of the chart algebra A = S/(I + (ell - 1))
+    in its coordinate `var` by the radical route, whatever chi is.  The
+    chart coordinates are the variables but ell's last one; `other` is the
+    one that is not `var`.  The basis of I + (ell - 1) is computed afresh
+    from its generators; then the multiplication matrices of var and other
+    on its standard monomials, both characteristic polynomials, the basis
+    of the chart ideal plus both squarefree parts, g the monic squarefree
+    part of chi (of var), and h with other = h(var) modulo the radical,
+    deg h < deg g, from the normal forms of the powers var^i
+    (`linear_relations`); h is None when there is no such h or g is
+    constant."""
+    ring = ideal.ring
+    pivot = ell.used_variables()[-1]
+    (other,) = [v for v in ring.variables if v not in (pivot, var)]
+    chart = Ideal(ring, [*ideal.gens, ell - ring.one()])
     gb = chart.groebner_basis()
-    ring, leads = gb.ring, gb.lead_exponents
-    a = min(lead[0] for lead in leads if lead[1] == 0)
-    b = min(lead[1] for lead in leads if lead[0] == 0)
+    leads = gb.lead_exponents
+    box = [min(l[i] for l in leads if sum(l) == l[i]) for i in range(ring.nvars)]
     monomials = [
-        (i, j)
-        for i in range(a)
-        for j in range(b)
-        if not any(i >= lead[0] and j >= lead[1] for lead in leads)
+        e for e in product(*map(range, box)) if not any(all(map(ge, e, lead)) for lead in leads)
     ]
     chis = []
-    for step in ((1, 0), (0, 1)):
-        rows = [[Fraction(0)] * len(monomials) for _ in monomials]
-        for j, (i, k) in enumerate(monomials):
-            moved = ring.monomial((i + step[0], k + step[1]))
-            for e, c in gb.normal_form(moved).terms.items():
-                rows[monomials.index(e)][j] = c
+    for name in (var, other):
+        k = ring.index(name)
+        unit = tuple(int(i == k) for i in range(ring.nvars))
+        rows = [[ring.field.zero] * len(monomials) for _ in monomials]
+        for j, e in enumerate(monomials):
+            moved = ring.monomial(tuple(map(add, e, unit)))
+            for f, c in gb.normal_form(moved).terms.items():
+                rows[monomials.index(f)][j] = c
         coeffs = characteristic_polynomial(rows)
-        chis.append(ring.from_terms({(k * step[0], k * step[1]): c for k, c in enumerate(coeffs)}))
+        chis.append(ring.from_terms({tuple(i * u for u in unit): c for i, c in enumerate(coeffs)}))
     parts = [squarefree_part(chi) for chi in chis]
-    radical = ideal_sum(chart, Ideal(ring, parts)).groebner_basis()
-    g = parts[0] * (1 / parts[0].terms[(parts[0].degree(), 0)])
+    radical = Ideal(ring, [*chart.gens, *parts]).groebner_basis()
+    g = parts[0] * (ring.field.one / parts[0].terms[max(parts[0].terms, key=sum)])
     if g.degree() == 0:
         return radical.polys, chis[0], g, None
-    xc, yc = ring.gens()
-    relations = linear_relations(radical, [xc**i for i in range(g.degree())] + [yc])
+    x, y = ring.var(var), ring.var(other)
+    relations = linear_relations(radical, [x**i for i in range(g.degree())] + [y])
     if not relations:
         return radical.polys, chis[0], g, None
     (vec,) = relations
-    return radical.polys, chis[0], g, ring.from_terms({(i, 0): -c for i, c in enumerate(vec[:-1])})
+    return radical.polys, chis[0], g, sum((x**i * -c for i, c in enumerate(vec[:-1])), ring.zero())
 
 
 # -- the Polynomial-building parser ------------------------------------------------------

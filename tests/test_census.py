@@ -18,16 +18,16 @@ from oscurve.errors import DegenerateInputError, OscurveError
 from oscurve.groebner import (
     Ideal,
     TermOrder,
+    _chart_coordinates,
+    _finite_chart,
+    _last_variable_chart,
     chart_algebra,
-    chart_lines,
-    chart_matrix,
     ideal_intersection,
     ideal_power,
     ideal_sum,
     is_empty_scheme,
     saturate,
     scheme_length,
-    to_chart,
     zero_dim_radical,
 )
 from oscurve.polyops import poly_gcd, poly_normalize
@@ -103,11 +103,17 @@ def has_multiplicity_at_least(param, k):
     return not is_empty_scheme(multiple_point_scheme_ideal(param, k))
 
 
-def site_ideal(piece, matrix, ring):
-    """Homogeneous ideal of one support piece: the points yc = h(xc) over
-    the roots of the piece's factor, back from the chart."""
-    yc = piece.factor.ring.var("yc")
-    return projective_ideal_by_saturation([piece.factor, yc - piece.h_line], matrix, ring)
+def site_ideal(piece, ring):
+    """Homogeneous ideal of one support piece: the points where each
+    coordinate takes its image, over the roots of the piece's factor, back
+    from the chart of the piece's line."""
+    gens = [piece.factor] + [ring.var(w) - p for w, p in zip(ring.variables, piece.images)]
+    return projective_ideal_by_saturation(gens, piece.line, ring)
+
+
+def first_chart(ideal):
+    """The first (line, basis) that `_finite_chart` yields for a plane scheme."""
+    return next(_finite_chart(ideal, ideal.ring.gens()))
 
 
 # -- the banded matrix -----------------------------------------------------------
@@ -569,24 +575,24 @@ def fallback_curvilinear_scheme():
 
 
 def test_support_in_a_fallback_chart():
-    from oscurve.census import _projective_from_chart
-
+    # z, y, x and the first candidate line x + y + z meet the support; the
+    # chart of the second candidate reads it
     ring = PolyRing(("x", "y", "z"))
     points = FALLBACK_POINTS
     scheme = fallback_curvilinear_scheme()
-    total = scheme_length(scheme)
-    assert total == 12
-    found, matrices = set(), set()
-    for piece, matrix in support_sites(scheme):
+    total, pieces = support_sites(scheme)
+    assert total == scheme_length(scheme) == 12
+    found, lines = set(), set()
+    for piece in pieces:
         assert piece.size == 1
-        point = _projective_from_chart(piece.chart_points[0], matrix)
+        (point,) = piece.points
         found.add(point)
-        matrices.add(matrix)
+        lines.add(piece.line)
         # the length that saturating by the point removes
         assert piece.delta == 3
         assert piece.delta == total - scheme_length(saturate(scheme, point_ideal(ring, point)))
     assert found == set(points)
-    assert matrices == {chart_matrix(ring.parse("3*x - y + 2*z"))}
+    assert lines == {ring.parse("x + 2*y + 3*z")}
 
 
 def test_support_refuses_a_scheme_that_is_not_curvilinear():
@@ -623,37 +629,56 @@ def _radical_inputs():
     return inputs
 
 
+def missing_line(ideal):
+    """The first of a few lines that misses the support of a plane scheme,
+    by a basis of I + (l) from scratch."""
+    ring = ideal.ring
+    for text in ("z", "x + y + z", "x + 2*y + 3*z", "3*x - y + 2*z"):
+        line = ring.parse(text)
+        if is_empty_scheme(Ideal(ring, [*ideal.gens, line])):
+            return line
+    raise AssertionError("no line misses the support")
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_radical_equals_the_saturation_reference(index):
     # the kernel read back from the chart radical against the reference
-    # radical of the chart, homogenized, saturated by the last variable and
-    # moved back by the chart matrix
+    # radical of a chart, homogenized with its line and saturated by it
     ideal = _radical_inputs()[index]
     radical = zero_dim_radical(ideal)
     assert radical.gens == radical.groebner_basis().polys
-    matrix = chart_matrix(next(chart_lines(ideal)))
-    chart = radical_route_chart(ideal, matrix)[0]
-    assert radical == projective_ideal_by_saturation(chart, matrix, ideal.ring)
+    line = missing_line(ideal)
+    chart = radical_route_chart(ideal, line, _chart_coordinates(line)[0])[0]
+    assert radical == projective_ideal_by_saturation(chart, line, ideal.ring)
 
 
 def test_support_when_xc_does_not_separate():
-    from oscurve.census import _projective_from_chart
-    from oscurve.groebner import chart_matrix
-
-    # two of the points lie on x = 0, and xc = x / ell in every chart, so
-    # only a chart with its kernel coordinates swapped separates them
+    # two of the points lie on x = 0, so the chart coordinate x of the z
+    # chart does not separate them; its other coordinate y does, in the
+    # same chart
     ring = PolyRing(("x", "y", "z"))
     points = [(0, 0, 1), (0, 1, 1), (1, 2, 1)]
     reduced = None
     for p in points:
         simple = point_ideal(ring, p)
         reduced = simple if reduced is None else ideal_intersection(reduced, simple)
-    pieces = support_sites(reduced)
-    z_chart = chart_matrix(ring.var("z"))
-    assert {matrix for _, matrix in pieces} == {tuple((b, a, c) for a, b, c in z_chart)}
-    assert [piece.delta for piece, _ in pieces] == [1, 1, 1]
-    found = {_projective_from_chart(piece.chart_points[0], matrix) for piece, matrix in pieces}
-    assert found == set(points)
+    total, pieces = support_sites(reduced)
+    assert total == 3
+    charts = {(piece.line, *piece.factor.used_variables()) for piece in pieces}
+    assert charts == {(ring.var("z"), "y")}
+    assert [piece.delta for piece in pieces] == [1, 1, 1]
+    assert {piece.points[0] for piece in pieces} == set(points)
+
+
+def test_census_takes_a_chart_off_the_z_line():
+    # z meets the support at [0:1:0], so the next variable y gives the chart
+    param = PlaneParameterization.parse("s^3 + t^3; s^2*t; s*t^2")
+    ideal = multiple_point_scheme_ideal(param, 2)
+    assert first_chart(ideal)[0] == ideal.ring.var("y")
+    census = classify_curve_singularities(param)
+    (site,) = census.sites
+    assert (site.label, site.coords, site.image_point) == ("A1", (0, 1, 0), (1, 0, 0))
+    assert census.total_length == 1
 
 
 def test_support_over_a_quadratic_field_is_refused():
@@ -672,14 +697,14 @@ def test_local_lengths_match_saturation(name):
         "mixed-cluster": lambda: PlaneParameterization.parse(MIXED_CLUSTER_QUINTIC),
     }[name]()
     ideal = multiple_point_scheme_ideal(param, 2)
-    total = scheme_length(ideal)
-    pieces = support_sites(ideal)
-    for piece, matrix in pieces:
-        removed = scheme_length(saturate(ideal, site_ideal(piece, matrix, ideal.ring)))
+    total, pieces = support_sites(ideal)
+    assert total == scheme_length(ideal)
+    for piece in pieces:
+        removed = scheme_length(saturate(ideal, site_ideal(piece, ideal.ring)))
         assert piece.delta == total - removed
-    assert sum(piece.delta for piece, _ in pieces) == total
+    assert sum(piece.delta for piece in pieces) == total
     if name == "tacnode":  # the A3 point
-        assert sorted(piece.delta for piece, _ in pieces) == [1, 2]
+        assert sorted(piece.delta for piece in pieces) == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -695,8 +720,8 @@ def test_cluster_cusp_count_matches_conic_length(text, size, cusps):
     assert cluster.label == ("A2" if cusps == size else None)
     ideal = multiple_point_scheme_ideal(param, 2)
     ring = ideal.ring
-    ((piece, matrix),) = support_sites(ideal)
-    on_conic = ideal_sum(site_ideal(piece, matrix, ring), Ideal(ring, [cusp_conic(ring)]))
+    _, (piece,) = support_sites(ideal)
+    on_conic = ideal_sum(site_ideal(piece, ring), Ideal(ring, [cusp_conic(ring)]))
     assert scheme_length(on_conic) == cusps
 
 
@@ -781,20 +806,25 @@ CENSUS_INPUTS = {
 def test_shape_position_matches_the_lex_basis(name):
     # at n = 9 the lex basis alone takes about two minutes
     ideal = multiple_point_scheme_ideal(CENSUS_INPUTS[name](), 2)
-    pieces = support_sites(ideal)
-    (matrix,) = {matrix for _, matrix in pieces}
-    (h_line,) = {piece.h_line for piece, _ in pieces}
-    radical, _, g, _ = radical_route_chart(ideal, matrix)
-    product = g.ring.one()
-    for piece, _ in pieces:
+    ring = ideal.ring
+    _, pieces = support_sites(ideal)
+    ((line, images, var),) = {(p.line, p.images, *p.factor.used_variables()) for p in pieces}
+    pivot = line.used_variables()[-1]
+    (other,) = set(ring.variables) - {pivot, var}
+    radical, _, g, _ = radical_route_chart(ideal, line, var)
+    product = ring.one()
+    for piece in pieces:
         product = product * piece.factor
     assert product == g
-    # lex with yc before xc: the ring lists yc first
-    swapped = PolyRing(("yc", "xc"), g.ring.field)
-    lex = Ideal(swapped, [p.restrict(swapped) for p in radical])
-    lex = lex.groebner_basis(TermOrder.lex())
-    yc = g.ring.var("yc")
-    assert list(lex.polys) == [g.restrict(swapped), (yc - h_line).restrict(swapped)]
+    # lex with pivot > other > var: the ring lists them in that order
+    swapped = PolyRing((pivot, other, var), ring.field)
+    lex = Ideal(swapped, [p.restrict(swapped) for p in radical]).groebner_basis(TermOrder.lex())
+    h = images[ring.index(other)]
+    assert list(lex.polys[:2]) == [g.restrict(swapped), (ring.var(other) - h).restrict(swapped)]
+    # and the pivot is the image that line = 1 gives it
+    shape = [g] + [ring.var(w) - images[ring.index(w)] for w in (other, pivot)]
+    shape = Ideal(swapped, [p.restrict(swapped) for p in shape])
+    assert lex.polys == shape.groebner_basis(lex.order).polys
 
 
 def test_census_makes_no_lex_basis_and_no_k3_scheme(monkeypatch):
@@ -863,28 +893,34 @@ READ_SCHEMES = {
 
 @pytest.mark.parametrize("name", sorted(READ_SCHEMES))
 def test_z_chart_reads_match_fresh_bases(name):
-    from oscurve.groebner import _chart_with_basis, chart_lines, chart_matrix, to_chart
+    from helpers import groebner_certificate
 
     ideal = READ_SCHEMES[name]()
-    z = ideal.ring.var("z")
+    ring = ideal.ring
+    z = ring.var("z")
     # z is the first chart line exactly when I + (z) is empty, by a basis of its own
-    fresh = Ideal(ideal.ring, [*ideal.gens, z])
-    assert (next(chart_lines(ideal), None) == z) == is_empty_scheme(fresh)
-    identity = chart_matrix(z)
-    read, fresh = _chart_with_basis(ideal, identity), to_chart(ideal, identity)
-    assert read.gens == fresh.gens
-    assert read.groebner_basis().polys == fresh.groebner_basis().polys
+    line, read = first_chart(ideal)
+    assert (line == z) == is_empty_scheme(Ideal(ring, [*ideal.gens, z]))
+    # the basis of I + (z - 1) read off I's passes the certificate and equals
+    # the one that starts from I's, also where z meets the scheme
+    chart = Ideal(ring, [*ideal.gens, z - ring.one()])
+    last = _last_variable_chart(ideal.groebner_basis())
+    groebner_certificate(chart, last)
+    assert last.polys == ideal_sum(ideal, Ideal(ring, [z - ring.one()])).groebner_basis().polys
+    if line == z:
+        assert read.polys == last.polys
+    else:
+        groebner_certificate(Ideal(ring, [*ideal.gens, line - ring.one()]), read)
 
 
 def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
     # every other basis is read off the scheme's (the z chart) or starts from
-    # one (sums); only a chart of another line is computed anew
+    # it (the sums I + (l) and I + (l - 1) of another line)
     from oscurve import census as census_module
     from oscurve import groebner
 
-    scratch, charts, current = [], [], []
+    scratch, current = [], []
     buchberger, engine = groebner.buchberger, groebner._buchberger_dicts
-    read = census_module.chart_algebra
 
     def tracking_buchberger(ideal, order=groebner.DEFAULT_ORDER):
         current.append(ideal)
@@ -898,25 +934,20 @@ def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
             scratch.append(current[-1])
         return engine(gen_dicts, keyf, seed)
 
-    def recording_read(ideal, matrix):
-        charts.append(matrix)
-        return read(ideal, matrix)
-
     monkeypatch.setattr(groebner, "buchberger", tracking_buchberger)
     monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
-    monkeypatch.setattr(census_module, "chart_algebra", recording_read)
-    identity = groebner.chart_matrix(PolyRing(("x", "y", "z")).var("z"))
-    z_only = 0
+    lines = []
     for name in sorted(set(CENSUS_INPUTS) - {"generator-9"}):
-        del scratch[:], charts[:]
+        del scratch[:]
         param = CENSUS_INPUTS[name]()
+        ideal = multiple_point_scheme_ideal(param, 2)
+        monkeypatch.setattr(census_module, "multiple_point_scheme_ideal", lambda *_: ideal)
         double_point_census(param)
-        assert scratch[0].gens == multiple_point_scheme_ideal(param, 2).gens, name
-        others = [m for m in charts if m != identity]
-        assert len(scratch) == 1 + len(others), name
-        assert all(ideal.ring.variables == ("xc", "yc") for ideal in scratch[1:])
-        z_only += not others
-    assert z_only >= 6
+        assert [s.gens for s in scratch] == [ideal.gens], name
+        lines.append(first_chart(ideal)[0])
+    # most schemes miss z, whose chart takes no Buchberger run at all
+    z = PolyRing(("x", "y", "z")).var("z")
+    assert lines.count(z) >= 9
 
 
 def bench_census_texts(monkeypatch):
@@ -962,25 +993,39 @@ def test_census_chart_characteristic_polynomials_agree_with_the_field_route(monk
 
 
 def census_charts(monkeypatch, params):
-    """[ideal, matrix, chart_algebra's result, h] for every chart that the
-    census of each parameterization reads: h is the shape line of the sites
-    that the census took from the chart, None for a chart it passed over."""
+    """[ideal, line, var, chart_algebra's result, h] for every chart
+    coordinate var that the census of each parameterization reads, in the
+    chart of the line: h, with other = h(var) on the support for the other
+    chart coordinate, is that of the sites that the census took from it,
+    None for a coordinate it passed over."""
     from oscurve import census as census_module
 
-    charts = []
-    read, support = census_module.chart_algebra, census_module.support_sites
+    charts, current = [], []
+    read, support, finite = (
+        census_module.chart_algebra,
+        census_module.support_sites,
+        census_module._finite_chart,
+    )
 
-    def recording(ideal, matrix):
-        charts.append([ideal, matrix, read(ideal, matrix), None])
-        return charts[-1][2]
+    def recording_lines(ideal, forms):
+        for line, chart in finite(ideal, forms):
+            current[:] = [ideal, line]
+            yield line, chart
+
+    def recording(chart, var):
+        charts.append([*current, var, read(chart, var), None])
+        return charts[-1][3]
 
     def marking(ideal):
-        pieces = support(ideal)
-        for piece, matrix in pieces:
-            assert matrix == charts[-1][1]
-            charts[-1][3] = piece.h_line
-        return pieces
+        total, pieces = support(ideal)
+        for piece in pieces:
+            _, line, var, _, _ = charts[-1]
+            assert (piece.line, piece.factor.used_variables()) == (line, [var])
+            (other,) = set(ideal.ring.variables) - {var, line.used_variables()[-1]}
+            charts[-1][4] = piece.images[ideal.ring.index(other)]
+        return total, pieces
 
+    monkeypatch.setattr(census_module, "_finite_chart", recording_lines)
     monkeypatch.setattr(census_module, "chart_algebra", recording)
     monkeypatch.setattr(census_module, "support_sites", marking)
     for param in params:
@@ -989,21 +1034,23 @@ def census_charts(monkeypatch, params):
 
 
 def assert_routes_agree(charts):
-    """Every chart against the radical route (`radical_route_chart`): the
-    same chi_x and g, and the census's h equal to the reference h.  In a
-    chart the census passed over, 1, xc, ..., xc^(m-1) are dependent modulo
-    the chart ideal, m its length: xc does not generate the chart algebra."""
+    """Every chart coordinate against the radical route
+    (`radical_route_chart`): the same chi and g, and the census's h equal to
+    the reference h.  For a coordinate var the census passed over, 1, var,
+    ..., var^(m-1) are dependent modulo the chart ideal, m its length: var
+    does not generate the chart algebra."""
     from helpers import linear_relations
 
-    for ideal, matrix, (chart, chi, g, m_x), h in charts:
-        _, ref_chi, ref_g, ref_h = radical_route_chart(ideal, matrix)
+    for ideal, line, var, (chi, g, m), h in charts:
+        _, ref_chi, ref_g, ref_h = radical_route_chart(ideal, line, var)
         assert (chi, g) == (ref_chi, ref_g)
         if h is not None:
             assert h == ref_h
         elif g.degree():
-            xc = chart.ring.var("xc")
-            powers = [xc**i for i in range(len(m_x[0]))]
-            assert linear_relations(to_chart(ideal, matrix).groebner_basis(), powers)
+            ring = ideal.ring
+            powers = [ring.var(var) ** i for i in range(len(m[0]))]
+            chart = Ideal(ring, [*ideal.gens, line - ring.one()])
+            assert linear_relations(chart.groebner_basis(), powers)
 
 
 ROUTE_INPUTS = {**CENSUS_INPUTS, "generator-10": lambda: generator_param(10)}
@@ -1021,7 +1068,7 @@ def test_chart_routes_agree_on_the_benchmark_inputs(monkeypatch):
     charts = census_charts(monkeypatch, [PlaneParameterization.parse(t) for t in texts])
     assert_routes_agree(charts)
     # squarefree and non-squarefree chi_x both occur
-    squarefree = [chi == g for _, _, (_, chi, g, _), _ in charts]
+    squarefree = [chi == g for _, _, _, (chi, g, _), _ in charts]
     assert any(squarefree) and not all(squarefree)
 
 
@@ -1033,13 +1080,13 @@ def test_chart_routes_catch_a_mutated_shape_line(monkeypatch, name):
 
     shape = census_module._shape_line
 
-    def shifted(chart, m_x):
-        h = shape(chart, m_x)
+    def shifted(chart, *args):
+        h = shape(chart, *args)
         return None if h is None else h + chart.ring.one()
 
     monkeypatch.setattr(census_module, "_shape_line", shifted)
     charts = census_charts(monkeypatch, [CENSUS_INPUTS[name]()])
-    assert any(chi != g for _, _, (_, chi, g, _), _ in charts) == (name == "tacnode-quartic")
+    assert any(chi != g for _, _, _, (chi, g, _), _ in charts) == (name == "tacnode-quartic")
     with pytest.raises(AssertionError):
         assert_routes_agree(charts)
 
@@ -1047,14 +1094,14 @@ def test_chart_routes_catch_a_mutated_shape_line(monkeypatch, name):
 @pytest.mark.parametrize(
     "build, routes, sites",
     [
-        # two of the three nodes share xc in the z chart; the next line separates them
+        # two of the three nodes share x in the z chart; its y separates them
         (
             lambda: PlaneParameterization.parse("s^4 + 10*t^4; 17*s^3*t - s*t^3; 7*s^2*t^2 + t^4"),
             [(3, 2, None), (3, 3, 2)],
             [
                 "[1 : 0 : -1/17]  delta=1  A1",
-                "[1 : 1/24*sqrt(-9912799) : -1189/24]  delta=1  A1",
                 "[1 : -1/24*sqrt(-9912799) : -1189/24]  delta=1  A1",
+                "[1 : 1/24*sqrt(-9912799) : -1189/24]  delta=1  A1",
             ],
         ),
         # the generator's A4, a point of length 2
@@ -1077,11 +1124,11 @@ def test_census_without_a_squarefree_chi_reads_the_chart_algebra_once(
 ):
     param = build()
     charts = census_charts(monkeypatch, [param])
-    # (deg chi_x, deg g, deg h) per chart: h is None when xc does not
-    # generate the chart algebra, and deg h = -1 when h = 0
+    # (deg chi, deg g, deg h) per chart coordinate: h is None when the
+    # coordinate does not generate the chart algebra, and deg h = -1 when h = 0
     degrees = [
         (chi.degree(), g.degree(), None if h is None else h.degree())
-        for _, _, (_, chi, g, _), h in charts
+        for _, _, _, (chi, g, _), h in charts
     ]
     assert degrees == routes
     census = classify_curve_singularities(param)
@@ -1096,20 +1143,22 @@ def test_census_without_a_squarefree_chi_reads_the_chart_algebra_once(
 def test_shape_line_refuses_a_coordinate_that_does_not_generate():
     from oscurve.groebner import _shape_line
 
-    # the fat point (xc^2, xc*yc, yc^2): xc is nilpotent, and v_2 = xc^2 = 0
+    # the fat point (x^2, x*y, y^2) in the z chart: x is nilpotent, and v_2 = x^2 = 0
     ring = PolyRing(("x", "y", "z"))
-    z_chart = chart_matrix(ring.var("z"))
     fat = Ideal(ring, [ring.parse(t) for t in ("x^2", "x*y", "y^2")])
-    chart, chi, _, m_x = chart_algebra(fat, z_chart)
-    assert chi == chart.ring.parse("xc^3")
-    assert _shape_line(chart, m_x) is None
-    # two of the pickled quartic's three nodes share xc in the z chart: the
+    line, chart = first_chart(fat)
+    assert line == ring.var("z")
+    chi, _, m = chart_algebra(chart, "x")
+    assert chi == ring.parse("x^3")
+    assert _shape_line(chart, m, "x", "y") is None
+    # two of the pickled quartic's three nodes share x in the z chart: the
     # v_i are nonzero and dependent
     ideal = multiple_point_scheme_ideal(CENSUS_INPUTS["pickled-quartic"](), 2)
-    assert next(chart_lines(ideal)) == ring.var("z")
-    chart, chi, g, m_x = chart_algebra(ideal, z_chart)
+    line, chart = first_chart(ideal)
+    assert line == ring.var("z")
+    chi, g, m = chart_algebra(chart, "x")
     assert (chi.degree(), g.degree()) == (3, 2)
-    assert _shape_line(chart, m_x) is None
+    assert _shape_line(chart, m, "x", "y") is None
 
 
 def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkeypatch):
@@ -1136,22 +1185,23 @@ def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkey
         ("sextic", False),
     ]:
         ideal = multiple_point_scheme_ideal(CENSUS_INPUTS[name](), 2)
-        line = next(groebner.chart_lines(ideal))
-        assert (line == ideal.ring.var("z")) == squarefree
-        matrix = groebner.chart_matrix(line)
+        ideal.groebner_basis()
         del runs[:], chis[:]
-        chart, chi, g, (basis, _) = chart_algebra(ideal, matrix)
+        line, chart = first_chart(ideal)
+        assert (line == ideal.ring.var("z")) == squarefree
+        # the z chart's basis is read off the scheme's; the chart of another
+        # line takes two runs that start from it, for I + (l) and I + (l - 1)
+        assert runs == ([] if squarefree else [True, True])
+        chi, g, (basis, _) = chart_algebra(chart, _chart_coordinates(line)[0])
         assert (chi == g) == squarefree
         assert chis == [chi.degree()] == [len(basis)]
-        # the z chart's basis is read off the scheme's; the chart of the
-        # line y takes one run from scratch
-        assert runs == ([] if squarefree else [False])
-        assert chart.groebner_basis().polys == to_chart(ideal, matrix).groebner_basis().polys
+        assert runs == ([] if squarefree else [True, True])
 
 
 def test_census_takes_no_radical(monkeypatch):
-    # no chi_y, one characteristic polynomial per chart, and no sum or seeded
-    # Buchberger run but a chart line's emptiness test (`chart_lines`)
+    # no second coordinate's chi but where the first does not generate, one
+    # characteristic polynomial per chart coordinate, and no sum or seeded
+    # Buchberger run but a chart line's emptiness test and chart basis
     from oscurve import census as census_module
     from oscurve import groebner
 
@@ -1169,9 +1219,9 @@ def test_census_takes_no_radical(monkeypatch):
         sums.append(b.gens)
         return add(a, b)
 
-    def recording_matrix(gb, step):
-        steps.append(step)
-        return matrix_of(gb, step)
+    def recording_matrix(gb, var):
+        steps.append(var)
+        return matrix_of(gb, var)
 
     def recording_charpoly(rows):
         chis.append(len(rows))
@@ -1181,8 +1231,8 @@ def test_census_takes_no_radical(monkeypatch):
         seeded.append(bool(seed))
         return engine(gen_dicts, keyf, seed)
 
-    def recording_read(ideal, matrix):
-        reads.append(read(ideal, matrix))
+    def recording_read(chart, var):
+        reads.append(read(chart, var))
         return reads[-1]
 
     monkeypatch.setattr(groebner, "ideal_sum", recording_sum)
@@ -1192,12 +1242,12 @@ def test_census_takes_no_radical(monkeypatch):
     monkeypatch.setattr(census_module, "chart_algebra", recording_read)
     for name in sorted(set(CUSP_INPUTS) - {"generator-9"}):
         double_point_census(CUSP_INPUTS[name]())
-    assert steps == [(1, 0)] * len(reads)
-    assert chis == [len(basis) for _, _, _, (basis, _) in reads]
+    assert len(steps) == len(reads)
+    assert chis == [len(basis) for _, _, (basis, _) in reads]
     assert all(len(gens) == 1 and gens[0].degree() == 1 for gens in sums)
     assert sum(seeded) == len(sums)
-    # charts with and without a squarefree chi_x
-    assert {chi == g for _, chi, g, _ in reads} == {True, False}
+    # charts with and without a squarefree chi
+    assert {chi == g for chi, g, _ in reads} == {True, False}
 
 
 def test_chart_algebra_without_the_prime_certificate_takes_the_exact_test(monkeypatch):
@@ -1206,13 +1256,13 @@ def test_chart_algebra_without_the_prime_certificate_takes_the_exact_test(monkey
     from oscurve import groebner, polyops
 
     ideals = [multiple_point_scheme_ideal(CENSUS_INPUTS[n](), 2) for n in ("generator-7", "sextic")]
-    matrices = [groebner.chart_matrix(next(groebner.chart_lines(ideal))) for ideal in ideals]
-    certified = [chart_algebra(ideal, m) for ideal, m in zip(ideals, matrices)]
+    charts = [first_chart(ideal) for ideal in ideals]
+    coordinates = [groebner._chart_coordinates(line)[0] for line, _ in charts]
+    certified = [chart_algebra(chart, var) for (_, chart), var in zip(charts, coordinates)]
     refused = []
     monkeypatch.setattr(polyops, "coprime_mod_prime", lambda p, q: refused.append(p) or False)
-    for (chart, chi, g, m_x), ideal, matrix in zip(certified, ideals, matrices):
-        again, chi_again, g_again, m_x_again = chart_algebra(ideal, matrix)
-        assert (again.gens, chi_again, g_again, m_x_again) == (chart.gens, chi, g, m_x)
+    for (_, chart), var, read in zip(charts, coordinates, certified):
+        assert chart_algebra(chart, var) == read
     assert refused
 
 

@@ -242,14 +242,15 @@ def test_seeded_sum_over_a_quadratic_field_passes_the_certificate(monkeypatch):
 
 def test_golden_sextic_double_point_chart_passes_the_certificate():
     from oscurve.census import multiple_point_scheme_ideal
-    from oscurve.groebner import chart_algebra, chart_lines, chart_matrix
+    from oscurve.groebner import _finite_chart
     from oscurve.rational_curves import parameterization_from_center
     from oscurve.repro import _SEXTIC_NAMES
 
     param = parameterization_from_center(6, _sextic_center(PolyRing(_SEXTIC_NAMES)), _SEXTIC_NAMES)
     scheme = multiple_point_scheme_ideal(param, 2)
-    chart = chart_algebra(scheme, chart_matrix(next(chart_lines(scheme))))[0]
-    groebner_certificate(chart, chart.groebner_basis())
+    ring = scheme.ring
+    line, chart = next(_finite_chart(scheme, ring.gens()))
+    groebner_certificate(Ideal(ring, [*scheme.gens, line - ring.one()]), chart)
 
 
 def test_certificate_catches_a_broken_basis():
@@ -496,8 +497,8 @@ def test_saturation_fast_path_matches_general_route(monkeypatch):
     m3 = irrelevant_ideal(R3)
     fat_point = ideal(R3, "x^2", "x*y", "y^2")
     conic_with_point = ideal_intersection(ideal(R3, "x*z - y^2"), ideal(R3, "x^2", "y"))
-    # the point [1:-1:0] with an embedded point at the origin, on the first
-    # candidate line x + y + z: the chart of the second line
+    # the point [1:-1:0] with an embedded point at the origin, on the line
+    # z: the chart of the line y
     embedded = Ideal(R3, [f * v for f in (R3.parse("x + y"), R3.var("z")) for v in R3.gens()])
     R5 = PolyRing(tuple(f"x{i}" for i in range(5)))
     chart, aux = ["_chart_image"], ["saturate_general"]
@@ -545,20 +546,6 @@ def test_sextic_construction_reads_each_image_off_one_chart_algebra(monkeypatch)
     assert run_repro_case("example-6.1-part1")[0]
     one_chart = ["_finite_chart", "_chart_image"]
     assert events == one_chart * 3 + ["saturate"] + one_chart
-
-
-@pytest.mark.parametrize("n", [3, 7])
-def test_chart_matrix_pulls_a_linear_form_back_to_the_last_coordinate(n):
-    from oscurve.groebner import chart_matrix
-    from oscurve.polyops import matrix_rank
-
-    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
-    # the last coefficient is zero, so the pivot is not the last variable
-    coeffs = [0 if i % 3 == 2 else (-2) ** i for i in range(n - 1)] + [0]
-    ell = sum((x * c for c, x in zip(coeffs, ring.gens())), ring.zero())
-    matrix = chart_matrix(ell)
-    assert matrix_rank([list(row) for row in matrix]) == n
-    assert ell.linear_change(matrix) == ring.gens()[-1]
 
 
 def test_saturation_by_irrelevant_ideal_of_unit():
@@ -626,20 +613,21 @@ def test_radical_squarefree_eliminants():
 
 
 def test_chart_algebra_reads_local_lengths_off_chi():
-    from oscurve.groebner import chart_algebra, chart_matrix
+    from oscurve.groebner import _finite_chart, chart_algebra
 
     # a fat point of length 3 at [0:0:1] and a simple point at [1:0:1]
     I = ideal_intersection(ideal(R3, "x^2", "x*y", "y^2"), ideal(R3, "x - z", "y"))
     assert scheme_length(I) == 4
-    chart, chi, g, (basis, rows) = chart_algebra(I, chart_matrix(R3.var("z")))
-    A = chart.ring
-    assert chi == A.parse("xc^3*(xc - 1)")
-    assert g == A.parse("xc^2 - xc")
+    line, chart = next(_finite_chart(I, R3.gens()))
+    assert line == R3.var("z")
+    chi, g, (basis, rows) = chart_algebra(chart, "x")
+    assert chi == R3.parse("x^3*(x - 1)")
+    assert g == R3.parse("x^2 - x")
     assert len(basis) == len(rows) == 4
     # the radical adds the squarefree parts of chi_x and chi_y (Seidenberg)
     assert zero_dim_radical(I) == ideal(R3, "x^2 - x*z", "y")
-    with pytest.raises(DegenerateInputError):
-        chart_algebra(ideal(R3, "x*y"), chart_matrix(R3.var("z")))
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        chart_algebra(ideal(R3, "x*y", "z - 1").groebner_basis(), "x")
 
 
 # -- degree slices ----------------------------------------------------------------
@@ -660,7 +648,6 @@ def test_radical_takes_its_colon_without_saturate(monkeypatch):
     # the CI's z-torsion scheme: the chart radical's own basis is read back
     # as a kernel (`_chart_image`), with no call to `saturate`
     from oscurve import groebner
-    from oscurve.groebner import chart_matrix
 
     from helpers import projective_ideal_by_saturation, radical_route_chart
 
@@ -677,8 +664,8 @@ def test_radical_takes_its_colon_without_saturate(monkeypatch):
     assert calls == []
     assert [str(p) for p in radical.gens] == ["y", "x"]
     # the same radical by the auxiliary-variable saturation of the reference chart radical
-    z_chart = chart_matrix(R3.var("z"))
-    assert radical == projective_ideal_by_saturation(radical_route_chart(I, z_chart)[0], z_chart, R3)
+    z = R3.var("z")
+    assert radical == projective_ideal_by_saturation(radical_route_chart(I, z, "x")[0], z, R3)
 
 
 def _record_seeds(monkeypatch):
