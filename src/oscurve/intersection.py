@@ -17,16 +17,25 @@ columns, and forward elimination counts the rank of every column prefix at
 once: it is the number of pivots in the prefix.  The rows that join at level
 N + 1 vanish on every column of degree < N, so they change no pivot found
 for level N, and the elimination carries on from there: each level clears
-only its own columns among the rows that are not pivots yet.  Rows are cut
-at a column horizon that grows when the levels reach it; the pivots on a
-column prefix do not depend on the columns beyond it, so every d_N, and the
-stabilized value, is the one a separate matrix for each level would give.
-The horizon starts at `_HORIZON_STEP` = 4 degrees and grows by as much, so a
-node's witness of contact order 3, stable at level 4, is decided within the
-first horizon; a deeper witness pays for one more run, the smallest.
+only its own columns among the rows that are not pivots yet.  Rows are built
+whole, once, and the carried ones are padded with zeros as the levels reach
+wider columns; the pivots on a column prefix do not depend on the columns
+beyond it, so every d_N is the one a separate matrix for each level gives.
+
+Most rows are redundant by the Koszul relation g*f - f*g = 0 (Faugere's F5
+criterion, here on a Macaulay matrix).  With P the operand with more terms
+(f on a tie), Q the other and L the lowest-degree term of Q with the largest
+power of y, no row m*P with L | m is built (over QQ(sqrt d), neither rational
+row): q_L*(m*L*P) = sum_s p_s*(m*s)*Q - sum_{t != L} q_t*(m*t)*P, and each
+m*t*P there starts at a higher degree than m*L*P, or at the same degree with
+a smaller power of y, so the recursion ends at kept rows or at rows that
+vanish below the level.  No rank on a column prefix, so no d_N, changes, for
+any f and g, a shared component included.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .errors import DegenerateInputError
 from .polyops import _row_echelon, integer_rows
@@ -142,60 +151,49 @@ class TruncatedMultiplicity:
         return f"TruncatedMultiplicity({self.value}{flag})"
 
 
-# The carried elimination truncates its rows at this many degrees, and
-# restarts with the horizon this much larger when a level reaches it.
-_HORIZON_STEP = 4
-
-
-def _dimensions_below(bases, width: int, horizon: int):
-    """d_N = dim K[x,y]/((f, g) + m^N) for N = 1..horizon, by one forward
-    elimination over the monomial columns of degree < horizon in (degree, j)
-    order.  `bases` are the integer rows of f and g from `integer_rows`, each
-    as (order, [((i, j), entries of x^i*y^j)]).  The rows m*base entering at
-    level N vanish below degree N - 1, so level N only clears the columns of
-    degree N - 1 among the rows that are not pivots yet; a used pivot row is
-    dropped."""
+def _quotient_dimensions(f: Polynomial, g: Polynomial):
+    """d_1, d_2, ... without end, by one forward elimination carried from
+    each level to the next, each row built whole, once (module docstring).
+    With P the operand with more terms (f on a tie) and L the lowest-degree
+    term of the other, Q, with the largest power of y, no row m*P with L | m
+    is built: q_L*(m*L*P) = sum_s p_s*(m*s)*Q - sum_{t != L} q_t*(m*t)*P,
+    whose rows m*t*P start higher, or as high with less y."""
+    p, q = (f, g) if len(f.terms) >= len(g.terms) else (g, f)
+    lead = min(q.terms, key=lambda e: (sum(e), -e[1]))
+    pe, qe = sorted(p.terms), sorted(q.terms)
+    # p and q on disjoint columns, so each integer row shows its operand
+    blocks = [[p.terms[e] for e in pe] + [0] * len(qe), [0] * len(pe) + [q.terms[e] for e in qe]]
+    patterns, d = integer_rows(blocks)
+    width = 1 if d is None else 2
+    bases = []
+    for row in patterns:
+        of_p = any(row[: width * len(pe)])
+        exps, entries = (pe, row) if of_p else (qe, row[width * len(pe) :])
+        terms = [(e, entries[width * t : width * t + width]) for t, e in enumerate(exps)]
+        bases.append((min(sum(e) for e in exps), terms, lead if of_p else None))
 
     def column(i, j):  # the first of the `width` columns of x^i*y^j
         return width * ((i + j) * (i + j + 1) // 2 + j)
 
-    ncols = column(horizon, 0)
+    reach = max(s.degree() - s.lowest_degree() for s in (p, q))
     rows, rank = [], 0
-    for deg in range(horizon):
-        for low, terms in bases:
+    for deg in count():
+        ncols = column(deg + reach + 1, 0)
+        for low, terms, skip in bases:
             for mj in range(deg - low + 1):
                 mi = deg - low - mj
+                if skip and mi >= skip[0] and mj >= skip[1]:
+                    continue
                 row = [0] * ncols
                 for (i, j), entries in terms:
-                    if i + j + deg - low < horizon:
-                        c = column(i + mi, j + mj)
-                        row[c : c + width] = entries
+                    c = column(i + mi, j + mj)
+                    row[c : c + width] = entries
                 rows.append(row)
         pivots = _row_echelon(rows, range(column(deg, 0), column(deg + 1, 0)))
         rank += len(pivots)
-        rows = [r for r in rows[len(pivots) :] if any(r)]
+        pad = [0] * width * (deg + reach + 2)  # the columns of degree deg + reach + 1, reached next
+        rows = [r + pad for r in rows[len(pivots) :] if any(r)]
         yield (deg + 1) * (deg + 2) // 2 - rank // width
-
-
-def _quotient_dimensions(f: Polynomial, g: Polynomial):
-    """d_1, d_2, ... without end: `_dimensions_below` up to a horizon that
-    grows by `_HORIZON_STEP` whenever the levels reach it.  A restart only
-    repeats the levels already given."""
-    exps = sorted(set(f.terms) | set(g.terms))
-    patterns, d = integer_rows([[p.terms.get(e, 0) for e in exps] for p in (f, g)])
-    width = 1 if d is None else 2
-    bases = []
-    for row in patterns:
-        terms = [(e, row[width * t : width * t + width]) for t, e in enumerate(exps)]
-        terms = [(e, entries) for e, entries in terms if any(entries)]
-        bases.append((min(sum(e) for e, _ in terms), terms))
-    given, horizon = 0, _HORIZON_STEP
-    while True:
-        for level, dim in enumerate(_dimensions_below(bases, width, horizon), 1):
-            if level > given:
-                given = level
-                yield dim
-        horizon += _HORIZON_STEP
 
 
 def truncated_local_multiplicity(f: Polynomial, g: Polynomial, cap: int | None = None):

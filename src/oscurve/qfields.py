@@ -52,17 +52,19 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(a, b)
 
 
-# squarefree_core strips p^2 for every p below this bound, no further
+# squarefree_core strips p^2 for every prime p below this bound, and so every square below it
 _TRIAL_BOUND = 1000
+_COMPOSITES = {m for p in range(2, isqrt(_TRIAL_BOUND) + 1) for m in range(p * p, _TRIAL_BOUND, p)}
+_TRIAL_PRIMES = sorted(set(range(2, _TRIAL_BOUND)) - _COMPOSITES)
 
 
 def squarefree_core(q: Fraction) -> tuple[int, Fraction]:
     """Write sqrt(q) = scale * sqrt(core) with core an integer tag.
 
     Returns (core, scale); q must be nonzero.  The sign of q goes into core.
-    The square p^2 is divided out for every p below `_TRIAL_BOUND`, and a
-    cofactor that is then a perfect square is folded in as well; the square
-    of a larger prime may stay in the tag, which names the same field.
+    The square p^2 is divided out for every prime p below `_TRIAL_BOUND`, and
+    a cofactor that is then a perfect square is folded in as well; the
+    square of a larger prime may stay in the tag, which names the same field.
     """
     q = Fraction(q)
     if q == 0:
@@ -70,7 +72,7 @@ def squarefree_core(q: Fraction) -> tuple[int, Fraction]:
     # sqrt(p/r) = sqrt(p*r)/r
     core = q.numerator * q.denominator
     square = 1
-    for p in range(2, _TRIAL_BOUND):
+    for p in _TRIAL_PRIMES:
         if p * p > abs(core):
             break
         while core % (p * p) == 0:

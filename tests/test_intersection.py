@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscurve import intersection
 from oscurve.errors import DegenerateInputError
@@ -201,26 +202,37 @@ def test_oracle_cap_on_a_shared_component_matches_the_level_by_level_oracle(fiel
     )
 
 
-def counted_horizons(monkeypatch):
-    """The horizons of the `_dimensions_below` runs from now on."""
-    runs, inner = [], intersection._dimensions_below
+def built_rows(monkeypatch):
+    """The rows each level of `_quotient_dimensions` builds, over QQ, as
+    polynomials read off the (degree, j) column order: the rows handed to
+    `_row_echelon` past those carried from the level before."""
+    levels, carried = [], [0]
+    inner = intersection._row_echelon
 
-    def counting(bases, width, horizon):
-        runs.append(horizon)
-        return inner(bases, width, horizon)
+    def recording(rows, cols):
+        monos = [(d - j, j) for d in range(len(rows[0]) if rows else 0) for j in range(d + 1)]
+        levels.append([R2.from_terms(dict(zip(monos, row))) for row in rows[carried[0] :]])
+        pivots = inner(rows, cols)
+        carried[0] = sum(1 for r in rows[len(pivots) :] if any(r))
+        return pivots
 
-    monkeypatch.setattr(intersection, "_dimensions_below", counting)
-    return runs
+    monkeypatch.setattr(intersection, "_row_echelon", recording)
+    return levels
 
 
-def test_oracle_restarts_past_its_horizon_without_changing_a_level(monkeypatch):
-    # contact order 13 stabilizes at level 14, past the first three horizons, 4, 8 and 12
-    f = R2.parse("y - x^13 + x*y")
-    g = R2.parse("y + x^2*y")
-    assert truncated_local_multiplicity(f, g) == truncated_local_multiplicity_by_levels(f, g)
-    runs = counted_horizons(monkeypatch)
-    assert truncated_local_multiplicity(f, g).value == 13
-    assert runs == [4, 8, 12, 16]
+@pytest.mark.parametrize("dense_first", [True, False])
+def test_only_the_rows_x_to_the_k_of_a_dense_curve_are_built_beside_a_line(monkeypatch, dense_first):
+    # g's lowest-degree term with the largest y-power is y, so the rows m*f with y | m are left out
+    f = R2.parse("2*x + 3*y + 4*x^2 + 5*x*y + 6*y^2 + 7*x^3 + 8*x^2*y + 9*x*y^2 + 10*y^3")
+    g = R2.parse("y - x")
+    x, y = R2.var("x"), R2.var("y")
+    levels = built_rows(monkeypatch)
+    operands = (f, g) if dense_first else (g, f)
+    assert list(islice(_quotient_dimensions(*operands), 8)) == [1] * 8
+    for deg, built in enumerate(levels):
+        expected = [x ** (deg - 1) * f] if deg else []
+        expected += [x**i * y ** (deg - 1 - i) * g for i in range(deg)]
+        assert sorted(map(str, built)) == sorted(map(str, expected)), deg
 
 
 @pytest.mark.parametrize(
@@ -230,21 +242,68 @@ def test_oracle_restarts_past_its_horizon_without_changing_a_level(monkeypatch):
         (10403, "y^2 - 10403*x^2 + x^3", "y - sqrt(10403)*x"),
     ],
 )
-def test_node_witness_of_contact_order_three_is_decided_within_the_first_horizon(
-    monkeypatch, field, f_text, g_text
-):
+def test_node_witness_of_contact_order_three_is_decided_at_level_four(field, f_text, g_text):
     ring = R2 if field is None else PolyRing(("x", "y"), QuadraticField(field))
     f, g = ring.parse(f_text), ring.parse(g_text)
-    runs = counted_horizons(monkeypatch)
+    assert list(islice(_quotient_dimensions(f, g), 4)) == [1, 2, 3, 3]
     assert truncated_local_multiplicity(f, g) == TruncatedMultiplicity(3, False)
-    assert runs == [4]
 
 
 @pytest.mark.parametrize(
     "f_text, g_text",
-    [("y*(y - x^2)", "y - x^2"), ("y^2 - x^5 + x*y^3", "y - x^2"), ("x^3 - y^2", "x^2*y + y^3")],
+    [
+        ("y*(y - x^2)", "y - x^2"),
+        ("y^2 - x^5 + x*y^3", "y - x^2"),
+        ("x^3 - y^2", "x^2*y + y^3"),
+        # contact order 13: stable at level 14
+        ("y - x^13 + x*y", "y + x^2*y"),
+        # x^2 + x*y + y^2 divides x^3 - y^3, so only an outer term of it may decide which m*f to build
+        ("x + 2*y + x^3 + y^3", "x^2 + x*y + y^2"),
+    ],
 )
-def test_carried_levels_equal_a_fresh_matrix_per_level_past_two_restarts(f_text, g_text):
+def test_carried_levels_equal_a_fresh_matrix_per_level(f_text, g_text):
     f, g = R2.parse(f_text), R2.parse(g_text)
-    carried = list(islice(_quotient_dimensions(f, g), 14))
-    assert carried == [quotient_dimension_at_level(f, g, n) for n in range(1, 15)]
+    carried = list(islice(_quotient_dimensions(f, g), 20))
+    assert carried == [quotient_dimension_at_level(f, g, n) for n in range(1, 21)]
+
+
+def _curves(ring, coefficient):
+    """Curves through the origin in `ring` whose lowest-degree part has one
+    to three terms, with up to five terms of degree at most 3 above it."""
+
+    @st.composite
+    def curve(draw):
+        low = draw(st.integers(1, 2))
+        ys = draw(st.lists(st.integers(0, low), min_size=1, max_size=3, unique=True))
+        terms = {(low - j, j): draw(coefficient) for j in ys}
+        for _ in range(draw(st.integers(0, 5))):
+            deg = draw(st.integers(low + 1, 3))
+            j = draw(st.integers(0, deg))
+            terms[(deg - j, j)] = draw(coefficient)
+        return Polynomial(ring, terms)
+
+    return curve()
+
+
+@pytest.mark.parametrize(
+    "field, common",
+    [(None, ("1", "y - x^2", "x + y")), (2, ("1", "y - sqrt(2)*x", "x^2 + sqrt(2)*y"))],
+)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_pruned_levels_equal_a_fresh_matrix_per_level_in_either_order(field, common, data):
+    # the criterion prunes the operand with more terms, f on a tie, by the lowest-degree term
+    # of the other with the largest y-power; a common factor keeps d_N growing up to the cap
+    if field is None:
+        ring, coefficient = R2, st.integers(-3, 3).filter(bool).map(Fraction)
+    else:
+        ring = PolyRing(("x", "y"), QuadraticField(field))
+        coefficient = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(any)
+        coefficient = coefficient.map(lambda ab: QuadExt(*ab, field))
+    h = ring.parse(data.draw(st.sampled_from(common)))
+    f, g = (data.draw(_curves(ring, coefficient)) * h for _ in range(2))
+    expected = [quotient_dimension_at_level(f, g, n) for n in range(1, 11)]
+    assert list(islice(_quotient_dimensions(f, g), 10)) == expected
+    assert list(islice(_quotient_dimensions(g, f), 10)) == expected
+    if h.degree() > 0:
+        assert truncated_local_multiplicity(f, g, cap=6) == TruncatedMultiplicity(INF, True)

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from oscurve.errors import ExtensionMismatchError
 from oscurve.qfields import (
+    _TRIAL_BOUND,
     QQ,
     QuadExt,
     QuadraticField,
+    int_sqrt_exact,
     make_quadratic,
     rational_sqrt,
     squarefree_core,
@@ -152,6 +154,54 @@ def test_large_square_factor_stays_in_the_tag():
     assert squarefree_core(Fraction(2 * P * P)) == (2 * P * P, 1)
     assert squarefree_core(Fraction(-P * P)) == (-1, P)
     assert str(make_quadratic(0, 1, 2 * P * P)) == f"sqrt({2 * P * P})"
+
+
+def squarefree_core_by_every_integer(q):
+    """`squarefree_core` with trial division by every integer below
+    `_TRIAL_BOUND`, composites included: the reference for its loop over
+    the primes."""
+    q = Fraction(q)
+    core, square = q.numerator * q.denominator, 1
+    for p in range(2, _TRIAL_BOUND):
+        if p * p > abs(core):
+            break
+        while core % (p * p) == 0:
+            core //= p * p
+            square *= p
+    root = int_sqrt_exact(abs(core))
+    if root is not None:
+        core //= root * root
+        square *= root
+    return core, Fraction(square, q.denominator)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        997**2,
+        -3 * 997**2,
+        1009**2,
+        2 * 1009**2,
+        12**2,
+        5 * 12**4,
+        Fraction(7 * 30**2, 11**2 * 13),
+        (2**127 - 1) * 6**2,
+        -(2**61 - 1) * (2**67 - 1) * 991**2 * 1013**2,
+    ],
+)
+def test_squarefree_core_by_primes_equals_every_integer(q):
+    assert squarefree_core(q) == squarefree_core_by_every_integer(q)
+
+
+@given(
+    st.integers(min_value=-(2**128), max_value=2**128).filter(bool),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=2000),
+)
+@settings(max_examples=200)
+def test_squarefree_core_by_primes_equals_every_integer_on_wide_values(n, s, den):
+    q = Fraction(n * s * s, den)
+    assert squarefree_core(q) == squarefree_core_by_every_integer(q)
 
 
 @given(small_rationals, small_rationals, small_tags)
