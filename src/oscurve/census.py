@@ -19,8 +19,9 @@ points only, and checks that on the parameter line (`has_triple_point`):
 the image has a point of multiplicity >= 3 exactly when the second partials
 H_ij of the implicit equation F, composed with the parameterization, share
 a root.  They are composed from F's residues modulo one prime: a value at
-(1:0) that survives there and a constant gcd prove there is none, and only
-another outcome pays for the exact second partials and their gcd over QQ.
+(1:0) that survives there and a constant gcd prove there is none
+(`polyops.coprime_residues`), and only another outcome pays for the exact
+second partials and their gcd over QQ.
 There is no Groebner basis in the gate.
 
 Two local facts let the census read labels and the cusp length off the
@@ -57,8 +58,8 @@ from .groebner import (
 from .polyops import (
     PRIME,
     _prem,
+    coprime_residues,
     exact_divide,
-    gcd_mod_prime,
     matrix_rank,
     mul_mod_prime,
     nullspace,
@@ -122,8 +123,8 @@ def _second_partials_mod_prime(F: Polynomial, coefficients):
     off F's residues mod PRIME, as coefficient lists with the highest s-power
     first; `coefficients` are phi's three such lists over QQ.  None when
     PRIME divides a denominator of F or of phi."""
-    images = [residues_mod_prime(c) for c in coefficients]
-    coeffs = residues_mod_prime(F.terms.values())
+    images = [residues_mod_prime(c, PRIME) for c in coefficients]
+    coeffs = residues_mod_prime(F.terms.values(), PRIME)
     if coeffs is None or None in images:
         return None
     top = F.degree() - 2
@@ -131,7 +132,7 @@ def _second_partials_mod_prime(F: Polynomial, coefficients):
     for image in images:
         row = [[1]]
         for _ in range(top):
-            row.append(mul_mod_prime(row[-1], image))
+            row.append(mul_mod_prime(row[-1], image, PRIME))
         powers.append(row)
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     out = [[0] * ((len(images[0]) - 1) * top + 1) for _ in pairs]
@@ -148,7 +149,7 @@ def _second_partials_mod_prime(F: Polynomial, coefficients):
             prod = products.get(d)
             if prod is None:
                 a, b, f = (powers[k][d[k]] for k in range(3))
-                prod = products[d] = mul_mod_prime(mul_mod_prime(a, b), f)
+                prod = products[d] = mul_mod_prime(mul_mod_prime(a, b, PRIME), f, PRIME)
             cm = c * m
             for k, v in enumerate(prod):
                 acc[k] += cm * v
@@ -165,21 +166,16 @@ def has_triple_point(param: PlaneParameterization) -> bool:
     it exists exactly when the binary forms H_ij(phi) share a root.  Their
     leading coefficients are the values H_ij(phi(1:0)).  Modulo PRIME, taken
     from F's residues, one of them that survives is nonzero over QQ too and
-    rules out (1:0); anchored on that H_ij(phi), the gcd of the compositions
-    with phi(s, 1) has at least the degree of the gcd over QQ (as in
-    `coprime_mod_prime`), so a constant gcd mod PRIME proves there is no such
-    point.  Anything else is decided exactly: by the values at (1:0) and the
-    gcd of the H_ij(phi) over QQ, from the second partials of F itself."""
+    rules out (1:0), and it is the lead that `coprime_residues` asks to be
+    kept: its certificate on the compositions with phi(s, 1) proves there is
+    no such point.  Anything else is decided exactly: by the values at (1:0)
+    and the gcd of the H_ij(phi) over QQ, from the second partials of F
+    itself."""
     F = param.implicit.poly
     coefficients = [_binary_coefficients(f, param.n) for f in param.forms]
     composed = _second_partials_mod_prime(F, coefficients)
-    anchor = next((c for c in composed or () if c[0]), None)
-    if anchor is not None:
-        g = anchor
-        for c in composed:
-            g = gcd_mod_prime(g, c)
-            if len(g) == 1:
-                return False
+    if composed is not None and coprime_residues(composed, PRIME):
+        return False
     names = F.ring.variables
     second = [F.derivative(v).derivative(w) for i, v in enumerate(names) for w in names[i:]]
     second = [h for h in second if not h.is_zero]

@@ -63,7 +63,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, count
+from itertools import chain, combinations, count
 from math import gcd, lcm
 from operator import add, ge, mul, sub
 
@@ -790,19 +790,27 @@ def _finite_chart(ideal: Ideal, forms):
     algebra of it.  When the forms are the ring's variables, they come
     first, last to first: the last one z with its test and its basis read
     off I's (`_last_variable_chart`).  The combinations of
-    `_saturation_candidates` follow.  Every basis but z's starts from I's."""
+    `_saturation_candidates` follow.  Every basis but z's starts from I's.
+
+    Nothing is yielded when I's leads show that the scheme is not finite:
+    when no lead is supported inside some pair of variables, every monomial
+    in that pair lies outside in(I), so S/in(I), and with it S/I, has Krull
+    dimension > 1, and every line meets the scheme."""
     ring = ideal.ring
     gb = ideal.groebner_basis()
+    supports = [{i for i, e in enumerate(lead) if e} for lead in gb.lead_exponents]
+    if any(not any(s <= {i, j} for s in supports) for i, j in combinations(range(ring.nvars), 2)):
+        return
     singles = []
     if list(forms) == ring.gens():
         if set(range(ring.nvars - 1)) <= _pure_power_variables(ideal):
             yield forms[-1], _last_variable_chart(gb)
         singles = forms[-2::-1]
-    combinations = (
+    mixed = (
         sum((f * c for c, f in zip(coeffs, forms)), ring.zero())
         for coeffs in _saturation_candidates(len(forms))
     )
-    for ell in chain(singles, combinations):
+    for ell in chain(singles, mixed):
         if is_empty_scheme(ideal_sum(ideal, Ideal(ring, [ell]))):
             yield ell, ideal_sum(ideal, Ideal(ring, [ell - ring.one()])).groebner_basis()
 

@@ -60,11 +60,7 @@ class GraphCurve:
     def __eq__(self, other):
         if not isinstance(other, GraphCurve):
             return NotImplemented
-        a, b = list(self.coefficients), list(other.coefficients)
-        n = max(len(a), len(b))
-        a += [0] * (n - len(a))
-        b += [0] * (n - len(b))
-        return all(x == y for x, y in zip(a, b))
+        return branch_separation(self, other) == INF
 
     def __hash__(self):
         coeffs = list(self.coefficients)

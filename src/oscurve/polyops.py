@@ -43,14 +43,14 @@ primality below 3.3 * 10^24).  How many are taken comes from a proven
 bound, Hadamard's inequality on the columns scaled to integers, and needs no
 check afterwards.
 
-One prime-field kernel works modulo PRIME on coefficient lists: reduction
-of rationals, products and Euclid's gcd.  It only ever proves a negative,
-as a one-sided certificate with an exact fallback:
-`coprime_mod_prime` shows that two univariate polynomials over QQ are coprime
-when their gcd mod PRIME is constant and Gauss's lemma applies (no
-denominator divisible by PRIME, the leading coefficient kept); any other
-outcome leaves the question to the exact pseudo-remainder sequence.
-`poly_gcd` tries it first on univariate input, and takes the gcd of two
+The prime-field kernels reduce rationals, multiply and take Euclid's gcd on
+coefficient lists modulo a prime p that the caller passes; none reads PRIME,
+so residues mod one prime never meet arithmetic mod another.  A gcd mod p
+only proves a negative: `coprime_residues` shows that univariate polynomials
+over QQ have no common root when one keeps its leading coefficient mod p and
+their gcd mod p is constant, and any other outcome is left to exact
+arithmetic.  `coprime_mod_prime` applies it to two polynomials mod PRIME, and
+`poly_gcd` tries that first on univariate input; it takes the gcd of two
 binary forms as t^k times the homogenized gcd of the forms at t = 1, so that
 they reach the univariate path too.
 """
@@ -220,7 +220,7 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the prime field GF(PRIME)
+# prime fields GF(p)
 # ---------------------------------------------------------------------------
 
 PRIME = 2**61 - 1
@@ -265,40 +265,40 @@ def _moduli():
         yield _PRIMES[i]
 
 
-def residues_mod_prime(values) -> list[int] | None:
-    """Rationals reduced modulo PRIME; None when PRIME divides a denominator."""
+def residues_mod_prime(values, p: int) -> list[int] | None:
+    """Rationals reduced modulo the prime p; None when p divides a denominator."""
     out = []
     for c in values:
-        d = c.denominator % PRIME
+        d = c.denominator % p
         if not d:
             return None
-        out.append(c.numerator % PRIME if d == 1 else c.numerator * pow(d, -1, PRIME) % PRIME)
+        out.append(c.numerator % p if d == 1 else c.numerator * pow(d, -1, p) % p)
     return out
 
 
-def mul_mod_prime(a: list[int], b: list[int]) -> list[int]:
-    """Product of two coefficient lists over GF(PRIME)."""
+def mul_mod_prime(a: list[int], b: list[int], p: int) -> list[int]:
+    """Product of two coefficient lists over GF(p)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return [v % PRIME for v in out]
+    return [v % p for v in out]
 
 
-def _monic_mod_prime(f: list[int]) -> list[int]:
-    """f without its leading zeros, scaled to leading coefficient 1."""
+def _monic_mod_prime(f: list[int], p: int) -> list[int]:
+    """f without its leading zeros, scaled over GF(p) to leading coefficient 1."""
     f = f[next((i for i, c in enumerate(f) if c), len(f)) :]
     if not f or f[0] == 1:
         return f
-    inv = pow(f[0], -1, PRIME)
-    return [c * inv % PRIME for c in f]
+    inv = pow(f[0], -1, p)
+    return [c * inv % p for c in f]
 
 
-def gcd_mod_prime(f: list[int], g: list[int]) -> list[int]:
-    """Monic gcd over GF(PRIME) of two coefficient lists, highest degree
-    first, by Euclid's algorithm; [] when both are zero."""
-    f, g = _monic_mod_prime(f), _monic_mod_prime(g)
+def gcd_mod_prime(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of two coefficient lists, highest degree first,
+    by Euclid's algorithm; [] when both are zero."""
+    f, g = _monic_mod_prime(f, p), _monic_mod_prime(g, p)
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -306,20 +306,34 @@ def gcd_mod_prime(f: list[int], g: list[int]) -> list[int]:
         for i in range(len(r) - dg):
             c = r[i]
             if c:
-                r[i + 1 : i + dg + 1] = [(x - c * y) % PRIME for x, y in zip(r[i + 1 : i + dg + 1], g[1:])]
-        f, g = g, _monic_mod_prime(r[len(r) - dg :])
+                r[i + 1 : i + dg + 1] = [(x - c * y) % p for x, y in zip(r[i + 1 : i + dg + 1], g[1:])]
+        f, g = g, _monic_mod_prime(r[len(r) - dg :], p)
     return f
 
 
-def coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
-    """True only when the univariate p and q over QQ are coprime, shown by a
-    constant gcd modulo PRIME; False leaves the question open.
+def coprime_residues(lists, p: int) -> bool:
+    """True only when univariate polynomials over QQ, none with a denominator
+    divisible by the prime p, have no common root, shown by their residues
+    mod p (coefficient lists, highest degree first): some list keeps its
+    leading coefficient and the gcd of all of them mod p is constant.  The
+    gcd h over QQ, integer-primitive, divides each of them in Z_(p)[x]
+    (Gauss's lemma), so h mod p divides the gcd mod p, and h keeps its lead
+    because a multiple of it does: deg h <= deg gcd_p.  False leaves the
+    question open."""
+    if not any(f and f[0] for f in lists):
+        return False
+    g = []
+    for f in lists:
+        g = gcd_mod_prime(g, f, p)
+        if len(g) == 1:
+            return True
+    return False
 
-    With no denominator divisible by PRIME, p and the gcd h over QQ (taken
-    integer-primitive) have coefficients in the localization Z_(PRIME), so
-    h mod PRIME divides both reductions (Gauss's lemma).  When the operand of
-    larger degree keeps its leading coefficient, h keeps its own, hence
-    deg gcd_PRIME >= deg h."""
+
+def coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
+    """True only when the univariate p and q over QQ are coprime, shown by
+    `coprime_residues` on their residues mod PRIME, the operand of larger
+    degree the one that keeps its lead; False leaves the question open."""
     if not isinstance(p.ring.field, RationalField):
         return False
     if p.degree() < q.degree():
@@ -327,10 +341,8 @@ def coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
     lists = []
     for f in (p, q):
         coeffs = {sum(e): c for e, c in f.terms.items()}
-        lists.append(residues_mod_prime(coeffs.get(k, 0) for k in range(f.degree(), -1, -1)))
-    if None in lists or not lists[0][0]:
-        return False
-    return len(gcd_mod_prime(*lists)) == 1
+        lists.append(residues_mod_prime((coeffs.get(k, 0) for k in range(f.degree(), -1, -1)), PRIME))
+    return None not in lists and bool(lists[0][0]) and coprime_residues(lists, PRIME)
 
 
 # ---------------------------------------------------------------------------

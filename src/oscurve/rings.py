@@ -416,27 +416,12 @@ class Polynomial:
 
     def homogenize(self, target_ring, hom_var: str, var_map=None) -> Polynomial:
         """Homogenize into `target_ring` using `hom_var` as the new variable."""
-        var_map = dict(var_map or {})
-        d = self.degree()
-        if d < 0:
-            return target_ring.zero()
         j = target_ring.index(hom_var)
-        positions = {}
-        for i, v in enumerate(self.ring.variables):
-            name = var_map.get(v, v)
-            if name in target_ring._index:
-                positions[i] = target_ring.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            new_e = [0] * target_ring.nvars
-            for i, k in enumerate(e):
-                if k:
-                    if i not in positions or positions[i] == j:
-                        raise ValueError("homogenization variable collides with a used variable")
-                    new_e[positions[i]] = k
-            new_e[j] = d - sum(e)
-            out[tuple(new_e)] = target_ring.coerce_scalar(c)
-        return Polynomial(target_ring, out)
+        image = self.restrict(target_ring, var_map)
+        if any(e[j] for e in image.terms):
+            raise ValueError("homogenization variable collides with a used variable")
+        d = self.degree()
+        return Polynomial(target_ring, {e[:j] + (d - sum(e),) + e[j + 1 :]: c for e, c in image.terms.items()})
 
     def linear_change(self, matrix) -> Polynomial:
         """Compose with an invertible linear change: returns f(M x).

@@ -282,7 +282,7 @@ def test_triple_point_gate_without_residues_takes_the_exact_route(monkeypatch):
     expected = [has_triple_point(param) for param in params]
     assert expected == [False] * len(CENSUS_INPUTS) + [True, True]
     derivatives = _count_derivatives(monkeypatch)
-    monkeypatch.setattr(census, "residues_mod_prime", lambda values: None)
+    monkeypatch.setattr(census, "residues_mod_prime", lambda values, p: None)
     for param, verdict in zip(params, expected):
         del derivatives[:]
         assert has_triple_point(param) == verdict and derivatives

@@ -521,6 +521,22 @@ def test_saturation_fast_path_matches_general_route(monkeypatch):
     assert saturate(embedded, m3) == ideal(R3, "x + y", "z")
 
 
+def test_curve_saturation_skips_the_line_search(monkeypatch):
+    # a curve's leads leave a pair of variables free, so every line meets it:
+    # only the test of V(m) itself runs before the auxiliary-variable route
+    from oscurve import groebner
+
+    tested = []
+    original = groebner.is_empty_scheme
+    monkeypatch.setattr(groebner, "is_empty_scheme", lambda ideal: tested.append(ideal) or original(ideal))
+    for n in (3, 4):
+        curve = rational_normal_curve_ideal(n)
+        m = irrelevant_ideal(curve.ring)
+        tested.clear()
+        assert saturate(curve, m) == saturate_general(curve, m) == curve
+        assert tested == [m]
+
+
 def test_sextic_construction_reads_each_image_off_one_chart_algebra(monkeypatch):
     # three projections and the fiber's saturation by m: one line search and
     # one chart image each, with no auxiliary-variable saturation and no

@@ -3,6 +3,7 @@ linear algebra."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 import pytest
@@ -838,3 +839,83 @@ def test_poly_gcd_agrees_with_sympy_on_small_inputs(prime, a, b, g, binary):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polyops, "PRIME", prime)
         _sympy_gcd_agrees(p, q, sympy)
+
+
+# -- the prime-field kernels at any prime ----------------------------------------
+
+rational_lists = st.lists(
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 1, 2, 3, 5))), min_size=0, max_size=6
+)
+
+
+def _sympy_mod(coefficients, p, sympy):
+    return sympy.Poly(coefficients or [0], sympy.Symbol("x"), modulus=p)
+
+
+def _residue_list(poly, p):
+    """sympy's coefficients as the kernels' lists: nonnegative, no leading zeros."""
+    out = [c % p for c in poly.all_coeffs()]
+    return out[next((i for i, c in enumerate(out) if c), len(out)) :]
+
+
+@pytest.mark.parametrize("prime", [polyops._PRIMES[1], 3])
+@settings(max_examples=60, deadline=None)
+@given(a=rational_lists, b=rational_lists)
+def test_gcd_and_product_mod_any_prime_agree_with_sympy(prime, a, b):
+    # residues taken mod a prime other than PRIME, and the arithmetic mod that
+    # same prime: no kernel may mix in PRIME
+    sympy = pytest.importorskip("sympy")
+    f, g = polyops.residues_mod_prime(a, prime), polyops.residues_mod_prime(b, prime)
+    if f is None or g is None:
+        return
+    F, G = _sympy_mod(f, prime, sympy), _sympy_mod(g, prime, sympy)
+    assert polyops.gcd_mod_prime(f, g, prime) == _residue_list(sympy.gcd(F, G), prime)
+    if f and g:
+        product = polyops.mul_mod_prime(f, g, prime)
+        assert len(product) == len(f) + len(g) - 1
+        assert _residue_list(_sympy_mod(product, prime, sympy), prime) == _residue_list(F * G, prime)
+
+
+@pytest.mark.parametrize("prime", [2, 3, polyops._PRIMES[1], PRIME])
+@settings(max_examples=60, deadline=None)
+@given(values=rational_lists)
+def test_residues_mod_prime_agree_with_fractions(prime, values):
+    residues = polyops.residues_mod_prime(values, prime)
+    if any(c.denominator % prime == 0 for c in values):
+        assert residues is None
+        return
+    assert len(residues) == len(values)
+    for c, r in zip(values, residues):
+        assert 0 <= r < prime
+        assert (c - r) * c.denominator % prime == 0
+
+
+@pytest.mark.parametrize("prime", [2, 3, PRIME])
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(rational_lists, min_size=1, max_size=4),
+    shared=st.lists(st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3))), max_size=3),
+)
+def test_coprime_residues_never_certifies_a_common_root(prime, factors, shared):
+    # A_i*G for a shared G: whenever the certificate holds, the gcd over QQ
+    # must be constant, however the prime meets leads and denominators
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    G = sympy.Poly(shared or [1], x, domain="QQ")
+    polys = [sympy.Poly(a or [0], x, domain="QQ") * G for a in factors]
+    lists = [polyops.residues_mod_prime([Fraction(int(c.p), int(c.q)) for c in f.all_coeffs()], prime) for f in polys]
+    if None in lists:
+        return
+    if polyops.coprime_residues(lists, prime):
+        assert reduce(sympy.gcd, polys).degree() <= 0, polys
+
+
+def test_coprime_residues_needs_a_kept_lead():
+    # x^2 + 1 and x + 3, then a constant: coprime
+    assert polyops.coprime_residues([[1, 0, 1], [1, 3]], PRIME)
+    assert polyops.coprime_residues([[5]], PRIME)
+    # lists whose leads vanish mod p prove nothing, even with a constant gcd
+    assert not polyops.coprime_residues([[0, 1], [0, 0, 2]], PRIME)
+    # a common root, and zero lists
+    assert not polyops.coprime_residues([[1, 1], [1, 0, -1 % PRIME]], PRIME)
+    assert not polyops.coprime_residues([[], [0, 0]], PRIME)
