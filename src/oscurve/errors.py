@@ -37,6 +37,10 @@ class InvariantViolation(AssertionError):
     Deliberately not an `OscurveError`, which callers treat as a refusal."""
 
 
+class ExponentOverflowError(OscurveError):
+    """An exponent would pass the width of a packed monomial: refused, not computed wrong."""
+
+
 class DegenerateInputError(OscurveError):
     """Input is valid syntax but mathematically unusable (singular matrix,
     zero polynomial where nonzero is required, center meeting the scheme, ...)."""

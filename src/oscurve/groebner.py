@@ -12,6 +12,16 @@ elements monic.  A term's reducer is the first basis element whose lead
 divides it, looked up once per exponent and basis (`_Reducers`), and live
 pairs carry the lcm of their leads, which the chain criterion reads.
 
+The engine's monomial is one int, linear in the exponents, by one packing
+per term order (`_Packing`; Bachmann and Schoenemann, ISSAC 1998): comparing
+ints compares monomials in the order, a product is a sum, and divisibility
+and the lcm are guard-bit tests on the exponent digits.  An exponent must
+stay below 2^16; lex and block orders are not graded, so theirs can grow
+past any input degree, and a monomial past the width is refused
+(`ExponentOverflowError`), never computed wrong.  Outside the engine a
+monomial is an exponent tuple: `GroebnerBasis` decodes `polys` and
+`lead_exponents` once.
+
 A finite scheme takes one Buchberger run from scratch, for the grevlex basis
 of its ideal I; the other bases are read off it or start from it.  A sum
 I + J made by `ideal_sum` starts Buchberger from I's cached basis for the
@@ -65,9 +75,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, count
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import add, ge, itemgetter, mul, sub
 
-from .errors import DegenerateInputError, RingMismatchError
+from .errors import DegenerateInputError, ExponentOverflowError, RingMismatchError
 from .polyops import (
     characteristic_polynomial,
     nullspace,
@@ -95,7 +105,7 @@ class TermOrder:
     __slots__ = ("kind", "front")
 
     def __init__(self, kind, front=None):
-        front = tuple(front or ())
+        front = tuple(dict.fromkeys(front or ()))
         if kind not in ("grevlex", "lex", "block"):
             raise ValueError(f"unknown order kind {kind!r}")
         if (kind == "block") != bool(front):
@@ -118,30 +128,20 @@ class TermOrder:
     def elimination(front) -> "TermOrder":
         return TermOrder("block", front)
 
-    def key_function(self, ring: PolyRing):
-        if self.kind == "block":
-            front = [v for v in self.front if v in ring._index]
-            front_pos = [ring.index(v) for v in front]
-            back_pos = [i for i in range(ring.nvars) if i not in set(front_pos)]
-
-            def key(exp, fp=tuple(front_pos), bp=tuple(back_pos)):
-                f = [exp[i] for i in fp]
-                b = [exp[i] for i in bp]
-                return (
-                    (sum(f),)
-                    + tuple(-v for v in reversed(f))
-                    + (sum(b),)
-                    + tuple(-v for v in reversed(b))
-                )
-
-            return key
+    def packing(self, ring: PolyRing) -> "_Packing":
+        """The order's packing on the ring, from blocks of variables each
+        compared grevlex after the ones before it: all variables for
+        grevlex, the front and the rest for a block order, each one for lex."""
         if self.kind == "lex":
-            return tuple  # an exponent tuple is its own lex key
+            blocks = [(i,) for i in range(ring.nvars)]
+        else:
+            front = tuple(ring.index(v) for v in self.front if v in ring._index)
+            blocks = [front, tuple(i for i in range(ring.nvars) if i not in front)]
+        return _packing(ring.nvars, tuple(b for b in blocks if b))
 
-        def key(exp):
-            return (sum(exp),) + tuple(-v for v in reversed(exp))
-
-        return key
+    def key_function(self, ring: PolyRing):
+        """The packed int of an exponent tuple, a sort key in the order."""
+        return self.packing(ring).pack
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and (self.kind, self.front) == (other.kind, other.front)
@@ -159,25 +159,70 @@ DEFAULT_ORDER = TermOrder.grevlex()
 
 
 # ---------------------------------------------------------------------------
-# raw engine on term dicts
+# raw engine on packed term dicts
 # ---------------------------------------------------------------------------
 
-
-class _HeapEntries(dict):
-    """Memoized max-heap entries (negated key, exponent) of a term order."""
-
-    __slots__ = ("keyf",)
-
-    def __init__(self, keyf):
-        self.keyf = keyf
-
-    def __missing__(self, e):
-        item = self[e] = tuple(-k for k in self.keyf(e)) + (e,)
-        return item
+_EXPONENT_BITS = 16  # E: every exponent of a packed monomial is below 2^E
 
 
-def _lead(pdict, entry):
-    return min(map(entry.__getitem__, pdict))[-1]
+class _Packing:
+    """A term order's monomials in n variables as ints, by a linear map.
+
+    The int is T * 2^(n*w) - r: r holds one w-bit digit per exponent, the
+    order's blocks in turn, the last on top; T holds, top down, each block's
+    degree and then, but for the last block (whose share is -r), its
+    exponents negated.  Signed digits compare as digits while each spans
+    fewer than 2^w values: w = E + 1 + bits(n) holds sums of n exponents
+    below 2^(E+1).  Bit E of each digit of r is a guard, clear in a valid
+    monomial: a divides b when int(a) - int(b) sets no guard (a negative
+    exponent difference borrows and sets one), and a product of valid
+    monomials is exact and sets the guard of each exponent that reached
+    2^E (`_Reducers` refuses it)."""
+
+    __slots__ = ("width", "mask", "guards", "shifts", "weights", "_blocks")
+
+    def __init__(self, nvars, blocks):
+        width = _EXPONENT_BITS + 1 + nvars.bit_length()
+        digits = [i for block in blocks for i in block]  # the variable of each digit of r, low first
+        self.width, self.mask = width, (1 << nvars * width) - 1
+        self.guards = sum(1 << (width * k + _EXPONENT_BITS) for k in range(nvars))
+        self.shifts = [width * digits.index(i) for i in range(nvars)]
+        self._blocks, start = [], 0
+        for k, block in enumerate(blocks):
+            size = width * len(block)
+            tail = size if len(block) > 1 and k < len(blocks) - 1 else 0
+            self._blocks.append((start, (1 << size) - 1, tail))
+            start += size
+        self.weights = [self._from_exponents(1 << shift) for shift in self.shifts]
+
+    def _from_exponents(self, r):
+        """The int of the monomial whose exponent digits are r."""
+        width, order = self.width, 0
+        for start, mask, tail in self._blocks:
+            part = r >> start & mask
+            order = (order << width) + part % ((1 << width) - 1)  # the digit sum: the block's degree
+            if tail:
+                order = (order << tail) - part
+        return (order << self.mask.bit_length()) - r
+
+    def pack(self, exp) -> int:
+        if max(exp, default=0) >> _EXPONENT_BITS:
+            raise ExponentOverflowError(f"an exponent of {exp} is past 2^{_EXPONENT_BITS} - 1")
+        return sum(map(mul, exp, self.weights))
+
+    def unpack(self, m) -> tuple:
+        r, digit = -m & self.mask, (1 << self.width) - 1
+        return tuple([r >> shift & digit for shift in self.shifts])
+
+    def lcm(self, a, b) -> int:
+        mask, guards = self.mask, self.guards
+        ra, rb = -a & mask, -b & mask
+        wins = ((ra | guards) - rb) & guards  # the guard bit of each digit where ra >= rb
+        take = wins - (wins >> _EXPONENT_BITS)  # and the digit's value bits in its place
+        return self._from_exponents(rb ^ ((ra ^ rb) & take))
+
+
+_packing = cache(_Packing)
 
 
 def _is_rational(pdict):
@@ -208,52 +253,52 @@ def _field_split(c, lead_c):
     return 1, c if lead_c == 1 else c / lead_c
 
 
-def _divisible(exp, lead):
-    return all(map(ge, exp, lead))
-
-
 class _Reducers(dict):
-    """Called on an exponent, the first (dict, lead) entry of an append-only
-    basis list whose lead divides it, or None.  The table maps the exponent
-    to that entry, or to the number k of entries checked, where a later
-    lookup resumes: after an append it checks only the new entries."""
+    """Called on a packed monomial, the first (dict, lead) entry of an
+    append-only basis list whose lead divides it, or None.  The table maps
+    the monomial to that entry, or to the number k of entries checked, where
+    a later lookup resumes: after an append it checks only the new entries.
+    A reduction looks up every monomial that it keeps or reduces, so the
+    refusal of a monomial with a guard bit set, here, covers them all."""
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "guards")
 
-    def __init__(self, basis):
-        self.basis = basis
+    def __init__(self, basis, guards):
+        self.basis, self.guards = basis, guards
 
     def __call__(self, exp):
         found = self.get(exp, 0)
         if not isinstance(found, int):
             return found
-        basis = self.basis
+        basis, guards = self.basis, self.guards
+        if -exp & guards:
+            raise ExponentOverflowError(f"an exponent reached 2^{_EXPONENT_BITS}, past the packed width")
         for k in range(found, len(basis)):
-            if _divisible(exp, basis[k][1]):
+            if not (basis[k][1] - exp) & guards:
                 found = self[exp] = basis[k]
                 return found
         self[exp] = len(basis)
         return None
 
 
-def _reduce_full(pdict, reducers, entry, split):
-    """Fully reduce a term dict against the basis entries (dict, lead_exp)
-    of a `_Reducers` table.
+def _reduce_full(pdict, reducers, split):
+    """Fully reduce a packed term dict against the basis entries (dict,
+    lead) of a `_Reducers` table.
 
     A step at the top term c*x^e, with the first reducer g whose lead L*x^l
     divides it, sets work = a*work - b*x^(e-l)*g for (a, b) = split(c, L)
     and rescales the remainder so far by a.  Over the integers every eighth
     rescale divides out the content.  Returns (remainder, scale), where the
-    remainder is scale times the normal form; `entry` is a `_HeapEntries`.
+    remainder is scale times the normal form.
     """
     work = dict(pdict)
-    heap = [entry[e] for e in work]
+    heap = [-e for e in work]  # a max-heap of the monomials
     heapq.heapify(heap)
     remainder = {}
     num = den = 1
     rescales = 0
     while heap:
-        exp = heapq.heappop(heap)[-1]
+        exp = -heapq.heappop(heap)
         c = work.pop(exp, None)
         if c is None:
             continue
@@ -268,15 +313,15 @@ def _reduce_full(pdict, reducers, entry, split):
             remainder = {e: v * a for e, v in remainder.items()}
             num *= a
             rescales += 1
-        shift = tuple(map(sub, exp, glead))
+        shift = exp - glead
         for e2, c2 in g.items():
             if e2 == glead:
                 continue
-            e = tuple(map(add, shift, e2))
+            e = shift + e2
             s = work.get(e)
             if s is None:
                 work[e] = -b * c2
-                heapq.heappush(heap, entry[e])
+                heapq.heappush(heap, -e)
             else:
                 s -= b * c2
                 if s:
@@ -295,13 +340,10 @@ def _reduce_full(pdict, reducers, entry, split):
 def _spoly_dict(g1, lead1, g2, lead2, lcm, split):
     """a*m1*g1 - b*m2*g2 with the leads cancelling, (a, b) = split(L1, L2)."""
     a, b = split(g1[lead1], g2[lead2])
-    s1 = tuple(map(sub, lcm, lead1))
-    s2 = tuple(map(sub, lcm, lead2))
-    out = {}
-    for e, c in g1.items():
-        out[tuple(map(add, e, s1))] = a * c
+    s1, s2 = lcm - lead1, lcm - lead2
+    out = {e + s1: a * c for e, c in g1.items()}
     for e, c in g2.items():
-        e = tuple(map(add, e, s2))
+        e += s2
         s = out.get(e)
         if s is None:
             out[e] = -b * c
@@ -314,82 +356,68 @@ def _spoly_dict(g1, lead1, g2, lead2, lcm, split):
     return out
 
 
-def _exp_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _buchberger_dicts(gen_dicts, keyf, seed=()):
-    """Reduced Groebner basis of nonzero term dicts: (dict, lead) pairs in
-    increasing lead order.  Over QQ the loop is fraction-free on primitive
-    integer dicts (`GroebnerBasis` makes them monic); other coefficients run
-    it over their field with monic elements.
+def _buchberger_dicts(gen_dicts, packing, seed=()):
+    """Reduced Groebner basis of nonzero packed term dicts: (dict, lead)
+    pairs in increasing lead order.  Over QQ the loop is fraction-free on
+    primitive integer dicts (`GroebnerBasis` makes them monic); other
+    coefficients run it over their field with monic elements.
 
     `seed` is the reduced basis of an ideal I for the same order, in the
     representation that the seed and the dicts take together; the result is
     then the basis of I plus the dicts.  The seed's own pairs reduce to zero,
     so only pairs with a new element are formed."""
     rational = all(_is_rational(d) for d in chain(gen_dicts, (g for g, _ in seed)))
-    entry = _HeapEntries(keyf)
     if rational:
-        gen_dicts = [_primitive(d, _lead(d, entry)) for d in gen_dicts]
+        gen_dicts = [_primitive(d, max(d)) for d in gen_dicts]
         split, normalize = _integer_split, _primitive
     else:
         split, normalize = _field_split, _monic
-    basis: list[tuple[dict, tuple]] = list(seed)  # (dict, lead)
-    reducers = _Reducers(basis)
-    order_key = cache(keyf)  # of the pairs' lcms
-    pair_heap: list = []
-    alive: dict[tuple[int, int], tuple] = {}  # live pair -> lcm of its leads
-    counter = count()
+    basis: list[tuple[dict, int]] = list(seed)  # (dict, lead)
+    guards, lcm_of = packing.guards, packing.lcm
+    reducers = _Reducers(basis, guards)
+    pair_heap: list = []  # (lcm, j, i) of the pair i < j: by lcm, then as formed
+    alive: dict[tuple[int, int], int] = {}  # live pair -> lcm of its leads
 
     def add_pairs(t):
         # Gebauer-Moeller update for the new element index t
         lt = basis[t][1]
-        new_pairs = [_exp_lcm(lead, lt) for _, lead in basis[:t]]
+        new_pairs = [lcm_of(lead, lt) for _, lead in basis[:t]]
         # chain criterion against existing pairs
         for ij, lcm_ij in list(alive.items()):
             if (
-                _divisible(lcm_ij, lt)
+                not (lt - lcm_ij) & guards
                 and lcm_ij != new_pairs[ij[0]]
                 and lcm_ij != new_pairs[ij[1]]
             ):
                 del alive[ij]
         # prune among the new pairs: keep minimal lcms, one per value
-        items = sorted(enumerate(new_pairs), key=lambda kv: (order_key(kv[1]), kv[0]))
-        kept: list[tuple[int, tuple]] = []
-        seen = set()
-        for i, lc in items:
-            if lc in seen:
-                continue
-            if any(_divisible(lc, other) for _, other in kept):  # other != lc: lc is unseen
-                continue
-            kept.append((i, lc))
-            seen.add(lc)
+        kept: list[tuple[int, int]] = []
+        for i in sorted(range(t), key=new_pairs.__getitem__):
+            lc = new_pairs[i]
+            if not any(not (other - lc) & guards for _, other in kept):
+                kept.append((i, lc))
         for i, lc in kept:
-            # coprime criterion
-            if lc == tuple(map(add, basis[i][1], lt)):
-                continue
-            alive[i, t] = lc
-            heapq.heappush(pair_heap, (order_key(lc), next(counter), i, t))
+            if lc != basis[i][1] + lt:  # coprime criterion
+                alive[i, t] = lc
+                heapq.heappush(pair_heap, (lc, t, i))
 
     def insert(pdict):
-        red = _reduce_full(pdict, reducers, entry, split)[0]
+        red = _reduce_full(pdict, reducers, split)[0]
         if red:
-            lead = _lead(red, entry)
+            lead = max(red)
             basis.append((normalize(red, lead), lead))
             add_pairs(len(basis) - 1)
 
-    for d in sorted(gen_dicts, key=lambda d: keyf(_lead(d, entry))):
+    for d in sorted(gen_dicts, key=max):
         insert(d)
     while pair_heap:
-        _, _, i, j = heapq.heappop(pair_heap)
-        lcm = alive.pop((i, j), None)
-        if lcm is not None:
+        lcm, j, i = heapq.heappop(pair_heap)
+        if alive.pop((i, j), None) is not None:
             insert(_spoly_dict(*basis[i], *basis[j], lcm, split))
-    return _interreduce(basis, entry, rational)
+    return _interreduce(basis, guards, rational)
 
 
-def _interreduce(pairs, entry, rational):
+def _interreduce(pairs, guards, rational):
     """The reduced basis, in increasing lead order, of the ideal that the
     (dict, lead) pairs are a Groebner basis of, in the engine's
     representation (`rational`: primitive integer dicts).  Minimalize (drop
@@ -400,13 +428,13 @@ def _interreduce(pairs, entry, rational):
     one table over the minimal elements done so far."""
     split, normalize = (_integer_split, _primitive) if rational else (_field_split, _monic)
     minimal = []
-    for g, lead in sorted(pairs, key=lambda gl: entry.keyf(gl[1])):
-        if not any(_divisible(lead, m) for _, m in minimal):
+    for g, lead in sorted(pairs, key=itemgetter(1)):
+        if not any(not (m - lead) & guards for _, m in minimal):
             minimal.append((g, lead))
     done, reduced = [], []
-    reducers = _Reducers(done)
+    reducers = _Reducers(done, guards)
     for g, lead in minimal:
-        reduced.append((normalize(_reduce_full(g, reducers, entry, split)[0], lead), lead))
+        reduced.append((normalize(_reduce_full(g, reducers, split)[0], lead), lead))
         done.append((g, lead))
     return reduced
 
@@ -419,26 +447,29 @@ def _interreduce(pairs, entry, rational):
 class GroebnerBasis:
     """A reduced, monic Groebner basis together with its order.
 
-    Built from the engine's (dict, lead) pairs, which it keeps for normal
-    forms with one reducer table: over QQ they are primitive integer dicts,
-    and `polys` is their monic form."""
+    Built from the engine's (dict, lead) pairs of packed monomials, which it
+    keeps for normal forms with one reducer table: over QQ they are
+    primitive integer dicts.  `polys` is their monic form and
+    `lead_exponents` their leads, both read off the packing once."""
 
-    __slots__ = ("ring", "order", "polys", "_pairs", "_rational", "_entry", "_reducers")
+    __slots__ = ("ring", "order", "polys", "lead_exponents", "_pairs", "_rational", "_packing", "_reducers")
 
     def __init__(self, ring, order, pairs):
         pairs = tuple(pairs)
+        packing = order.packing(ring)
         rational = all(isinstance(c, int) for d, _ in pairs for c in d.values())
         polys = tuple(
-            Polynomial(ring, {e: Fraction(v, d[lead]) for e, v in d.items()} if rational else d)
+            Polynomial(ring, {packing.unpack(e): Fraction(v, d[lead]) if rational else v for e, v in d.items()})
             for d, lead in pairs
         )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "lead_exponents", tuple(packing.unpack(lead) for _, lead in pairs))
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_rational", rational)
-        object.__setattr__(self, "_entry", _HeapEntries(order.key_function(ring)))
-        object.__setattr__(self, "_reducers", _Reducers(pairs))
+        object.__setattr__(self, "_packing", packing)
+        object.__setattr__(self, "_reducers", _Reducers(pairs, packing.guards))
 
     def __setattr__(self, *args):
         raise AttributeError("GroebnerBasis is immutable")
@@ -449,22 +480,20 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.polys)
 
-    @property
-    def lead_exponents(self):
-        return tuple(lead for _, lead in self._pairs)
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The remainder of f: exact, also when it is computed on integers."""
         if f.ring != self.ring:
             raise RingMismatchError("normal form of a polynomial from another ring")
-        if not (self._rational and f.terms and _is_rational(f.terms)):
-            red, _ = _reduce_full(f.terms, self._reducers, self._entry, _field_split)
-            return Polynomial(self.ring, red)
-        first = next(iter(f.terms))
-        work = _primitive(f.terms, first)
-        red, scale = _reduce_full(work, self._reducers, self._entry, _integer_split)
-        unscale = f.terms[first] / (scale * work[first])
-        return Polynomial(self.ring, {e: v * unscale for e, v in red.items()})
+        pack, unpack = self._packing.pack, self._packing.unpack
+        terms = {pack(e): c for e, c in f.terms.items()}
+        if not (self._rational and terms and _is_rational(terms)):
+            red, _ = _reduce_full(terms, self._reducers, _field_split)
+            return Polynomial(self.ring, {unpack(e): v for e, v in red.items()})
+        first = next(iter(terms))
+        work = _primitive(terms, first)
+        red, scale = _reduce_full(work, self._reducers, _integer_split)
+        unscale = terms[first] / (scale * work[first])
+        return Polynomial(self.ring, {unpack(e): v * unscale for e, v in red.items()})
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -564,8 +593,9 @@ def buchberger(ideal: Ideal, order: TermOrder = DEFAULT_ORDER) -> GroebnerBasis:
         new = gens[len(ideal._seed.gens) :]
         if known._rational == all(map(_is_rational, chain(new, (g for g, _ in known._pairs)))):
             gens, seed = new, known._pairs
-    pairs = _buchberger_dicts(gens, order.key_function(ideal.ring), seed)
-    return GroebnerBasis(ideal.ring, order, pairs)
+    packing = order.packing(ideal.ring)
+    gens = [{packing.pack(e): c for e, c in terms.items()} for terms in gens]
+    return GroebnerBasis(ideal.ring, order, _buchberger_dicts(gens, packing, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +626,7 @@ def _degree_exponents(nvars, degree):
 def _standard_monomials(nvars, degree, leads):
     """The degree-`degree` monomials divisible by no lead exponent."""
     return [
-        e for e in _degree_exponents(nvars, degree) if not any(_divisible(e, l) for l in leads)
+        e for e in _degree_exponents(nvars, degree) if not any(all(map(ge, e, l)) for l in leads)
     ]
 
 
@@ -762,7 +792,7 @@ def _chart_image(chart: GroebnerBasis, images, target: PolyRing) -> Ideal:
     leads, found = [], []
     while True:
         candidates = sorted({tuple(map(add, s, u)) for s in stored for u in steps}, key=keyf)
-        candidates = [m for m in candidates if not any(_divisible(m, lead) for lead in leads)]
+        candidates = [m for m in candidates if not any(all(map(ge, m, lead)) for lead in leads)]
         vectors = []
         for m in candidates:
             i = next(i for i, k in enumerate(m) if k)
@@ -820,12 +850,15 @@ def _last_variable_chart(gb: GroebnerBasis) -> GroebnerBasis:
     from the reduced grevlex basis of a homogeneous I: each element with z
     set to 1, which keeps its lead (the module docstring has why), and
     z - 1, interreduced."""
-    ring = gb.ring
+    ring, packing = gb.ring, gb._packing
     one = 1 if gb._rational else ring.field.one
-    z = (0,) * (ring.nvars - 1) + (1,)
-    pairs = [({e[:-1] + (0,): c for e, c in g.items()}, lead[:-1] + (0,)) for g, lead in gb._pairs]
-    pairs.append(({z: one, (0,) * ring.nvars: -one}, z))
-    return GroebnerBasis(ring, DEFAULT_ORDER, _interreduce(pairs, gb._entry, gb._rational))
+    z = packing.weights[-1]
+    pairs = [
+        ({e - packing.unpack(e)[-1] * z: c for e, c in g.items()}, lead - packing.unpack(lead)[-1] * z)
+        for g, lead in gb._pairs
+    ]
+    pairs.append(({z: one, 0: -one}, z))
+    return GroebnerBasis(ring, DEFAULT_ORDER, _interreduce(pairs, packing.guards, gb._rational))
 
 
 def _saturation_candidates(k: int):

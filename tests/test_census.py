@@ -929,10 +929,10 @@ def test_census_runs_buchberger_from_scratch_only_on_the_scheme(monkeypatch):
         finally:
             current.pop()
 
-    def counting_engine(gen_dicts, keyf, seed=()):
+    def counting_engine(gen_dicts, packing, seed=()):
         if not seed:
             scratch.append(current[-1])
-        return engine(gen_dicts, keyf, seed)
+        return engine(gen_dicts, packing, seed)
 
     monkeypatch.setattr(groebner, "buchberger", tracking_buchberger)
     monkeypatch.setattr(groebner, "_buchberger_dicts", counting_engine)
@@ -1169,9 +1169,9 @@ def test_squarefree_chi_runs_no_second_characteristic_polynomial_or_basis(monkey
     runs, chis = [], []
     engine, charpoly = groebner._buchberger_dicts, groebner.characteristic_polynomial
 
-    def counting_engine(gen_dicts, keyf, seed=()):
+    def counting_engine(gen_dicts, packing, seed=()):
         runs.append(bool(seed))
-        return engine(gen_dicts, keyf, seed)
+        return engine(gen_dicts, packing, seed)
 
     def counting_charpoly(rows):
         chis.append(len(rows))
@@ -1227,9 +1227,9 @@ def test_census_takes_no_radical(monkeypatch):
         chis.append(len(rows))
         return charpoly(rows)
 
-    def recording_engine(gen_dicts, keyf, seed=()):
+    def recording_engine(gen_dicts, packing, seed=()):
         seeded.append(bool(seed))
-        return engine(gen_dicts, keyf, seed)
+        return engine(gen_dicts, packing, seed)
 
     def recording_read(chart, var):
         reads.append(read(chart, var))
@@ -1286,10 +1286,10 @@ def buchberger_runs_after_the_support(monkeypatch):
     runs, done = [], []
     engine, support = groebner._buchberger_dicts, census_module.support_sites
 
-    def counting_engine(gen_dicts, keyf, seed=()):
+    def counting_engine(gen_dicts, packing, seed=()):
         if done:
             runs.append(bool(seed))
-        return engine(gen_dicts, keyf, seed)
+        return engine(gen_dicts, packing, seed)
 
     def marking_support(ideal):
         sites = support(ideal)

@@ -3,17 +3,18 @@ saturation, radicals."""
 
 import random
 from fractions import Fraction
-from operator import ge
+from operator import add, ge
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oscurve.errors import DegenerateInputError
+from oscurve.errors import DegenerateInputError, ExponentOverflowError
 from oscurve.groebner import (
+    _EXPONENT_BITS,
     GroebnerBasis,
     Ideal,
     TermOrder,
     _field_split,
-    _HeapEntries,
     _integer_split,
     _reduce_full,
     _Reducers,
@@ -38,6 +39,12 @@ from helpers import degree_slice_members, groebner_certificate, normal_form_with
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
+GREVLEX3 = TermOrder.grevlex().packing(R3)
+
+
+def packed(terms, packing=GREVLEX3):
+    """A term dict on exponent tuples as the engine's dict on packed monomials."""
+    return {packing.pack(e): c for e, c in terms.items()}
 
 
 def ideal(ring, *texts):
@@ -158,9 +165,24 @@ def _as_sympy_polys(sympy, polys, domain):
     return sorted((sympy.Poly(e, *symbols, domain=domain) for e in exprs), key=str)
 
 
+def _sympy_elimination_basis(sympy, gens, front, domain):
+    """The reduced grevlex basis of the ideal's intersection with the
+    polynomials in the variables off the front, by sympy: its lex basis with
+    the front first, restricted to the elements free of the front, then
+    based again in grevlex on the kept variables."""
+    ring = gens[0].ring
+    kept = [v for v in ring.variables if v not in front]
+    exprs = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
+    lex = sympy.groebner(exprs, *sympy.symbols(list(front) + kept), order="lex", domain=domain)
+    free = [p.as_expr() for p in lex.polys if not p.as_expr().free_symbols & set(sympy.symbols(front))]
+    basis = sympy.groebner(free, *sympy.symbols(kept), order="grevlex", domain=domain)
+    return sorted((p.exquo_ground(p.LC(order="grevlex")) for p in basis.polys), key=str)
+
+
 def test_reduced_bases_agree_with_sympy_over_qq():
     # seeded ideals with numerators up to 10^12 and denominators up to 999;
-    # their bases reach coefficients of a few thousand bits
+    # their bases reach coefficients of a few thousand bits; after the
+    # grevlex and lex bases, the eliminants of block orders with seeded fronts
     sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
 
@@ -168,10 +190,16 @@ def test_reduced_bases_agree_with_sympy_over_qq():
         return Fraction(rng.randint(-(10**12), 10**12) or 1, rng.randint(1, 999))
 
     widest = 0
-    for trial in range(16):
-        order = ("grevlex", "lex")[trial % 2]
+    for order in ["grevlex", "lex"] * 8 + ["block"] * 6:
         degree = 3 if order == "grevlex" else 2
         gens = [_random_poly(rng, R3, rng.randint(2, 4), degree, coefficient) for _ in range(3)]
+        if order == "block":
+            front = rng.sample(R3.variables, rng.randint(1, 2))
+            kept = eliminate(Ideal(R3, gens), front).gens
+            assert _as_sympy_polys(sympy, kept, "QQ") == _sympy_elimination_basis(
+                sympy, gens, front, "QQ"
+            )
+            continue
         gb = Ideal(R3, gens).groebner_basis(getattr(TermOrder, order)())
         assert _as_sympy_polys(sympy, gb.polys, "QQ") == _sympy_monic_basis(
             sympy, gens, order, "QQ"
@@ -267,8 +295,8 @@ def test_certificate_catches_a_broken_basis():
     with pytest.raises(AssertionError, match="is divisible by the lead of"):
         groebner_certificate(I, unreduced)
     J = ideal(R3, "x^2 - y*z", "x*y - z^2")
-    leads = ((2, 0, 0), (1, 1, 0))
-    generators = GroebnerBasis(R3, TermOrder.grevlex(), zip((g.terms for g in J.gens), leads))
+    leads = map(GREVLEX3.pack, ((2, 0, 0), (1, 1, 0)))
+    generators = GroebnerBasis(R3, TermOrder.grevlex(), zip((packed(g.terms) for g in J.gens), leads))
     with pytest.raises(AssertionError, match="does not reduce to 0"):
         groebner_certificate(J, generators)
 
@@ -290,44 +318,115 @@ def test_seven_variable_bases_agree_with_sympy(k):
 # -- the reducer table -----------------------------------------------------------
 
 
-def _scan_reducers(basis):
-    """The reducer lookup by a linear scan of the basis, as a reference."""
-    return lambda exp: next((g for g in basis if all(map(ge, exp, g[1]))), None)
+def _scan_reducers(basis, packing=GREVLEX3):
+    """The reducer lookup by a linear scan of the basis on exponent tuples,
+    as a reference."""
+    unpack = packing.unpack
+    return lambda exp: next((g for g in basis if all(map(ge, unpack(exp), unpack(g[1])))), None)
 
 
-def _grevlex_entries(ring):
-    return _HeapEntries(TermOrder.grevlex().key_function(ring))
+def _entry(terms, lead):
+    return packed(terms), GREVLEX3.pack(lead)
 
 
 def test_reducer_table_finds_an_element_appended_after_a_miss():
-    basis = [({(2, 0, 0): 1, (0, 0, 2): -1}, (2, 0, 0))]
-    reducers = _Reducers(basis)
-    exp = (0, 3, 1)
+    basis = [_entry({(2, 0, 0): 1, (0, 0, 2): -1}, (2, 0, 0))]
+    reducers = _Reducers(basis, GREVLEX3.guards)
+    exp = GREVLEX3.pack((0, 3, 1))
     assert reducers(exp) is None
     assert reducers[exp] == 1  # none among the first entry
-    basis.append(({(0, 2, 0): 1, (0, 0, 2): -1}, (0, 2, 0)))
+    basis.append(_entry({(0, 2, 0): 1, (0, 0, 2): -1}, (0, 2, 0)))
     assert reducers(exp) is basis[1]
     # the table resumes at the new entry, and the normal form uses it
-    red, _ = _reduce_full({exp: 1}, reducers, _grevlex_entries(R3), _field_split)
-    assert red == {(0, 1, 3): 1}
+    red, _ = _reduce_full({exp: 1}, reducers, _field_split)
+    assert red == packed({(0, 1, 3): 1})
 
 
 def test_reducer_table_takes_the_first_listed_of_two_dividing_leads():
-    first = ({(1, 1, 0): 1, (0, 0, 2): 3}, (1, 1, 0))
-    second = ({(0, 2, 0): 1, (1, 0, 1): -2}, (0, 2, 0))
+    first = _entry({(1, 1, 0): 1, (0, 0, 2): 3}, (1, 1, 0))
+    second = _entry({(0, 2, 0): 1, (1, 0, 1): -2}, (0, 2, 0))
     for basis in ([first, second], [second, first]):
-        reducers = _Reducers(basis)
-        assert reducers((1, 2, 0)) is basis[0]
+        reducers = _Reducers(basis, GREVLEX3.guards)
+        assert reducers(GREVLEX3.pack((1, 2, 0))) is basis[0]
     rng = random.Random(11)
-    basis = [first, second, ({(2, 0, 0): 1, (0, 1, 1): 5}, (2, 0, 0))]
-    entry = _grevlex_entries(R3)
+    basis = [first, second, _entry({(2, 0, 0): 1, (0, 1, 1): 5}, (2, 0, 0))]
     for _ in range(40):
         f = _random_poly(rng, R3, 5, 4, lambda: rng.randint(-9, 9) or 1).terms
-        f = {e: int(c) for e, c in f.items()}  # the engine's integer dicts
+        f = packed({e: int(c) for e, c in f.items()})  # the engine's integer dicts
         for split in (_integer_split, _field_split):
-            assert _reduce_full(f, _Reducers(basis), entry, split) == _reduce_full(
-                f, _scan_reducers(basis), entry, split
+            assert _reduce_full(f, _Reducers(basis, GREVLEX3.guards), split) == _reduce_full(
+                f, _scan_reducers(basis), split
             )
+
+
+# -- the packed monomials --------------------------------------------------------
+
+LIMIT = 2**_EXPONENT_BITS
+
+
+def _tuple_key(order, ring):
+    """The order's sort key on exponent tuples, as a reference: the degree
+    of each block, then its exponents from the last one, negated (one block
+    for grevlex, the front and the rest for a block order)."""
+    if order.kind == "lex":
+        return tuple
+    front = [ring.index(v) for v in order.front]
+    back = [i for i in range(ring.nvars) if i not in front]
+
+    def key(exp):
+        f, b = [exp[i] for i in front], [exp[i] for i in back]
+        return (sum(f), *(-v for v in reversed(f)), sum(b), *(-v for v in reversed(b)))
+
+    return key
+
+
+@st.composite
+def _orders_and_monomials(draw):
+    """A ring of 1-8 variables, an order on it (a block order with a random
+    front), and two exponent tuples, with digits at the width limit."""
+    ring = PolyRing([f"x{i}" for i in range(draw(st.integers(1, 8)))])
+    kind = draw(st.sampled_from(["grevlex", "lex", "block"]))
+    if kind == "block":
+        names = draw(st.permutations(ring.variables))
+        order = TermOrder.elimination(names[: draw(st.integers(1, ring.nvars))])
+    else:
+        order = TermOrder(kind)
+    digit = st.one_of(st.integers(0, 4), st.integers(0, LIMIT - 1), st.just(LIMIT - 1))
+    monomial = st.lists(digit, min_size=ring.nvars, max_size=ring.nvars).map(tuple)
+    return ring, order, draw(monomial), draw(monomial)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_orders_and_monomials())
+def test_packed_monomials_order_multiply_and_divide_as_exponent_tuples(case):
+    ring, order, a, b = case
+    packing, key = order.packing(ring), _tuple_key(order, ring)
+    A, B = packing.pack(a), packing.pack(b)
+    assert order.key_function(ring)(a) == A
+    assert (packing.unpack(A), packing.unpack(B)) == (a, b)
+    assert (A < B, A == B) == (key(a) < key(b), a == b)
+    assert (not (A - B) & packing.guards) == all(map(ge, b, a))
+    assert packing.lcm(A, B) == packing.pack(tuple(map(max, a, b)))
+    product = tuple(map(add, a, b))
+    if max(product) < LIMIT:
+        assert A + B == packing.pack(product)
+    else:  # the guard bit of a digit past the width flags the product
+        assert -(A + B) & packing.guards
+
+
+def test_an_exponent_past_the_packed_width_is_refused():
+    with pytest.raises(ExponentOverflowError):
+        ideal(R2, f"x^{LIMIT} - y").groebner_basis()
+    with pytest.raises(ExponentOverflowError):
+        ideal(R2, "x - y").groebner_basis().normal_form(R2.parse(f"y^{LIMIT}"))
+    # lex with z > y > x: z - y^(2^k) reduces by y - x^(2^k) to z - x^(2^(2k)),
+    # an exponent that no input has; one less fits
+    ring = PolyRing(("z", "y", "x"))
+    k = _EXPONENT_BITS // 2
+    with pytest.raises(ExponentOverflowError):
+        ideal(ring, f"z - y^{2**k}", f"y - x^{2**k}").groebner_basis(TermOrder.lex())
+    gb = ideal(ring, f"z - y^{2**k + 1}", f"y - x^{2**k - 1}").groebner_basis(TermOrder.lex())
+    assert ring.parse(f"z - x^{LIMIT - 1}") in gb.polys
 
 
 def test_one_basis_gives_fresh_normal_forms_in_either_order():
@@ -690,9 +789,9 @@ def _record_seeds(monkeypatch):
     seeds = []
     engine = groebner._buchberger_dicts
 
-    def recording(gen_dicts, keyf, seed=()):
+    def recording(gen_dicts, packing, seed=()):
         seeds.append(bool(seed))
-        return engine(gen_dicts, keyf, seed)
+        return engine(gen_dicts, packing, seed)
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", recording)
     return seeds
